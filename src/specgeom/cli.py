@@ -495,8 +495,11 @@ def _bundle_kappa(cfg, src) -> float:
 
 
 def _model_h_sq(cfg, src, ineq) -> float:
+    """Constant H^2 of a model; on a mesh, the sup of its per-vertex field."""
     if cfg.get("h_sq") is not None:
         return float(cfg["h_sq"])
+    if src["kind"] == "mesh":
+        return float(np.max(src["extr"].H_sq))
     if src.get("extr") is not None:
         return src["extr"].H_sq
     return _need(cfg, "h_sq", None, ineq)

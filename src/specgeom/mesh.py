@@ -226,8 +226,8 @@ def _parse_obj(path):
 # validation
 
 
-def _edge_key(a, b):
-    return (int(a), int(b)) if a < b else (int(b), int(a))
+def _decode_edge(key, n_verts):
+    return (int(key // n_verts), int(key % n_verts))
 
 
 def _validate(verts: np.ndarray, faces: np.ndarray) -> MeshGeometry:
@@ -266,33 +266,37 @@ def _validate(verts: np.ndarray, faces: np.ndarray) -> MeshGeometry:
             area=float(areas[f]),
         )
 
-    # undirected edge bookkeeping: exactly two faces per edge, one per direction
-    directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    undirected = np.sort(directed, axis=1)
-    uniq, counts = np.unique(undirected, axis=0, return_counts=True)
+    # undirected edge bookkeeping: exactly two faces per edge, one per
+    # direction.  Edge (i, j) is keyed as i * n_verts + j, so sorting the keys
+    # sorts the edges lexicographically and the first offending edge reported
+    # is the lexicographically first.
+    tails = faces.ravel()
+    heads = np.roll(faces, -1, axis=1).ravel()
+    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+    uniq, counts = np.unique(lo * n_verts + hi, return_counts=True)
     over = np.flatnonzero(counts > 2)
     if over.size:
-        e = uniq[over[0]]
+        e = _decode_edge(uniq[over[0]], n_verts)
         raise MeshValidationError(
-            "edge (%d, %d) is shared by %d faces" % (e[0], e[1], counts[over[0]]),
-            edge=(int(e[0]), int(e[1])),
+            "edge (%d, %d) is shared by %d faces" % (*e, counts[over[0]]),
+            edge=e,
             face_count=int(counts[over[0]]),
         )
     boundary = np.flatnonzero(counts == 1)
     if boundary.size:
-        e = uniq[boundary[0]]
+        e = _decode_edge(uniq[boundary[0]], n_verts)
         raise ClosedSurfaceRequiredError(
-            "edge (%d, %d) lies on a boundary" % (e[0], e[1]),
-            edge=(int(e[0]), int(e[1])),
+            "edge (%d, %d) lies on a boundary" % e,
+            edge=e,
         )
-    uniq_dir, dir_counts = np.unique(directed, axis=0, return_counts=True)
+    uniq_dir, dir_counts = np.unique(tails * n_verts + heads, return_counts=True)
     repeated = np.flatnonzero(dir_counts > 1)
     if repeated.size:
-        e = uniq_dir[repeated[0]]
+        e = _decode_edge(uniq_dir[repeated[0]], n_verts)
         raise MeshValidationError(
             "edge (%d, %d) is traversed twice in the same direction; "
-            "orientation is inconsistent" % (e[0], e[1]),
-            edge=(int(e[0]), int(e[1])),
+            "orientation is inconsistent" % e,
+            edge=e,
         )
 
     vertex_area = np.zeros(n_verts)

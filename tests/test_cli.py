@@ -9,6 +9,7 @@ import pytest
 
 from specgeom.cli import main
 from specgeom.errors import SolverConvergenceError
+from specgeom.mesh import assemble_operators, extrinsic_summary, load_mesh
 from specgeom.meshgen import icosphere, write_off
 
 
@@ -195,6 +196,42 @@ class TestCheck:
         )
         assert code == 2
         assert "known:" in err["message"]
+
+    @staticmethod
+    def mesh_h_sq_sup(path):
+        mesh = load_mesh(path)
+        return float(np.max(extrinsic_summary(mesh, assemble_operators(mesh)).H_sq))
+
+    @pytest.mark.parametrize(
+        "ineq, constant", [("eta", "c_sup"), ("universal-euclidean", "c1")]
+    )
+    def test_mesh_curvature_constant_defaults_to_sup(
+        self, ico_files, capsys, ineq, constant
+    ):
+        """Without --c-sup/--c1 a mesh uses n^2 sup H^2, never the raw field."""
+        code, doc, _ = run_json(
+            capsys, ["check", "--ineq", ineq, "--mesh", ico_files[3],
+                     "--j-range", "1:3"]
+        )
+        assert code in (0, 1)
+        reports = doc["reports"]
+        assert len(reports) == 3
+        h_sq_sup = self.mesh_h_sq_sup(ico_files[3])
+        for report in reports:
+            assert np.isfinite(report["margin"])
+            assert report["params"][constant] == 4.0 * h_sq_sup
+
+    def test_mesh_background_gap_bounds_use_sup(self, ico_files, capsys):
+        code, doc, _ = run_json(
+            capsys, ["check", "--ineq", "background", "--mesh", ico_files[3],
+                     "--gap-k", "2", "--yang-k", "3"]
+        )
+        assert code in (0, 1)
+        h_sq_sup = self.mesh_h_sq_sup(ico_files[3])
+        assert len(doc["reports"]) == 2
+        for report in doc["reports"]:
+            assert np.isfinite(report["margin"])
+            assert report["params"]["H_sq"] == h_sq_sup
 
     def test_j_range_csv(self, capsys):
         code = main(

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specgeom.eigensolve as eigensolve
 from specgeom.eigensolve import (
     basis_zero_dim,
     clustered_entries,
@@ -112,18 +113,22 @@ class TestMeshSpectra:
         assert np.array_equal(b1.vectors, b2.vectors)
 
     def test_dense_sparse_equivalence(self, ico_ops):
-        """Values and eigenspaces agree at a multiplicity-cluster boundary."""
+        """ARPACK stops at the caller's tol; values still match the dense
+        oracle for every k, and eigenspaces match wherever k closes a
+        spherical-harmonic shell (1, 4, 9, 16, 25), including cuts at a
+        multiplicity-cluster boundary."""
         ops = ico_ops(2)  # 162 vertices
-        k = 9  # 1 + 3 + 5: closes the first three spherical-harmonic shells
-        sparse_basis = solve_smallest(ops, k, seed=0)
-        dense = dense_eigenbasis(ops, k)
-        np.testing.assert_allclose(
-            sparse_basis.values, dense.values, rtol=0, atol=1e-9
-        )
+        dense = dense_eigenbasis(ops, 30)
         mass_diag = ops.mass_diag
-        p_sparse = sparse_basis.vectors @ (sparse_basis.vectors.T * mass_diag)
-        p_dense = dense.vectors @ (dense.vectors.T * mass_diag)
-        assert np.max(np.abs(p_sparse - p_dense)) < 1e-7
+        for k in range(1, 31):
+            basis = solve_smallest(ops, k, seed=0)
+            np.testing.assert_allclose(
+                basis.values, dense.values[:k], rtol=0, atol=1e-9, err_msg="k=%d" % k
+            )
+            if k in (1, 4, 9, 16, 25):
+                p_sparse = basis.vectors @ (basis.vectors.T * mass_diag)
+                p_dense = dense.vectors[:, :k] @ (dense.vectors[:, :k].T * mass_diag)
+                assert np.max(np.abs(p_sparse - p_dense)) < 1e-7, k
 
     def test_sign_convention(self, ico_ops):
         basis = solve_smallest(ico_ops(2), 6, seed=0)
@@ -171,3 +176,66 @@ class TestMeshSpectra:
         ops = pair(sp.identity(n).tocsr(), sp.identity(n).tocsr())
         with pytest.raises(UsageError):
             dense_eigenbasis(ops)
+
+
+class CountingFactorization:
+    """Counts factorizations made through ``eigensolve.splu`` and the
+    solves made with each."""
+
+    def __init__(self, monkeypatch):
+        self.factorizations = 0
+        self.solves = 0
+        real_splu = eigensolve.splu
+
+        def counting_splu(matrix, *args, **kwargs):
+            self.factorizations += 1
+            lu = real_splu(matrix, *args, **kwargs)
+            counter = self
+
+            class Counted:
+                def solve(self, rhs, *solve_args):
+                    counter.solves += 1
+                    return lu.solve(rhs, *solve_args)
+
+            return Counted()
+
+        monkeypatch.setattr(eigensolve, "splu", counting_splu)
+
+
+def assert_residual_contract(ops, basis, tol):
+    lv = ops.stiffness @ basis.vectors
+    mv = ops.mass_diag[:, None] * basis.vectors
+    resid = np.linalg.norm(lv - mv * basis.values, axis=0)
+    assert np.all(resid <= tol * np.maximum(1.0, np.linalg.norm(lv, axis=0)))
+    assert basis.mass_gram_error <= 1e-8
+
+
+class TestFactorization:
+    @pytest.mark.parametrize("level, k", [(2, 1), (2, 9), (3, 14)])
+    def test_one_factorization_per_solve(self, ico_ops, monkeypatch, level, k):
+        counter = CountingFactorization(monkeypatch)
+        basis = solve_smallest(ico_ops(level), k, seed=0)
+        assert counter.factorizations == 1
+        assert counter.solves > 0  # ARPACK's shift-invert solves use it
+        assert basis.size == k
+
+    def test_polish_reuses_the_factorization(self, ico_ops, monkeypatch):
+        """Vectors returned 1e-6 off the eigenspace force polish sweeps; they
+        run on the same LU and still meet the residual bound."""
+        counter = CountingFactorization(monkeypatch)
+        real_eigsh = eigensolve.eigsh
+        solves_in_eigsh = []
+
+        def perturbed_eigsh(*args, **kwargs):
+            values, vectors = real_eigsh(*args, **kwargs)
+            solves_in_eigsh.append(counter.solves)
+            noise = np.random.default_rng(0).standard_normal(vectors.shape)
+            return values, vectors + 1e-6 * np.max(np.abs(vectors)) * noise
+
+        monkeypatch.setattr(eigensolve, "eigsh", perturbed_eigsh)
+        ops = ico_ops(2)
+        tol = 1e-9
+        basis = solve_smallest(ops, 9, tol=tol, seed=0)
+        assert counter.factorizations == 1
+        assert counter.solves > solves_in_eigsh[0]  # polish sweeps ran
+        assert_residual_contract(ops, basis, tol)

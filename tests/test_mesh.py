@@ -1,9 +1,12 @@
 """Mesh loading, validation, operator assembly, and curvature summaries."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specgeom.errors import (
     ClosedSurfaceRequiredError,
@@ -52,14 +55,27 @@ class TestValidation:
     def test_boundary_rejected(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 0, 0]], float)
         faces = np.array([[0, 1, 2], [1, 3, 2], [1, 4, 3], [0, 2, 3]])
-        with pytest.raises(ClosedSurfaceRequiredError):
+        with pytest.raises(ClosedSurfaceRequiredError) as exc:
             mesh_from_arrays(verts, faces)
+        # (0,1), (1,4), (3,4) and (0,3) each lie in one face; the first is reported
+        assert exc.value.detail["edge"] == (0, 1)
 
     def test_overshared_edge_rejected(self):
         verts = np.vstack([TET_VERTS, [[0.0, 0.0, 2.0]]])
         faces = np.vstack([TET_FACES, [[0, 2, 4]]])  # edge (0,2) now in 3 faces
-        with pytest.raises(MeshValidationError, match="shared by 3 faces"):
+        with pytest.raises(MeshValidationError, match="shared by 3 faces") as exc:
             mesh_from_arrays(verts, faces)
+        assert exc.value.detail["edge"] == (0, 2)
+        assert exc.value.detail["face_count"] == 3
+
+    def test_lexicographically_first_bad_edge_reported(self):
+        """Edges (2,3) and (0,1) are both over-shared; (2,3) comes first in
+        face order, (0,1) in lexicographic order, which decides."""
+        verts = np.vstack([TET_VERTS, [[0.0, 0.0, 2.0], [0.0, 2.0, 0.0]]])
+        faces = np.vstack([TET_FACES, [[2, 3, 4], [0, 1, 5]]])
+        with pytest.raises(MeshValidationError, match="edge \\(0, 1\\)") as exc:
+            mesh_from_arrays(verts, faces)
+        assert exc.value.detail["edge"] == (0, 1)
 
     def test_bad_index_rejected(self):
         faces = TET_FACES.copy()
@@ -81,8 +97,58 @@ class TestValidation:
     def test_inconsistent_orientation_rejected(self):
         faces = TET_FACES.copy()
         faces[1] = faces[1][::-1]
-        with pytest.raises(MeshValidationError, match="orientation"):
+        with pytest.raises(MeshValidationError, match="orientation") as exc:
             mesh_from_arrays(TET_VERTS, faces)
+        # (1,0), (0,3) and (3,1) are each traversed twice
+        assert exc.value.detail["edge"] == (0, 3)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["flip", "dup", "del", "dup-flipped"]),
+                      st.integers(min_value=0, max_value=79)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_edge_errors_match_sorted_reference(self, edits):
+        """Corrupted icospheres report the same error and edge as a plain
+        Python count over sorted edge tuples."""
+        verts, faces = icosphere(1)  # 80 faces
+        for op, i in edits:
+            i %= len(faces)
+            if op == "flip":
+                faces[i] = faces[i][::-1]
+            elif op == "dup":
+                faces = np.vstack([faces, faces[i]])
+            elif op == "del":
+                faces = np.delete(faces, i, axis=0)
+            else:
+                faces = np.vstack([faces, faces[i][::-1]])
+        expected = reference_edge_error(faces)
+        if expected is None:
+            mesh_from_arrays(verts, faces)
+            return
+        with pytest.raises(MeshValidationError) as exc:
+            mesh_from_arrays(verts, faces)
+        assert (type(exc.value), exc.value.detail["edge"]) == expected
+
+
+def reference_edge_error(faces):
+    """(error type, edge) that validation must report, or None."""
+    directed = [(f[a], f[b]) for f in faces.tolist()
+                for a, b in ((0, 1), (1, 2), (2, 0))]
+    undirected = sorted(Counter(tuple(sorted(e)) for e in directed).items())
+    for edge, count in undirected:
+        if count > 2:
+            return MeshValidationError, edge
+    for edge, count in undirected:
+        if count == 1:
+            return ClosedSurfaceRequiredError, edge
+    for edge, count in sorted(Counter(directed).items()):
+        if count > 1:
+            return MeshValidationError, edge
+    return None
 
 
 class TestLoaders:
