@@ -19,7 +19,8 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -66,34 +67,20 @@ from .serialize import (
 
 CLIFFORD_AREA = 2.0 * math.pi**2
 
-KNOWN_INEQS = (
-    "main",
-    "eta",
-    "universal-euclidean",
-    "universal-sphere",
-    "sphere",
-    "reilly1",
-    "reilly2",
-    "reilly3",
-    "projective",
-    "lp-spin",
-    "index",
-    "background",
-    "conjecture",
-)
-
-J_STYLE_INEQS = (
-    "main",
-    "eta",
-    "universal-euclidean",
-    "universal-sphere",
-    "sphere",
-    "lp-spin",
-    "projective",
-)
-
 
 class _Parser(argparse.ArgumentParser):
+    """Argument parser that records each flag's action by destination, so
+    config file entries can be converted and checked like flags."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
     # argparse exits on its own; route through the shared error path instead
     def error(self, message):
         raise UsageError(message)
@@ -103,85 +90,15 @@ class _Parser(argparse.ArgumentParser):
 # config plumbing
 
 
-SPECTRUM_DEFAULTS = {
-    "model": None,
-    "mesh": None,
-    "mesh_format": None,
-    "operator": None,
-    "dim": 2,
-    "radius": 1.0,
-    "lattice": None,
-    "spin": None,
-    "count": 16,
-    "seed": 0,
-    "tol": 1e-9,
-    "include_vectors": False,
-    "output": None,
-}
-
-CHECK_DEFAULTS = {
-    "ineq": None,
-    "model": None,
-    "mesh": None,
-    "mesh_format": None,
-    "operator": None,
-    "dim": 2,
-    "radius": 1.0,
-    "lattice": None,
-    "spin": None,
-    "count": None,
-    "seed": 0,
-    "tol": 1e-9,
-    "j": None,
-    "j_range": None,
-    "m": None,
-    "h_sq": None,
-    "kappa": None,
-    "c_sup": None,
-    "c1": None,
-    "c2": None,
-    "c3": None,
-    "b_sq_sup": None,
-    "s0": None,
-    "genus": None,
-    "area": None,
-    "volume": None,
-    "h_sq_integral": None,
-    "hbar1_integral": None,
-    "htilde_sq_integral": None,
-    "field": "C",
-    "sup_term": None,
-    "s_inf": None,
-    "minimal": False,
-    "gap_k": None,
-    "yang_k": None,
-    "chen_h_sq": None,
-    "lp_j": None,
-    "csv": False,
-    "output": None,
-}
-
-SWEEP_DEFAULTS = {
-    "family": "torus-lattice",
-    "ratio_grid": None,
-    "area": CLIFFORD_AREA,
-    "count": 64,
-    "workers": None,
-    "output": None,
-}
-
-PROOFLAB_DEFAULTS = {
-    "task": None,
-    "mesh": None,
-    "mesh_format": None,
-    "mesh_list": None,
-    "j": None,
-    "psi": "x",
-    "trunc": None,
-    "count": None,
-    "seed": 0,
-    "tol": 1e-9,
-    "output": None,
+# values of the flags that neither the command line nor the config file set;
+# every other flag defaults to None
+DEFAULTS = {
+    "spectrum": {"dim": 2, "radius": 1.0, "count": 16, "seed": 0, "tol": 1e-9,
+                 "include_vectors": False},
+    "check": {"dim": 2, "radius": 1.0, "seed": 0, "tol": 1e-9, "field": "C",
+              "minimal": False, "csv": False},
+    "sweep": {"family": "torus-lattice", "area": CLIFFORD_AREA, "count": 64},
+    "prooflab": {"psi": "x", "seed": 0, "tol": 1e-9},
 }
 
 
@@ -200,16 +117,37 @@ def _load_config(path) -> dict:
     return data
 
 
-def _merge_config(args, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
+def _config_value(action, key, value):
+    """A config entry converted and checked as its flag's argument would be."""
+    if action.type is not None:
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            raise UsageError(
+                "config key %r: invalid %s value %r" % (key, action.type.__name__, value),
+                key=key,
+            )
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(
+            "config key %r: invalid choice %r (choose from %s)"
+            % (key, value, ", ".join(action.choices)),
+            key=key,
+        )
+    return value
+
+
+def _merge_config(args, parser, defaults: dict) -> dict:
+    flags = {k: a for k, a in parser.flags.items() if k not in ("help", "config")}
+    cfg = {key: defaults.get(key) for key in flags}
+    if args.config:
         for key, value in _load_config(args.config).items():
             norm = key.replace("-", "_")
-            if norm not in defaults:
+            if norm not in flags:
                 raise UsageError("unknown config key %r" % key, key=key)
-            cfg[norm] = value
-    for key in defaults:
-        value = getattr(args, key, None)
+            if value is not None:
+                cfg[norm] = _config_value(flags[norm], key, value)
+    for key in flags:
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     return cfg
@@ -234,6 +172,8 @@ def _parse_lattice(text) -> Lattice:
         raise UsageError("cannot parse lattice %r" % text, lattice=str(text))
     if not rows or any(len(r) != len(rows) for r in rows):
         raise UsageError("lattice rows must form a square matrix", lattice=str(text))
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise UsageError("lattice entries must be finite", lattice=str(text))
     # rows of the flag are the generators; the Lattice type stores columns
     return Lattice(np.array(rows, dtype=float).T)
 
@@ -283,6 +223,7 @@ def _emit(cfg, text: str) -> None:
         sys.stdout.write(text)
 
 
+
 # ---------------------------------------------------------------------------
 # source resolution
 
@@ -302,120 +243,109 @@ def _resolve_operator(cfg) -> str:
     operator = cfg.get("operator")
     if operator is None:
         operator = "dirac" if cfg.get("spin") is not None else "laplace"
-    if operator not in ("dirac", "laplace"):
-        raise UsageError("operator must be dirac or laplace, got %r" % operator)
     return operator
 
 
 def _model_source(cfg) -> dict:
     model = cfg["model"]
     operator = _resolve_operator(cfg)
+    dirac = operator == "dirac"
     if model == "sphere":
         n = int(cfg["dim"])
         radius = float(cfg["radius"])
-        extr = model_extrinsic("sphere", n=n, radius=radius)
-
-        def build(count):
-            if operator == "dirac":
-                return sphere_dirac_spectrum(n, radius, count)
-            return sphere_laplace_spectrum(n, radius, count)
-
-        zero_guess = 0 if operator == "dirac" else 1
+        spectrum = sphere_dirac_spectrum if dirac else sphere_laplace_spectrum
         return {
             "kind": "model",
             "n": n,
-            "build": build,
-            "extr": extr,
+            "build": lambda count: spectrum(n, radius, count),
+            "extr": model_extrinsic("sphere", n=n, radius=radius),
             "radius": radius,
-            "lattice": None,
-            "zero_guess": zero_guess,
+            "zero_guess": 0 if dirac else 1,
             "operator": operator,
             "provenance": {
                 "spectrum": "sphere-%s n=%d r=%s" % (operator, n, format_float(radius)),
                 "extrinsic": "model:sphere",
             },
         }
-    if model in ("torus", "clifford-torus"):
-        if model == "clifford-torus":
-            lat = clifford_torus_lattice()
-        else:
-            if cfg.get("lattice") is None:
-                raise UsageError("torus model needs --lattice", parameter="lattice")
-            lat = _parse_lattice(cfg["lattice"])
-        n = lat.dim
-        spin = None
-        if operator == "dirac":
-            spin = (
-                _parse_spin(cfg["spin"], n)
-                if cfg.get("spin") is not None
-                else SpinStructure((0.0,) * n)
-            )
-        radii = _diagonal_radii(lat)
-        extr = None
-        if radii is not None and n == 2:
-            _, extr = product_torus_extrinsic(radii[0], radii[1])
-
-        def build(count, _lat=lat, _spin=spin):
-            if operator == "dirac":
-                return torus_dirac_spectrum(_lat, _spin, count)
-            return torus_laplace_spectrum(_lat, count)
-
-        if operator == "dirac":
-            zero_guess = 2 ** (n // 2) if spin.is_trivial else 0
-        else:
-            zero_guess = 1
-        basis_text = "; ".join(
-            " ".join(format_float(x) for x in lat.basis[:, i]) for i in range(n)
+    if model == "clifford-torus":
+        lat = clifford_torus_lattice()
+    elif cfg.get("lattice") is None:
+        raise UsageError("torus model needs --lattice", parameter="lattice")
+    else:
+        lat = _parse_lattice(cfg["lattice"])
+    n = lat.dim
+    spin = None
+    if dirac:
+        spin = (
+            _parse_spin(cfg["spin"], n)
+            if cfg.get("spin") is not None
+            else SpinStructure((0.0,) * n)
         )
-        prov = {
-            "spectrum": "torus-%s lattice=[%s]%s"
-            % (operator, basis_text, " spin=%s" % spin.label() if spin else ""),
-            "extrinsic": "model:product-torus" if extr is not None else "explicit",
-        }
-        return {
-            "kind": "model",
-            "n": n,
-            "build": build,
-            "extr": extr,
-            "radius": None,
-            "lattice": lat,
-            "radii": radii,
-            "zero_guess": zero_guess,
-            "operator": operator,
-            "provenance": prov,
-        }
-    raise UsageError("unknown model %r" % model, model=model)
-
-
-def _mesh_source(cfg, count: int) -> dict:
-    mesh = load_mesh(cfg["mesh"], cfg.get("mesh_format"))
-    if _resolve_operator(cfg) != "laplace":
-        raise UsageError(
-            "mesh spectra are scalar Laplace only", operator=cfg["operator"]
+    radii = _diagonal_radii(lat)
+    extr = None
+    if radii is not None and n == 2:
+        _, extr = product_torus_extrinsic(radii[0], radii[1])
+    basis_text = "; ".join(
+        " ".join(format_float(x) for x in lat.basis[:, i]) for i in range(n)
+    )
+    src = {"kind": "model", "n": n, "extr": extr, "radii": radii, "operator": operator}
+    if dirac:
+        src.update(
+            build=lambda count: torus_dirac_spectrum(lat, spin, count),
+            zero_guess=2 ** (n // 2) if spin.is_trivial else 0,
         )
-    ops = assemble_operators(mesh)
-    if count >= mesh.n_vertices:
-        raise UsageError(
-            "count %d must be below the vertex count %d" % (count, mesh.n_vertices),
-            count=count,
-            vertices=mesh.n_vertices,
-        )
-    basis = solve_smallest(ops, count, tol=float(cfg["tol"]), seed=int(cfg["seed"]))
-    extr = extrinsic_summary(mesh, ops)
-    return {
-        "kind": "mesh",
-        "n": 2,
-        "mesh": mesh,
-        "ops": ops,
-        "basis": basis,
-        "extr": extr,
-        "operator": "laplace",
-        "provenance": {
-            "spectrum": "mesh:%s laplace count=%d seed=%d"
-            % (os.path.basename(str(cfg["mesh"])), count, int(cfg["seed"])),
-            "extrinsic": "mesh-fields",
-        },
+    else:
+        src.update(build=lambda count: torus_laplace_spectrum(lat, count), zero_guess=1)
+    src["provenance"] = {
+        "spectrum": "torus-%s lattice=[%s]%s"
+        % (operator, basis_text, " spin=%s" % spin.label() if spin else ""),
+        "extrinsic": "model:product-torus" if extr is not None else "explicit",
     }
+    return src
+
+
+def _mesh_source(cfg) -> dict:
+    """Mesh source; ``build(count)`` loads, solves and then fills in the
+    mesh, operators, extrinsic fields and provenance."""
+    src = {"kind": "mesh", "n": 2, "zero_guess": 1, "operator": "laplace"}
+
+    def build(count):
+        mesh = load_mesh(cfg["mesh"], cfg.get("mesh_format"))
+        if _resolve_operator(cfg) != "laplace":
+            raise UsageError(
+                "mesh spectra are scalar Laplace only", operator=cfg["operator"]
+            )
+        ops = assemble_operators(mesh)
+        if count >= mesh.n_vertices:
+            raise UsageError(
+                "count %d must be below the vertex count %d" % (count, mesh.n_vertices),
+                count=count,
+                vertices=mesh.n_vertices,
+            )
+        basis = solve_smallest(ops, count, tol=float(cfg["tol"]), seed=int(cfg["seed"]))
+        src.update(
+            mesh=mesh,
+            ops=ops,
+            extr=extrinsic_summary(mesh, ops),
+            provenance={
+                "spectrum": "mesh:%s laplace count=%d seed=%d"
+                % (os.path.basename(str(cfg["mesh"])), count, int(cfg["seed"])),
+                "extrinsic": "mesh-fields",
+            },
+        )
+        return basis
+
+    src["build"] = build
+    return src
+
+
+def _source(cfg):
+    """The model or mesh source the config names, or None for neither."""
+    if cfg.get("mesh") and cfg.get("model"):
+        raise UsageError("pass either --model or --mesh, not both")
+    if cfg.get("mesh"):
+        return _mesh_source(cfg)
+    return _model_source(cfg) if cfg.get("model") else None
 
 
 # ---------------------------------------------------------------------------
@@ -424,22 +354,16 @@ def _mesh_source(cfg, count: int) -> dict:
 
 def cmd_spectrum(cfg) -> int:
     count = int(cfg["count"])
-    if cfg.get("mesh") and cfg.get("model"):
-        raise UsageError("pass either --model or --mesh, not both")
-    if cfg.get("mesh"):
-        src = _mesh_source(cfg, count)
-        basis = src["basis"]
-        if cfg.get("output"):
-            write_eigenbasis(cfg["output"], basis, bool(cfg["include_vectors"]))
-        else:
-            sys.stdout.write(
-                dumps_json(basis.to_json_dict(bool(cfg["include_vectors"])))
-            )
-        return 0
-    if not cfg.get("model"):
+    src = _source(cfg)
+    if src is None:
         raise UsageError("spectrum needs --model or --mesh", parameter="model")
-    src = _model_source(cfg)
     spec = src["build"](count)
+    if src["kind"] == "mesh":
+        if cfg.get("output"):
+            write_eigenbasis(cfg["output"], spec, bool(cfg["include_vectors"]))
+        else:
+            sys.stdout.write(dumps_json(spec.to_json_dict(bool(cfg["include_vectors"]))))
+        return 0
     doc = spec.to_json_dict()
     doc["values"] = list(spec.values(count))
     _emit(cfg, dumps_json(doc))
@@ -450,84 +374,105 @@ def cmd_spectrum(cfg) -> int:
 # check command
 
 
-def _required_index(ineqs, jlist, n, m_guess, cfg) -> int:
-    need = 0
-    jmax = max(jlist)
-    for iq in ineqs:
-        if iq in J_STYLE_INEQS:
-            need = max(need, jmax + n)
-        elif iq in ("reilly1", "reilly2", "reilly3"):
-            need = max(need, m_guess + n)
-        elif iq == "index":
-            need = max(need, max(m_guess, 1) + n)
-        elif iq == "background":
-            need = max(need, m_guess + 1, 2)
-            if cfg.get("gap_k") is not None:
-                need = max(need, int(cfg["gap_k"]) + 1)
-            if cfg.get("yang_k") is not None:
-                need = max(need, int(cfg["yang_k"]) + 1)
-            if cfg.get("lp_j") is not None:
-                need = max(need, int(cfg["lp_j"]) + n)
-            if cfg.get("chen_h_sq") is not None:
-                need = max(need, 1 + n)
-    return max(need, 1)
+def _missing(key, ineq):
+    return UsageError(
+        "inequality %r needs parameter %r" % (ineq, key), parameter=key, ineq=ineq
+    )
 
 
-def _need(cfg, key, value, ineq):
-    if value is None:
-        raise UsageError(
-            "inequality %r needs parameter %r" % (ineq, key), parameter=key, ineq=ineq
-        )
-    return value
+# parameters read off the source's extrinsic data when no flag gives them:
+# (attribute, how a mesh reduces its per-vertex field, or None for no mesh
+# fallback); a model's extrinsic data holds constants
+EXTRINSIC = {
+    "h_sq": ("H_sq", np.max),
+    "s_inf": ("S", np.min),
+    "b_sq_sup": ("B_sq", None),
+    "volume": ("volume", float),
+}
 
 
-def _bundle_kappa(cfg, src) -> float:
-    """Curvature term of the operator's bundle: S/4 for spinors, 0 for
-    functions; flat models give 0 either way."""
-    if cfg.get("kappa") is not None:
-        return float(cfg["kappa"])
-    if src["operator"] == "laplace":
+class Params:
+    """The parameters of one check id: a flag wins, then the source's fallback.
+
+    Fallbacks come from ``EXTRINSIC`` or from the method named after the
+    parameter with a leading underscore.  A parameter with neither a flag
+    nor a fallback value is a usage error that names it.
+    """
+
+    def __init__(self, ineq, cfg, src=None, spectrum=None):
+        self.ineq, self.cfg, self.spectrum = ineq, cfg, spectrum
+        self.src = src or {}
+        self.n = self.src.get("n")
+        self.extr = self.src.get("extr")
+        self.mesh = self.src.get("kind") == "mesh"
+        self.prov = self.src.get("provenance")
+
+    def optional(self, key):
+        if self.cfg.get(key) is not None:
+            return self.cfg[key]
+        if key in EXTRINSIC:
+            attr, reduce = EXTRINSIC[key]
+            if self.extr is None or (self.mesh and reduce is None):
+                return None
+            value = getattr(self.extr, attr)
+            return float(reduce(value)) if self.mesh else value
+        fallback = getattr(self, "_" + key, None)
+        return None if fallback is None else fallback()
+
+    def __getitem__(self, key):
+        value = self.optional(key)
+        if value is None:
+            raise _missing(key, self.ineq)
+        return value
+
+    def _kappa(self):
+        """Curvature term of the operator's bundle: S/4 for spinors, 0 for
+        functions; flat models give 0 either way."""
+        if self.src["operator"] == "laplace":
+            return 0.0
+        if self.extr is None:
+            raise _missing("kappa", "dirac-bundle")
+        return self.extr.curvature_term_kappa
+
+    def _m(self):
+        if self.mesh:
+            return basis_zero_dim(self.spectrum)
+        return self.spectrum.zero_dim
+
+    def _c_sup(self):
+        return self.n**2 * self["h_sq"]
+
+    _c1 = _c_sup
+
+    def _c2(self):
+        return self["kappa"]
+
+    _c3 = _c2
+
+    def _area(self):
+        return self["volume"]
+
+    def _h_sq_integral(self):
+        if self.mesh:
+            return self.extr.willmore
+        return self["h_sq"] * self["volume"]
+
+    def _htilde_sq_integral(self):
         return 0.0
-    extr = src.get("extr")
-    if extr is not None:
-        return extr.curvature_term_kappa
-    return _need(cfg, "kappa", None, "dirac-bundle")
 
-
-def _model_h_sq(cfg, src, ineq) -> float:
-    """Constant H^2 of a model; on a mesh, the sup of its per-vertex field."""
-    if cfg.get("h_sq") is not None:
-        return float(cfg["h_sq"])
-    if src["kind"] == "mesh":
-        return float(np.max(src["extr"].H_sq))
-    if src.get("extr") is not None:
-        return src["extr"].H_sq
-    return _need(cfg, "h_sq", None, ineq)
-
-
-def _model_volume(cfg, src, ineq) -> float:
-    if cfg.get("volume") is not None:
-        return float(cfg["volume"])
-    if src.get("extr") is not None:
-        return src["extr"].volume
-    return _need(cfg, "volume", None, ineq)
-
-
-def _sphere_form_integral(cfg, src, ineq) -> float:
-    """Constant (Hbar^2 + 1) for a model immersed in the unit sphere."""
-    if cfg.get("hbar1_integral") is not None:
-        return float(cfg["hbar1_integral"])
-    if src["kind"] == "model" and src.get("radius") is not None:
-        radius = src["radius"]
-        if radius > 1.0 + 1e-12:
-            raise UsageError(
-                "a sphere of radius %s does not fit in the unit sphere"
-                % format_float(radius),
-                radius=radius,
-            )
-        return 1.0 / radius**2
-    if src["kind"] == "model" and src.get("radii") is not None:
-        radii = src["radii"]
+    def _hbar1_integral(self):
+        """Constant (Hbar^2 + 1) for a model immersed in the unit sphere."""
+        radius, radii = self.src.get("radius"), self.src.get("radii")
+        if self.mesh or (radius is None and radii is None):
+            return None
+        if radius is not None:
+            if radius > 1.0 + 1e-12:
+                raise UsageError(
+                    "a sphere of radius %s does not fit in the unit sphere"
+                    % format_float(radius),
+                    radius=radius,
+                )
+            return 1.0 / radius**2
         rsum = float(np.sum(np.asarray(radii) ** 2))
         if abs(rsum - 1.0) > 1e-6:
             raise UsageError(
@@ -535,99 +480,157 @@ def _sphere_form_integral(cfg, src, ineq) -> float:
                 "radii is %s)" % format_float(rsum),
                 parameter="hbar1_integral",
             )
-        return _model_h_sq(cfg, src, ineq)
-    return _need(cfg, "hbar1_integral", None, ineq)
+        return self["h_sq"]
 
 
-def _check_one(ineq, j, src, cfg, spectrum_like):
-    n = src["n"]
-    prov = src["provenance"]
-    if ineq == "main":
-        if src["kind"] == "mesh":
-            terms = WeightedCurvatureTerms.from_vertex_fields(
-                n,
-                src["extr"].H_sq,
-                src["basis"].vectors[:, j - 1],
-                src["ops"].mass_diag,
-            )
-        else:
-            terms = WeightedCurvatureTerms.from_constants(
-                n, _model_h_sq(cfg, src, ineq), _bundle_kappa(cfg, src)
-            )
-        return check_main_theorem(spectrum_like, j, n, terms, prov)
-    if ineq == "eta":
-        c_sup = (
-            float(cfg["c_sup"])
-            if cfg.get("c_sup") is not None
-            else n**2 * _model_h_sq(cfg, src, ineq)
+def _main(p, j):
+    if p.mesh:
+        terms = WeightedCurvatureTerms.from_vertex_fields(
+            p.n, p.extr.H_sq, p.spectrum.vectors[:, j - 1], p.src["ops"].mass_diag
         )
-        return check_corollary_eta(
-            spectrum_like, j, n, c_sup, _bundle_kappa(cfg, src), prov
+    else:
+        terms = WeightedCurvatureTerms.from_constants(p.n, p["h_sq"], p["kappa"])
+    return check_main_theorem(p.spectrum, j, p.n, terms, p.prov)
+
+
+def _reilly2(p, j):
+    volume = p["volume"]
+    hbar1_total = p["hbar1_integral"] * volume
+    return check_reilly_II(p.spectrum, p.n, p["m"], hbar1_total, volume, p.prov)
+
+
+def _projective(p, j):
+    return check_projective(
+        p.spectrum, j, p.n, p["field"], sup_term=p.optional("sup_term"),
+        s_inf=p.optional("s_inf"), minimal=bool(p.cfg["minimal"]), provenance=p.prov,
+    )
+
+
+# flag -> the check_background_bounds parameters it switches on, each
+# (key, check parameter); a sub-bound runs when its flag is given
+BACKGROUND = {
+    "s0": (("S0", "s0"),),
+    "genus": (("genus", "genus"), ("area", "area")),
+    "gap_k": (("gap_k", "gap_k"), ("H_sq", "h_sq"), ("kappa", "kappa")),
+    "yang_k": (("yang_k", "yang_k"), ("H_sq", "h_sq"), ("kappa", "kappa")),
+    "b_sq_sup": (("B_sq_sup", "b_sq_sup"),),
+    "h_sq_integral": (("H_sq_integral", "h_sq_integral"), ("volume", "volume")),
+    "htilde_sq_integral": (("Htilde_sq_integral", "htilde_sq_integral"),
+                           ("volume", "volume")),
+    "chen_h_sq": (("chen_H_sq", "chen_h_sq"), ("kappa", "kappa")),
+    "lp_j": (("lp_j", "lp_j"),),
+}
+
+
+def _background(p, j):
+    params = {"n": p.n}
+    for flag, pairs in BACKGROUND.items():
+        if p.cfg.get(flag) is not None:
+            params.update((key, p[name]) for key, name in pairs)
+    return check_background_bounds(p.spectrum, params, p.prov)
+
+
+def _background_reads(j_max, n, m, cfg):
+    need = [m + 1, 2]
+    for flag, extra in (("gap_k", 1), ("yang_k", 1), ("lp_j", n)):
+        if cfg.get(flag) is not None:
+            need.append(cfg[flag] + extra)
+    if cfg.get("chen_h_sq") is not None:
+        need.append(1 + n)
+    return max(need)
+
+
+def _conjecture(p, j):
+    cfg = p.cfg
+    if cfg.get("lattice") is not None:
+        lat = _parse_lattice(cfg["lattice"])
+    elif cfg.get("model") == "clifford-torus":
+        lat = clifford_torus_lattice()
+    else:
+        raise UsageError("the conjecture probe needs --lattice", parameter="lattice")
+    count = cfg["count"] if cfg.get("count") is not None else 64
+    return conjecture_probe(lat, area=cfg.get("area"), count=count)
+
+
+def _after_j(j_max, n, m, cfg):
+    return j_max + n
+
+
+def _after_kernel(j_max, n, m, cfg):
+    return m + n
+
+
+@dataclass(frozen=True)
+class Check:
+    """One ``check --ineq`` id.
+
+    ``evaluate(params, j)`` returns its report or list of reports; ``j`` is
+    None unless ``per_j``, in which case it runs once per requested j.
+    ``reads(j_max, n, m, cfg)`` is the highest spectrum index it reads,
+    given the largest j, the dimension and the kernel dimension; it is None
+    for a check that needs no model or mesh, which reports first.
+    """
+
+    evaluate: Callable
+    reads: Callable | None
+    per_j: bool = False
+
+
+INEQS = {
+    "main": Check(_main, _after_j, per_j=True),
+    "eta": Check(
+        lambda p, j: check_corollary_eta(
+            p.spectrum, j, p.n, p["c_sup"], p["kappa"], p.prov),
+        _after_j, per_j=True),
+    "universal-euclidean": Check(
+        lambda p, j: check_universal_euclidean(
+            p.spectrum, j, p.n, p["c1"], p["c2"], p.prov),
+        _after_j, per_j=True),
+    "universal-sphere": Check(
+        lambda p, j: check_universal_sphere(p.spectrum, j, p.n, p["c3"], p.prov),
+        _after_j, per_j=True),
+    "sphere": Check(
+        lambda p, j: check_sphere_theorem(
+            p.spectrum, j, p.n, p["hbar1_integral"], 4.0 * p["kappa"], p.prov),
+        _after_j, per_j=True),
+    "reilly1": Check(
+        lambda p, j: check_reilly_I(
+            p.spectrum, p.n, p["m"], p["h_sq_integral"], p["volume"], p.prov),
+        _after_kernel),
+    "reilly2": Check(_reilly2, _after_kernel),
+    "reilly3": Check(
+        lambda p, j: check_reilly_III(
+            p.spectrum, p.n, p["m"], p["field"], p["htilde_sq_integral"],
+            p["volume"], p.prov),
+        _after_kernel),
+    "projective": Check(_projective, _after_j, per_j=True),
+    "lp-spin": Check(
+        lambda p, j: check_lp_spin(p.spectrum, j, p.n, p["b_sq_sup"], p.prov),
+        _after_j, per_j=True),
+    "index": Check(
+        lambda p, j: check_index_corollary(
+            p.spectrum, p.n, p["m"], p["b_sq_sup"], p.prov),
+        lambda j_max, n, m, cfg: max(m, 1) + n),
+    "background": Check(_background, _background_reads),
+    "conjecture": Check(_conjecture, None),
+}
+
+
+def _check_spectrum(cfg, checks, jlist):
+    """The source and its spectrum, resolved up to the highest index read."""
+    src = _source(cfg)
+    if src is None:
+        raise UsageError("check needs --model, --mesh, or a probe lattice")
+    m = cfg["m"] if cfg.get("m") is not None else src["zero_guess"]
+    need = max([1] + [c.reads(max(jlist), src["n"], m, cfg) for c in checks])
+    count = cfg["count"] if cfg.get("count") is not None else need
+    if count < need:
+        raise UsageError(
+            "count %d is below the %d values the requested checks read" % (count, need),
+            parameter="count",
+            required=need,
         )
-    if ineq == "universal-euclidean":
-        c1 = (
-            float(cfg["c1"])
-            if cfg.get("c1") is not None
-            else n**2 * _model_h_sq(cfg, src, ineq)
-        )
-        c2 = float(cfg["c2"]) if cfg.get("c2") is not None else _bundle_kappa(cfg, src)
-        return check_universal_euclidean(spectrum_like, j, n, c1, c2, prov)
-    if ineq == "universal-sphere":
-        c3 = float(cfg["c3"]) if cfg.get("c3") is not None else _bundle_kappa(cfg, src)
-        return check_universal_sphere(spectrum_like, j, n, c3, prov)
-    if ineq == "sphere":
-        hbar1 = _sphere_form_integral(cfg, src, ineq)
-        return check_sphere_theorem(
-            spectrum_like, j, n, hbar1, 4.0 * _bundle_kappa(cfg, src), prov
-        )
-    if ineq == "lp-spin":
-        if cfg.get("b_sq_sup") is not None:
-            b_sq = float(cfg["b_sq_sup"])
-        elif src["kind"] == "model" and src.get("extr") is not None:
-            b_sq = src["extr"].B_sq
-        else:
-            b_sq = _need(cfg, "b_sq_sup", None, ineq)
-        return check_lp_spin(spectrum_like, j, n, b_sq, prov)
-    if ineq == "projective":
-        minimal = bool(cfg.get("minimal"))
-        s_inf = cfg.get("s_inf")
-        if minimal and s_inf is None and src.get("extr") is not None:
-            s_inf = src["extr"].S
-        return check_projective(
-            spectrum_like,
-            j,
-            n,
-            cfg.get("field", "C"),
-            sup_term=None if cfg.get("sup_term") is None else float(cfg["sup_term"]),
-            s_inf=None if s_inf is None else float(s_inf),
-            minimal=minimal,
-            provenance=prov,
-        )
-    raise UsageError("unhandled inequality id %r" % ineq, ineq=ineq)
-
-
-def _kernel_dim(cfg, src, spectrum_like) -> int:
-    if cfg.get("m") is not None:
-        return int(cfg["m"])
-    if src["kind"] == "mesh":
-        return basis_zero_dim(src["basis"])
-    return spectrum_like.zero_dim
-
-
-def _integral_h_sq(cfg, src, ineq) -> float:
-    if cfg.get("h_sq_integral") is not None:
-        return float(cfg["h_sq_integral"])
-    if src["kind"] == "mesh":
-        return src["extr"].willmore
-    return _model_h_sq(cfg, src, ineq) * _model_volume(cfg, src, ineq)
-
-
-def _source_volume(cfg, src, ineq) -> float:
-    if cfg.get("volume") is not None:
-        return float(cfg["volume"])
-    if src["kind"] == "mesh":
-        return src["extr"].volume
-    return _model_volume(cfg, src, ineq)
+    return src, src["build"](count)
 
 
 def cmd_check(cfg) -> int:
@@ -635,159 +638,24 @@ def cmd_check(cfg) -> int:
         raise UsageError("check needs --ineq", parameter="ineq")
     ineqs = [tok.strip() for tok in str(cfg["ineq"]).split(",") if tok.strip()]
     for iq in ineqs:
-        if iq not in KNOWN_INEQS:
+        if iq not in INEQS:
             raise UsageError(
-                "unknown inequality id %r (known: %s)" % (iq, ", ".join(KNOWN_INEQS)),
+                "unknown inequality id %r (known: %s)" % (iq, ", ".join(INEQS)),
                 ineq=iq,
             )
     jlist = _j_values(cfg)
+    ineqs.sort(key=lambda iq: INEQS[iq].reads is not None)
+    sourced = [INEQS[iq] for iq in ineqs if INEQS[iq].reads is not None]
+    src = spectrum = None
     reports = []
-
-    if "conjecture" in ineqs:
-        if cfg.get("lattice") is not None:
-            lat = _parse_lattice(cfg["lattice"])
-        elif cfg.get("model") == "clifford-torus":
-            lat = clifford_torus_lattice()
-        else:
-            raise UsageError("the conjecture probe needs --lattice", parameter="lattice")
-        reports.extend(
-            conjecture_probe(
-                lat,
-                area=None if cfg.get("area") is None else float(cfg["area"]),
-                count=int(cfg["count"]) if cfg.get("count") is not None else 64,
-            )
-        )
-        ineqs = [iq for iq in ineqs if iq != "conjecture"]
-
-    if ineqs:
-        if cfg.get("mesh") and cfg.get("model"):
-            raise UsageError("pass either --model or --mesh, not both")
-        if cfg.get("mesh"):
-            m_guess = int(cfg["m"]) if cfg.get("m") is not None else 1
-            need = _required_index(ineqs, jlist, 2, m_guess, cfg)
-            count = int(cfg["count"]) if cfg.get("count") is not None else need
-            if count < need:
-                raise UsageError(
-                    "count %d is below the %d values the requested checks read"
-                    % (count, need),
-                    parameter="count",
-                    required=need,
-                )
-            src = _mesh_source(cfg, count)
-            spectrum_like = src["basis"]
-        elif cfg.get("model"):
-            src = _model_source(cfg)
-            n = src["n"]
-            m_guess = int(cfg["m"]) if cfg.get("m") is not None else src["zero_guess"]
-            need = _required_index(ineqs, jlist, n, m_guess, cfg)
-            count = int(cfg["count"]) if cfg.get("count") is not None else need
-            if count < need:
-                raise UsageError(
-                    "count %d is below the %d values the requested checks read"
-                    % (count, need),
-                    parameter="count",
-                    required=need,
-                )
-            spectrum_like = src["build"](count)
-        else:
-            raise UsageError("check needs --model, --mesh, or a probe lattice")
-
-        for iq in ineqs:
-            if iq in J_STYLE_INEQS:
-                for j in jlist:
-                    reports.append(_check_one(iq, j, src, cfg, spectrum_like))
-            elif iq == "reilly1":
-                reports.append(
-                    check_reilly_I(
-                        spectrum_like,
-                        src["n"],
-                        _kernel_dim(cfg, src, spectrum_like),
-                        _integral_h_sq(cfg, src, iq),
-                        _source_volume(cfg, src, iq),
-                        src["provenance"],
-                    )
-                )
-            elif iq == "reilly2":
-                vol = _source_volume(cfg, src, iq)
-                hbar1_total = _sphere_form_integral(cfg, src, iq) * vol
-                reports.append(
-                    check_reilly_II(
-                        spectrum_like,
-                        src["n"],
-                        _kernel_dim(cfg, src, spectrum_like),
-                        hbar1_total,
-                        vol,
-                        src["provenance"],
-                    )
-                )
-            elif iq == "reilly3":
-                htilde = (
-                    float(cfg["htilde_sq_integral"])
-                    if cfg.get("htilde_sq_integral") is not None
-                    else 0.0
-                )
-                reports.append(
-                    check_reilly_III(
-                        spectrum_like,
-                        src["n"],
-                        _kernel_dim(cfg, src, spectrum_like),
-                        cfg.get("field", "C"),
-                        htilde,
-                        _source_volume(cfg, src, iq),
-                        src["provenance"],
-                    )
-                )
-            elif iq == "index":
-                if cfg.get("b_sq_sup") is not None:
-                    b_sq = float(cfg["b_sq_sup"])
-                elif src["kind"] == "model" and src.get("extr") is not None:
-                    b_sq = src["extr"].B_sq
-                else:
-                    b_sq = _need(cfg, "b_sq_sup", None, iq)
-                reports.append(
-                    check_index_corollary(
-                        spectrum_like,
-                        src["n"],
-                        _kernel_dim(cfg, src, spectrum_like),
-                        b_sq,
-                        src["provenance"],
-                    )
-                )
-            elif iq == "background":
-                params = {"n": src["n"]}
-                if cfg.get("s0") is not None:
-                    params["S0"] = float(cfg["s0"])
-                if cfg.get("genus") is not None:
-                    params["genus"] = float(cfg["genus"])
-                    params["area"] = (
-                        float(cfg["area"])
-                        if cfg.get("area") is not None
-                        else _source_volume(cfg, src, iq)
-                    )
-                if cfg.get("gap_k") is not None:
-                    params["gap_k"] = int(cfg["gap_k"])
-                    params["H_sq"] = _model_h_sq(cfg, src, iq)
-                    params["kappa"] = _bundle_kappa(cfg, src)
-                if cfg.get("yang_k") is not None:
-                    params["yang_k"] = int(cfg["yang_k"])
-                    params["H_sq"] = _model_h_sq(cfg, src, iq)
-                    params["kappa"] = _bundle_kappa(cfg, src)
-                if cfg.get("b_sq_sup") is not None:
-                    params["B_sq_sup"] = float(cfg["b_sq_sup"])
-                if cfg.get("h_sq_integral") is not None:
-                    params["H_sq_integral"] = float(cfg["h_sq_integral"])
-                    params["volume"] = _source_volume(cfg, src, iq)
-                if cfg.get("htilde_sq_integral") is not None:
-                    params["Htilde_sq_integral"] = float(cfg["htilde_sq_integral"])
-                    params["volume"] = _source_volume(cfg, src, iq)
-                if cfg.get("chen_h_sq") is not None:
-                    params["chen_H_sq"] = float(cfg["chen_h_sq"])
-                    params["kappa"] = _bundle_kappa(cfg, src)
-                if cfg.get("lp_j") is not None:
-                    params["lp_j"] = int(cfg["lp_j"])
-                reports.extend(
-                    check_background_bounds(spectrum_like, params, src["provenance"])
-                )
+    for iq in ineqs:
+        check = INEQS[iq]
+        if check.reads is not None and src is None:
+            src, spectrum = _check_spectrum(cfg, sourced, jlist)
+        params = Params(iq, cfg, src, spectrum)
+        for j in jlist if check.per_j else [None]:
+            out = check.evaluate(params, j)
+            reports.extend(out if isinstance(out, list) else [out])
 
     if cfg.get("csv") or (cfg.get("output") and str(cfg["output"]).endswith(".csv")):
         text = format_csv(REPORT_COLUMNS, report_csv_rows(reports))
@@ -821,42 +689,22 @@ def _parse_grid(text) -> list:
     return [start + i * step for i in range(steps + 1)]
 
 
-def _sweep_point(args):
-    index, ratio, area, count = args
-    # fixed area, aspect ratio r2/r1 = ratio
-    r1 = math.sqrt(area / (4.0 * math.pi**2 * ratio))
-    lat = Lattice(np.diag([2.0 * math.pi * r1, 2.0 * math.pi * r1 * ratio]))
-    return index, ratio, conjecture_probe(lat, area=area, count=count)
-
-
 def cmd_sweep(cfg) -> int:
-    if cfg.get("family") != "torus-lattice":
-        raise UsageError("unknown sweep family %r" % cfg.get("family"))
     if not cfg.get("ratio_grid"):
         raise UsageError("sweep needs --ratio-grid", parameter="ratio_grid")
     ratios = _parse_grid(cfg["ratio_grid"])
     area = float(cfg["area"])
     count = int(cfg["count"])
-    workers = cfg.get("workers")
-    workers = int(workers) if workers is not None else (os.cpu_count() or 1)
-    tasks = [(i, ratio, area, count) for i, ratio in enumerate(ratios)]
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        results = list(pool.map(_sweep_point, tasks))
-    results.sort(key=lambda item: item[0])
     rows = []
-    for _, ratio, reports in results:
-        for rep in reports:
-            rows.append(
-                [
-                    ratio,
-                    rep.params["spin"],
-                    rep.ineq_id,
-                    rep.lhs,
-                    rep.rhs,
-                    rep.margin,
-                    rep.satisfied,
-                ]
-            )
+    for ratio in ratios:
+        # fixed area, aspect ratio r2/r1 = ratio
+        r1 = math.sqrt(area / (4.0 * math.pi**2 * ratio))
+        lat = Lattice(np.diag([2.0 * math.pi * r1, 2.0 * math.pi * r1 * ratio]))
+        rows.extend(
+            [ratio, rep.params["spin"], rep.ineq_id, rep.lhs, rep.rhs, rep.margin,
+             rep.satisfied]
+            for rep in conjecture_probe(lat, area=area, count=count)
+        )
     header = ("ratio", "spin", "ineq_id", "lhs", "rhs", "margin", "satisfied")
     _emit(cfg, format_csv(header, rows))
     return 0
@@ -904,6 +752,14 @@ def _psi_field(cfg, mesh) -> np.ndarray:
     raise UsageError("psi must be const, x, y, z, or seed:<int>, got %r" % spec)
 
 
+def _anghel_report(cfg, path):
+    mesh = load_mesh(path, cfg.get("mesh_format"))
+    ops = assemble_operators(mesh)
+    j = int(cfg["j"]) if cfg.get("j") is not None else 2
+    basis = _prooflab_basis(cfg, mesh, ops, default_count=j + 8)
+    return verify_anghel_lemma(mesh, ops, basis, j)
+
+
 def cmd_prooflab(cfg) -> int:
     task = cfg.get("task")
     if task not in ("prop31", "anghel", "identities", "refinement"):
@@ -916,40 +772,30 @@ def cmd_prooflab(cfg) -> int:
         paths = [p.strip() for p in str(cfg["mesh_list"]).split(",") if p.strip()]
         if len(paths) < 2:
             raise UsageError("refinement needs at least two meshes", count=len(paths))
-        j = int(cfg["j"]) if cfg.get("j") is not None else 2
-        rows = []
-        for level, path in enumerate(paths, start=1):
-            mesh = load_mesh(path, cfg.get("mesh_format"))
-            ops = assemble_operators(mesh)
-            basis = _prooflab_basis(cfg, mesh, ops, default_count=j + 8)
-            report = verify_anghel_lemma(mesh, ops, basis, j)
-            rows.append([level, report.residual_rel])
+        rows = [
+            [level, _anghel_report(cfg, path).residual_rel]
+            for level, path in enumerate(paths, start=1)
+        ]
         _emit(cfg, format_csv(("level", "residual"), rows))
         return 0
 
     if not cfg.get("mesh"):
         raise UsageError("prooflab needs --mesh", parameter="mesh")
-    mesh = load_mesh(cfg["mesh"], cfg.get("mesh_format"))
-    ops = assemble_operators(mesh)
     if task == "anghel":
-        j = int(cfg["j"]) if cfg.get("j") is not None else 2
-        basis = _prooflab_basis(cfg, mesh, ops, default_count=j + 8)
-        report = verify_anghel_lemma(mesh, ops, basis, j)
-        _emit(cfg, dumps_json(report.to_json_dict()))
-        return 0
-    if task == "identities":
-        report = coordinate_identities(mesh, ops)
-        _emit(cfg, dumps_json(report.to_json_dict()))
-        return 0
-    basis = _prooflab_basis(cfg, mesh, ops)
-    if task == "prop31":
-        j = int(cfg["j"]) if cfg.get("j") is not None else 1
-        psi = _psi_field(cfg, mesh)
-        trunc = None if cfg.get("trunc") is None else int(cfg["trunc"])
-        report = verify_prop31(mesh, ops, basis, psi, j, trunc)
-        _emit(cfg, dumps_json(report.to_json_dict()))
-        return 0
-    raise UsageError("task must be prop31, anghel, identities, or refinement", task=task)
+        report = _anghel_report(cfg, cfg["mesh"])
+    else:
+        mesh = load_mesh(cfg["mesh"], cfg.get("mesh_format"))
+        ops = assemble_operators(mesh)
+        if task == "identities":
+            report = coordinate_identities(mesh, ops)
+        else:
+            basis = _prooflab_basis(cfg, mesh, ops)
+            j = int(cfg["j"]) if cfg.get("j") is not None else 1
+            psi = _psi_field(cfg, mesh)
+            trunc = None if cfg.get("trunc") is None else int(cfg["trunc"])
+            report = verify_prop31(mesh, ops, basis, psi, j, trunc)
+    _emit(cfg, dumps_json(report.to_json_dict()))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -1025,7 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--area", type=float, help="fixed torus area")
     p_sweep.add_argument("--count", type=int)
-    p_sweep.add_argument("--workers", type=int)
     p_sweep.add_argument("--output")
 
     p_lab = sub.add_parser("prooflab", help="residual checks of proof identities")
@@ -1041,15 +886,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--seed", type=int)
     p_lab.add_argument("--tol", type=float)
     p_lab.add_argument("--output")
+    parser.commands = sub.choices
     return parser
 
-
-DEFAULTS_BY_COMMAND = {
-    "spectrum": SPECTRUM_DEFAULTS,
-    "check": CHECK_DEFAULTS,
-    "sweep": SWEEP_DEFAULTS,
-    "prooflab": PROOFLAB_DEFAULTS,
-}
 
 HANDLERS = {
     "spectrum": cmd_spectrum,
@@ -1059,22 +898,40 @@ HANDLERS = {
 }
 
 
+def _printable(value):
+    """Error detail with non-finite floats, and values JSON cannot hold,
+    written as strings, so an error report always serializes."""
+    if isinstance(value, dict):
+        return {key: _printable(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_printable(v) for v in value]
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else str(float(value))
+    if value is None or isinstance(value, (bool, str, int, np.integer)):
+        return value
+    return str(value)
+
+
+def _write_error(doc) -> None:
+    sys.stderr.write(dumps_json(_printable(doc)))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _merge_config(args, DEFAULTS_BY_COMMAND[args.command])
+        cfg = _merge_config(
+            args, parser.commands[args.command], DEFAULTS[args.command]
+        )
         return HANDLERS[args.command](cfg)
     except SolverConvergenceError as exc:
-        sys.stderr.write(dumps_json(exc.to_json_dict()))
+        _write_error(exc.to_json_dict())
         return 3
     except SpecGeomError as exc:
-        sys.stderr.write(dumps_json(exc.to_json_dict()))
+        _write_error(exc.to_json_dict())
         return 2
     except OSError as exc:
-        sys.stderr.write(
-            dumps_json({"kind": "io", "message": str(exc), "detail": {}})
-        )
+        _write_error({"kind": "io", "message": str(exc), "detail": {}})
         return 2
 
 

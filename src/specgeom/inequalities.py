@@ -16,7 +16,7 @@ resolved part of a spectrum is a hard error, never a silent truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -211,36 +211,127 @@ def _base_params(view: SpectrumView, **extra) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the three formula families
+
+
+def _check_index(j: int, n: int) -> None:
+    if j < 1:
+        raise IndexRangeError("index j must be >= 1, got %d" % j, index=j)
+    if n < 1:
+        raise UsageError("dimension n must be >= 1, got %d" % n, n=n)
+
+
+def _sum_bound(
+    ineq_id, spectrum, j, n, params, terms, plus=0.0, minus=0.0,
+    provenance=None, show_gamma_j=False,
+) -> InequalityReport:
+    """sum_{k=1..n} G_{j+k} <= (n + 4) G_j + plus - minus.
+
+    The main theorem and the corollaries that share its shape differ only
+    in the constant ``plus - minus``; ``terms`` names its pieces, after the
+    sum (and, for the main theorem, G_j) and the lead term.
+    """
+    view = SpectrumView(spectrum)
+    _check_index(j, n)
+    lhs = view.gamma_sum(j, n)
+    gamma_j = view.gamma(j)
+    lead = (n + 4) * gamma_j
+    head = {"gamma_sum": lhs, "gamma_j": gamma_j} if show_gamma_j else {"gamma_sum": lhs}
+    return make_report(
+        ineq_id,
+        UPPER,
+        lhs,
+        lead + plus - minus,
+        _base_params(view, **params),
+        {**head, "lead_term": lead, **terms},
+        provenance,
+    )
+
+
+def _gap_form(ineq_id, spectrum, j, n, offsets, params, terms, provenance=None):
+    """sum_{i=1..n} (G_{i+j} - G_j) <= 4 (G_j + offsets[0] + offsets[1] + ...).
+
+    ``terms(gamma_j, shifted)`` names the breakdown after the gap sum, where
+    ``shifted`` is G_j plus the offsets.
+    """
+    view = SpectrumView(spectrum)
+    _check_index(j, n)
+    gamma_j = view.gamma(j)
+    lhs = view.gamma_sum(j, n) - n * gamma_j
+    shifted = gamma_j
+    for offset in offsets:
+        shifted += offset
+    return make_report(
+        ineq_id,
+        UPPER,
+        lhs,
+        4.0 * shifted,
+        _base_params(view, **params),
+        {"gap_sum": lhs, **terms(gamma_j, shifted)},
+        provenance,
+    )
+
+
+def _kernel_mean(
+    ineq_id, spectrum, n, m, integral, terms, rhs_term=None, volume=None,
+    field_id=None, provenance=None,
+) -> InequalityReport:
+    """Bounds on the n eigenvalues that follow the m zero modes.
+
+    With a volume: (1/n) sum_{k=1..n} G_{k+m} <= (n/vol) (integral + A vol),
+    where A = 2(n + d_F)/n for a projective target over ``field_id`` and 0
+    otherwise.  Without one: sum_{k=1..n} G_{k+m} <= integral.  Either way
+    m must be the spectrum's zero count.
+    """
+    view = SpectrumView(spectrum)
+    if n < 1:
+        raise UsageError("dimension n must be >= 1, got %d" % n, n=n)
+    if m < 0:
+        raise UsageError("kernel dimension m must be >= 0, got %d" % m, m=m)
+    if m != view.zero_dim:
+        raise InconsistentKernelError(
+            "claimed kernel dimension %d but the spectrum has %d zero modes"
+            % (m, view.zero_dim),
+            claimed=m,
+            zero_dim=view.zero_dim,
+        )
+    params = _base_params(view, n=n, m=m)
+    if volume is None:
+        lhs = view.gamma_sum(m, n)
+        return make_report(
+            ineq_id, UPPER, lhs, integral, params,
+            {"gamma_bar_sum": lhs, **terms}, provenance,
+        )
+    if volume <= 0.0:
+        raise UsageError("volume must be positive, got %g" % volume, volume=volume)
+    terms = dict(terms)
+    if field_id is not None:
+        params["field"] = field_id
+        ambient = 2.0 * (n + field_dimension(field_id)) / n
+        terms["ambient_term"] = ambient
+        integral = integral + ambient * volume
+    params["volume"] = volume
+    lhs = view.gamma_sum(m, n) / n
+    rhs = (n / volume) * integral
+    return make_report(
+        ineq_id, UPPER, lhs, rhs, params,
+        {"gamma_mean": lhs, **terms, rhs_term: rhs}, provenance,
+    )
+
+
+# ---------------------------------------------------------------------------
 # the main bound and its relatives
 
 
 def check_main_theorem(
     spectrum, j: int, n: int, terms: WeightedCurvatureTerms, provenance=None
 ) -> InequalityReport:
-    """sum_{k=1..n} G_{j+k} <= (n+4) G_j + h_term - r_term."""
-    view = SpectrumView(spectrum)
-    if j < 1:
-        raise IndexRangeError("index j must be >= 1, got %d" % j, index=j)
-    if n < 1:
-        raise UsageError("dimension n must be >= 1, got %d" % n, n=n)
-    gamma_j = view.gamma(j)
-    lhs = view.gamma_sum(j, n)
-    lead = (n + 4) * gamma_j
-    rhs = lead + terms.h_term - terms.r_term
-    return make_report(
-        "main",
-        UPPER,
-        lhs,
-        rhs,
-        _base_params(view, j=j, n=n),
-        {
-            "gamma_sum": lhs,
-            "gamma_j": gamma_j,
-            "lead_term": lead,
-            "h_term": terms.h_term,
-            "r_term": terms.r_term,
-        },
-        provenance,
+    """The main sum bound, C = h_term - r_term."""
+    return _sum_bound(
+        "main", spectrum, j, n, {"j": j, "n": n},
+        {"h_term": terms.h_term, "r_term": terms.r_term},
+        plus=terms.h_term, minus=terms.r_term, provenance=provenance,
+        show_gamma_j=True,
     )
 
 
@@ -254,27 +345,12 @@ def check_corollary_eta(
     curvature surplus; the margin agrees with the main bound at
     c_sup = n^2 H^2 identically.
     """
-    view = SpectrumView(spectrum)
-    if j < 1:
-        raise IndexRangeError("index j must be >= 1, got %d" % j, index=j)
     shift = (c_sup - 4.0 * kappa) / 4.0
-    gamma_j = view.gamma(j)
-    eta_j = gamma_j + shift
-    lhs = view.gamma_sum(j, n) - n * gamma_j
-    rhs = 4.0 * eta_j
-    return make_report(
-        "eta-shift",
-        UPPER,
-        lhs,
-        rhs,
-        _base_params(view, j=j, n=n, c_sup=c_sup, kappa=kappa,
-                     eigenvalue_convention="raw spectrum values"),
-        {
-            "gap_sum": lhs,
-            "eta_j": eta_j,
-            "shift": shift,
-            "gamma_j": gamma_j,
-        },
+    return _gap_form(
+        "eta-shift", spectrum, j, n, (shift,),
+        {"j": j, "n": n, "c_sup": c_sup, "kappa": kappa,
+         "eigenvalue_convention": "raw spectrum values"},
+        lambda gamma_j, eta_j: {"eta_j": eta_j, "shift": shift, "gamma_j": gamma_j},
         provenance,
     )
 
@@ -282,85 +358,44 @@ def check_corollary_eta(
 def check_universal_euclidean(
     spectrum, j: int, n: int, c1: float, c2: float, provenance=None
 ) -> InequalityReport:
-    """sum G_{j+k} <= (n+4) G_j + c1 - 4 c2 with immersion-wide constants.
+    """The sum bound with immersion-wide constants, C = c1 - 4 c2.
 
     c1 bounds n^2 H^2 from above, c2 bounds the bundle curvature term from
     below; for a minimal immersion into a round sphere c1 = n^2.
     """
-    view = SpectrumView(spectrum)
-    lhs = view.gamma_sum(j, n)
-    gamma_j = view.gamma(j)
-    lead = (n + 4) * gamma_j
-    rhs = lead + c1 - 4.0 * c2
-    return make_report(
-        "universal-euclidean",
-        UPPER,
-        lhs,
-        rhs,
-        _base_params(view, j=j, n=n, c1=c1, c2=c2),
-        {"gamma_sum": lhs, "lead_term": lead, "c1": c1, "c2_term": 4.0 * c2},
-        provenance,
+    return _sum_bound(
+        "universal-euclidean", spectrum, j, n, {"j": j, "n": n, "c1": c1, "c2": c2},
+        {"c1": c1, "c2_term": 4.0 * c2}, plus=c1, minus=4.0 * c2, provenance=provenance,
     )
 
 
 def check_universal_sphere(
     spectrum, j: int, n: int, c3: float, provenance=None
 ) -> InequalityReport:
-    """Minimal-in-the-unit-sphere form: sum G_{j+k} <= (n+4) G_j + n^2 - 4 c3."""
-    view = SpectrumView(spectrum)
-    lhs = view.gamma_sum(j, n)
-    gamma_j = view.gamma(j)
-    lead = (n + 4) * gamma_j
-    rhs = lead + n**2 - 4.0 * c3
-    return make_report(
-        "universal-sphere",
-        UPPER,
-        lhs,
-        rhs,
-        _base_params(view, j=j, n=n, c3=c3),
-        {"gamma_sum": lhs, "lead_term": lead, "n_sq": float(n**2), "c3_term": 4.0 * c3},
-        provenance,
+    """Minimal-in-the-unit-sphere form of the sum bound, C = n^2 - 4 c3."""
+    return _sum_bound(
+        "universal-sphere", spectrum, j, n, {"j": j, "n": n, "c3": c3},
+        {"n_sq": float(n**2), "c3_term": 4.0 * c3}, plus=n**2, minus=4.0 * c3,
+        provenance=provenance,
     )
 
 
 def check_sphere_theorem(
     spectrum, j: int, n: int, hbar1_integral: float, r_term: float, provenance=None
 ) -> InequalityReport:
-    """Immersions into the unit sphere: the H^2 integral splits as
+    """Immersions into the unit sphere: the sum bound with
+    C = n^2 hbar1_integral - r_term, where the H^2 integral splits as
     (Hbar^2 + 1) with Hbar the mean curvature inside the sphere.
 
     ``hbar1_integral`` is the weighted integral of Hbar^2 + 1 against
     <s_j, s_j>; for homogeneous models it is the constant Hbar^2 + 1.
     """
-    view = SpectrumView(spectrum)
-    lhs = view.gamma_sum(j, n)
-    gamma_j = view.gamma(j)
-    lead = (n + 4) * gamma_j
     h_term = n**2 * hbar1_integral
-    rhs = lead + h_term - r_term
-    return make_report(
-        "sphere",
-        UPPER,
-        lhs,
-        rhs,
-        _base_params(view, j=j, n=n),
-        {"gamma_sum": lhs, "lead_term": lead, "h_term": h_term, "r_term": r_term},
-        provenance,
+    return _sum_bound(
+        "sphere", spectrum, j, n, {"j": j, "n": n},
+        {"h_term": h_term, "r_term": r_term}, plus=h_term, minus=r_term,
+        provenance=provenance,
     )
-
-
-def _check_kernel_args(view: SpectrumView, n: int, m: int):
-    if n < 1:
-        raise UsageError("dimension n must be >= 1, got %d" % n, n=n)
-    if m < 0:
-        raise UsageError("kernel dimension m must be >= 0, got %d" % m, m=m)
-    if m != view.zero_dim:
-        raise InconsistentKernelError(
-            "claimed kernel dimension %d but the spectrum has %d zero modes"
-            % (m, view.zero_dim),
-            claimed=m,
-            zero_dim=view.zero_dim,
-        )
 
 
 def check_reilly_I(
@@ -371,32 +406,22 @@ def check_reilly_I(
     Also emits the first-nonzero-eigenvalue specialization
     G_{m+1} <= (n/vol) * integral of H^2 as a sub-report.
     """
-    view = SpectrumView(spectrum)
-    _check_kernel_args(view, n, m)
-    if volume <= 0.0:
-        raise UsageError("volume must be positive, got %g" % volume, volume=volume)
-    lhs = view.gamma_sum(m, n) / n
-    rhs = (n / volume) * h_sq_integral
-    params = _base_params(view, n=n, m=m, volume=volume)
+    report = _kernel_mean(
+        "reilly-mean-curvature", spectrum, n, m, h_sq_integral,
+        {"h_sq_integral": h_sq_integral}, "mean_h_sq", volume=volume,
+        provenance=provenance,
+    )
+    gamma_bar_1 = SpectrumView(spectrum).gamma(m + 1)
     first = make_report(
         "first-nonzero-mean-curvature",
         UPPER,
-        view.gamma(m + 1),
-        rhs,
-        params,
-        {"gamma_bar_1": view.gamma(m + 1), "mean_h_sq": rhs},
+        gamma_bar_1,
+        report.rhs,
+        report.params,
+        {"gamma_bar_1": gamma_bar_1, "mean_h_sq": report.rhs},
         provenance,
     )
-    return make_report(
-        "reilly-mean-curvature",
-        UPPER,
-        lhs,
-        rhs,
-        params,
-        {"gamma_mean": lhs, "h_sq_integral": h_sq_integral, "mean_h_sq": rhs},
-        provenance,
-        subreports=(first,),
-    )
+    return replace(report, subreports=(first,))
 
 
 def check_reilly_II(
@@ -404,20 +429,10 @@ def check_reilly_II(
 ) -> InequalityReport:
     """Sphere-immersion form of the kernel-shifted mean bound:
     (1/n) sum G_{k+m} <= (n/vol) * integral of (Hbar^2 + 1)."""
-    view = SpectrumView(spectrum)
-    _check_kernel_args(view, n, m)
-    if volume <= 0.0:
-        raise UsageError("volume must be positive, got %g" % volume, volume=volume)
-    lhs = view.gamma_sum(m, n) / n
-    rhs = (n / volume) * hbar1_integral_total
-    return make_report(
-        "reilly-sphere",
-        UPPER,
-        lhs,
-        rhs,
-        _base_params(view, n=n, m=m, volume=volume),
-        {"gamma_mean": lhs, "hbar1_integral": hbar1_integral_total, "mean_bound": rhs},
-        provenance,
+    return _kernel_mean(
+        "reilly-sphere", spectrum, n, m, hbar1_integral_total,
+        {"hbar1_integral": hbar1_integral_total}, "mean_bound", volume=volume,
+        provenance=provenance,
     )
 
 
@@ -432,27 +447,10 @@ def check_reilly_III(
 ) -> InequalityReport:
     """Projective-target form: (1/n) sum G_{k+m} <=
     (n/vol) * integral of (Htilde^2 + 2(n + d_F)/n)."""
-    view = SpectrumView(spectrum)
-    _check_kernel_args(view, n, m)
-    if volume <= 0.0:
-        raise UsageError("volume must be positive, got %g" % volume, volume=volume)
-    d = field_dimension(field_id)
-    lhs = view.gamma_sum(m, n) / n
-    integral = htilde_sq_integral + (2.0 * (n + d) / n) * volume
-    rhs = (n / volume) * integral
-    return make_report(
-        "reilly-projective",
-        UPPER,
-        lhs,
-        rhs,
-        _base_params(view, n=n, m=m, field=field_id, volume=volume),
-        {
-            "gamma_mean": lhs,
-            "htilde_sq_integral": htilde_sq_integral,
-            "ambient_term": 2.0 * (n + d) / n,
-            "mean_bound": rhs,
-        },
-        provenance,
+    return _kernel_mean(
+        "reilly-projective", spectrum, n, m, htilde_sq_integral,
+        {"htilde_sq_integral": htilde_sq_integral}, "mean_bound", volume=volume,
+        field_id=field_id, provenance=provenance,
     )
 
 
@@ -476,33 +474,19 @@ def check_projective(
     infimum ``s_inf`` instead; the bound becomes
     4 (G_j + (n/2)(n + d_F) - s_inf).
     """
-    view = SpectrumView(spectrum)
-    d = field_dimension(field_id)
-    gamma_j = view.gamma(j)
-    lhs = view.gamma_sum(j, n) - n * gamma_j
-    ambient = 0.5 * n * (n + d)
+    ambient = 0.5 * n * (n + field_dimension(field_id))
     if minimal:
         if s_inf is None:
             raise UsageError("minimal form needs s_inf")
-        rhs = 4.0 * (gamma_j + ambient - s_inf)
-        terms = {"gap_sum": lhs, "gamma_j": gamma_j, "ambient": ambient, "s_inf": s_inf}
+        offsets, last = (ambient, -s_inf), {"s_inf": s_inf}
     else:
         if sup_term is None:
             raise UsageError("general form needs sup_term")
-        rhs = 4.0 * (gamma_j + ambient + sup_term / 4.0)
-        terms = {
-            "gap_sum": lhs,
-            "gamma_j": gamma_j,
-            "ambient": ambient,
-            "sup_term": sup_term,
-        }
-    return make_report(
-        "projective",
-        UPPER,
-        lhs,
-        rhs,
-        _base_params(view, j=j, n=n, field=field_id, minimal=minimal),
-        terms,
+        offsets, last = (ambient, sup_term / 4.0), {"sup_term": sup_term}
+    return _gap_form(
+        "projective", spectrum, j, n, offsets,
+        {"j": j, "n": n, "field": field_id, "minimal": minimal},
+        lambda gamma_j, _: {"gamma_j": gamma_j, "ambient": ambient, **last},
         provenance,
     )
 
@@ -510,20 +494,10 @@ def check_projective(
 def check_lp_spin(
     spectrum, j: int, n: int, b_sq_supinf: float, provenance=None
 ) -> InequalityReport:
-    """Flat-space spin form: sum G_{j+k} <= (n+4) G_j + inf sup |B|^2."""
-    view = SpectrumView(spectrum)
-    lhs = view.gamma_sum(j, n)
-    gamma_j = view.gamma(j)
-    lead = (n + 4) * gamma_j
-    rhs = lead + b_sq_supinf
-    return make_report(
-        "flat-spin",
-        UPPER,
-        lhs,
-        rhs,
-        _base_params(view, j=j, n=n),
-        {"gamma_sum": lhs, "lead_term": lead, "b_sq_supinf": b_sq_supinf},
-        provenance,
+    """Flat-space spin form of the sum bound, C = inf sup |B|^2."""
+    return _sum_bound(
+        "flat-spin", spectrum, j, n, {"j": j, "n": n},
+        {"b_sq_supinf": b_sq_supinf}, plus=b_sq_supinf, provenance=provenance,
     )
 
 
@@ -535,21 +509,13 @@ def check_index_corollary(
     Requires actual zero modes (m >= 1); the hypothesis is consumed as the
     presence of a kernel, so m must match the spectrum's zero count.
     """
-    view = SpectrumView(spectrum)
     if m < 1:
         raise HypothesisViolatedError(
             "the kernel-anchored bound needs at least one zero mode", m=m
         )
-    _check_kernel_args(view, n, m)
-    lhs = view.gamma_sum(m, n)
-    return make_report(
-        "kernel-gap-sum",
-        UPPER,
-        lhs,
-        b_sq_supinf,
-        _base_params(view, n=n, m=m),
-        {"gamma_bar_sum": lhs, "b_sq_supinf": b_sq_supinf},
-        provenance,
+    return _kernel_mean(
+        "kernel-gap-sum", spectrum, n, m, b_sq_supinf,
+        {"b_sq_supinf": b_sq_supinf}, provenance=provenance,
     )
 
 
@@ -571,37 +537,25 @@ def check_background_bounds(spectrum, params: dict, provenance=None) -> list:
         raise UsageError("background bounds need the dimension n")
     reports = []
 
+    def add(ineq_id, direction, lhs, rhs, extra, terms):
+        reports.append(make_report(
+            ineq_id, direction, lhs, rhs, _base_params(view, n=n, **extra), terms,
+            provenance,
+        ))
+
     if "S0" in params:
         s0 = params["S0"]
         if n < 2:
             raise UsageError("the scalar-curvature lower bound needs n >= 2", n=n)
         rhs = n * s0 / (4.0 * (n - 1.0))
-        reports.append(
-            make_report(
-                "scalar-curvature-lower",
-                LOWER,
-                view.gamma(1),
-                rhs,
-                _base_params(view, n=n, S0=s0),
-                {"gamma_1": view.gamma(1), "bound": rhs},
-                provenance,
-            )
-        )
+        add("scalar-curvature-lower", LOWER, view.gamma(1), rhs, {"S0": s0},
+            {"gamma_1": view.gamma(1), "bound": rhs})
 
     if "genus" in params and "area" in params:
         genus, area = params["genus"], params["area"]
         rhs = 4.0 * np.pi * (1.0 - genus) / area
-        reports.append(
-            make_report(
-                "genus-area-lower",
-                LOWER,
-                view.gamma(1),
-                rhs,
-                _base_params(view, n=n, genus=genus, area=area),
-                {"gamma_1": view.gamma(1), "bound": rhs},
-                provenance,
-            )
-        )
+        add("genus-area-lower", LOWER, view.gamma(1), rhs,
+            {"genus": genus, "area": area}, {"gamma_1": view.gamma(1), "bound": rhs})
 
     if "gap_k" in params and "H_sq" in params:
         k = params["gap_k"]
@@ -610,70 +564,33 @@ def check_background_bounds(spectrum, params: dict, provenance=None) -> list:
         partial = sum(view.gamma(i) for i in range(1, k + 1))
         lhs = view.gamma(k + 1) - view.gamma(k)
         rhs = n * h_sq + (4.0 / (k * n)) * partial - (4.0 / n) * kappa
-        reports.append(
-            make_report(
-                "successive-gap",
-                UPPER,
-                lhs,
-                rhs,
-                _base_params(view, n=n, k=k, H_sq=h_sq, kappa=kappa),
-                {
-                    "gap": lhs,
-                    "h_lead": n * h_sq,
-                    "partial_sum_term": (4.0 / (k * n)) * partial,
-                    "kappa_term": (4.0 / n) * kappa,
-                },
-                provenance,
-            )
-        )
+        add("successive-gap", UPPER, lhs, rhs, {"k": k, "H_sq": h_sq, "kappa": kappa}, {
+            "gap": lhs,
+            "h_lead": n * h_sq,
+            "partial_sum_term": (4.0 / (k * n)) * partial,
+            "kappa_term": (4.0 / n) * kappa,
+        })
 
     if "B_sq_sup" in params:
         rank = 2 ** (n // 2)
-        rhs = rank * params["B_sq_sup"]
-        reports.append(
-            make_report(
-                "second-form-first-nonzero",
-                UPPER,
-                view.gamma_bar(1),
-                rhs,
-                _base_params(view, n=n, B_sq_sup=params["B_sq_sup"]),
-                {"gamma_bar_1": view.gamma_bar(1), "rank_factor": float(rank)},
-                provenance,
-            )
-        )
+        add("second-form-first-nonzero", UPPER, view.gamma_bar(1),
+            rank * params["B_sq_sup"], {"B_sq_sup": params["B_sq_sup"]},
+            {"gamma_bar_1": view.gamma_bar(1), "rank_factor": float(rank)})
 
     if "H_sq_integral" in params and "volume" in params:
         rhs = n**2 / (4.0 * params["volume"]) * params["H_sq_integral"]
-        reports.append(
-            make_report(
-                "hypersurface-euclidean",
-                UPPER,
-                view.gamma_bar(1),
-                rhs,
-                _base_params(view, n=n, volume=params["volume"]),
-                {"gamma_bar_1": view.gamma_bar(1), "mean_h_sq_term": rhs},
-                provenance,
-            )
-        )
+        add("hypersurface-euclidean", UPPER, view.gamma_bar(1), rhs,
+            {"volume": params["volume"]},
+            {"gamma_bar_1": view.gamma_bar(1), "mean_h_sq_term": rhs})
 
     if "Htilde_sq_integral" in params and "volume" in params:
         mean_term = n**2 / (4.0 * params["volume"]) * params["Htilde_sq_integral"]
-        rhs = n**2 / 4.0 + mean_term
-        reports.append(
-            make_report(
-                "hypersurface-sphere",
-                UPPER,
-                view.gamma_bar(1),
-                rhs,
-                _base_params(view, n=n, volume=params["volume"]),
-                {
-                    "gamma_bar_1": view.gamma_bar(1),
-                    "flat_term": n**2 / 4.0,
-                    "mean_term": mean_term,
-                },
-                provenance,
-            )
-        )
+        add("hypersurface-sphere", UPPER, view.gamma_bar(1), n**2 / 4.0 + mean_term,
+            {"volume": params["volume"]}, {
+                "gamma_bar_1": view.gamma_bar(1),
+                "flat_term": n**2 / 4.0,
+                "mean_term": mean_term,
+            })
 
     if "yang_k" in params and "H_sq" in params:
         k = params["yang_k"]
@@ -686,51 +603,20 @@ def check_background_bounds(spectrum, params: dict, provenance=None) -> list:
         )
         lhs = float(np.sum(gaps**2))
         rhs = float(4.0 / n * np.sum(gaps * weights))
-        reports.append(
-            make_report(
-                "quadratic-gap",
-                UPPER,
-                lhs,
-                rhs,
-                _base_params(view, n=n, k=k, H_sq=h_sq, kappa=kappa),
-                {"gap_sq_sum": lhs, "weighted_gap_sum": rhs},
-                provenance,
-            )
-        )
+        add("quadratic-gap", UPPER, lhs, rhs, {"k": k, "H_sq": h_sq, "kappa": kappa},
+            {"gap_sq_sum": lhs, "weighted_gap_sum": rhs})
 
     if "chen_H_sq" in params:
         kappa = params.get("kappa", 0.0)
         terms = WeightedCurvatureTerms.from_constants(n, params["chen_H_sq"], kappa)
         base = check_main_theorem(spectrum, 1, n, terms, provenance)
-        reports.append(
-            InequalityReport(
-                ineq_id="low-order-gap",
-                direction=base.direction,
-                params=base.params,
-                lhs=base.lhs,
-                rhs=base.rhs,
-                margin=base.margin,
-                satisfied=base.satisfied,
-                equality=base.equality,
-                term_breakdown=base.term_breakdown,
-                provenance=base.provenance,
-            )
-        )
+        reports.append(replace(base, ineq_id="low-order-gap"))
 
     if "lp_j" in params:
         j = params["lp_j"]
-        lhs = view.gamma_sum(j, n)
-        rhs = (n + 4) * view.gamma(j)
         reports.append(
-            make_report(
-                "flat-domain-sum",
-                UPPER,
-                lhs,
-                rhs,
-                _base_params(view, n=n, j=j),
-                {"gamma_sum": lhs, "lead_term": rhs},
-                provenance,
-            )
+            _sum_bound("flat-domain-sum", spectrum, j, n, {"n": n, "j": j}, {},
+                       provenance=provenance)
         )
 
     if not reports:

@@ -255,8 +255,10 @@ def _validate(verts: np.ndarray, faces: np.ndarray) -> MeshGeometry:
             "vertex %d is not referenced by any face" % orphan, vertex=orphan
         )
 
-    areas = face_areas(verts, faces)
-    bbox_diag_sq = float(np.sum((verts.max(axis=0) - verts.min(axis=0)) ** 2))
+    # overflow at extreme scales yields inf areas, reported below as an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = face_areas(verts, faces)
+        bbox_diag_sq = float(np.sum((verts.max(axis=0) - verts.min(axis=0)) ** 2))
     degenerate = np.flatnonzero(areas <= DEGENERATE_AREA_REL * max(bbox_diag_sq, 1e-30))
     if degenerate.size:
         f = int(degenerate[0])

@@ -21,6 +21,7 @@ Conventions
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -83,11 +84,11 @@ class Spectrum:
         if self.zero_dim != zero_mult:
             raise _inconsistent_kernel(self.zero_dim, zero_mult)
 
-    @property
+    @functools.cached_property
     def total_count(self) -> int:
         return sum(m for _, m in self.entries)
 
-    @property
+    @functools.cached_property
     def cumulative(self) -> tuple[int, ...]:
         return tuple(itertools.accumulate(m for _, m in self.entries))
 

@@ -118,6 +118,30 @@ class TestSpectrum:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_lattice_rejected(self, capsys, entry):
+        lattice = "%s 0; 0 1" % entry
+        code, _, err = run_json(
+            capsys,
+            ["spectrum", "--model", "torus", "--lattice", lattice, "--count", "4"],
+        )
+        assert code == 2
+        assert err["kind"] == "usage"
+        assert err["message"] == "lattice entries must be finite"
+        assert err["detail"] == {"lattice": lattice}
+
+    def test_non_finite_error_detail_is_written_as_string(self, tmp_path, capsys):
+        """An overflowing mesh reports area inf as one JSON object, exit 2."""
+        verts, faces = icosphere(1)
+        path = tmp_path / "huge.off"
+        write_off(path, verts * 1e200, faces)
+        code = main(["spectrum", "--mesh", str(path), "--count", "4"])
+        err = capsys.readouterr().err
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["kind"] == "mesh-validation"
+        assert doc["detail"]["area"] == "inf"
+
     def test_solver_failure_maps_to_3(self, ico_files, capsys, monkeypatch):
         import specgeom.cli as cli_mod
 
@@ -233,6 +257,16 @@ class TestCheck:
             assert np.isfinite(report["margin"])
             assert report["params"]["H_sq"] == h_sq_sup
 
+    def test_mesh_projective_minimal_uses_scalar_curvature_inf(self, ico_files, capsys):
+        code, doc, _ = run_json(
+            capsys, ["check", "--ineq", "projective", "--mesh", ico_files[2],
+                     "--minimal"]
+        )
+        assert code == 0
+        mesh = load_mesh(ico_files[2])
+        s_inf = float(np.min(extrinsic_summary(mesh, assemble_operators(mesh)).S))
+        assert doc["reports"][0]["terms"]["s_inf"] == s_inf
+
     def test_j_range_csv(self, capsys):
         code = main(
             ["check", "--ineq", "main", "--model", "sphere", "--dim", "2",
@@ -277,6 +311,20 @@ class TestSweep:
              "2.0:0.5:0.1"],
         )
         assert code == 2
+
+    def test_workers_flag_removed(self, capsys):
+        code, _, err = run_json(
+            capsys, ["sweep", "--ratio-grid", "1:1:1", "--workers", "2"]
+        )
+        assert code == 2
+        assert err["kind"] == "usage"
+
+    def test_workers_config_key_removed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"ratio_grid": "1:1:1", "workers": 2}\n')
+        code, _, err = run_json(capsys, ["sweep", "--config", str(cfg)])
+        assert code == 2
+        assert err["detail"] == {"key": "workers"}
 
     def test_rows_sorted_by_ratio_then_spin(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -360,6 +408,33 @@ class TestConfigFile:
         code, _, err = run_json(capsys, ["spectrum", "--config", str(cfg)])
         assert code == 2
         assert "bogus" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--model", "sphere"],
+         ["check", "--ineq", "main", "--model", "sphere"]],
+    )
+    def test_config_value_goes_through_flag_type(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"count": "abc"}\n')
+        code, _, err = run_json(capsys, argv + ["--config", str(cfg)])
+        assert code == 2
+        assert err["kind"] == "usage"
+        assert err["detail"] == {"key": "count"}
+
+    def test_config_value_checked_against_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"model": "sphere", "operator": "hodge"}\n')
+        code, _, err = run_json(capsys, ["spectrum", "--config", str(cfg)])
+        assert code == 2
+        assert err["detail"] == {"key": "operator"}
+
+    def test_config_values_converted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"model": "sphere", "count": "3", "radius": 2}\n')
+        code, doc, _ = run_json(capsys, ["spectrum", "--config", str(cfg)])
+        assert code == 0
+        assert doc["values"] == [0, 0.5, 0.5]
 
     def test_config_must_be_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

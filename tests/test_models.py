@@ -45,6 +45,13 @@ class TestSphereSpectra:
         assert spec.entries[:4] == SPHERE_DIRAC_N2
         assert spec.zero_dim == 0
 
+    def test_counts_computed_once(self):
+        spec = sphere_dirac_spectrum(2, 1.0, 30)
+        assert spec.cumulative is spec.cumulative
+        assert spec.total_count == spec.cumulative[-1]
+        assert "cumulative" in vars(spec) and "total_count" in vars(spec)
+        assert spec == sphere_dirac_spectrum(2, 1.0, 30)
+
     def test_dirac_s3_shells(self):
         spec = sphere_dirac_spectrum(3, 1.0, 30)
         assert spec.entries[:3] == SPHERE_DIRAC_N3
