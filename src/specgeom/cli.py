@@ -644,6 +644,7 @@ def cmd_check(cfg) -> int:
                 ineq=iq,
             )
     jlist = _j_values(cfg)
+    # checks that need no model or mesh (the conjecture probe) report first
     ineqs.sort(key=lambda iq: INEQS[iq].reads is not None)
     sourced = [INEQS[iq] for iq in ineqs if INEQS[iq].reads is not None]
     src = spectrum = None
@@ -899,17 +900,15 @@ HANDLERS = {
 
 
 def _printable(value):
-    """Error detail with non-finite floats, and values JSON cannot hold,
-    written as strings, so an error report always serializes."""
+    """Error detail with non-finite floats written as strings ("inf",
+    "nan"), which the report serializer rejects."""
     if isinstance(value, dict):
         return {key: _printable(v) for key, v in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):
         return [_printable(v) for v in value]
-    if isinstance(value, (float, np.floating)):
-        return float(value) if math.isfinite(value) else str(float(value))
-    if value is None or isinstance(value, (bool, str, int, np.integer)):
-        return value
-    return str(value)
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return str(float(value))
+    return value
 
 
 def _write_error(doc) -> None:
