@@ -7,7 +7,6 @@ an inequality engine that evaluates eigenvalue bounds with margin reports.
 
 from .eigensolve import (
     EigenBasis,
-    basis_zero_dim,
     clustered_entries,
     dense_eigenbasis,
     solve_smallest,
@@ -29,7 +28,6 @@ from .errors import (
 )
 from .inequalities import (
     InequalityReport,
-    SpectrumView,
     WeightedCurvatureTerms,
     aggregate_exit,
     check_background_bounds,

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .eigensolve import basis_zero_dim, dense_eigenbasis, solve_smallest
+from .eigensolve import dense_eigenbasis, solve_smallest
 from .errors import SolverConvergenceError, SpecGeomError, UsageError
 from .inequalities import (
     WeightedCurvatureTerms,
@@ -42,6 +42,7 @@ from .inequalities import (
     check_universal_euclidean,
     check_universal_sphere,
     conjecture_probe,
+    validate_index,
 )
 from .mesh import assemble_operators, extrinsic_summary, load_mesh
 from .models import (
@@ -97,7 +98,7 @@ DEFAULTS = {
                  "include_vectors": False},
     "check": {"dim": 2, "radius": 1.0, "seed": 0, "tol": 1e-9, "field": "C",
               "minimal": False, "csv": False},
-    "sweep": {"family": "torus-lattice", "area": CLIFFORD_AREA, "count": 64},
+    "sweep": {"area": CLIFFORD_AREA, "count": 64},
     "prooflab": {"psi": "x", "seed": 0, "tol": 1e-9},
 }
 
@@ -211,7 +212,9 @@ def _j_values(cfg) -> list:
             raise UsageError("empty j-range %r" % text, lo=lo, hi=hi)
         return list(range(lo, hi + 1))
     if cfg.get("j") is not None:
-        return [int(cfg["j"])]
+        j = int(cfg["j"])
+        validate_index(j)
+        return [j]
     return [1]
 
 
@@ -435,8 +438,6 @@ class Params:
         return self.extr.curvature_term_kappa
 
     def _m(self):
-        if self.mesh:
-            return basis_zero_dim(self.spectrum)
         return self.spectrum.zero_dim
 
     def _c_sup(self):
@@ -617,20 +618,36 @@ INEQS = {
 
 
 def _check_spectrum(cfg, checks, jlist):
-    """The source and its spectrum, resolved up to the highest index read."""
+    """The source and its spectrum, resolved up to the highest index read.
+
+    Without --m the kernel dimension is first guessed from the source; if
+    the spectrum's own kernel turns out larger (a mesh with several
+    components), the checks read further and the spectrum is built again.
+    """
     src = _source(cfg)
     if src is None:
         raise UsageError("check needs --model, --mesh, or a probe lattice")
-    m = cfg["m"] if cfg.get("m") is not None else src["zero_guess"]
-    need = max([1] + [c.reads(max(jlist), src["n"], m, cfg) for c in checks])
+
+    def required(m):
+        need = max([1] + [c.reads(max(jlist), src["n"], m, cfg) for c in checks])
+        if cfg.get("count") is not None and cfg["count"] < need:
+            raise UsageError(
+                "count %d is below the %d values the requested checks read"
+                % (cfg["count"], need),
+                parameter="count",
+                required=need,
+            )
+        return need
+
+    m = cfg.get("m")
+    need = required(src["zero_guess"] if m is None else m)
     count = cfg["count"] if cfg.get("count") is not None else need
-    if count < need:
-        raise UsageError(
-            "count %d is below the %d values the requested checks read" % (count, need),
-            parameter="count",
-            required=need,
-        )
-    return src, src["build"](count)
+    spectrum = src["build"](count)
+    if m is None:
+        need = required(spectrum.zero_dim)
+        if need > count:
+            spectrum = src["build"](need)
+    return src, spectrum
 
 
 def cmd_check(cfg) -> int:
@@ -866,7 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="probe a torus family on a ratio grid")
     p_sweep.add_argument("--config")
-    p_sweep.add_argument("--family", choices=("torus-lattice",))
     p_sweep.add_argument(
         "--ratio-grid", dest="ratio_grid", help="aspect grid start:stop:step"
     )

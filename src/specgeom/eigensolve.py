@@ -13,25 +13,31 @@ and sign conventions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as dla
-from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import SolverConvergenceError, UsageError
 from .mesh import SparseOperatorPair
+from .models import IndexedSpectrum
 
 TOL_RANGE = (1e-14, 1e-2)
 MAX_RESTARTS = 500
 MAX_POLISH_STEPS = 40
 GRAM_TOL = 1e-8
+ZERO_REL = 1e-8
 
 
 @dataclass(frozen=True)
-class EigenBasis:
-    """Ascending eigenvalues with M-orthonormal eigenvectors as columns."""
+class EigenBasis(IndexedSpectrum):
+    """Ascending eigenvalues with M-orthonormal eigenvectors as columns.
+
+    Reads like a model :class:`~specgeom.models.Spectrum`: ``gamma(j)``,
+    ``gamma_bar(i)``, ``zero_dim`` and ``total_count``.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
@@ -41,6 +47,17 @@ class EigenBasis:
     @property
     def size(self) -> int:
         return len(self.values)
+
+    total_count = size
+
+    @functools.cached_property
+    def zero_dim(self) -> int:
+        """Number of values below ``ZERO_REL`` times the largest |value|."""
+        scale = float(np.max(np.abs(self.values), initial=0.0)) or 1.0
+        return int(np.count_nonzero(self.values < ZERO_REL * scale))
+
+    def _value(self, j: int) -> float:
+        return float(self.values[j - 1])
 
     def to_json_dict(self, include_vectors: bool = False) -> dict:
         out = {
@@ -99,17 +116,11 @@ def _residual_norms(ops, values, vectors):
     return residuals, np.maximum(1.0, np.linalg.norm(lv, axis=0))
 
 
-def _finalize(values, vectors, ops, tol, keep=None):
-    order = np.argsort(values, kind="stable")
-    values = np.asarray(values)[order]
-    vectors = np.asarray(vectors)[:, order]
-    vectors = _mass_orthonormalize(vectors, ops.mass_diag)
-    if keep is not None:
-        values = values[:keep]
-        vectors = vectors[:, :keep]
+def _finalize(values, vectors, ops, tol):
+    """Fix signs and check the contract of pairs that arrive ascending and
+    M-orthonormal (from :func:`_ritz_extract` or ``scipy.linalg.eigh``)."""
     vectors = _fix_signs(vectors)
-    mass_diag = ops.mass_diag
-    gram = vectors.T @ (vectors * mass_diag[:, None])
+    gram = vectors.T @ (vectors * ops.mass_diag[:, None])
     gram_error = float(np.max(np.abs(gram - np.eye(len(values)))))
     residuals, lv_scale = _residual_norms(ops, values, vectors)
     bounds = tol * lv_scale
@@ -194,7 +205,7 @@ def solve_smallest(
         values, vectors = _ritz_extract(ops, vectors)
     # release the factorization before the final checks allocate their blocks
     del lu
-    return _finalize(values, vectors, ops, tol, keep=k)
+    return _finalize(values[:k], vectors[:, :k], ops, tol)
 
 
 def dense_eigenbasis(ops: SparseOperatorPair, k: int | None = None) -> EigenBasis:
@@ -212,30 +223,13 @@ def dense_eigenbasis(ops: SparseOperatorPair, k: int | None = None) -> EigenBasi
     return _finalize(values, vectors, ops, tol=1e-8)
 
 
-def zero_mode_count(basis: EigenBasis, scale: float, rel_zero_tol: float = 1e-8) -> int:
-    """Number of eigenvalues below ``rel_zero_tol * scale``."""
-    if scale <= 0.0:
-        raise UsageError("zero-mode scale must be positive, got %g" % scale)
-    return int(np.count_nonzero(basis.values < rel_zero_tol * scale))
-
-
-def kernel_scale(basis: EigenBasis) -> float:
-    """Default scale for zero-mode detection: the largest resolved value."""
-    peak = float(np.max(np.abs(basis.values))) if basis.size else 0.0
-    return peak if peak > 0.0 else 1.0
-
-
-def basis_zero_dim(basis: EigenBasis) -> int:
-    return zero_mode_count(basis, kernel_scale(basis))
-
-
 def clustered_entries(basis: EigenBasis) -> list[tuple[float, int]]:
     """Group computed values into multiplicity clusters.
 
     Gap threshold 1e-6 times the largest returned value; raw values stay
     available on the basis, this is for reporting only.
     """
-    gap = 1e-6 * kernel_scale(basis)
+    gap = 1e-6 * (float(np.max(np.abs(basis.values), initial=0.0)) or 1.0)
     clusters: list[list[float]] = []
     for v in basis.values:
         if clusters and v - clusters[-1][-1] <= gap:
@@ -244,11 +238,3 @@ def clustered_entries(basis: EigenBasis) -> list[tuple[float, int]]:
             clusters.append([float(v)])
     return [(float(np.mean(c)), len(c)) for c in clusters]
 
-
-def diagonal_operator_pair(stiff_diag, mass_diag) -> SparseOperatorPair:
-    """Operator pair from explicit diagonals; synthetic-problem helper."""
-    return SparseOperatorPair(
-        stiffness=sparse.csr_matrix(sparse.diags(np.asarray(stiff_diag, dtype=float))),
-        mass=sparse.csr_matrix(sparse.diags(np.asarray(mass_diag, dtype=float))),
-        clamp_count=0,
-    )

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigensolve import EigenBasis, basis_zero_dim
 from .errors import (
     HypothesisViolatedError,
     IndexRangeError,
@@ -29,8 +28,8 @@ from .errors import (
     UsageError,
 )
 from .models import (
+    IndexedSpectrum,
     Lattice,
-    Spectrum,
     all_spin_structures,
     field_dimension,
     torus_dirac_spectrum,
@@ -115,43 +114,17 @@ def make_report(
 # spectrum access
 
 
-class SpectrumView:
-    """Uniform 1-based, multiplicity-repeated access to either spectrum kind."""
+def _require_spectrum(spectrum) -> None:
+    if not isinstance(spectrum, IndexedSpectrum):
+        raise UsageError(
+            "expected a Spectrum or EigenBasis, got %r" % type(spectrum).__name__
+        )
 
-    def __init__(self, source):
-        if isinstance(source, Spectrum):
-            self._spec = source
-            self._values = None
-            self.zero_dim = source.zero_dim
-            self.length = source.total_count
-        elif isinstance(source, EigenBasis):
-            self._spec = None
-            self._values = source.values
-            self.zero_dim = basis_zero_dim(source)
-            self.length = source.size
-        else:
-            raise UsageError(
-                "expected a Spectrum or EigenBasis, got %r" % type(source).__name__
-            )
 
-    def gamma(self, j: int) -> float:
-        if self._spec is not None:
-            return self._spec.gamma(j)
-        if j < 1 or j > self.length:
-            raise IndexRangeError(
-                "index %d outside resolved spectrum of length %d" % (j, self.length),
-                index=j,
-                length=self.length,
-            )
-        return float(self._values[j - 1])
-
-    def gamma_bar(self, i: int) -> float:
-        return self.gamma(i + self.zero_dim)
-
-    def gamma_sum(self, start: int, count: int) -> float:
-        """sum_{k=1..count} gamma(start + k), validated up front."""
-        self.gamma(start + count)  # fail before any partial work
-        return float(sum(self.gamma(start + k) for k in range(1, count + 1)))
+def _gamma_sum(spectrum, start: int, count: int) -> float:
+    """sum_{k=1..count} gamma(start + k), validated up front."""
+    spectrum.gamma(start + count)  # fail before any partial work
+    return float(sum(spectrum.gamma(start + k) for k in range(1, count + 1)))
 
 
 def weighted_density_integral(field_values, s, mass_diag) -> float:
@@ -194,18 +167,14 @@ class WeightedCurvatureTerms:
         return cls(h_term=n**2 * H_sq, r_term=4.0 * kappa)
 
     @classmethod
-    def from_vertex_fields(
-        cls, n, H_sq_field, s, mass_diag, kappa_field=None
-    ) -> "WeightedCurvatureTerms":
+    def from_vertex_fields(cls, n, H_sq_field, s, mass_diag) -> "WeightedCurvatureTerms":
+        """Mesh form for scalar functions, whose bundle curvature term vanishes."""
         h = n**2 * weighted_density_integral(H_sq_field, s, mass_diag)
-        r = 0.0
-        if kappa_field is not None:
-            r = 4.0 * weighted_density_integral(kappa_field, s, mass_diag)
-        return cls(h_term=h, r_term=r)
+        return cls(h_term=h, r_term=0.0)
 
 
-def _base_params(view: SpectrumView, **extra) -> dict:
-    params = {"spectrum_length": view.length, "zero_dim": view.zero_dim}
+def _base_params(spectrum, **extra) -> dict:
+    params = {"spectrum_length": spectrum.total_count, "zero_dim": spectrum.zero_dim}
     params.update(extra)
     return params
 
@@ -214,7 +183,8 @@ def _base_params(view: SpectrumView, **extra) -> dict:
 # the three formula families
 
 
-def _check_index(j: int, n: int) -> None:
+def validate_index(j: int, n: int = 1) -> None:
+    """Reject an index j < 1 or a dimension n < 1 of a sum bound or gap form."""
     if j < 1:
         raise IndexRangeError("index j must be >= 1, got %d" % j, index=j)
     if n < 1:
@@ -231,10 +201,10 @@ def _sum_bound(
     in the constant ``plus - minus``; ``terms`` names its pieces, after the
     sum (and, for the main theorem, G_j) and the lead term.
     """
-    view = SpectrumView(spectrum)
-    _check_index(j, n)
-    lhs = view.gamma_sum(j, n)
-    gamma_j = view.gamma(j)
+    _require_spectrum(spectrum)
+    validate_index(j, n)
+    lhs = _gamma_sum(spectrum, j, n)
+    gamma_j = spectrum.gamma(j)
     lead = (n + 4) * gamma_j
     head = {"gamma_sum": lhs, "gamma_j": gamma_j} if show_gamma_j else {"gamma_sum": lhs}
     return make_report(
@@ -242,7 +212,7 @@ def _sum_bound(
         UPPER,
         lhs,
         lead + plus - minus,
-        _base_params(view, **params),
+        _base_params(spectrum, **params),
         {**head, "lead_term": lead, **terms},
         provenance,
     )
@@ -254,10 +224,10 @@ def _gap_form(ineq_id, spectrum, j, n, offsets, params, terms, provenance=None):
     ``terms(gamma_j, shifted)`` names the breakdown after the gap sum, where
     ``shifted`` is G_j plus the offsets.
     """
-    view = SpectrumView(spectrum)
-    _check_index(j, n)
-    gamma_j = view.gamma(j)
-    lhs = view.gamma_sum(j, n) - n * gamma_j
+    _require_spectrum(spectrum)
+    validate_index(j, n)
+    gamma_j = spectrum.gamma(j)
+    lhs = _gamma_sum(spectrum, j, n) - n * gamma_j
     shifted = gamma_j
     for offset in offsets:
         shifted += offset
@@ -266,7 +236,7 @@ def _gap_form(ineq_id, spectrum, j, n, offsets, params, terms, provenance=None):
         UPPER,
         lhs,
         4.0 * shifted,
-        _base_params(view, **params),
+        _base_params(spectrum, **params),
         {"gap_sum": lhs, **terms(gamma_j, shifted)},
         provenance,
     )
@@ -283,21 +253,21 @@ def _kernel_mean(
     otherwise.  Without one: sum_{k=1..n} G_{k+m} <= integral.  Either way
     m must be the spectrum's zero count.
     """
-    view = SpectrumView(spectrum)
+    _require_spectrum(spectrum)
     if n < 1:
         raise UsageError("dimension n must be >= 1, got %d" % n, n=n)
     if m < 0:
         raise UsageError("kernel dimension m must be >= 0, got %d" % m, m=m)
-    if m != view.zero_dim:
+    if m != spectrum.zero_dim:
         raise InconsistentKernelError(
             "claimed kernel dimension %d but the spectrum has %d zero modes"
-            % (m, view.zero_dim),
+            % (m, spectrum.zero_dim),
             claimed=m,
-            zero_dim=view.zero_dim,
+            zero_dim=spectrum.zero_dim,
         )
-    params = _base_params(view, n=n, m=m)
+    params = _base_params(spectrum, n=n, m=m)
     if volume is None:
-        lhs = view.gamma_sum(m, n)
+        lhs = _gamma_sum(spectrum, m, n)
         return make_report(
             ineq_id, UPPER, lhs, integral, params,
             {"gamma_bar_sum": lhs, **terms}, provenance,
@@ -311,7 +281,7 @@ def _kernel_mean(
         terms["ambient_term"] = ambient
         integral = integral + ambient * volume
     params["volume"] = volume
-    lhs = view.gamma_sum(m, n) / n
+    lhs = _gamma_sum(spectrum, m, n) / n
     rhs = (n / volume) * integral
     return make_report(
         ineq_id, UPPER, lhs, rhs, params,
@@ -411,7 +381,7 @@ def check_reilly_I(
         {"h_sq_integral": h_sq_integral}, "mean_h_sq", volume=volume,
         provenance=provenance,
     )
-    gamma_bar_1 = SpectrumView(spectrum).gamma(m + 1)
+    gamma_bar_1 = spectrum.gamma(m + 1)
     first = make_report(
         "first-nonzero-mean-curvature",
         UPPER,
@@ -531,7 +501,7 @@ def check_background_bounds(spectrum, params: dict, provenance=None) -> list:
     constant curvature inputs follow the homogeneous-model convention
     (fields constant, sections unit-normalized).
     """
-    view = SpectrumView(spectrum)
+    _require_spectrum(spectrum)
     n = params.get("n")
     if n is None:
         raise UsageError("background bounds need the dimension n")
@@ -539,7 +509,7 @@ def check_background_bounds(spectrum, params: dict, provenance=None) -> list:
 
     def add(ineq_id, direction, lhs, rhs, extra, terms):
         reports.append(make_report(
-            ineq_id, direction, lhs, rhs, _base_params(view, n=n, **extra), terms,
+            ineq_id, direction, lhs, rhs, _base_params(spectrum, n=n, **extra), terms,
             provenance,
         ))
 
@@ -548,21 +518,21 @@ def check_background_bounds(spectrum, params: dict, provenance=None) -> list:
         if n < 2:
             raise UsageError("the scalar-curvature lower bound needs n >= 2", n=n)
         rhs = n * s0 / (4.0 * (n - 1.0))
-        add("scalar-curvature-lower", LOWER, view.gamma(1), rhs, {"S0": s0},
-            {"gamma_1": view.gamma(1), "bound": rhs})
+        add("scalar-curvature-lower", LOWER, spectrum.gamma(1), rhs, {"S0": s0},
+            {"gamma_1": spectrum.gamma(1), "bound": rhs})
 
     if "genus" in params and "area" in params:
         genus, area = params["genus"], params["area"]
         rhs = 4.0 * np.pi * (1.0 - genus) / area
-        add("genus-area-lower", LOWER, view.gamma(1), rhs,
-            {"genus": genus, "area": area}, {"gamma_1": view.gamma(1), "bound": rhs})
+        add("genus-area-lower", LOWER, spectrum.gamma(1), rhs,
+            {"genus": genus, "area": area}, {"gamma_1": spectrum.gamma(1), "bound": rhs})
 
     if "gap_k" in params and "H_sq" in params:
         k = params["gap_k"]
         kappa = params.get("kappa", 0.0)
         h_sq = params["H_sq"]
-        partial = sum(view.gamma(i) for i in range(1, k + 1))
-        lhs = view.gamma(k + 1) - view.gamma(k)
+        partial = sum(spectrum.gamma(i) for i in range(1, k + 1))
+        lhs = spectrum.gamma(k + 1) - spectrum.gamma(k)
         rhs = n * h_sq + (4.0 / (k * n)) * partial - (4.0 / n) * kappa
         add("successive-gap", UPPER, lhs, rhs, {"k": k, "H_sq": h_sq, "kappa": kappa}, {
             "gap": lhs,
@@ -573,21 +543,21 @@ def check_background_bounds(spectrum, params: dict, provenance=None) -> list:
 
     if "B_sq_sup" in params:
         rank = 2 ** (n // 2)
-        add("second-form-first-nonzero", UPPER, view.gamma_bar(1),
+        add("second-form-first-nonzero", UPPER, spectrum.gamma_bar(1),
             rank * params["B_sq_sup"], {"B_sq_sup": params["B_sq_sup"]},
-            {"gamma_bar_1": view.gamma_bar(1), "rank_factor": float(rank)})
+            {"gamma_bar_1": spectrum.gamma_bar(1), "rank_factor": float(rank)})
 
     if "H_sq_integral" in params and "volume" in params:
         rhs = n**2 / (4.0 * params["volume"]) * params["H_sq_integral"]
-        add("hypersurface-euclidean", UPPER, view.gamma_bar(1), rhs,
+        add("hypersurface-euclidean", UPPER, spectrum.gamma_bar(1), rhs,
             {"volume": params["volume"]},
-            {"gamma_bar_1": view.gamma_bar(1), "mean_h_sq_term": rhs})
+            {"gamma_bar_1": spectrum.gamma_bar(1), "mean_h_sq_term": rhs})
 
     if "Htilde_sq_integral" in params and "volume" in params:
         mean_term = n**2 / (4.0 * params["volume"]) * params["Htilde_sq_integral"]
-        add("hypersurface-sphere", UPPER, view.gamma_bar(1), n**2 / 4.0 + mean_term,
+        add("hypersurface-sphere", UPPER, spectrum.gamma_bar(1), n**2 / 4.0 + mean_term,
             {"volume": params["volume"]}, {
-                "gamma_bar_1": view.gamma_bar(1),
+                "gamma_bar_1": spectrum.gamma_bar(1),
                 "flat_term": n**2 / 4.0,
                 "mean_term": mean_term,
             })
@@ -596,10 +566,10 @@ def check_background_bounds(spectrum, params: dict, provenance=None) -> list:
         k = params["yang_k"]
         kappa = params.get("kappa", 0.0)
         h_sq = params["H_sq"]
-        top = view.gamma(k + 1)
-        gaps = np.array([top - view.gamma(i) for i in range(1, k + 1)])
+        top = spectrum.gamma(k + 1)
+        gaps = np.array([top - spectrum.gamma(i) for i in range(1, k + 1)])
         weights = np.array(
-            [view.gamma(i) + n**2 / 4.0 * h_sq - kappa for i in range(1, k + 1)]
+            [spectrum.gamma(i) + n**2 / 4.0 * h_sq - kappa for i in range(1, k + 1)]
         )
         lhs = float(np.sum(gaps**2))
         rhs = float(4.0 / n * np.sum(gaps * weights))
@@ -653,8 +623,7 @@ def conjecture_probe(
     reports = []
     for spin in spins:
         spec = torus_dirac_spectrum(lat, spin, count)
-        view = SpectrumView(spec)
-        g1, g2 = view.gamma_bar(1), view.gamma_bar(2)
+        g1, g2 = spec.gamma_bar(1), spec.gamma_bar(2)
         lhs = 0.5 * (g1 + g2)
         reports.append(
             make_report(

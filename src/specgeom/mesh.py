@@ -82,20 +82,6 @@ class ExtrinsicData:
     kappa: float
     clamped: int
 
-    def to_json_dict(self, include_fields: bool = True) -> dict:
-        out = {
-            "n": 2,
-            "willmore": self.willmore,
-            "volume": self.volume,
-            "kappa": self.kappa,
-            "clamped": self.clamped,
-        }
-        if include_fields:
-            out["H_sq"] = list(self.H_sq)
-            out["S"] = list(self.S)
-            out["B_sq"] = list(self.B_sq)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -255,10 +241,19 @@ def _validate(verts: np.ndarray, faces: np.ndarray) -> MeshGeometry:
             "vertex %d is not referenced by any face" % orphan, vertex=orphan
         )
 
-    # overflow at extreme scales yields inf areas, reported below as an error
+    # overflow at extreme scales yields inf areas, and nan where inf - inf
+    # meets in the cross product; the first infinite one is named
     with np.errstate(over="ignore", invalid="ignore"):
         areas = face_areas(verts, faces)
         bbox_diag_sq = float(np.sum((verts.max(axis=0) - verts.min(axis=0)) ** 2))
+    rank = np.where(np.isinf(areas), 0, np.where(np.isnan(areas), 1, 2))
+    f = int(np.argmin(rank))
+    if rank[f] < 2:
+        raise MeshValidationError(
+            "face %d area overflows (area %g); coordinates are too large" % (f, areas[f]),
+            face=f,
+            area=float(areas[f]),
+        )
     degenerate = np.flatnonzero(areas <= DEGENERATE_AREA_REL * max(bbox_diag_sq, 1e-30))
     if degenerate.size:
         f = int(degenerate[0])

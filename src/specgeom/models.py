@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     EmptyRequestError,
+    InconsistentKernelError,
     IndexRangeError,
     InvalidModelError,
     NonUnitVectorError,
@@ -44,11 +45,38 @@ OPERATOR_KINDS = ("dirac_squared", "laplace")
 
 
 # ---------------------------------------------------------------------------
-# spectrum container
+# spectrum containers
+
+
+class IndexedSpectrum:
+    """The read interface shared by exact and computed spectra.
+
+    Indices are 1-based and multiplicity-repeated, and an index past the
+    resolved part is an error, never a truncation.  Subclasses provide
+    ``total_count``, ``zero_dim`` and ``_value(j)`` for
+    ``1 <= j <= total_count``.
+    """
+
+    def gamma(self, j: int) -> float:
+        """The j-th eigenvalue, 1-based, repeated by multiplicity."""
+        if j < 1 or j > self.total_count:
+            raise IndexRangeError(
+                "index %d outside resolved spectrum of length %d"
+                % (j, self.total_count),
+                index=j,
+                length=self.total_count,
+            )
+        return self._value(j)
+
+    def gamma_bar(self, i: int) -> float:
+        """The i-th nonzero eigenvalue (kernel skipped), 1-based."""
+        if i < 1:
+            raise IndexRangeError("nonzero-eigenvalue index %d < 1" % i, index=i)
+        return self.gamma(i + self.zero_dim)
 
 
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(IndexedSpectrum):
     """Ascending eigenvalues with multiplicities for a nonnegative operator.
 
     ``entries`` is a tuple of (value, multiplicity) pairs with strictly
@@ -92,23 +120,8 @@ class Spectrum:
     def cumulative(self) -> tuple[int, ...]:
         return tuple(itertools.accumulate(m for _, m in self.entries))
 
-    def gamma(self, j: int) -> float:
-        """The j-th eigenvalue, 1-based, repeated by multiplicity."""
-        if j < 1 or j > self.total_count:
-            raise IndexRangeError(
-                "index %d outside resolved spectrum of length %d"
-                % (j, self.total_count),
-                index=j,
-                length=self.total_count,
-            )
-        pos = bisect.bisect_left(self.cumulative, j)
-        return self.entries[pos][0]
-
-    def gamma_bar(self, i: int) -> float:
-        """The i-th nonzero eigenvalue (kernel skipped), 1-based."""
-        if i < 1:
-            raise IndexRangeError("nonzero-eigenvalue index %d < 1" % i, index=i)
-        return self.gamma(i + self.zero_dim)
+    def _value(self, j: int) -> float:
+        return self.entries[bisect.bisect_left(self.cumulative, j)][0]
 
     def values(self, count: int) -> np.ndarray:
         """First ``count`` eigenvalues as a flat multiplicity-repeated array."""
@@ -133,8 +146,6 @@ class Spectrum:
 
 
 def _inconsistent_kernel(claimed, actual):
-    from .errors import InconsistentKernelError
-
     return InconsistentKernelError(
         "zero_dim %d does not match multiplicity %d of eigenvalue 0"
         % (claimed, actual),
@@ -144,7 +155,7 @@ def _inconsistent_kernel(claimed, actual):
 
 
 def _entries_from_shells(shells, count):
-    """Truncate a list of (value, mult) shells to cover ``count`` indices.
+    """Truncate an iterable of (value, mult) shells to cover ``count`` indices.
 
     Shells must already be ascending with complete multiplicities; the last
     kept shell keeps its full multiplicity so reported multiplicities are
@@ -187,15 +198,10 @@ def sphere_dirac_spectrum(n: int, radius: float, count: int) -> Spectrum:
     """
     _check_sphere_args(n, radius, count, min_dim=2)
     spinor_rank = 2 ** (n // 2)
-    shells = []
-    total = 0
-    k = 0
-    while total < count:
-        value = ((n / 2.0 + k) / radius) ** 2
-        mult = 2 * spinor_rank * math.comb(k + n - 1, k)
-        shells.append((value, mult))
-        total += mult
-        k += 1
+    shells = (
+        (((n / 2.0 + k) / radius) ** 2, 2 * spinor_rank * math.comb(k + n - 1, k))
+        for k in itertools.count()
+    )
     return Spectrum("dirac_squared", _entries_from_shells(shells, count), 0)
 
 
@@ -214,15 +220,10 @@ def sphere_laplace_spectrum(n: int, radius: float, count: int) -> Spectrum:
     constant functions give a one-dimensional kernel.
     """
     _check_sphere_args(n, radius, count, min_dim=1)
-    shells = []
-    total = 0
-    k = 0
-    while total < count:
-        value = k * (k + n - 1) / radius**2
-        mult = sphere_laplace_mult(n, k)
-        shells.append((value, mult))
-        total += mult
-        k += 1
+    shells = (
+        (k * (k + n - 1) / radius**2, sphere_laplace_mult(n, k))
+        for k in itertools.count()
+    )
     return Spectrum("laplace", _entries_from_shells(shells, count), 1)
 
 
@@ -411,16 +412,6 @@ class ModelExtrinsic:
                 "extrinsic constants violate the Gauss identity",
                 residual=gauss,
             )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "H_sq": self.H_sq,
-            "B_sq": self.B_sq,
-            "S": self.S,
-            "volume": self.volume,
-            "curvature_term_kappa": self.curvature_term_kappa,
-        }
 
 
 FIELD_DIMENSION = {"R": 1, "C": 2, "Q": 4}

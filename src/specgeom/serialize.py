@@ -98,11 +98,6 @@ def format_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(format_csv(header, rows))
-
-
 REPORT_COLUMNS = (
     "ineq_id",
     "j",

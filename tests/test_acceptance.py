@@ -324,8 +324,7 @@ def test_criterion_09_conjecture_probe_reproducibility(tmp_path, capsys):
     sweep_files = [tmp_path / "sweep1.csv", tmp_path / "sweep2.csv"]
     for path in sweep_files:
         code = main(
-            ["sweep", "--family", "torus-lattice", "--ratio-grid",
-             "0.5:2.0:0.1", "--output", str(path)]
+            ["sweep", "--ratio-grid", "0.5:2.0:0.1", "--output", str(path)]
         )
         assert code == 0
     blob = sweep_files[0].read_bytes()

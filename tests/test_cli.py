@@ -25,6 +25,29 @@ def ico_files(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def two_sphere_file(two_sphere_mesh, tmp_path_factory):
+    path = tmp_path_factory.mktemp("two") / "two.off"
+    write_off(path, two_sphere_mesh.vertices, two_sphere_mesh.faces)
+    return str(path)
+
+
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """The k of every sparse solve the CLI makes."""
+    import specgeom.cli as cli_mod
+
+    sizes = []
+    real_solve = cli_mod.solve_smallest
+
+    def spy(ops, k, **kwargs):
+        sizes.append(k)
+        return real_solve(ops, k, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "solve_smallest", spy)
+    return sizes
+
+
 def run_json(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -213,6 +236,44 @@ class TestCheck:
         assert code == 2
         assert err["detail"]["parameter"] == "count"
 
+    @pytest.mark.parametrize(
+        "argv", [["--ineq", "reilly1"], ["--ineq", "index", "--b-sq-sup", "10"]]
+    )
+    def test_multi_component_mesh_sized_from_its_kernel(
+        self, two_sphere_file, capsys, solve_sizes, argv
+    ):
+        """Two components give a kernel of dimension 2, not the guessed 1: the
+        solve grows to the indices the check reads, as --count 4 gives."""
+        argv = ["check", "--mesh", two_sphere_file] + argv
+        code, doc, _ = run_json(capsys, argv)
+        assert code == 0
+        assert doc["reports"][0]["params"]["m"] == 2
+        code, doc_with_count, _ = run_json(capsys, argv + ["--count", "4"])
+        assert code == 0
+        assert doc == doc_with_count
+        assert solve_sizes == [3, 4, 4]
+        code, _, err = run_json(capsys, argv + ["--count", "3"])
+        assert code == 2
+        assert err["message"] == "count 3 is below the 4 values the requested checks read"
+        assert err["detail"] == {"parameter": "count", "required": 4}
+
+    def test_connected_mesh_solved_once(self, ico_files, capsys, solve_sizes):
+        code, _, _ = run_json(capsys, ["check", "--ineq", "reilly1", "--mesh", ico_files[2]])
+        assert code == 0
+        assert solve_sizes == [3]
+
+    def test_j_zero_rejected_before_any_solve(self, ico_files, capsys, solve_sizes):
+        code, doc, err = run_json(
+            capsys, ["check", "--ineq", "main", "--mesh", ico_files[2], "--j", "0"]
+        )
+        assert (code, doc) == (2, None)
+        assert err == {
+            "kind": "index-range",
+            "message": "index j must be >= 1, got 0",
+            "detail": {"index": 0},
+        }
+        assert solve_sizes == []
+
     def test_unknown_ineq_listed(self, capsys):
         code, _, err = run_json(
             capsys,
@@ -294,8 +355,7 @@ class TestCheck:
 class TestSweep:
     def test_row_count_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        argv = ["sweep", "--family", "torus-lattice",
-                "--ratio-grid", "0.5:2.0:0.1"]
+        argv = ["sweep", "--ratio-grid", "0.5:2.0:0.1"]
         assert main(argv + ["--output", str(out1)]) == 0
         assert main(argv + ["--output", str(out2)]) == 0
         b1 = out1.read_bytes()
@@ -307,8 +367,7 @@ class TestSweep:
     def test_empty_grid_exits_2(self, capsys):
         code, _, err = run_json(
             capsys,
-            ["sweep", "--family", "torus-lattice", "--ratio-grid",
-             "2.0:0.5:0.1"],
+            ["sweep", "--ratio-grid", "2.0:0.5:0.1"],
         )
         assert code == 2
 
@@ -326,10 +385,20 @@ class TestSweep:
         assert code == 2
         assert err["detail"] == {"key": "workers"}
 
+    def test_family_flag_and_config_key_removed(self, tmp_path, capsys):
+        code, _, err = run_json(
+            capsys, ["sweep", "--ratio-grid", "1:1:1", "--family", "torus-lattice"]
+        )
+        assert (code, err["kind"]) == (2, "usage")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"ratio_grid": "1:1:1", "family": "torus-lattice"}\n')
+        code, _, err = run_json(capsys, ["sweep", "--config", str(cfg)])
+        assert code == 2
+        assert err["detail"] == {"key": "family"}
+
     def test_rows_sorted_by_ratio_then_spin(self, tmp_path):
         out = tmp_path / "s.csv"
-        main(["sweep", "--family", "torus-lattice", "--ratio-grid",
-              "0.8:1.2:0.2", "--output", str(out)])
+        main(["sweep", "--ratio-grid", "0.8:1.2:0.2", "--output", str(out)])
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         keys = [(float(r[0]), r[1]) for r in rows]
         assert keys == sorted(keys)

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 import specgeom.eigensolve as eigensolve
 from specgeom.eigensolve import (
-    basis_zero_dim,
     clustered_entries,
     dense_eigenbasis,
     solve_smallest,
 )
-from specgeom.errors import UsageError
+from specgeom.errors import IndexRangeError, SolverConvergenceError, UsageError
 from specgeom.mesh import SparseOperatorPair, assemble_operators
 from specgeom.models import sphere_laplace_spectrum
 
@@ -41,7 +40,7 @@ class TestSmallPencils:
         np.testing.assert_allclose(basis.values, [0.0, 1.0], atol=1e-12)
         assert abs(abs(basis.vectors[0, 0]) - 1.0) < 1e-10
         assert abs(abs(basis.vectors[1, 1]) - 1.0) < 1e-10
-        assert basis_zero_dim(basis) == 1
+        assert basis.zero_dim == 1
 
     def test_k_validation(self):
         ops = pair(np.eye(4), np.eye(4))
@@ -103,7 +102,7 @@ class TestMeshSpectra:
         rel = np.abs(basis.values[1:] - exact[1:]) / exact[1:]
         assert np.max(rel) < 0.02
         assert abs(basis.values[0]) < 1e-10
-        assert basis_zero_dim(basis) == 1
+        assert basis.zero_dim == 1
 
     def test_bitwise_determinism(self, ico_ops):
         ops = ico_ops(3)
@@ -140,7 +139,7 @@ class TestMeshSpectra:
     def test_two_components_give_two_zero_modes(self, two_sphere_mesh):
         ops = assemble_operators(two_sphere_mesh)
         basis = solve_smallest(ops, 6, seed=0)
-        assert basis_zero_dim(basis) == 2
+        assert basis.zero_dim == 2
         # the kernel is spanned by the component indicator functions
         n_half = two_sphere_mesh.n_vertices // 2
         mass_diag = ops.mass_diag
@@ -176,6 +175,66 @@ class TestMeshSpectra:
         ops = pair(sp.identity(n).tocsr(), sp.identity(n).tocsr())
         with pytest.raises(UsageError):
             dense_eigenbasis(ops)
+
+
+class TestReadInterface:
+    """A computed basis reads like a model spectrum."""
+
+    @pytest.mark.parametrize("kernel", [1, 2])
+    def test_gamma_gamma_bar_zero_dim_total_count(
+        self, ico_ops, two_sphere_mesh, kernel
+    ):
+        ops = ico_ops(3) if kernel == 1 else assemble_operators(two_sphere_mesh)
+        basis = solve_smallest(ops, 8, seed=0)
+        assert basis.total_count == 8
+        assert basis.zero_dim == kernel
+        assert [basis.gamma(j) for j in range(1, 9)] == list(basis.values)
+        assert all(abs(basis.gamma(j)) < 1e-10 for j in range(1, kernel + 1))
+        assert basis.gamma_bar(1) == basis.gamma(kernel + 1) > 1.0
+        for bad in (lambda: basis.gamma(0), lambda: basis.gamma(9),
+                    lambda: basis.gamma_bar(0), lambda: basis.gamma_bar(9 - kernel)):
+            with pytest.raises(IndexRangeError):
+                bad()
+
+    def test_past_the_end_error_matches_model_spectrum(self, ico_ops):
+        basis = solve_smallest(ico_ops(3), 9, seed=0)
+        exact = sphere_laplace_spectrum(2, 1.0, 9)
+        assert basis.total_count == exact.total_count == 9
+        errors = []
+        for spectrum in (basis, exact):
+            with pytest.raises(IndexRangeError) as exc:
+                spectrum.gamma(10)
+            errors.append((str(exc.value), exc.value.detail))
+        assert errors[0] == errors[1] == (
+            "index 10 outside resolved spectrum of length 9",
+            {"index": 10, "length": 9},
+        )
+
+
+class TestFinalizeChecks:
+    """_finalize no longer re-orthonormalizes; its checks still catch pairs
+    that are not M-orthonormal or not eigenpairs."""
+
+    def test_gram_check(self, ico_ops):
+        ops = ico_ops(1)
+        values, vectors = eigensolve.dla.eigh(
+            ops.stiffness.toarray(), ops.mass.toarray()
+        )
+        vectors[:, 3] *= 1.0 + 1e-6
+        with pytest.raises(SolverConvergenceError) as exc:
+            eigensolve._finalize(values[:5], vectors[:, :5], ops, tol=1e-8)
+        assert exc.value.detail["gram_error"] > eigensolve.GRAM_TOL
+
+    def test_residual_check(self, ico_ops):
+        ops = ico_ops(1)
+        values, vectors = eigensolve.dla.eigh(
+            ops.stiffness.toarray(), ops.mass.toarray()
+        )
+        values[2] += 1e-6
+        with pytest.raises(SolverConvergenceError) as exc:
+            eigensolve._finalize(values[:5], vectors[:, :5], ops, tol=1e-8)
+        assert exc.value.detail["gram_error"] <= eigensolve.GRAM_TOL
+        assert exc.value.detail["worst_residual"] > exc.value.detail["bound"]
 
 
 class CountingFactorization:

@@ -18,7 +18,6 @@ from specgeom.errors import (
     UsageError,
 )
 from specgeom.inequalities import (
-    SpectrumView,
     WeightedCurvatureTerms,
     aggregate_exit,
     check_background_bounds,
@@ -406,13 +405,34 @@ class TestConjectureProbe:
 
 class TestViewAndHelpers:
     def test_view_rejects_other_types(self):
+        """Every evaluator family rejects input that is not a spectrum."""
+        terms = WeightedCurvatureTerms.from_constants(2, 1.0, 0.0)
         with pytest.raises(UsageError):
-            SpectrumView([1.0, 2.0])
+            check_main_theorem([1.0, 2.0], 1, 2, terms)
+        with pytest.raises(UsageError):
+            check_corollary_eta([1.0, 2.0], 1, 2, 1.0, 0.0)
+        with pytest.raises(UsageError):
+            check_reilly_I([0.0, 2.0], 2, 1, 1.0, 1.0)
+        with pytest.raises(UsageError):
+            check_background_bounds([1.0, 2.0], {"n": 2, "S0": 1.0})
 
-    def test_gamma_sum_validates_before_work(self):
-        view = SpectrumView(Spectrum("laplace", ((0.0, 1), (1.0, 2)), 1))
-        with pytest.raises(IndexRangeError):
-            view.gamma_sum(1, 5)
+    def test_gamma_sum_validates_before_work(self, monkeypatch):
+        """The sum's last index is read first, so a sum past the resolved
+        spectrum fails before any partial work."""
+        spec = Spectrum("laplace", ((0.0, 1), (1.0, 2)), 1)
+        reads = []
+        real_gamma = Spectrum.gamma
+
+        def spy(self, j):
+            reads.append(j)
+            return real_gamma(self, j)
+
+        monkeypatch.setattr(Spectrum, "gamma", spy)
+        terms = WeightedCurvatureTerms.from_constants(4, 1.0, 0.0)
+        with pytest.raises(IndexRangeError) as exc:
+            check_main_theorem(spec, 1, 4, terms)
+        assert reads == [5]
+        assert exc.value.detail == {"index": 5, "length": 3}
 
     def test_weighted_integral_normalization_guard(self, ico_ops):
         ops = ico_ops(2)

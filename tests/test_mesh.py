@@ -94,6 +94,15 @@ class TestValidation:
         with pytest.raises(MeshValidationError, match="degenerate"):
             mesh_from_arrays(verts, TET_FACES)
 
+    def test_overflowing_coordinates_named_as_overflow(self):
+        """Face areas that overflow are not called degenerate."""
+        verts, faces = icosphere(1)
+        with pytest.raises(MeshValidationError) as exc:
+            mesh_from_arrays(verts * 1e200, faces)
+        assert exc.value.kind == "mesh-validation"
+        assert str(exc.value) == "face 1 area overflows (area inf); coordinates are too large"
+        assert exc.value.detail == {"face": 1, "area": math.inf}
+
     def test_inconsistent_orientation_rejected(self):
         faces = TET_FACES.copy()
         faces[1] = faces[1][::-1]
