@@ -263,7 +263,7 @@ def _model_source(cfg) -> dict:
             "build": lambda count: spectrum(n, radius, count),
             "extr": model_extrinsic("sphere", n=n, radius=radius),
             "radius": radius,
-            "zero_guess": 0 if dirac else 1,
+            "zero_dim": 0 if dirac else 1,
             "operator": operator,
             "provenance": {
                 "spectrum": "sphere-%s n=%d r=%s" % (operator, n, format_float(radius)),
@@ -295,10 +295,10 @@ def _model_source(cfg) -> dict:
     if dirac:
         src.update(
             build=lambda count: torus_dirac_spectrum(lat, spin, count),
-            zero_guess=2 ** (n // 2) if spin.is_trivial else 0,
+            zero_dim=2 ** (n // 2) if spin.is_trivial else 0,
         )
     else:
-        src.update(build=lambda count: torus_laplace_spectrum(lat, count), zero_guess=1)
+        src.update(build=lambda count: torus_laplace_spectrum(lat, count), zero_dim=1)
     src["provenance"] = {
         "spectrum": "torus-%s lattice=[%s]%s"
         % (operator, basis_text, " spin=%s" % spin.label() if spin else ""),
@@ -307,18 +307,19 @@ def _model_source(cfg) -> dict:
     return src
 
 
-def _mesh_source(cfg) -> dict:
-    """Mesh source; ``build(count)`` loads, solves and then fills in the
-    mesh, operators, extrinsic fields and provenance."""
-    src = {"kind": "mesh", "n": 2, "zero_guess": 1, "operator": "laplace"}
+def _mesh_source(cfg, path=None) -> dict:
+    """Mesh source, loaded, validated and assembled once, here; its kernel
+    dimension is its number of connected components.  ``build(count)``
+    solves and fills in the provenance."""
+    path = cfg["mesh"] if path is None else path
+    mesh = load_mesh(path, cfg.get("mesh_format"))
+    if _resolve_operator(cfg) != "laplace":
+        raise UsageError(
+            "mesh spectra are scalar Laplace only", operator=cfg["operator"]
+        )
+    ops = assemble_operators(mesh)
 
     def build(count):
-        mesh = load_mesh(cfg["mesh"], cfg.get("mesh_format"))
-        if _resolve_operator(cfg) != "laplace":
-            raise UsageError(
-                "mesh spectra are scalar Laplace only", operator=cfg["operator"]
-            )
-        ops = assemble_operators(mesh)
         if count >= mesh.n_vertices:
             raise UsageError(
                 "count %d must be below the vertex count %d" % (count, mesh.n_vertices),
@@ -326,19 +327,15 @@ def _mesh_source(cfg) -> dict:
                 vertices=mesh.n_vertices,
             )
         basis = solve_smallest(ops, count, tol=float(cfg["tol"]), seed=int(cfg["seed"]))
-        src.update(
-            mesh=mesh,
-            ops=ops,
-            extr=extrinsic_summary(mesh, ops),
-            provenance={
-                "spectrum": "mesh:%s laplace count=%d seed=%d"
-                % (os.path.basename(str(cfg["mesh"])), count, int(cfg["seed"])),
-                "extrinsic": "mesh-fields",
-            },
-        )
+        src["provenance"] = {
+            "spectrum": "mesh:%s laplace count=%d seed=%d"
+            % (os.path.basename(str(path)), count, int(cfg["seed"])),
+            "extrinsic": "mesh-fields",
+        }
         return basis
 
-    src["build"] = build
+    src = {"kind": "mesh", "n": 2, "zero_dim": mesh.n_components, "operator": "laplace",
+           "mesh": mesh, "ops": ops, "build": build}
     return src
 
 
@@ -618,35 +615,23 @@ INEQS = {
 
 
 def _check_spectrum(cfg, checks, jlist):
-    """The source and its spectrum, resolved up to the highest index read.
-
-    Without --m the kernel dimension is first guessed from the source; if
-    the spectrum's own kernel turns out larger (a mesh with several
-    components), the checks read further and the spectrum is built again.
-    """
+    """The source and its spectrum, resolved up to the highest index read,
+    with the kernel dimension from --m or from the source."""
     src = _source(cfg)
     if src is None:
         raise UsageError("check needs --model, --mesh, or a probe lattice")
-
-    def required(m):
-        need = max([1] + [c.reads(max(jlist), src["n"], m, cfg) for c in checks])
-        if cfg.get("count") is not None and cfg["count"] < need:
-            raise UsageError(
-                "count %d is below the %d values the requested checks read"
-                % (cfg["count"], need),
-                parameter="count",
-                required=need,
-            )
-        return need
-
-    m = cfg.get("m")
-    need = required(src["zero_guess"] if m is None else m)
-    count = cfg["count"] if cfg.get("count") is not None else need
-    spectrum = src["build"](count)
-    if m is None:
-        need = required(spectrum.zero_dim)
-        if need > count:
-            spectrum = src["build"](need)
+    m = src["zero_dim"] if cfg.get("m") is None else cfg["m"]
+    need = max([1] + [c.reads(max(jlist), src["n"], m, cfg) for c in checks])
+    if cfg.get("count") is not None and cfg["count"] < need:
+        raise UsageError(
+            "count %d is below the %d values the requested checks read"
+            % (cfg["count"], need),
+            parameter="count",
+            required=need,
+        )
+    spectrum = src["build"](need if cfg.get("count") is None else cfg["count"])
+    if src["kind"] == "mesh":
+        src["extr"] = extrinsic_summary(src["mesh"], src["ops"])
     return src, spectrum
 
 
@@ -732,7 +717,7 @@ def cmd_sweep(cfg) -> int:
 # prooflab command
 
 
-def _prooflab_basis(cfg, mesh, ops, default_count=None):
+def _prooflab_basis(cfg, src, default_count=None):
     """Eigenbasis for a prooflab task.
 
     Explicit --count forces a sparse solve of that size.  Otherwise tasks
@@ -741,18 +726,10 @@ def _prooflab_basis(cfg, mesh, ops, default_count=None):
     fallback for small ones.
     """
     if cfg.get("count") is not None:
-        k = int(cfg["count"])
-        if k >= mesh.n_vertices:
-            raise UsageError(
-                "count %d must be below the vertex count %d" % (k, mesh.n_vertices),
-                count=k,
-            )
-        return solve_smallest(ops, k, tol=float(cfg["tol"]), seed=int(cfg["seed"]))
-    if default_count is not None and mesh.n_vertices > 4 * default_count:
-        return solve_smallest(
-            ops, default_count, tol=float(cfg["tol"]), seed=int(cfg["seed"])
-        )
-    return dense_eigenbasis(ops)
+        return src["build"](int(cfg["count"]))
+    if default_count is not None and src["mesh"].n_vertices > 4 * default_count:
+        return src["build"](default_count)
+    return dense_eigenbasis(src["ops"])
 
 
 def _psi_field(cfg, mesh) -> np.ndarray:
@@ -771,11 +748,10 @@ def _psi_field(cfg, mesh) -> np.ndarray:
 
 
 def _anghel_report(cfg, path):
-    mesh = load_mesh(path, cfg.get("mesh_format"))
-    ops = assemble_operators(mesh)
+    src = _mesh_source(cfg, path)
     j = int(cfg["j"]) if cfg.get("j") is not None else 2
-    basis = _prooflab_basis(cfg, mesh, ops, default_count=j + 8)
-    return verify_anghel_lemma(mesh, ops, basis, j)
+    basis = _prooflab_basis(cfg, src, default_count=j + 8)
+    return verify_anghel_lemma(src["mesh"], src["ops"], basis, j)
 
 
 def cmd_prooflab(cfg) -> int:
@@ -802,12 +778,12 @@ def cmd_prooflab(cfg) -> int:
     if task == "anghel":
         report = _anghel_report(cfg, cfg["mesh"])
     else:
-        mesh = load_mesh(cfg["mesh"], cfg.get("mesh_format"))
-        ops = assemble_operators(mesh)
+        src = _mesh_source(cfg)
+        mesh, ops = src["mesh"], src["ops"]
         if task == "identities":
             report = coordinate_identities(mesh, ops)
         else:
-            basis = _prooflab_basis(cfg, mesh, ops)
+            basis = _prooflab_basis(cfg, src)
             j = int(cfg["j"]) if cfg.get("j") is not None else 1
             psi = _psi_field(cfg, mesh)
             trunc = None if cfg.get("trunc") is None else int(cfg["trunc"])

@@ -13,7 +13,6 @@ and sign conventions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import SolverConvergenceError, UsageError
 from .mesh import SparseOperatorPair
 from .models import IndexedSpectrum
 
-TOL_RANGE = (1e-14, 1e-2)
+TOL_RANGE = (1e-12, 1e-2)
 MAX_RESTARTS = 500
 MAX_POLISH_STEPS = 40
 GRAM_TOL = 1e-8
@@ -36,25 +35,23 @@ class EigenBasis(IndexedSpectrum):
     """Ascending eigenvalues with M-orthonormal eigenvectors as columns.
 
     Reads like a model :class:`~specgeom.models.Spectrum`: ``gamma(j)``,
-    ``gamma_bar(i)``, ``zero_dim`` and ``total_count``.
+    ``gamma_bar(i)``, ``zero_dim`` and ``total_count``.  ``zero_dim``
+    counts the kept values below ``ZERO_REL`` times the largest |value|
+    the solver computed, kept or not, so a basis of kernel values alone
+    still counts them all.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
     mass_gram_error: float
+    zero_dim: int
 
     @property
     def size(self) -> int:
         return len(self.values)
 
     total_count = size
-
-    @functools.cached_property
-    def zero_dim(self) -> int:
-        """Number of values below ``ZERO_REL`` times the largest |value|."""
-        scale = float(np.max(np.abs(self.values), initial=0.0)) or 1.0
-        return int(np.count_nonzero(self.values < ZERO_REL * scale))
 
     def _value(self, j: int) -> float:
         return float(self.values[j - 1])
@@ -116,9 +113,13 @@ def _residual_norms(ops, values, vectors):
     return residuals, np.maximum(1.0, np.linalg.norm(lv, axis=0))
 
 
-def _finalize(values, vectors, ops, tol):
+def _finalize(values, vectors, ops, tol, solved=None):
     """Fix signs and check the contract of pairs that arrive ascending and
-    M-orthonormal (from :func:`_ritz_extract` or ``scipy.linalg.eigh``)."""
+    M-orthonormal (from :func:`_ritz_extract` or ``scipy.linalg.eigh``).
+
+    ``solved`` holds every value computed, kept or not (default ``values``);
+    its largest |value| is the scale of the zero-mode count.
+    """
     vectors = _fix_signs(vectors)
     gram = vectors.T @ (vectors * ops.mass_diag[:, None])
     gram_error = float(np.max(np.abs(gram - np.eye(len(values)))))
@@ -131,11 +132,13 @@ def _finalize(values, vectors, ops, tol):
             bound=float(bounds.min()),
             gram_error=gram_error,
         )
+    scale = float(np.max(np.abs(values if solved is None else solved), initial=0.0))
     return EigenBasis(
         values=values,
         vectors=vectors,
         residuals=residuals,
         mass_gram_error=gram_error,
+        zero_dim=int(np.count_nonzero(values < ZERO_REL * (scale or 1.0))),
     )
 
 
@@ -205,7 +208,7 @@ def solve_smallest(
         values, vectors = _ritz_extract(ops, vectors)
     # release the factorization before the final checks allocate their blocks
     del lu
-    return _finalize(values[:k], vectors[:, :k], ops, tol)
+    return _finalize(values[:k], vectors[:, :k], ops, tol, solved=values)
 
 
 def dense_eigenbasis(ops: SparseOperatorPair, k: int | None = None) -> EigenBasis:
@@ -215,12 +218,12 @@ def dense_eigenbasis(ops: SparseOperatorPair, k: int | None = None) -> EigenBasi
         raise UsageError("dense path refused for %d vertices" % n, n=n)
     lmat = ops.stiffness.toarray()
     lmat = 0.5 * (lmat + lmat.T)
-    values, vectors = dla.eigh(lmat, ops.mass.toarray())
-    if k is not None:
-        if k < 1 or k > n:
-            raise UsageError("k must satisfy 1 <= k <= %d, got %d" % (n, k), k=k)
-        values, vectors = values[:k], vectors[:, :k]
-    return _finalize(values, vectors, ops, tol=1e-8)
+    solved, vectors = dla.eigh(lmat, ops.mass.toarray())
+    if k is None:
+        k = n
+    elif k < 1 or k > n:
+        raise UsageError("k must satisfy 1 <= k <= %d, got %d" % (n, k), k=k)
+    return _finalize(solved[:k], vectors[:, :k], ops, tol=1e-8, solved=solved)
 
 
 def clustered_entries(basis: EigenBasis) -> list[tuple[float, int]]:

@@ -10,6 +10,7 @@ R^3 are accepted; every violation is reported as a structured error.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -45,6 +46,19 @@ class MeshGeometry:
     @property
     def n_faces(self) -> int:
         return len(self.faces)
+
+    @functools.cached_property
+    def n_components(self) -> int:
+        """Connected components of the face graph: the kernel dimension of
+        the cotangent Laplacian, whose null space is the locally constant
+        functions.  Not read off the stiffness, as a cotangent can be 0."""
+        # imported on first use, so model-only commands skip its ~1 MiB
+        from scipy.sparse.csgraph import connected_components
+
+        heads = np.roll(self.faces, -1, axis=1).ravel()
+        edges = sparse.coo_matrix((np.ones(heads.size), (self.faces.ravel(), heads)),
+                                  shape=(self.n_vertices,) * 2)
+        return int(connected_components(edges, directed=False)[0])
 
 
 @dataclass(frozen=True)

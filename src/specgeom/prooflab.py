@@ -101,12 +101,7 @@ def expansion_coefficients(
     nondecreasing, at most the squared mass norm of Psi s_j) is validated
     on construction.
     """
-    if j < 1 or j > basis.size:
-        raise IndexRangeError(
-            "index %d outside basis of size %d" % (j, basis.size),
-            index=j,
-            length=basis.size,
-        )
+    basis.gamma(j)  # an index outside the basis is an IndexRangeError
     K = min(DEFAULT_TRUNCATION, basis.size) if trunc is None else trunc
     if K < 1 or K > basis.size:
         raise IndexRangeError(
@@ -162,11 +157,10 @@ def verify_prop31(
     The residual is the truncation tail plus discretization roundoff, so
     it vanishes to roundoff with a full dense basis and decays with K.
     """
+    lam_j = basis.gamma(j)
     table = expansion_coefficients(psi, basis, ops, j, trunc)
     K = table.truncation_K
-    lam = basis.values
-    lam_j = lam[j - 1]
-    lhs = float(np.sum((lam[:K] - lam_j) * table.coefficients**2))
+    lhs = float(np.sum((basis.values[:K] - lam_j) * table.coefficients**2))
 
     psi = np.asarray(psi, dtype=float)
     s = basis.vectors[:, j - 1]
@@ -241,15 +235,9 @@ def verify_anghel_lemma(
     interpolants and mass-averaged to vertices, so the left side carries a
     first-order discretization error that decays under refinement.
     """
-    if j < 1 or j > basis.size:
-        raise IndexRangeError(
-            "index %d outside basis of size %d" % (j, basis.size),
-            index=j,
-            length=basis.size,
-        )
+    lam_j = basis.gamma(j)
     mass = ops.mass_diag
     s = basis.vectors[:, j - 1]
-    lam_j = float(basis.values[j - 1])
     grad_s = face_gradients(mesh, s)
     lhs = 0.0
     for axis in range(3):

@@ -32,6 +32,18 @@ def two_sphere_file(two_sphere_mesh, tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def three_sphere_file(tmp_path_factory):
+    verts, faces = icosphere(2)
+    path = tmp_path_factory.mktemp("three") / "three.off"
+    write_off(
+        path,
+        np.vstack([verts + [5.0 * i, 0.0, 0.0] for i in range(3)]),
+        np.vstack([faces + i * len(verts) for i in range(3)]),
+    )
+    return str(path)
+
+
 @pytest.fixture
 def solve_sizes(monkeypatch):
     """The k of every sparse solve the CLI makes."""
@@ -107,6 +119,13 @@ class TestSpectrum:
         assert sidecar.exists()
         data = np.frombuffer(sidecar.read_bytes(), dtype="<f8")
         assert data.size == doc["vectors_shape"][0] * doc["vectors_shape"][1]
+
+    def test_tol_below_floor_rejected(self, ico_files, capsys):
+        code, _, err = run_json(
+            capsys, ["spectrum", "--mesh", ico_files[2], "--tol", "1e-13"]
+        )
+        assert code == 2
+        assert err["message"] == "tol 1e-13 outside [1e-12, 0.01]"
 
     def test_dirac_on_mesh_rejected(self, ico_files, capsys):
         code, _, err = run_json(
@@ -242,8 +261,9 @@ class TestCheck:
     def test_multi_component_mesh_sized_from_its_kernel(
         self, two_sphere_file, capsys, solve_sizes, argv
     ):
-        """Two components give a kernel of dimension 2, not the guessed 1: the
-        solve grows to the indices the check reads, as --count 4 gives."""
+        """Two components give a kernel of dimension 2, known before the
+        solve: one solve reaches the indices the check reads, as --count 4
+        gives, and --count 3 fails before any solve."""
         argv = ["check", "--mesh", two_sphere_file] + argv
         code, doc, _ = run_json(capsys, argv)
         assert code == 0
@@ -251,11 +271,37 @@ class TestCheck:
         code, doc_with_count, _ = run_json(capsys, argv + ["--count", "4"])
         assert code == 0
         assert doc == doc_with_count
-        assert solve_sizes == [3, 4, 4]
+        assert solve_sizes == [4, 4]
         code, _, err = run_json(capsys, argv + ["--count", "3"])
         assert code == 2
         assert err["message"] == "count 3 is below the 4 values the requested checks read"
         assert err["detail"] == {"parameter": "count", "required": 4}
+        assert solve_sizes == [4, 4]
+
+    def test_mesh_loaded_once(self, two_sphere_file, capsys, monkeypatch, solve_sizes):
+        import specgeom.cli as cli_mod
+
+        paths = []
+        real_load = cli_mod.load_mesh
+
+        def spy(path, fmt=None):
+            paths.append(path)
+            return real_load(path, fmt)
+
+        monkeypatch.setattr(cli_mod, "load_mesh", spy)
+        code, _, _ = run_json(capsys, ["check", "--ineq", "reilly1", "--mesh", two_sphere_file])
+        assert code == 0
+        assert paths == [two_sphere_file]
+        assert solve_sizes == [4]
+
+    def test_kernel_of_three_components_counted(self, three_sphere_file, capsys):
+        """With j = 1 every kept value is a kernel value; the count still
+        reads all three."""
+        code, doc, _ = run_json(
+            capsys, ["check", "--ineq", "main", "--mesh", three_sphere_file, "--j", "1"]
+        )
+        assert code == 0
+        assert doc["reports"][0]["params"]["zero_dim"] == 3
 
     def test_connected_mesh_solved_once(self, ico_files, capsys, solve_sizes):
         code, _, _ = run_json(capsys, ["check", "--ineq", "reilly1", "--mesh", ico_files[2]])

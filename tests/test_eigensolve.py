@@ -55,6 +55,8 @@ class TestSmallPencils:
             solve_smallest(ops, 2, tol=1.0)
         with pytest.raises(UsageError):
             solve_smallest(ops, 2, tol=0.0)
+        with pytest.raises(UsageError):
+            solve_smallest(ops, 2, tol=1e-13)
 
     def test_mass_scaling(self):
         """M -> cM divides the values by c and the vectors by sqrt(c)."""
@@ -195,6 +197,20 @@ class TestReadInterface:
                     lambda: basis.gamma_bar(0), lambda: basis.gamma_bar(9 - kernel)):
             with pytest.raises(IndexRangeError):
                 bad()
+
+    @pytest.mark.parametrize("kernel, dense", [(1, False), (2, False), (1, True)])
+    def test_zero_dim_when_only_kernel_values_are_kept(
+        self, ico_ops, two_sphere_mesh, kernel, dense
+    ):
+        """The zero-mode scale comes from every value solved (the sparse
+        pad, the whole dense spectrum), so a basis of kernel values alone
+        counts them all."""
+        ops = ico_ops(1) if kernel == 1 else assemble_operators(two_sphere_mesh)
+        if dense:
+            basis = dense_eigenbasis(ops, k=kernel)
+        else:
+            basis = solve_smallest(ops, kernel, seed=0)
+        assert basis.size == basis.zero_dim == kernel
 
     def test_past_the_end_error_matches_model_spectrum(self, ico_ops):
         basis = solve_smallest(ico_ops(3), 9, seed=0)

@@ -191,6 +191,24 @@ def test_matches_golden(name, meshes):
     assert_same(_parse(out), _parse((GOLDEN / (name + ".out")).read_text()))
 
 
+@pytest.mark.parametrize(
+    "name", sorted(n for n, argv in CORPUS.items() if argv[0] == "check" and "--mesh" in argv)
+)
+def test_mesh_check_solves_once(name, meshes, monkeypatch):
+    """A mesh's kernel dimension is known before its solve, so each mesh
+    check makes exactly one sparse solve."""
+    sizes = []
+    real_solve = cli.solve_smallest
+
+    def spy(ops, k, **kwargs):
+        sizes.append(k)
+        return real_solve(ops, k, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_smallest", spy)
+    run(name, meshes)
+    assert len(sizes) == 1
+
+
 def test_every_ineq_id_is_covered():
     used = set()
     for argv in CORPUS.values():

@@ -143,6 +143,31 @@ class TestValidation:
         assert (type(exc.value), exc.value.detail["edge"]) == expected
 
 
+class TestComponents:
+    """``n_components`` counts the components of the face graph."""
+
+    @staticmethod
+    def spheres(k):
+        verts, faces = icosphere(1)
+        return mesh_from_arrays(
+            np.vstack([verts + [5.0 * i, 0.0, 0.0] for i in range(k)]),
+            np.vstack([faces + i * len(verts) for i in range(k)]),
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_disjoint_spheres(self, k):
+        assert self.spheres(k).n_components == k
+
+    def test_bowtie_is_one_component(self):
+        """Two tetrahedra that share vertex 0: a function constant on each
+        must agree there, so the kernel is one-dimensional."""
+        verts = np.vstack([TET_VERTS, 2.0 * TET_VERTS[0] - TET_VERTS[1:]])
+        mirrored = np.where(TET_FACES == 0, 0, TET_FACES + 3)[:, ::-1]
+        mesh = mesh_from_arrays(verts, np.vstack([TET_FACES, mirrored]))
+        assert mesh.n_vertices == 7
+        assert mesh.n_components == 1
+
+
 def reference_edge_error(faces):
     """(error type, edge) that validation must report, or None."""
     directed = [(f[a], f[b]) for f in faces.tolist()
