@@ -106,6 +106,11 @@ CORPUS = {
         "spectrum", "--model", "torus", "--lattice",
         "6.283185307179586 0; 0 6.283185307179586", "--spin", "0,1/2",
         "--count", "8"],
+    # shells closer than VALUE_GROUP_RTOL to their neighbours but not to
+    # their shell's first value: grouping by neighbour gaps alone differs
+    "spectrum-near-square-torus": [
+        "spectrum", "--model", "torus", "--lattice", "1 0; 0 1.0000000005384615",
+        "--operator", "laplace", "--count", "256"],
     "spectrum-mesh": ["spectrum", *MESH, "--count", "5"],
     # errors: exit 1 or 2 with one JSON object on stderr
     "error-unknown-id": ["check", "--ineq", "main,nope", *SPHERE_L],
