@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .eigensolve import dense_eigenbasis, solve_smallest
+from .eigensolve import check_tol, dense_eigenbasis, solve_smallest
 from .errors import SolverConvergenceError, SpecGeomError, UsageError
 from .inequalities import (
     WeightedCurvatureTerms,
@@ -308,10 +308,12 @@ def _model_source(cfg) -> dict:
 
 
 def _mesh_source(cfg, path=None) -> dict:
-    """Mesh source, loaded, validated and assembled once, here; its kernel
-    dimension is its number of connected components.  ``build(count)``
-    solves and fills in the provenance."""
+    """Mesh source, loaded, validated and assembled once, here.
+    ``build(count)`` solves and fills in the provenance."""
     path = cfg["mesh"] if path is None else path
+    # the solver checks tol too, but only after the mesh is loaded and assembled
+    tol = float(cfg["tol"])
+    check_tol(tol)
     mesh = load_mesh(path, cfg.get("mesh_format"))
     if _resolve_operator(cfg) != "laplace":
         raise UsageError(
@@ -326,7 +328,7 @@ def _mesh_source(cfg, path=None) -> dict:
                 count=count,
                 vertices=mesh.n_vertices,
             )
-        basis = solve_smallest(ops, count, tol=float(cfg["tol"]), seed=int(cfg["seed"]))
+        basis = solve_smallest(ops, count, tol=tol, seed=int(cfg["seed"]))
         src["provenance"] = {
             "spectrum": "mesh:%s laplace count=%d seed=%d"
             % (os.path.basename(str(path)), count, int(cfg["seed"])),
@@ -334,8 +336,8 @@ def _mesh_source(cfg, path=None) -> dict:
         }
         return basis
 
-    src = {"kind": "mesh", "n": 2, "zero_dim": mesh.n_components, "operator": "laplace",
-           "mesh": mesh, "ops": ops, "build": build}
+    src = {"kind": "mesh", "n": 2, "operator": "laplace", "mesh": mesh, "ops": ops,
+           "build": build}
     return src
 
 
@@ -616,11 +618,14 @@ INEQS = {
 
 def _check_spectrum(cfg, checks, jlist):
     """The source and its spectrum, resolved up to the highest index read,
-    with the kernel dimension from --m or from the source."""
+    with the kernel dimension from --m or from the source; a mesh's kernel
+    dimension is its number of connected components."""
     src = _source(cfg)
     if src is None:
         raise UsageError("check needs --model, --mesh, or a probe lattice")
-    m = src["zero_dim"] if cfg.get("m") is None else cfg["m"]
+    m = cfg.get("m")
+    if m is None:
+        m = src["mesh"].n_components if src["kind"] == "mesh" else src["zero_dim"]
     need = max([1] + [c.reads(max(jlist), src["n"], m, cfg) for c in checks])
     if cfg.get("count") is not None and cfg["count"] < need:
         raise UsageError(
@@ -682,6 +687,10 @@ def _parse_grid(text) -> list:
         start, stop, step = (float(tok) for tok in str(text).split(":"))
     except ValueError:
         raise UsageError("ratio grid must look like start:stop:step, got %r" % text)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(
+            "ratio grid %r must be finite" % text, start=start, stop=stop, step=step
+        )
     if step <= 0.0:
         raise UsageError("grid step must be positive, got %s" % format_float(step))
     steps = int(math.floor((stop - start) / step + 0.5))
@@ -697,6 +706,8 @@ def cmd_sweep(cfg) -> int:
         raise UsageError("sweep needs --ratio-grid", parameter="ratio_grid")
     ratios = _parse_grid(cfg["ratio_grid"])
     area = float(cfg["area"])
+    if not (math.isfinite(area) and area > 0.0):
+        raise UsageError("sweep area must be finite and positive, got %r" % area, area=area)
     count = int(cfg["count"])
     rows = []
     for ratio in ratios:

@@ -142,6 +142,12 @@ def _finalize(values, vectors, ops, tol, solved=None):
     )
 
 
+def check_tol(tol: float) -> None:
+    """Reject a solver tolerance outside ``TOL_RANGE``."""
+    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
+        raise UsageError("tol %g outside [%g, %g]" % (tol, *TOL_RANGE), tol=tol)
+
+
 def solve_smallest(
     ops: SparseOperatorPair, k: int, tol: float = 1e-9, seed: int = 0
 ) -> EigenBasis:
@@ -154,8 +160,7 @@ def solve_smallest(
     n = ops.stiffness.shape[0]
     if k < 1 or k >= n:
         raise UsageError("k must satisfy 1 <= k < %d, got %d" % (n, k), k=k)
-    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
-        raise UsageError("tol %g outside [%g, %g]" % (tol, *TOL_RANGE), tol=tol)
+    check_tol(tol)
 
     # shift slightly below the spectrum so the kernel maps to the largest
     # transformed eigenvalues and is found first; the one factorization of

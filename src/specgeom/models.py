@@ -328,22 +328,56 @@ def _shifted_dual_norms(lat: Lattice, shift, count: int) -> np.ndarray:
     raise InvalidModelError("dual lattice enumeration failed to converge")
 
 
-def _group_values(norms: np.ndarray) -> list[tuple[float, int]]:
-    """Group a sorted value array into (value, multiplicity) shells."""
-    shells: list[tuple[float, int]] = []
-    for v in norms:
-        v = float(v)
-        if shells and v - shells[-1][0] <= VALUE_GROUP_RTOL * max(abs(v), 1e-30):
-            shells[-1] = (shells[-1][0], shells[-1][1] + 1)
-        else:
-            # snap near-zero enumeration roundoff to an exact kernel value
-            shells.append((0.0 if abs(v) < 1e-30 else v, 1))
-    return shells
+def _snap_zero(values: np.ndarray) -> np.ndarray:
+    # near-zero enumeration roundoff becomes an exact kernel value
+    return np.where(np.abs(values) < 1e-30, 0.0, values)
+
+
+def _first_value_breaks(norms, tol, start, stop) -> list[int]:
+    """Shell starts inside ``norms[start:stop]``, a run that begins a shell,
+    found value by value: a value more than its tol above the current
+    shell's first value starts the next shell."""
+    breaks = []
+    first = _snap_zero(norms[start])
+    for i in range(start + 1, stop):
+        if norms[i] - first > tol[i]:
+            breaks.append(i)
+            first = _snap_zero(norms[i])
+    return breaks
+
+
+def _group_values(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group a sorted nonnegative value array into shells.
+
+    A value joins the current shell when it exceeds the shell's first value
+    by at most ``VALUE_GROUP_RTOL * max(|v|, 1e-30)``; a shell's first value
+    below 1e-30 is reported as an exact 0.  Returns the shells' values and
+    multiplicities.
+    """
+    tol = VALUE_GROUP_RTOL * np.maximum(np.abs(norms), 1e-30)
+    # a gap to the previous value beyond tol is a gap to the shell's first
+    # value too, which is no larger, so every candidate start is a start
+    starts = np.flatnonzero(np.diff(norms, prepend=-np.inf) > tol)
+    lengths = np.diff(np.append(starts, norms.size))
+    # a candidate whose members all lie within tol of its first value is a
+    # shell; a chain of close neighbours that drifts further is re-split
+    over = norms - np.repeat(_snap_zero(norms[starts]), lengths) > tol
+    over[starts] = False
+    if over.any():
+        chains = np.unique(np.searchsorted(starts, np.flatnonzero(over), side="right") - 1)
+        extra = [i for c in chains for i in
+                 _first_value_breaks(norms, tol, starts[c], starts[c] + lengths[c])]
+        starts = np.union1d(starts, extra)
+        lengths = np.diff(np.append(starts, norms.size))
+    return _snap_zero(norms[starts]), lengths
 
 
 def _torus_spectrum(lat, shift, count, mult_factor, operator_kind):
-    norms = _shifted_dual_norms(lat, shift, count)
-    shells = [(v, m * mult_factor) for v, m in _group_values(norms)]
+    values, mults = _group_values(_shifted_dual_norms(lat, shift, count))
+    mults = mults * mult_factor
+    # the shells up to the first one at which the running count covers count
+    kept = int(np.searchsorted(np.cumsum(mults), count)) + 1
+    shells = zip(values[:kept].tolist(), mults[:kept].tolist())
     entries = _entries_from_shells(shells, count)
     zero_dim = entries[0][1] if entries[0][0] == 0.0 else 0
     return Spectrum(operator_kind, entries, zero_dim)

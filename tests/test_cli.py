@@ -60,6 +60,22 @@ def solve_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def loaded_meshes(monkeypatch):
+    """Every mesh the CLI loads."""
+    import specgeom.cli as cli_mod
+
+    meshes = []
+    real_load = cli_mod.load_mesh
+
+    def spy(path, fmt=None):
+        meshes.append(real_load(path, fmt))
+        return meshes[-1]
+
+    monkeypatch.setattr(cli_mod, "load_mesh", spy)
+    return meshes
+
+
 def run_json(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -120,12 +136,14 @@ class TestSpectrum:
         data = np.frombuffer(sidecar.read_bytes(), dtype="<f8")
         assert data.size == doc["vectors_shape"][0] * doc["vectors_shape"][1]
 
-    def test_tol_below_floor_rejected(self, ico_files, capsys):
-        code, _, err = run_json(
-            capsys, ["spectrum", "--mesh", ico_files[2], "--tol", "1e-13"]
-        )
+    def test_tol_below_floor_rejected(self, ico_files, capsys, loaded_meshes):
+        code = main(["spectrum", "--mesh", ico_files[2], "--tol", "1e-13"])
         assert code == 2
-        assert err["message"] == "tol 1e-13 outside [1e-12, 0.01]"
+        assert capsys.readouterr().err == (
+            '{"kind": "usage", "message": "tol 1e-13 outside [1e-12, 0.01]", '
+            '"detail": {"tol": 1e-13}}\n'
+        )
+        assert loaded_meshes == []
 
     def test_dirac_on_mesh_rejected(self, ico_files, capsys):
         code, _, err = run_json(
@@ -294,6 +312,19 @@ class TestCheck:
         assert paths == [two_sphere_file]
         assert solve_sizes == [4]
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--count", "4"],
+        ["prooflab", "--task", "identities"],
+        ["check", "--ineq", "reilly1", "--m", "1"],
+    ])
+    def test_components_counted_only_for_check_without_m(
+        self, ico_files, capsys, loaded_meshes, argv
+    ):
+        assert main([*argv, "--mesh", ico_files[2]]) == 0
+        assert "n_components" not in loaded_meshes[0].__dict__
+        assert main(["check", "--ineq", "reilly1", "--mesh", ico_files[2]]) == 0
+        assert loaded_meshes[1].__dict__["n_components"] == 1
+
     def test_kernel_of_three_components_counted(self, three_sphere_file, capsys):
         """With j = 1 every kept value is a kernel value; the count still
         reads all three."""
@@ -441,6 +472,22 @@ class TestSweep:
         code, _, err = run_json(capsys, ["sweep", "--config", str(cfg)])
         assert code == 2
         assert err["detail"] == {"key": "family"}
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["--ratio-grid", "nan:1:0.1"], {"start": "nan", "stop": 1, "step": 0.1}),
+        (["--ratio-grid", "1:inf:0.1"], {"start": 1, "stop": "inf", "step": 0.1}),
+        (["--ratio-grid", "1:1.1:0.1", "--area", "-1"], {"area": -1}),
+        (["--ratio-grid", "1:1.1:0.1", "--area", "nan"], {"area": "nan"}),
+    ])
+    def test_non_finite_or_negative_inputs_exit_2(self, capsys, argv, detail):
+        code, doc, err = run_json(capsys, ["sweep", *argv])
+        assert (code, doc, err["kind"], err["detail"]) == (2, None, "usage", detail)
+
+    def test_non_finite_area_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"ratio_grid": "1:1.1:0.1", "area": "nan"}\n')
+        code, doc, err = run_json(capsys, ["sweep", "--config", str(cfg)])
+        assert (code, doc, err["kind"], err["detail"]) == (2, None, "usage", {"area": "nan"})
 
     def test_rows_sorted_by_ratio_then_spin(self, tmp_path):
         out = tmp_path / "s.csv"

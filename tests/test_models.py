@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specgeom import cli, models
 from specgeom.errors import (
     EmptyRequestError,
     IndexRangeError,
@@ -14,6 +15,7 @@ from specgeom.errors import (
     NonUnitVectorError,
 )
 from specgeom.models import (
+    VALUE_GROUP_RTOL,
     Lattice,
     ModelExtrinsic,
     SpinStructure,
@@ -237,6 +239,87 @@ class TestTorusSpectra:
         spin = all_spin_structures(2)[spin_index]
         vals = torus_dirac_spectrum(lat, spin, count).values(count)
         assert np.all(np.diff(vals) >= -1e-15)
+
+
+def reference_group_values(norms):
+    """The original per-value grouping loop, kept verbatim as the oracle."""
+    shells = []
+    for v in norms:
+        v = float(v)
+        if shells and v - shells[-1][0] <= VALUE_GROUP_RTOL * max(abs(v), 1e-30):
+            shells[-1] = (shells[-1][0], shells[-1][1] + 1)
+        else:
+            # snap near-zero enumeration roundoff to an exact kernel value
+            shells.append((0.0 if abs(v) < 1e-30 else v, 1))
+    return shells
+
+
+def grouped(norms):
+    values, mults = models._group_values(np.asarray(norms, dtype=float))
+    return list(zip(values.tolist(), mults.tolist()))
+
+
+@st.composite
+def shell_arrays(draw):
+    """Sorted nonnegative arrays of exact zeros, values below 1e-30, and
+    chains whose neighbours lie 0.3-1.5 tolerances apart, so that a chain
+    can drift past its first value's tolerance."""
+    values = [0.0] * draw(st.integers(min_value=0, max_value=3))
+    values += draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e-30, exclude_max=True), max_size=4))
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        v = draw(st.floats(min_value=0.0, max_value=1e6))
+        values.append(v)
+        for step in draw(st.lists(st.floats(min_value=0.3, max_value=1.5), max_size=12)):
+            v += step * VALUE_GROUP_RTOL * max(v, 1e-30)
+            values.append(v)
+    return np.sort(np.array(values, dtype=float))
+
+
+class TestShellGrouping:
+    @settings(deadline=None, max_examples=300)
+    @given(shell_arrays())
+    def test_matches_reference_loop(self, norms):
+        assert grouped(norms) == reference_group_values(norms)
+
+    def test_kernel_snap_and_empty_input(self):
+        assert grouped([0.0, 0.0, 5e-31, 2.0, 2.0]) == reference_group_values(
+            [0.0, 0.0, 5e-31, 2.0, 2.0])
+        assert grouped([2e-40, 9e-40, 1.0]) == [(0.0, 2), (1.0, 1)]
+        assert grouped([]) == []
+
+    def test_near_square_chain_is_resplit(self, monkeypatch):
+        """diag(1, 1 + 5.4e-10): neighbouring shells lie within tolerance of
+        each other but not of their shell's first value."""
+        calls = []
+        real = models._first_value_breaks
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(models, "_first_value_breaks", spy)
+        lat = Lattice(np.diag([1.0, 1.0000000005384615]))
+        norms = models._shifted_dual_norms(lat, np.zeros(2), 256)
+        assert grouped(norms) == reference_group_values(norms)
+        assert calls
+        spec = torus_laplace_spectrum(lat, 256)
+        want = models._entries_from_shells(reference_group_values(norms), 256)
+        assert spec.entries == want
+
+    def test_benchmark_grid_needs_no_resplit(self, monkeypatch, capsys):
+        """Over the sweep's 351 ratios x 4 spin structures every candidate
+        shell from neighbour gaps is already a shell."""
+        calls, groupings = [], []
+        real = models._group_values
+        monkeypatch.setattr(models, "_first_value_breaks",
+                            lambda *args: calls.append(args) or [])
+        monkeypatch.setattr(models, "_group_values",
+                            lambda norms: groupings.append(norms) or real(norms))
+        assert cli.main(["sweep", "--ratio-grid", "0.5:4.0:0.01", "--count", "256"]) == 0
+        capsys.readouterr()
+        assert len(groupings) == 351 * 4
+        assert calls == []
 
 
 class TestModelExtrinsic:
