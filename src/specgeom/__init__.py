@@ -7,7 +7,6 @@ an inequality engine that evaluates eigenvalue bounds with margin reports.
 
 from .eigensolve import (
     EigenBasis,
-    clustered_entries,
     dense_eigenbasis,
     solve_smallest,
 )
@@ -20,7 +19,6 @@ from .errors import (
     InvalidModelError,
     MeshParseError,
     MeshValidationError,
-    NonUnitVectorError,
     NormalizationError,
     SolverConvergenceError,
     SpecGeomError,
@@ -62,12 +60,9 @@ from .models import (
     all_spin_structures,
     clifford_torus_lattice,
     field_dimension,
-    hermitian_inner,
-    model_extrinsic,
     product_torus_extrinsic,
-    projective_center_distance_sq,
-    projective_embedding_point,
     sphere_dirac_spectrum,
+    sphere_extrinsic,
     sphere_laplace_spectrum,
     sphere_volume,
     torus_dirac_spectrum,
@@ -79,7 +74,6 @@ from .prooflab import (
     ResidualReport,
     coordinate_identities,
     expansion_coefficients,
-    gram_schmidt_upper,
     verify_anghel_lemma,
     verify_prop31,
 )

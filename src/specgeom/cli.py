@@ -49,9 +49,9 @@ from .models import (
     Lattice,
     SpinStructure,
     clifford_torus_lattice,
-    model_extrinsic,
     product_torus_extrinsic,
     sphere_dirac_spectrum,
+    sphere_extrinsic,
     sphere_laplace_spectrum,
     torus_dirac_spectrum,
     torus_laplace_spectrum,
@@ -261,7 +261,7 @@ def _model_source(cfg) -> dict:
             "kind": "model",
             "n": n,
             "build": lambda count: spectrum(n, radius, count),
-            "extr": model_extrinsic("sphere", n=n, radius=radius),
+            "extr": sphere_extrinsic(n, radius),
             "radius": radius,
             "zero_dim": 0 if dirac else 1,
             "operator": operator,

@@ -229,20 +229,3 @@ def dense_eigenbasis(ops: SparseOperatorPair, k: int | None = None) -> EigenBasi
     elif k < 1 or k > n:
         raise UsageError("k must satisfy 1 <= k <= %d, got %d" % (n, k), k=k)
     return _finalize(solved[:k], vectors[:, :k], ops, tol=1e-8, solved=solved)
-
-
-def clustered_entries(basis: EigenBasis) -> list[tuple[float, int]]:
-    """Group computed values into multiplicity clusters.
-
-    Gap threshold 1e-6 times the largest returned value; raw values stay
-    available on the basis, this is for reporting only.
-    """
-    gap = 1e-6 * (float(np.max(np.abs(basis.values), initial=0.0)) or 1.0)
-    clusters: list[list[float]] = []
-    for v in basis.values:
-        if clusters and v - clusters[-1][-1] <= gap:
-            clusters[-1].append(float(v))
-        else:
-            clusters.append([float(v)])
-    return [(float(np.mean(c)), len(c)) for c in clusters]
-

@@ -38,12 +38,6 @@ class EmptyRequestError(SpecGeomError):
     kind = "empty-request"
 
 
-class NonUnitVectorError(SpecGeomError):
-    """Input vector is not normalized to the required tolerance."""
-
-    kind = "non-unit"
-
-
 class MeshParseError(SpecGeomError):
     """Mesh file could not be parsed; carries the offending line number."""
 

@@ -84,8 +84,7 @@ class ExtrinsicData:
 
     ``B_sq`` is derived through the Gauss identity n^2 H^2 - S with n = 2
     and clamped at zero; ``clamped`` counts the vertices where the clamp
-    engaged.  ``kappa`` is the curvature term of the function bundle, which
-    vanishes identically.
+    engaged.
     """
 
     H_sq: np.ndarray
@@ -93,7 +92,6 @@ class ExtrinsicData:
     B_sq: np.ndarray
     willmore: float
     volume: float
-    kappa: float
     clamped: int
 
 
@@ -458,10 +456,8 @@ def scalar_curvature_field(mesh: MeshGeometry) -> np.ndarray:
     return 2.0 * angle_defects(mesh) / mesh.vertex_area
 
 
-def extrinsic_summary(mesh: MeshGeometry, ops: SparseOperatorPair | None = None) -> ExtrinsicData:
+def extrinsic_summary(mesh: MeshGeometry, ops: SparseOperatorPair) -> ExtrinsicData:
     """All extrinsic curvature fields plus the Willmore energy."""
-    if ops is None:
-        ops = assemble_operators(mesh)
     H_sq = mean_curvature_field(mesh, ops)
     S = scalar_curvature_field(mesh)
     B_raw = 4.0 * H_sq - S
@@ -474,6 +470,5 @@ def extrinsic_summary(mesh: MeshGeometry, ops: SparseOperatorPair | None = None)
         B_sq=B_sq,
         willmore=willmore,
         volume=mesh.total_area,
-        kappa=0.0,
         clamped=clamped,
     )

@@ -1,10 +1,10 @@
 """Closed-form spectra and extrinsic constants for model manifolds.
 
-Covers round spheres (squared Dirac operator and scalar Laplacian), flat
-tori given by a lattice and a spin structure, and the standard projective
-model surfaces.  Eigenvalues are always reported for nonnegative operators
-(the Dirac operator enters through its square), ascending, with exact
-multiplicities.
+Covers round spheres (squared Dirac operator and scalar Laplacian) and flat
+tori given by a lattice and a spin structure, with the extrinsic constants
+of round spheres and of products of two circles.  Eigenvalues are always
+reported for nonnegative operators (the Dirac operator enters through its
+square), ascending, with exact multiplicities.
 
 Conventions
 -----------
@@ -33,7 +33,6 @@ from .errors import (
     InconsistentKernelError,
     IndexRangeError,
     InvalidModelError,
-    NonUnitVectorError,
 )
 
 # Distinct eigenvalue shells of the model operators are separated by gaps of
@@ -451,74 +450,34 @@ class ModelExtrinsic:
 FIELD_DIMENSION = {"R": 1, "C": 2, "Q": 4}
 
 
-def field_dimension(field_id) -> int:
-    """Real dimension of the base field: R -> 1, C -> 2, Q -> 4.
-
-    Accepts the letter or the dimension itself.
-    """
-    if field_id in (1, 2, 4):
-        return int(field_id)
+def field_dimension(field_id: str) -> int:
+    """Real dimension of the base field: R -> 1, C -> 2, Q -> 4."""
     try:
         return FIELD_DIMENSION[field_id]
     except (KeyError, TypeError):
         raise InvalidModelError("unknown base field %r" % (field_id,), field=field_id)
 
 
-def _projective_constants(field_id: str, m: int) -> ModelExtrinsic:
-    """Extrinsic constants of FP^m under its standard isometric embedding
-    into the Hermitian matrices, normalized so the (F-sectional) curvature
-    maximum is 4 (real case: constant curvature 1).
+def sphere_extrinsic(n: int, radius: float) -> ModelExtrinsic:
+    """Extrinsic constants of the round sphere S^n(radius) in R^(n+1).
 
-    The embedding is minimal in a round hypersphere, so the Euclidean mean
-    curvature square is the equality case 2(n + d_F)/n of the projective
-    mean-curvature bound.
+    Raises ``InvalidModelError`` when a constant is not a finite float,
+    as for radii whose square overflows or underflows to 0, or dimensions
+    whose volume overflows.
     """
-    d = field_dimension(field_id)
-    if m < 1 or int(m) != m:
-        raise InvalidModelError("projective dimension %r out of range" % (m,), m=m)
-    n = d * m
-    H_sq = 2.0 * (n + d) / n
-    if field_id == "R":
-        S = float(n * (n - 1))
-        volume = sphere_volume(m) / 2.0
-    elif field_id == "C":
-        S = float(n * (n + 2))
-        volume = math.pi**m / math.factorial(m)
-    else:
-        S = float(n * (n + 8))
-        volume = math.pi ** (2 * m) / math.factorial(2 * m + 1)
-    B_sq = n**2 * H_sq - S
-    return ModelExtrinsic(n, H_sq, B_sq, S, volume, S / 4.0)
-
-
-def model_extrinsic(model_id: str, **params) -> ModelExtrinsic:
-    """Extrinsic constants of a named homogeneous model.
-
-    Supported ids: ``sphere`` (n, radius), ``clifford_torus``,
-    ``veronese_rp2``, ``projective_point_model`` (field, m).
-    """
-    if model_id == "sphere":
-        n = params.get("n", 2)
-        radius = params.get("radius", 1.0)
-        if n < 1 or radius <= 0:
-            raise InvalidModelError("bad sphere parameters", n=n, radius=radius)
+    if n < 1 or radius <= 0:
+        raise InvalidModelError("bad sphere parameters", n=n, radius=radius)
+    try:
         r2 = radius**2
-        return ModelExtrinsic(
-            n,
-            1.0 / r2,
-            n / r2,
-            n * (n - 1) / r2,
-            sphere_volume(n, radius),
-            n * (n - 1) / (4.0 * r2),
+        consts = (1.0 / r2, n / r2, n * (n - 1) / r2, sphere_volume(n, radius),
+                  n * (n - 1) / (4.0 * r2))
+    except (OverflowError, ZeroDivisionError):
+        consts = (math.inf,)
+    if not all(math.isfinite(c) for c in consts):
+        raise InvalidModelError(
+            "sphere constants are not finite floats", n=n, radius=radius
         )
-    if model_id == "clifford_torus":
-        # S^1(1/sqrt2) x S^1(1/sqrt2) in S^3(1): flat, |Delta x|^2 sums to 4
-        return ModelExtrinsic(2, 1.0, 4.0, 0.0, 2.0 * math.pi**2, 0.0)
-    if model_id == "veronese_rp2":
-        return _projective_constants("R", 2)
-    if model_id == "projective_point_model":
-        return _projective_constants(params.get("field", "C"), params.get("m", 1))
-    raise InvalidModelError("unknown model id %r" % (model_id,), model_id=model_id)
+    return ModelExtrinsic(n, *consts)
 
 
 def product_torus_extrinsic(r1: float, r2: float) -> tuple[Lattice, ModelExtrinsic]:
@@ -540,93 +499,3 @@ def product_torus_extrinsic(r1: float, r2: float) -> tuple[Lattice, ModelExtrins
         0.0,
     )
     return lat, extr
-
-
-# ---------------------------------------------------------------------------
-# projective-space embedding points and quaternion helpers
-
-
-def quat_conj(q: np.ndarray) -> np.ndarray:
-    """Quaternion conjugate, negating all three imaginary components."""
-    out = np.array(q, dtype=float, copy=True)
-    out[..., 1:] *= -1.0
-    return out
-
-
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product, broadcasting over leading axes."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    w1, x1, y1, z1 = (a[..., i] for i in range(4))
-    w2, x2, y2, z2 = (b[..., i] for i in range(4))
-    return np.stack(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ],
-        axis=-1,
-    )
-
-
-def quat_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of quaternion matrices, shapes (m,k,4) x (k,p,4)."""
-    prod = quat_mul(a[:, :, None, :], b[None, :, :, :])
-    return prod.sum(axis=1)
-
-
-def _embed_norm_sq(z: np.ndarray, field_id: str) -> float:
-    if field_id == "Q":
-        return float(np.sum(np.asarray(z, dtype=float) ** 2))
-    return float(np.sum(np.abs(np.asarray(z)) ** 2))
-
-
-def projective_embedding_point(z: np.ndarray, field_id: str) -> np.ndarray:
-    """The rank-one Hermitian projector z z* onto the line through z.
-
-    ``z`` must be a unit vector: real shape (m+1,), complex shape (m+1,),
-    quaternion shape (m+1, 4).  The returned matrix is Hermitian and
-    idempotent and has trace one; it is the image of the point [z] under
-    the isometric embedding of FP^m into the Hermitian matrices.
-    """
-    d = field_dimension(field_id)
-    z = np.asarray(z)
-    if field_id == "Q":
-        if z.ndim != 2 or z.shape[1] != 4:
-            raise InvalidModelError("quaternion vector must have shape (m+1, 4)")
-    elif z.ndim != 1:
-        raise InvalidModelError("vector must be one-dimensional")
-    norm_sq = _embed_norm_sq(z, field_id)
-    if abs(norm_sq - 1.0) > 1e-12:
-        raise NonUnitVectorError(
-            "input vector has squared norm %r" % (norm_sq,), norm_sq=norm_sq
-        )
-    if field_id == "R":
-        return np.outer(z.astype(float), z.astype(float))
-    if field_id == "C":
-        zc = z.astype(complex)
-        return np.outer(zc, np.conj(zc))
-    return quat_mul(z[:, None, :], quat_conj(z)[None, :, :])
-
-
-def hermitian_inner(p: np.ndarray, q: np.ndarray, field_id: str) -> float:
-    """Inner product <P, Q> = (1/2) Re tr(PQ) on Hermitian matrices."""
-    field_dimension(field_id)
-    if field_id == "Q":
-        prod = quat_matmul(p, q)
-        return 0.5 * float(np.trace(prod[:, :, 0]))
-    return 0.5 * float(np.real(np.trace(p @ q)))
-
-
-def projective_center_distance_sq(p: np.ndarray, field_id: str) -> float:
-    """Squared distance of an embedding point to the center I/(m+1)."""
-    if field_id == "Q":
-        m1 = p.shape[0]
-        center = np.zeros_like(p)
-        center[np.arange(m1), np.arange(m1), 0] = 1.0 / m1
-    else:
-        m1 = p.shape[0]
-        center = np.eye(m1, dtype=p.dtype) / m1
-    diff = p - center
-    return hermitian_inner(diff, diff, field_id)

@@ -186,43 +186,6 @@ def verify_prop31(
     )
 
 
-def gram_schmidt_upper(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal P with Q = P A upper triangular, deterministically.
-
-    Householder reflections applied column by column; the sign is fixed so
-    the diagonal of Q is nonnegative where nonzero.  Rank-deficient input
-    is fine: zero columns pass through untouched.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise UsageError("need a square matrix, got shape %r" % (a.shape,))
-    if not np.all(np.isfinite(a)):
-        raise UsageError("matrix entries must be finite")
-    m = a.shape[0]
-    p = np.eye(m)
-    q = a.copy()
-    for col in range(m):
-        x = q[col:, col]
-        norm = np.linalg.norm(x)
-        if norm <= 1e-300:
-            continue
-        # reflector sending x to +norm * e_1; sign chosen for stability,
-        # then the row is flipped if the diagonal came out negative
-        u = x.copy()
-        u[0] += norm if x[0] >= 0 else -norm
-        u_norm = np.linalg.norm(u)
-        if u_norm <= 1e-300:
-            continue
-        u /= u_norm
-        q[col:, :] -= 2.0 * np.outer(u, u @ q[col:, :])
-        p[col:, :] -= 2.0 * np.outer(u, u @ p[col:, :])
-        if q[col, col] < 0.0:
-            q[col, :] *= -1.0
-            p[col, :] *= -1.0
-        q[col + 1 :, col] = 0.0
-    return p, q
-
-
 def verify_anghel_lemma(
     mesh: MeshGeometry, ops: SparseOperatorPair, basis, j: int
 ) -> ResidualReport:

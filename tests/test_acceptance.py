@@ -37,7 +37,6 @@ from specgeom.models import (
 )
 from specgeom.prooflab import (
     expansion_coefficients,
-    gram_schmidt_upper,
     verify_anghel_lemma,
     verify_prop31,
 )
@@ -241,8 +240,8 @@ def test_criterion_06_dirac_model_suite():
 
 
 def test_criterion_07_prooflab_oracle_suite():
-    """Expansion identity, Bessel bounds, and the triangularization oracle
-    on a 162-vertex mesh with its full dense basis."""
+    """Expansion identity and Bessel bounds on a 162-vertex mesh with its
+    full dense basis."""
     budget = Budget(30.0)
     verts, faces = icosphere(2)
     mesh = mesh_from_arrays(verts, faces)
@@ -262,28 +261,11 @@ def test_criterion_07_prooflab_oracle_suite():
         assert np.all(np.diff(partial) >= -1e-15)
         assert partial[-1] <= table.psi_norm_sq + 1e-10
 
-    worst_qr = 0.0
-    rng = np.random.default_rng(1234)
-    for _ in range(100):
-        m = int(rng.integers(2, 11))
-        a = rng.standard_normal((m, m))
-        p, q = gram_schmidt_upper(a)
-        q_oracle, r_oracle = np.linalg.qr(a)
-        flip = np.sign(np.diag(r_oracle))
-        flip[flip == 0.0] = 1.0
-        err = max(
-            np.max(np.abs(p - (q_oracle * flip).T)),
-            np.max(np.abs(q - flip[:, None] * r_oracle)),
-        )
-        worst_qr = max(worst_qr, err)
-        assert err <= 1e-10
     elapsed = budget.done("criterion 7")
     report_line(
         "criterion-07 prooflab-oracles",
         "expansion identity residual <= 1e-6 (worst %.2e) and Bessel bounds "
-        "over 20 seeded pairs; triangularization matches the library "
-        "factorization to 1e-10 (worst %.2e) on 100 matrices (%.1fs < 30s)"
-        % (worst_resid, worst_qr, elapsed),
+        "over 20 seeded pairs (%.1fs < 30s)" % (worst_resid, elapsed),
     )
 
 

@@ -190,6 +190,18 @@ class TestSpectrum:
         assert err["message"] == "lattice entries must be finite"
         assert err["detail"] == {"lattice": lattice}
 
+    @pytest.mark.parametrize("argv, detail", [
+        (["spectrum", "--dim", "2", "--radius", "1e308"], {"n": 2, "radius": 1e308}),
+        (["spectrum", "--dim", "2", "--radius", "1e-308"], {"n": 2, "radius": 1e-308}),
+        (["check", "--ineq", "main", "--dim", "1000", "--operator", "dirac"],
+         {"n": 1000, "radius": 1}),
+    ])
+    def test_sphere_constants_outside_float_range_exit_2(self, capsys, argv, detail):
+        """A radius whose square overflows or underflows, or a dimension
+        whose volume overflows, is an invalid model, not a crash (exit 1)."""
+        code, doc, err = run_json(capsys, [argv[0], "--model", "sphere", *argv[1:]])
+        assert (code, doc, err["kind"], err["detail"]) == (2, None, "invalid-model", detail)
+
     def test_non_finite_error_detail_is_written_as_string(self, tmp_path, capsys):
         """An overflowing mesh reports area inf as one JSON object, exit 2."""
         verts, faces = icosphere(1)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import specgeom.eigensolve as eigensolve
 from specgeom.eigensolve import (
-    clustered_entries,
     dense_eigenbasis,
     solve_smallest,
 )
@@ -166,11 +165,6 @@ class TestMeshSpectra:
             v = basis.vectors[:, i]
             resid = np.linalg.norm(stiffness @ v - basis.values[i] * (mass @ v))
             assert resid <= 1e-9 * max(1.0, np.linalg.norm(stiffness @ v))
-
-    def test_clustered_entries(self, ico_ops):
-        basis = solve_smallest(ico_ops(3), 9, seed=0)
-        clusters = clustered_entries(basis)
-        assert [m for _, m in clusters] == [1, 3, 5]
 
     def test_dense_size_refusal(self):
         n = 3001

@@ -42,9 +42,9 @@ from specgeom.models import (
     SpinStructure,
     all_spin_structures,
     clifford_torus_lattice,
-    model_extrinsic,
     sphere_dirac_spectrum,
     sphere_laplace_spectrum,
+    sphere_volume,
     torus_dirac_spectrum,
     torus_laplace_spectrum,
 )
@@ -187,9 +187,8 @@ class TestReilly:
         """Dirac spectrum of the 2-sphere of curvature 4 (the complex
         projective line) against the projective-target mean bound."""
         spec = sphere_dirac_spectrum(2, 0.5, 20)
-        extr = model_extrinsic("projective_point_model", field="C", m=1)
         report = check_reilly_III(
-            spec, 2, 0, "C", htilde_sq_integral=0.0, volume=extr.volume
+            spec, 2, 0, "C", htilde_sq_integral=0.0, volume=sphere_volume(2, 0.5)
         )
         assert report.lhs == pytest.approx(4.0, abs=1e-12)
         assert report.rhs == pytest.approx(8.0, abs=1e-12)

@@ -1,5 +1,6 @@
 """Closed-form model spectra against frozen values and brute-force oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from specgeom.errors import (
     EmptyRequestError,
     IndexRangeError,
     InvalidModelError,
-    NonUnitVectorError,
 )
 from specgeom.models import (
     VALUE_GROUP_RTOL,
@@ -22,12 +22,9 @@ from specgeom.models import (
     all_spin_structures,
     clifford_torus_lattice,
     field_dimension,
-    hermitian_inner,
-    model_extrinsic,
     product_torus_extrinsic,
-    projective_center_distance_sq,
-    projective_embedding_point,
     sphere_dirac_spectrum,
+    sphere_extrinsic,
     sphere_laplace_spectrum,
     sphere_volume,
     torus_dirac_spectrum,
@@ -324,7 +321,7 @@ class TestShellGrouping:
 
 class TestModelExtrinsic:
     def test_sphere_constants(self):
-        extr = model_extrinsic("sphere", n=2, radius=1.0)
+        extr = sphere_extrinsic(2, 1.0)
         assert extr.H_sq == 1.0
         assert extr.B_sq == 2.0
         assert extr.S == 2.0
@@ -332,7 +329,7 @@ class TestModelExtrinsic:
         assert extr.volume == pytest.approx(4.0 * math.pi, rel=1e-15)
 
     def test_sphere_radius_scaling(self):
-        extr = model_extrinsic("sphere", n=3, radius=2.0)
+        extr = sphere_extrinsic(3, 2.0)
         assert extr.H_sq == 0.25
         assert extr.S == pytest.approx(6.0 / 4.0, rel=1e-15)
 
@@ -341,8 +338,11 @@ class TestModelExtrinsic:
             ModelExtrinsic(2, 1.0, 1.0, 0.0, 1.0, 0.0)
 
     def test_clifford_model(self):
-        extr = model_extrinsic("clifford_torus")
-        assert (extr.H_sq, extr.B_sq, extr.S) == (1.0, 4.0, 0.0)
+        """The clifford-torus model takes its constants from its radii."""
+        extr = cli._model_source({"model": "clifford-torus", "operator": "laplace"})["extr"]
+        assert extr.H_sq == pytest.approx(1.0, rel=1e-14)
+        assert extr.B_sq == pytest.approx(4.0, rel=1e-14)
+        assert extr.S == 0.0
         assert extr.volume == pytest.approx(2.0 * math.pi**2, rel=1e-15)
 
     def test_product_torus_matches_clifford(self):
@@ -357,73 +357,72 @@ class TestModelExtrinsic:
         assert extr.H_sq == pytest.approx((1.0 + 0.25) / 4.0, rel=1e-14)
         assert extr.volume == pytest.approx(8.0 * math.pi**2, rel=1e-13)
 
-    def test_projective_point_model(self):
-        extr = model_extrinsic("projective_point_model", field="C", m=1)
-        # CP^1: n = 2, minimal in a sphere with H_sq = 2(n+d)/n = 4
-        assert extr.n == 2
-        assert extr.H_sq == pytest.approx(4.0, rel=1e-15)
-        assert extr.S == pytest.approx(8.0, rel=1e-15)
-        assert extr.volume == pytest.approx(math.pi, rel=1e-15)
 
-    def test_veronese(self):
-        extr = model_extrinsic("veronese_rp2")
-        assert extr.n == 2
-        assert extr.H_sq == pytest.approx(3.0, rel=1e-15)
-        assert extr.S == pytest.approx(2.0, rel=1e-15)
+# The standard embedding of FP^m sends the line through a unit vector z of
+# F^(m+1) to the rank-one Hermitian projector z z*.  Every field is written
+# over C here: a real or complex entry is a 1x1 block, a quaternion
+# a + bi + cj + dk the 2x2 block [[a + bi, c + di], [-c + di, a - bi]], so
+# that the real trace of a quaternion matrix is Re tr / 2 of its blocks.
+
+
+def block_size(field_id):
+    return 2 if field_id == "Q" else 1
 
 
 def random_unit(rng, field_id, m):
+    """A unit vector of F^(m+1) as a complex (b(m+1), b) block column."""
     if field_id == "R":
-        z = rng.standard_normal(m + 1)
+        z = rng.standard_normal((m + 1, 1)).astype(complex)
     elif field_id == "C":
-        z = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+        z = rng.standard_normal((m + 1, 1)) + 1j * rng.standard_normal((m + 1, 1))
     else:
-        z = rng.standard_normal((m + 1, 4))
-    if field_id == "Q":
-        return z / math.sqrt(float(np.sum(z**2)))
-    return z / np.sqrt(np.sum(np.abs(z) ** 2))
+        a, b, c, d = rng.standard_normal((4, m + 1))
+        z = np.empty((2 * (m + 1), 2), dtype=complex)
+        z[0::2, 0], z[0::2, 1] = a + 1j * b, c + 1j * d
+        z[1::2, 0], z[1::2, 1] = -c + 1j * d, a - 1j * b
+    return z / math.sqrt(float(np.sum(np.abs(z) ** 2)) / block_size(field_id))
 
 
-def quat_frobenius_diff(a, b):
-    return float(np.max(np.abs(a - b)))
+def hermitian_inner(p, q, field_id):
+    """<P, Q> = (1/2) Re tr(PQ), the trace taken over F."""
+    return 0.5 * float(np.trace(p @ q).real) / block_size(field_id)
+
+
+def sphere_check_terms(capsys, ineq, field_id, n, *flags):
+    code = cli.main(["check", "--ineq", ineq, "--model", "sphere", "--dim", str(n),
+                     "--field", field_id, "--operator", "laplace", *flags])
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    # a round sphere need not satisfy a bound for projective targets
+    assert code == (0 if report["satisfied"] else 1)
+    return report["terms"]
 
 
 class TestProjectiveEmbedding:
     def test_field_dimension(self):
         assert [field_dimension(f) for f in ("R", "C", "Q")] == [1, 2, 4]
-        assert field_dimension(4) == 4
         with pytest.raises(InvalidModelError):
             field_dimension("H")
 
-    @pytest.mark.parametrize("field_id,m", [("R", 2), ("C", 1), ("C", 3), ("Q", 1)])
-    def test_embedding_point_properties(self, field_id, m):
-        """Idempotent, Hermitian, trace one, fixed center distance."""
-        from specgeom.models import quat_conj, quat_matmul
+    @pytest.mark.parametrize("field_id,m", [("R", 2), ("C", 1), ("C", 2), ("C", 3), ("Q", 1)])
+    def test_embedding_point_properties(self, field_id, m, capsys):
+        """Each embedding point is a Hermitian idempotent of trace one at
+        squared distance m/(2(m+1)) from the center I/(m+1).  The reciprocal
+        2(m+1)/m is the ambient term 2(n + d_F)/n that ``check`` prints for
+        n = d_F m, and the minimal projective form prints n^2/4 times it."""
+        n = field_dimension(field_id) * m
+        ambient = sphere_check_terms(capsys, "reilly3", field_id, n)["ambient_term"]
+        minimal = sphere_check_terms(capsys, "projective", field_id, n, "--minimal")
+        assert minimal["ambient"] == pytest.approx(n**2 / 4.0 * ambient, rel=1e-15)
 
+        center = np.eye(block_size(field_id) * (m + 1)) / (m + 1)
         rng = np.random.default_rng(11)
         for _ in range(250):
             z = random_unit(rng, field_id, m)
-            p = projective_embedding_point(z, field_id)
-            if field_id == "Q":
-                assert quat_frobenius_diff(quat_matmul(p, p), p) < 1e-12
-                assert quat_frobenius_diff(
-                    p, quat_conj(np.swapaxes(p, 0, 1))
-                ) < 1e-12
-                assert abs(float(np.trace(p[:, :, 0])) - 1.0) < 1e-12
-            else:
-                assert np.max(np.abs(p @ p - p)) < 1e-12
-                assert np.max(np.abs(p - np.conj(p.T))) < 1e-12
-                assert abs(np.trace(p).real - 1.0) < 1e-12
-            dist = projective_center_distance_sq(p, field_id)
-            assert dist == pytest.approx(m / (2.0 * (m + 1.0)), abs=1e-12)
-
-    def test_inner_product_self(self):
-        rng = np.random.default_rng(4)
-        z = random_unit(rng, "C", 2)
-        p = projective_embedding_point(z, "C")
-        # <P, P> = tr(P^2)/2 = 1/2 for a rank-one projector
-        assert hermitian_inner(p, p, "C") == pytest.approx(0.5, abs=1e-13)
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(NonUnitVectorError):
-            projective_embedding_point(np.array([1.0, 1.0]), "R")
+            p = z @ z.conj().T
+            assert np.max(np.abs(p @ p - p)) < 1e-12
+            assert np.max(np.abs(p - p.conj().T)) < 1e-12
+            assert hermitian_inner(p, center, field_id) == pytest.approx(
+                0.5 / (m + 1), abs=1e-13)
+            assert hermitian_inner(p, p, field_id) == pytest.approx(0.5, abs=1e-13)
+            dist_sq = hermitian_inner(p - center, p - center, field_id)
+            assert 1.0 / dist_sq == pytest.approx(ambient, rel=1e-12)

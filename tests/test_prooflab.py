@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from specgeom.eigensolve import dense_eigenbasis, solve_smallest
-from specgeom.errors import IndexRangeError, UsageError
+from specgeom.errors import IndexRangeError
 from specgeom.prooflab import (
     coordinate_identities,
     expansion_coefficients,
-    gram_schmidt_upper,
     verify_anghel_lemma,
     verify_prop31,
 )
@@ -125,57 +124,6 @@ class TestProp31:
         assert doc["check_id"] == "expansion-identity"
         assert doc["j"] == 3
         assert set(doc) >= {"lhs", "rhs", "residual_abs", "residual_rel"}
-
-
-class TestGramSchmidt:
-    def test_identity_passthrough(self):
-        p, q = gram_schmidt_upper(np.eye(4))
-        np.testing.assert_allclose(p, np.eye(4), atol=1e-15)
-        np.testing.assert_allclose(q, np.eye(4), atol=1e-15)
-
-    def test_zero_matrix(self):
-        p, q = gram_schmidt_upper(np.zeros((3, 3)))
-        np.testing.assert_allclose(p, np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(q, 0.0, atol=1e-15)
-
-    def test_contract_on_seeded_matrices(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            m = int(rng.integers(2, 11))
-            a = rng.standard_normal((m, m))
-            p, q = gram_schmidt_upper(a)
-            norm = np.linalg.norm(a)
-            assert np.max(np.abs(p.T @ p - np.eye(m))) < 1e-12
-            assert np.max(np.abs(p @ a - q)) < 1e-12 * max(norm, 1.0)
-            assert np.max(np.abs(np.tril(q, -1))) < 1e-12 * max(norm, 1.0)
-            assert abs(abs(np.linalg.det(p)) - 1.0) < 1e-12
-            diag = np.diag(q)
-            assert np.all(diag[np.abs(diag) > 1e-12 * max(norm, 1.0)] >= 0.0)
-
-    def test_matches_factorization_oracle(self):
-        """Row-orthogonalization against the library QR of A, sign-fixed."""
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            m = int(rng.integers(2, 11))
-            a = rng.standard_normal((m, m))
-            p, q = gram_schmidt_upper(a)
-            q_oracle, r_oracle = np.linalg.qr(a)
-            flip = np.sign(np.diag(r_oracle))
-            flip[flip == 0.0] = 1.0
-            np.testing.assert_allclose(p, (q_oracle * flip).T, atol=1e-10)
-            np.testing.assert_allclose(q, flip[:, None] * r_oracle, atol=1e-10)
-
-    def test_rank_deficient_input(self):
-        a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]])
-        p, q = gram_schmidt_upper(a)
-        assert np.max(np.abs(p @ a - q)) < 1e-12 * np.linalg.norm(a)
-        assert np.max(np.abs(np.tril(q, -1))) < 1e-12 * np.linalg.norm(a)
-
-    def test_input_validation(self):
-        with pytest.raises(UsageError):
-            gram_schmidt_upper(np.ones((2, 3)))
-        with pytest.raises(UsageError):
-            gram_schmidt_upper(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestAnghelLemma:
