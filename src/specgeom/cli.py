@@ -120,6 +120,9 @@ def _load_config(path) -> dict:
 
 def _config_value(action, key, value):
     """A config entry converted and checked as its flag's argument would be."""
+    if action.nargs == 0 and not isinstance(value, bool):
+        raise UsageError("config key %r: expected true or false, got %r" % (key, value),
+                         key=key)
     if action.type is not None:
         try:
             value = action.type(str(value))
@@ -159,8 +162,6 @@ def _merge_config(args, parser, defaults: dict) -> dict:
 
 
 def _parse_lattice(text) -> Lattice:
-    if isinstance(text, Lattice):
-        return text
     if text == "clifford":
         return clifford_torus_lattice()
     try:
@@ -180,8 +181,6 @@ def _parse_lattice(text) -> Lattice:
 
 
 def _parse_spin(text, dim: int) -> SpinStructure:
-    if isinstance(text, SpinStructure):
-        return text
     shifts = []
     for tok in str(text).split(","):
         tok = tok.strip()
@@ -249,6 +248,19 @@ def _resolve_operator(cfg) -> str:
     return operator
 
 
+def _torus_lattice(cfg, user: str) -> Lattice:
+    """The one lattice of a run: the Clifford lattice for --model
+    clifford-torus, which fixes it, or else --lattice."""
+    if cfg.get("model") == "clifford-torus":
+        if cfg.get("lattice") is not None:
+            raise UsageError("--model clifford-torus fixes its lattice; drop --lattice",
+                             parameter="lattice")
+        return clifford_torus_lattice()
+    if cfg.get("lattice") is None:
+        raise UsageError("%s needs --lattice" % user, parameter="lattice")
+    return _parse_lattice(cfg["lattice"])
+
+
 def _model_source(cfg) -> dict:
     model = cfg["model"]
     operator = _resolve_operator(cfg)
@@ -270,12 +282,7 @@ def _model_source(cfg) -> dict:
                 "extrinsic": "model:sphere",
             },
         }
-    if model == "clifford-torus":
-        lat = clifford_torus_lattice()
-    elif cfg.get("lattice") is None:
-        raise UsageError("torus model needs --lattice", parameter="lattice")
-    else:
-        lat = _parse_lattice(cfg["lattice"])
+    lat = _torus_lattice(cfg, "torus model")
     n = lat.dim
     spin = None
     if dirac:
@@ -542,12 +549,7 @@ def _background_reads(j_max, n, m, cfg):
 
 def _conjecture(p, j):
     cfg = p.cfg
-    if cfg.get("lattice") is not None:
-        lat = _parse_lattice(cfg["lattice"])
-    elif cfg.get("model") == "clifford-torus":
-        lat = clifford_torus_lattice()
-    else:
-        raise UsageError("the conjecture probe needs --lattice", parameter="lattice")
+    lat = _torus_lattice(cfg, "the conjecture probe")
     count = cfg["count"] if cfg.get("count") is not None else 64
     return conjecture_probe(lat, area=cfg.get("area"), count=count)
 

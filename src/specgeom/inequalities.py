@@ -505,6 +505,10 @@ def check_background_bounds(spectrum, params: dict, provenance=None) -> list:
     n = params.get("n")
     if n is None:
         raise UsageError("background bounds need the dimension n")
+    for key in ("area", "volume", "gap_k", "yang_k"):
+        if key in params and not params[key] > 0:
+            raise UsageError("%s must be positive, got %g" % (key, params[key]),
+                             parameter=key, value=params[key])
     reports = []
 
     def add(ineq_id, direction, lhs, rhs, extra, terms):
@@ -599,14 +603,12 @@ def check_background_bounds(spectrum, params: dict, provenance=None) -> list:
 # exploratory conjecture probe
 
 
-def conjecture_probe(
-    lat: Lattice, area: float | None = None, spins=None, count: int = 64
-) -> list:
+def conjecture_probe(lat: Lattice, area: float | None = None, count: int = 64) -> list:
     """Exploratory flat-torus probe: (Gbar_1 + Gbar_2)/2 against 4 pi^2/area.
 
-    Evaluated for every spin structure (all four on a 2-torus by default)
-    because the conjectured statement does not pin one down.  The reports
-    are labeled exploratory; they never feed pass/fail aggregation.
+    Evaluated for all four spin structures of the 2-torus because the
+    conjectured statement does not pin one down.  The reports are labeled
+    exploratory; they never feed pass/fail aggregation.
     """
     if lat.dim != 2:
         raise UsageError(
@@ -617,11 +619,9 @@ def conjecture_probe(
         area = lat.covolume
     if area <= 0.0:
         raise UsageError("area must be positive, got %g" % area, area=area)
-    if spins is None:
-        spins = all_spin_structures(lat.dim)
     rhs = 4.0 * np.pi**2 / area
     reports = []
-    for spin in spins:
+    for spin in all_spin_structures(lat.dim):
         spec = torus_dirac_spectrum(lat, spin, count)
         g1, g2 = spec.gamma_bar(1), spec.gamma_bar(2)
         lhs = 0.5 * (g1 + g2)

@@ -349,12 +349,21 @@ def load_mesh(path, fmt: str | None = None) -> MeshGeometry:
 # geometry helpers
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, taken after scaling the row by an exact
+    power of two, so squares cannot overflow while the norm is finite;
+    rows whose squares are representable get np.linalg.norm's bits."""
+    # a column-wise maximum: max(axis=1) over three columns is ~10x slower
+    _, exp = np.frexp(functools.reduce(np.maximum, np.abs(x).T))
+    return np.ldexp(np.linalg.norm(np.ldexp(x, -exp[:, None]), axis=1), exp)
+
+
 def face_areas(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
     cross = np.cross(
         verts[faces[:, 1]] - verts[faces[:, 0]],
         verts[faces[:, 2]] - verts[faces[:, 0]],
     )
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    return 0.5 * row_norms(cross)
 
 
 def face_normals(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -362,7 +371,7 @@ def face_normals(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
         verts[faces[:, 1]] - verts[faces[:, 0]],
         verts[faces[:, 2]] - verts[faces[:, 0]],
     )
-    return cross / np.linalg.norm(cross, axis=1, keepdims=True)
+    return cross / row_norms(cross)[:, None]
 
 
 def face_gradients(mesh: MeshGeometry, u: np.ndarray) -> np.ndarray:
@@ -422,7 +431,7 @@ def assemble_operators(mesh: MeshGeometry) -> SparseOperatorPair:
     for c, (a, b) in enumerate([(1, 2), (2, 0), (0, 1)]):
         u = verts[faces[:, a]] - verts[faces[:, c]]
         v = verts[faces[:, b]] - verts[faces[:, c]]
-        cross_norm = np.linalg.norm(np.cross(u, v), axis=1)
+        cross_norm = row_norms(np.cross(u, v))
         cot = np.einsum("ij,ij->i", u, v) / np.maximum(cross_norm, 1e-300)
         clamped = np.abs(cot) > COT_CLAMP
         clamp_count += int(np.count_nonzero(clamped))

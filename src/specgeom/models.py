@@ -463,7 +463,7 @@ def sphere_extrinsic(n: int, radius: float) -> ModelExtrinsic:
 
     Raises ``InvalidModelError`` when a constant is not a finite float,
     as for radii whose square overflows or underflows to 0, or dimensions
-    whose volume overflows.
+    whose volume overflows, and when the volume underflows to 0.
     """
     if n < 1 or radius <= 0:
         raise InvalidModelError("bad sphere parameters", n=n, radius=radius)
@@ -473,9 +473,10 @@ def sphere_extrinsic(n: int, radius: float) -> ModelExtrinsic:
                   n * (n - 1) / (4.0 * r2))
     except (OverflowError, ZeroDivisionError):
         consts = (math.inf,)
-    if not all(math.isfinite(c) for c in consts):
+    if not (all(math.isfinite(c) for c in consts) and consts[3] > 0.0):
         raise InvalidModelError(
-            "sphere constants are not finite floats", n=n, radius=radius
+            "sphere constants are not finite floats with a positive volume",
+            n=n, radius=radius,
         )
     return ModelExtrinsic(n, *consts)
 

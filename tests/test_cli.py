@@ -195,10 +195,14 @@ class TestSpectrum:
         (["spectrum", "--dim", "2", "--radius", "1e-308"], {"n": 2, "radius": 1e-308}),
         (["check", "--ineq", "main", "--dim", "1000", "--operator", "dirac"],
          {"n": 1000, "radius": 1}),
+        (["check", "--ineq", "reilly1", "--dim", "300", "--radius", "0.01"],
+         {"n": 300, "radius": 0.01}),
+        (["spectrum", "--dim", "300", "--radius", "0.01"], {"n": 300, "radius": 0.01}),
     ])
     def test_sphere_constants_outside_float_range_exit_2(self, capsys, argv, detail):
         """A radius whose square overflows or underflows, or a dimension
-        whose volume overflows, is an invalid model, not a crash (exit 1)."""
+        whose volume overflows or underflows to 0, is an invalid model, not
+        a crash (exit 1) or an error about a volume the user never gave."""
         code, doc, err = run_json(capsys, [argv[0], "--model", "sphere", *argv[1:]])
         assert (code, doc, err["kind"], err["detail"]) == (2, None, "invalid-model", detail)
 
@@ -213,6 +217,15 @@ class TestSpectrum:
         doc = json.loads(err)
         assert doc["kind"] == "mesh-validation"
         assert doc["detail"]["area"] == "inf"
+
+    def test_mesh_with_huge_coordinates_checked(self, tmp_path, capsys):
+        """Face areas near 1e200 are representable and pass validation."""
+        verts, faces = icosphere(2)
+        path = tmp_path / "huge.off"
+        write_off(path, verts * 1e100, faces)
+        code, doc, err = run_json(capsys, ["check", "--ineq", "main,reilly1", "--mesh", str(path)])
+        assert (code, err) == (0, None)
+        assert [r["ineq_id"] for r in doc["reports"]] == ["main", "reilly-mean-curvature"]
 
     def test_solver_failure_maps_to_3(self, ico_files, capsys, monkeypatch):
         import specgeom.cli as cli_mod
@@ -362,6 +375,35 @@ class TestCheck:
             "detail": {"index": 0},
         }
         assert solve_sizes == []
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--genus", "0", "--area", "0"], "area"),
+        (["--genus", "0", "--area", "-0.0"], "area"),
+        (["--h-sq-integral", "1", "--volume", "0"], "volume"),
+        (["--htilde-sq-integral", "1", "--volume", "0"], "volume"),
+        (["--yang-k", "0"], "yang_k"),
+        (["--gap-k", "0"], "gap_k"),
+    ])
+    def test_background_input_out_of_range_named(self, capsys, flags, key):
+        """Not a division by zero (exit 1), a vacuous report, or an index
+        error that does not name the flag."""
+        code, doc, err = run_json(
+            capsys, ["check", "--ineq", "background", "--model", "sphere", "--dim", "2",
+                     *flags])
+        assert (code, doc, err["kind"]) == (2, None, "usage")
+        assert err["detail"]["parameter"] == key
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--ineq", "conjecture,main", "--operator", "laplace"],
+        ["spectrum"],
+    ])
+    def test_clifford_model_fixes_its_lattice(self, capsys, argv):
+        """The probe and the model never read two different tori."""
+        code, doc, err = run_json(
+            capsys, [*argv, "--model", "clifford-torus",
+                     "--lattice", "6.283185307179586 0; 0 3.14159"])
+        assert (code, doc, err["kind"]) == (2, None, "usage")
+        assert err["detail"] == {"parameter": "lattice"}
 
     def test_unknown_ineq_listed(self, capsys):
         code, _, err = run_json(
@@ -602,6 +644,27 @@ class TestConfigFile:
         code, _, err = run_json(capsys, ["spectrum", "--config", str(cfg)])
         assert code == 2
         assert err["detail"] == {"key": "operator"}
+
+    @pytest.mark.parametrize("argv, entry", [
+        (["check", "--ineq", "projective", "--model", "sphere", "--sup-term", "1"],
+         {"minimal": "false"}),
+        (["check", "--ineq", "main", "--model", "sphere"], {"csv": "no"}),
+        (["spectrum", "--model", "sphere"], {"include_vectors": 1}),
+    ])
+    def test_on_off_config_value_must_be_boolean(self, tmp_path, capsys, argv, entry):
+        """A string such as "false" is not read as switching the flag on."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        code, doc, err = run_json(capsys, argv + ["--config", str(cfg)])
+        assert (code, doc, err["kind"]) == (2, None, "usage")
+        assert err["detail"] == {"key": next(iter(entry))}
+
+    def test_on_off_config_value_false_leaves_flag_off(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"csv": false}')
+        code, doc, _ = run_json(
+            capsys, ["check", "--ineq", "main", "--model", "sphere", "--config", str(cfg)])
+        assert code == 0 and doc["all_satisfied"]
 
     def test_config_values_converted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -19,9 +19,11 @@ from specgeom.mesh import (
     extrinsic_summary,
     face_areas,
     face_gradients,
+    face_normals,
     load_mesh,
     mean_curvature_field,
     mesh_from_arrays,
+    row_norms,
     vertex_average_from_faces,
 )
 from specgeom.meshgen import icosphere, write_obj, write_off
@@ -102,6 +104,11 @@ class TestValidation:
         assert exc.value.kind == "mesh-validation"
         assert str(exc.value) == "face 1 area overflows (area inf); coordinates are too large"
         assert exc.value.detail == {"face": 1, "area": math.inf}
+
+    def test_coordinates_past_the_area_range_overflow(self):
+        verts, faces = icosphere(1)
+        with pytest.raises(MeshValidationError, match="area overflows"):
+            mesh_from_arrays(verts * 1e160, faces)
 
     def test_inconsistent_orientation_rejected(self):
         faces = TET_FACES.copy()
@@ -270,6 +277,25 @@ class TestOperators:
         mesh, ops = ico_mesh(2), ico_ops(2)
         np.testing.assert_allclose(ops.mass_diag, mesh.vertex_area, rtol=1e-15)
         assert ops.mass_diag.sum() == pytest.approx(mesh.total_area, rel=1e-13)
+
+    @pytest.mark.parametrize("scale", [1e78, 1e100, 1e150])
+    def test_huge_coordinates_assemble_like_the_unit_sphere(self, ico_mesh, ico_ops, scale):
+        """Areas up to ~1e300 are representable, so the cross-product norms
+        must not square their way to overflow."""
+        verts, faces = icosphere(2)
+        mesh = mesh_from_arrays(verts * scale, faces)
+        assert abs(assemble_operators(mesh).stiffness - ico_ops(2).stiffness).max() < 1e-14
+        np.testing.assert_allclose(
+            mesh.vertex_area / scale**2, ico_mesh(2).vertex_area, rtol=1e-14)
+        np.testing.assert_allclose(
+            face_normals(verts * scale, faces), face_normals(verts, faces), atol=1e-15)
+
+    def test_row_norms_match_numpy_bit_for_bit(self):
+        """The power-of-two scaling is exact, so rows whose squares are
+        representable keep every bit of np.linalg.norm."""
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((2000, 3)) * 10.0 ** rng.uniform(-150, 150, (2000, 1))
+        assert np.array_equal(row_norms(rows), np.linalg.norm(rows, axis=1))
 
     def test_rigid_motion_invariance(self):
         verts, faces = icosphere(2)
