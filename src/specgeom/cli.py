@@ -19,30 +19,19 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .eigensolve import check_tol, dense_eigenbasis, solve_smallest
 from .errors import SolverConvergenceError, SpecGeomError, UsageError
 from .inequalities import (
-    WeightedCurvatureTerms,
+    INEQS,
+    Inputs,
     aggregate_exit,
-    check_background_bounds,
-    check_corollary_eta,
-    check_index_corollary,
-    check_lp_spin,
-    check_main_theorem,
-    check_projective,
-    check_reilly_I,
-    check_reilly_II,
-    check_reilly_III,
-    check_sphere_theorem,
-    check_universal_euclidean,
-    check_universal_sphere,
     conjecture_probe,
+    evaluate_inputs,
     validate_index,
+    weighted_density_integral,
 )
 from .mesh import assemble_operators, extrinsic_summary, load_mesh
 from .models import (
@@ -225,7 +214,6 @@ def _emit(cfg, text: str) -> None:
         sys.stdout.write(text)
 
 
-
 # ---------------------------------------------------------------------------
 # source resolution
 
@@ -362,31 +350,26 @@ def _source(cfg):
 
 
 def cmd_spectrum(cfg) -> int:
+    if cfg["include_vectors"] and not (cfg.get("mesh") and cfg.get("output")):
+        raise UsageError("--include-vectors needs --mesh and --output",
+                         parameter="include_vectors")
     count = int(cfg["count"])
     src = _source(cfg)
     if src is None:
         raise UsageError("spectrum needs --model or --mesh", parameter="model")
     spec = src["build"](count)
-    if src["kind"] == "mesh":
-        if cfg.get("output"):
-            write_eigenbasis(cfg["output"], spec, bool(cfg["include_vectors"]))
-        else:
-            sys.stdout.write(dumps_json(spec.to_json_dict(bool(cfg["include_vectors"]))))
+    if src["kind"] == "mesh" and cfg.get("output"):
+        write_eigenbasis(cfg["output"], spec, bool(cfg["include_vectors"]))
         return 0
     doc = spec.to_json_dict()
-    doc["values"] = list(spec.values(count))
+    if src["kind"] == "model":
+        doc["values"] = list(spec.values(count))
     _emit(cfg, dumps_json(doc))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # check command
-
-
-def _missing(key, ineq):
-    return UsageError(
-        "inequality %r needs parameter %r" % (ineq, key), parameter=key, ineq=ineq
-    )
 
 
 # parameters read off the source's extrinsic data when no flag gives them:
@@ -400,7 +383,7 @@ EXTRINSIC = {
 }
 
 
-class Params:
+class Params(Inputs):
     """The parameters of one check id: a flag wins, then the source's fallback.
 
     Fallbacks come from ``EXTRINSIC`` or from the method named after the
@@ -409,16 +392,16 @@ class Params:
     """
 
     def __init__(self, ineq, cfg, src=None, spectrum=None):
-        self.ineq, self.cfg, self.spectrum = ineq, cfg, spectrum
         self.src = src or {}
-        self.n = self.src.get("n")
+        super().__init__(ineq, cfg, spectrum, self.src.get("provenance"))
         self.extr = self.src.get("extr")
         self.mesh = self.src.get("kind") == "mesh"
-        self.prov = self.src.get("provenance")
 
     def optional(self, key):
-        if self.cfg.get(key) is not None:
-            return self.cfg[key]
+        if key == "lattice":  # parsed, or the one --model clifford-torus fixes
+            return _torus_lattice(self.values, "the conjecture probe")
+        if self.given(key):
+            return self.values[key]
         if key in EXTRINSIC:
             attr, reduce = EXTRINSIC[key]
             if self.extr is None or (self.mesh and reduce is None):
@@ -428,20 +411,24 @@ class Params:
         fallback = getattr(self, "_" + key, None)
         return None if fallback is None else fallback()
 
-    def __getitem__(self, key):
-        value = self.optional(key)
-        if value is None:
-            raise _missing(key, self.ineq)
-        return value
+    def weighted_h_sq(self, j):
+        """On a mesh, the integral of the vertex field H^2 against the
+        squared j-th eigenvector; on a model, ``h_sq``."""
+        if not self.mesh:
+            return self["h_sq"]
+        return weighted_density_integral(
+            self.extr.H_sq, self.spectrum.vectors[:, j - 1], self.src["ops"].mass_diag
+        )
+
+    def _n(self):
+        return self.src.get("n")
 
     def _kappa(self):
         """Curvature term of the operator's bundle: S/4 for spinors, 0 for
         functions; flat models give 0 either way."""
         if self.src["operator"] == "laplace":
             return 0.0
-        if self.extr is None:
-            raise _missing("kappa", "dirac-bundle")
-        return self.extr.curvature_term_kappa
+        return None if self.extr is None else self.extr.curvature_term_kappa
 
     def _m(self):
         return self.spectrum.zero_dim
@@ -490,145 +477,20 @@ class Params:
         return self["h_sq"]
 
 
-def _main(p, j):
-    if p.mesh:
-        terms = WeightedCurvatureTerms.from_vertex_fields(
-            p.n, p.extr.H_sq, p.spectrum.vectors[:, j - 1], p.src["ops"].mass_diag
-        )
-    else:
-        terms = WeightedCurvatureTerms.from_constants(p.n, p["h_sq"], p["kappa"])
-    return check_main_theorem(p.spectrum, j, p.n, terms, p.prov)
-
-
-def _reilly2(p, j):
-    volume = p["volume"]
-    hbar1_total = p["hbar1_integral"] * volume
-    return check_reilly_II(p.spectrum, p.n, p["m"], hbar1_total, volume, p.prov)
-
-
-def _projective(p, j):
-    return check_projective(
-        p.spectrum, j, p.n, p["field"], sup_term=p.optional("sup_term"),
-        s_inf=p.optional("s_inf"), minimal=bool(p.cfg["minimal"]), provenance=p.prov,
-    )
-
-
-# flag -> the check_background_bounds parameters it switches on, each
-# (key, check parameter); a sub-bound runs when its flag is given
-BACKGROUND = {
-    "s0": (("S0", "s0"),),
-    "genus": (("genus", "genus"), ("area", "area")),
-    "gap_k": (("gap_k", "gap_k"), ("H_sq", "h_sq"), ("kappa", "kappa")),
-    "yang_k": (("yang_k", "yang_k"), ("H_sq", "h_sq"), ("kappa", "kappa")),
-    "b_sq_sup": (("B_sq_sup", "b_sq_sup"),),
-    "h_sq_integral": (("H_sq_integral", "h_sq_integral"), ("volume", "volume")),
-    "htilde_sq_integral": (("Htilde_sq_integral", "htilde_sq_integral"),
-                           ("volume", "volume")),
-    "chen_h_sq": (("chen_H_sq", "chen_h_sq"), ("kappa", "kappa")),
-    "lp_j": (("lp_j", "lp_j"),),
-}
-
-
-def _background(p, j):
-    params = {"n": p.n}
-    for flag, pairs in BACKGROUND.items():
-        if p.cfg.get(flag) is not None:
-            params.update((key, p[name]) for key, name in pairs)
-    return check_background_bounds(p.spectrum, params, p.prov)
-
-
-def _background_reads(j_max, n, m, cfg):
-    need = [m + 1, 2]
-    for flag, extra in (("gap_k", 1), ("yang_k", 1), ("lp_j", n)):
-        if cfg.get(flag) is not None:
-            need.append(cfg[flag] + extra)
-    if cfg.get("chen_h_sq") is not None:
-        need.append(1 + n)
-    return max(need)
-
-
-def _conjecture(p, j):
-    cfg = p.cfg
-    lat = _torus_lattice(cfg, "the conjecture probe")
-    count = cfg["count"] if cfg.get("count") is not None else 64
-    return conjecture_probe(lat, area=cfg.get("area"), count=count)
-
-
-def _after_j(j_max, n, m, cfg):
-    return j_max + n
-
-
-def _after_kernel(j_max, n, m, cfg):
-    return m + n
-
-
-@dataclass(frozen=True)
-class Check:
-    """One ``check --ineq`` id.
-
-    ``evaluate(params, j)`` returns its report or list of reports; ``j`` is
-    None unless ``per_j``, in which case it runs once per requested j.
-    ``reads(j_max, n, m, cfg)`` is the highest spectrum index it reads,
-    given the largest j, the dimension and the kernel dimension; it is None
-    for a check that needs no model or mesh, which reports first.
-    """
-
-    evaluate: Callable
-    reads: Callable | None
-    per_j: bool = False
-
-
-INEQS = {
-    "main": Check(_main, _after_j, per_j=True),
-    "eta": Check(
-        lambda p, j: check_corollary_eta(
-            p.spectrum, j, p.n, p["c_sup"], p["kappa"], p.prov),
-        _after_j, per_j=True),
-    "universal-euclidean": Check(
-        lambda p, j: check_universal_euclidean(
-            p.spectrum, j, p.n, p["c1"], p["c2"], p.prov),
-        _after_j, per_j=True),
-    "universal-sphere": Check(
-        lambda p, j: check_universal_sphere(p.spectrum, j, p.n, p["c3"], p.prov),
-        _after_j, per_j=True),
-    "sphere": Check(
-        lambda p, j: check_sphere_theorem(
-            p.spectrum, j, p.n, p["hbar1_integral"], 4.0 * p["kappa"], p.prov),
-        _after_j, per_j=True),
-    "reilly1": Check(
-        lambda p, j: check_reilly_I(
-            p.spectrum, p.n, p["m"], p["h_sq_integral"], p["volume"], p.prov),
-        _after_kernel),
-    "reilly2": Check(_reilly2, _after_kernel),
-    "reilly3": Check(
-        lambda p, j: check_reilly_III(
-            p.spectrum, p.n, p["m"], p["field"], p["htilde_sq_integral"],
-            p["volume"], p.prov),
-        _after_kernel),
-    "projective": Check(_projective, _after_j, per_j=True),
-    "lp-spin": Check(
-        lambda p, j: check_lp_spin(p.spectrum, j, p.n, p["b_sq_sup"], p.prov),
-        _after_j, per_j=True),
-    "index": Check(
-        lambda p, j: check_index_corollary(
-            p.spectrum, p.n, p["m"], p["b_sq_sup"], p.prov),
-        lambda j_max, n, m, cfg: max(m, 1) + n),
-    "background": Check(_background, _background_reads),
-    "conjecture": Check(_conjecture, None),
-}
-
-
-def _check_spectrum(cfg, checks, jlist):
-    """The source and its spectrum, resolved up to the highest index read,
-    with the kernel dimension from --m or from the source; a mesh's kernel
-    dimension is its number of connected components."""
+def _check_spectrum(cfg, ineqs, jlist):
+    """The source and its spectrum, resolved up to the highest index the
+    ids read, with the kernel dimension from --m or from the source; a
+    mesh's kernel dimension is its number of connected components."""
+    ineqs = [iq for iq in ineqs if INEQS[iq].reads is not None]
     src = _source(cfg)
     if src is None:
         raise UsageError("check needs --model, --mesh, or a probe lattice")
     m = cfg.get("m")
     if m is None:
         m = src["mesh"].n_components if src["kind"] == "mesh" else src["zero_dim"]
-    need = max([1] + [c.reads(max(jlist), src["n"], m, cfg) for c in checks])
+    need = max(
+        [1] + [INEQS[iq].reads(Params(iq, cfg, src), max(jlist), m) for iq in ineqs]
+    )
     if cfg.get("count") is not None and cfg["count"] < need:
         raise UsageError(
             "count %d is below the %d values the requested checks read"
@@ -655,16 +517,15 @@ def cmd_check(cfg) -> int:
     jlist = _j_values(cfg)
     # checks that need no model or mesh (the conjecture probe) report first
     ineqs.sort(key=lambda iq: INEQS[iq].reads is not None)
-    sourced = [INEQS[iq] for iq in ineqs if INEQS[iq].reads is not None]
     src = spectrum = None
     reports = []
     for iq in ineqs:
-        check = INEQS[iq]
-        if check.reads is not None and src is None:
-            src, spectrum = _check_spectrum(cfg, sourced, jlist)
+        ineq = INEQS[iq]
+        if ineq.reads is not None and src is None:
+            src, spectrum = _check_spectrum(cfg, ineqs, jlist)
         params = Params(iq, cfg, src, spectrum)
-        for j in jlist if check.per_j else [None]:
-            out = check.evaluate(params, j)
+        for j in jlist if ineq.per_j else [None]:
+            out = evaluate_inputs(params, j)
             reports.extend(out if isinstance(out, list) else [out])
 
     if cfg.get("csv") or (cfg.get("output") and str(cfg["output"]).endswith(".csv")):

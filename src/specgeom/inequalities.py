@@ -1,10 +1,11 @@
 """Eigenvalue inequality evaluators with uniform margin reports.
 
-Every evaluator consumes a spectrum (closed-form or computed), the index
-and dimension parameters, and the curvature data its right-hand side
-needs, and emits an :class:`InequalityReport` carrying both sides, the
-margin, satisfaction and equality flags, a term breakdown that recombines
-exactly to the reported sides, and caller-supplied provenance.
+``INEQS`` holds every check id once: its formula family, which fixes the
+spectrum indices it reads, and its body, which reads its parameters by name
+and emits :class:`InequalityReport` objects carrying both sides, the margin,
+satisfaction and equality flags, a term breakdown that recombines exactly
+to the reported sides, and caller-supplied provenance.  Library callers use
+:func:`evaluate` with keyword parameters.
 
 Margins are oriented so that nonnegative means the bound holds:
 ``rhs - lhs`` for upper bounds, ``lhs - rhs`` for lower bounds.  A check is
@@ -17,6 +18,7 @@ resolved part of a spectrum is a hard error, never a silent truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,7 +42,6 @@ EQUALITY_REL = 1e-9
 
 UPPER = "upper"
 LOWER = "lower"
-EXPLORATORY = "exploratory"
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,7 @@ def make_report(
 
 
 # ---------------------------------------------------------------------------
-# spectrum access
-
-
-def _require_spectrum(spectrum) -> None:
-    if not isinstance(spectrum, IndexedSpectrum):
-        raise UsageError(
-            "expected a Spectrum or EigenBasis, got %r" % type(spectrum).__name__
-        )
+# spectrum access and parameters
 
 
 def _gamma_sum(spectrum, start: int, count: int) -> float:
@@ -149,28 +143,45 @@ def weighted_density_integral(field_values, s, mass_diag) -> float:
     return float(np.dot(field_values * s * s, mass_diag))
 
 
-@dataclass(frozen=True)
-class WeightedCurvatureTerms:
-    """The two curvature integrals of the main bound for one eigenvector.
+class Inputs:
+    """The named parameters that the body of one check id reads.
 
-    ``h_term`` is n^2 * integral of H^2 <s_j, s_j>; ``r_term`` is
-    4 * integral of <R s_j, s_j> for the bundle curvature term R.  For
-    homogeneous models with constant fields and unit-normalized sections
-    these reduce to n^2 H^2 and 4 kappa.
+    ``p[key]`` is a value, or a usage error that names the parameter and the
+    id; ``optional(key)`` is a value or None; ``given(key)`` says whether the
+    caller supplied the key itself.  Keys are the ``check`` flags'
+    destinations (``h_sq``, ``b_sq_sup``, ...) plus ``n``.  This class reads
+    a plain mapping; the command line's subclass adds the fallbacks it
+    derives from a model or mesh.
     """
 
-    h_term: float
-    r_term: float
+    def __init__(self, ineq, values, spectrum=None, provenance=None):
+        self.ineq, self.values = ineq, values
+        self.spectrum, self.provenance = spectrum, provenance
 
-    @classmethod
-    def from_constants(cls, n: int, H_sq: float, kappa: float) -> "WeightedCurvatureTerms":
-        return cls(h_term=n**2 * H_sq, r_term=4.0 * kappa)
+    def given(self, key) -> bool:
+        return self.values.get(key) is not None
 
-    @classmethod
-    def from_vertex_fields(cls, n, H_sq_field, s, mass_diag) -> "WeightedCurvatureTerms":
-        """Mesh form for scalar functions, whose bundle curvature term vanishes."""
-        h = n**2 * weighted_density_integral(H_sq_field, s, mass_diag)
-        return cls(h_term=h, r_term=0.0)
+    def optional(self, key):
+        return self.values.get(key)
+
+    def __getitem__(self, key):
+        value = self.optional(key)
+        if value is None:
+            raise UsageError(
+                "inequality %r needs parameter %r" % (self.ineq, key),
+                parameter=key,
+                ineq=self.ineq,
+            )
+        return value
+
+    @property
+    def n(self) -> int:
+        return self["n"]
+
+    def weighted_h_sq(self, j):
+        """The integral of H^2 <s_j, s_j> over the unit-normalized j-th
+        section: ``h_sq`` itself for constant H^2."""
+        return self["h_sq"]
 
 
 def _base_params(spectrum, **extra) -> dict:
@@ -183,79 +194,14 @@ def _base_params(spectrum, **extra) -> dict:
 # the three formula families
 
 
-def validate_index(j: int, n: int = 1) -> None:
-    """Reject an index j < 1 or a dimension n < 1 of a sum bound or gap form."""
+def validate_index(j: int) -> None:
+    """Reject an index j < 1 of a sum bound or gap form."""
     if j < 1:
         raise IndexRangeError("index j must be >= 1, got %d" % j, index=j)
-    if n < 1:
-        raise UsageError("dimension n must be >= 1, got %d" % n, n=n)
 
 
-def _sum_bound(
-    ineq_id, spectrum, j, n, params, terms, plus=0.0, minus=0.0,
-    provenance=None, show_gamma_j=False,
-) -> InequalityReport:
-    """sum_{k=1..n} G_{j+k} <= (n + 4) G_j + plus - minus.
-
-    The main theorem and the corollaries that share its shape differ only
-    in the constant ``plus - minus``; ``terms`` names its pieces, after the
-    sum (and, for the main theorem, G_j) and the lead term.
-    """
-    _require_spectrum(spectrum)
-    validate_index(j, n)
-    lhs = _gamma_sum(spectrum, j, n)
-    gamma_j = spectrum.gamma(j)
-    lead = (n + 4) * gamma_j
-    head = {"gamma_sum": lhs, "gamma_j": gamma_j} if show_gamma_j else {"gamma_sum": lhs}
-    return make_report(
-        ineq_id,
-        UPPER,
-        lhs,
-        lead + plus - minus,
-        _base_params(spectrum, **params),
-        {**head, "lead_term": lead, **terms},
-        provenance,
-    )
-
-
-def _gap_form(ineq_id, spectrum, j, n, offsets, params, terms, provenance=None):
-    """sum_{i=1..n} (G_{i+j} - G_j) <= 4 (G_j + offsets[0] + offsets[1] + ...).
-
-    ``terms(gamma_j, shifted)`` names the breakdown after the gap sum, where
-    ``shifted`` is G_j plus the offsets.
-    """
-    _require_spectrum(spectrum)
-    validate_index(j, n)
-    gamma_j = spectrum.gamma(j)
-    lhs = _gamma_sum(spectrum, j, n) - n * gamma_j
-    shifted = gamma_j
-    for offset in offsets:
-        shifted += offset
-    return make_report(
-        ineq_id,
-        UPPER,
-        lhs,
-        4.0 * shifted,
-        _base_params(spectrum, **params),
-        {"gap_sum": lhs, **terms(gamma_j, shifted)},
-        provenance,
-    )
-
-
-def _kernel_mean(
-    ineq_id, spectrum, n, m, integral, terms, rhs_term=None, volume=None,
-    field_id=None, provenance=None,
-) -> InequalityReport:
-    """Bounds on the n eigenvalues that follow the m zero modes.
-
-    With a volume: (1/n) sum_{k=1..n} G_{k+m} <= (n/vol) (integral + A vol),
-    where A = 2(n + d_F)/n for a projective target over ``field_id`` and 0
-    otherwise.  Without one: sum_{k=1..n} G_{k+m} <= integral.  Either way
-    m must be the spectrum's zero count.
-    """
-    _require_spectrum(spectrum)
-    if n < 1:
-        raise UsageError("dimension n must be >= 1, got %d" % n, n=n)
+def _check_kernel(spectrum, m: int) -> None:
+    """Reject a claimed kernel dimension m that is not the spectrum's zero count."""
     if m < 0:
         raise UsageError("kernel dimension m must be >= 0, got %d" % m, m=m)
     if m != spectrum.zero_dim:
@@ -265,12 +211,76 @@ def _kernel_mean(
             claimed=m,
             zero_dim=spectrum.zero_dim,
         )
+
+
+def _sum_report(
+    report_id, p, j, params, terms, plus=0.0, minus=0.0, show_gamma_j=False
+) -> InequalityReport:
+    """sum_{k=1..n} G_{j+k} <= (n + 4) G_j + plus - minus.
+
+    The main theorem and the corollaries that share its shape differ only
+    in the constant ``plus - minus``; ``terms`` names its pieces, after the
+    sum (and, for the main theorem, G_j) and the lead term.
+    """
+    spectrum, n = p.spectrum, p.n
+    validate_index(j)
+    lhs = _gamma_sum(spectrum, j, n)
+    gamma_j = spectrum.gamma(j)
+    lead = (n + 4) * gamma_j
+    head = {"gamma_sum": lhs, "gamma_j": gamma_j} if show_gamma_j else {"gamma_sum": lhs}
+    return make_report(
+        report_id,
+        UPPER,
+        lhs,
+        lead + plus - minus,
+        _base_params(spectrum, **params),
+        {**head, "lead_term": lead, **terms},
+        p.provenance,
+    )
+
+
+def _gap_report(report_id, p, j, offsets, params, terms) -> InequalityReport:
+    """sum_{i=1..n} (G_{i+j} - G_j) <= 4 (G_j + offsets[0] + offsets[1] + ...).
+
+    ``terms(gamma_j, shifted)`` names the breakdown after the gap sum, where
+    ``shifted`` is G_j plus the offsets.
+    """
+    spectrum, n = p.spectrum, p.n
+    validate_index(j)
+    gamma_j = spectrum.gamma(j)
+    lhs = _gamma_sum(spectrum, j, n) - n * gamma_j
+    shifted = gamma_j
+    for offset in offsets:
+        shifted += offset
+    return make_report(
+        report_id,
+        UPPER,
+        lhs,
+        4.0 * shifted,
+        _base_params(spectrum, **params),
+        {"gap_sum": lhs, **terms(gamma_j, shifted)},
+        p.provenance,
+    )
+
+
+def _kernel_report(
+    report_id, p, m, integral, terms, rhs_term=None, volume=None, field_id=None
+) -> InequalityReport:
+    """Bounds on the n eigenvalues that follow the m zero modes.
+
+    With a volume: (1/n) sum_{k=1..n} G_{k+m} <= (n/vol) (integral + A vol),
+    where A = 2(n + d_F)/n for a projective target over ``field_id`` and 0
+    otherwise.  Without one: sum_{k=1..n} G_{k+m} <= integral.  Either way
+    m must be the spectrum's zero count.
+    """
+    spectrum, n = p.spectrum, p.n
+    _check_kernel(spectrum, m)
     params = _base_params(spectrum, n=n, m=m)
     if volume is None:
         lhs = _gamma_sum(spectrum, m, n)
         return make_report(
-            ineq_id, UPPER, lhs, integral, params,
-            {"gamma_bar_sum": lhs, **terms}, provenance,
+            report_id, UPPER, lhs, integral, params,
+            {"gamma_bar_sum": lhs, **terms}, p.provenance,
         )
     if volume <= 0.0:
         raise UsageError("volume must be positive, got %g" % volume, volume=volume)
@@ -284,104 +294,126 @@ def _kernel_mean(
     lhs = _gamma_sum(spectrum, m, n) / n
     rhs = (n / volume) * integral
     return make_report(
-        ineq_id, UPPER, lhs, rhs, params,
-        {"gamma_mean": lhs, **terms, rhs_term: rhs}, provenance,
+        report_id, UPPER, lhs, rhs, params,
+        {"gamma_mean": lhs, **terms, rhs_term: rhs}, p.provenance,
     )
 
 
 # ---------------------------------------------------------------------------
-# the main bound and its relatives
+# the check ids
 
 
-def check_main_theorem(
-    spectrum, j: int, n: int, terms: WeightedCurvatureTerms, provenance=None
-) -> InequalityReport:
-    """The main sum bound, C = h_term - r_term."""
-    return _sum_bound(
-        "main", spectrum, j, n, {"j": j, "n": n},
-        {"h_term": terms.h_term, "r_term": terms.r_term},
-        plus=terms.h_term, minus=terms.r_term, provenance=provenance,
-        show_gamma_j=True,
+class Ineq(NamedTuple):
+    """One ``check --ineq`` id.
+
+    ``body(p, j)`` evaluates it from its parameters ``p`` (an
+    :class:`Inputs`); ``j`` is None unless ``per_j``, when it runs once per
+    requested j.  Its family fixes the other fields: ``reads(p, j_max, m)``
+    is the highest spectrum index it reads, given the largest requested j
+    and the kernel dimension m, or None for an id that reads no spectrum.
+    """
+
+    body: Callable
+    reads: Callable | None
+    per_j: bool
+
+
+# every check id, in the order the command line lists them
+INEQS = {}
+
+
+def _family(reads, per_j=False):
+    """The decorator that registers a body as a check id of one family."""
+    def entry(ineq_id):
+        def register(body):
+            INEQS[ineq_id] = Ineq(body, reads, per_j)
+            return body
+
+        return register
+
+    return entry
+
+
+# sum bounds and gap forms read up to G_{j+n}; kernel means read the n
+# values after the m zero modes
+_sum_bound = _gap_form = _family(lambda p, j_max, m: j_max + p.n, per_j=True)
+_kernel_mean = _family(lambda p, j_max, m: m + p.n)
+
+
+@_sum_bound("main")
+def _main(p, j):
+    """The main theorem: sum_{k=1..n} G_{j+k} <= (n + 4) G_j + C with
+    C = n^2 h - 4 kappa, where h is the integral of H^2 <s_j, s_j> and
+    kappa the bundle curvature term (S/4 for spinors, 0 for functions)."""
+    n = p.n
+    h_term, r_term = n**2 * p.weighted_h_sq(j), 4.0 * p["kappa"]
+    return _sum_report(
+        "main", p, j, {"j": j, "n": n}, {"h_term": h_term, "r_term": r_term},
+        plus=h_term, minus=r_term, show_gamma_j=True,
     )
 
 
-def check_corollary_eta(
-    spectrum, j: int, n: int, c_sup: float, kappa: float, provenance=None
-) -> InequalityReport:
+@_gap_form("eta")
+def _eta(p, j):
     """Shifted form: with eta_i = G_i + (c_sup - 4 kappa)/4,
-    sum_{i=1..n} (eta_{i+j} - eta_j) <= 4 eta_j.
-
-    The shifted sequence eta is the spectrum shifted by a quarter of the
-    curvature surplus; the margin agrees with the main bound at
-    c_sup = n^2 H^2 identically.
-    """
+    sum_{i=1..n} (eta_{i+j} - eta_j) <= 4 eta_j.  Its margin is the main
+    bound's at c_sup = n^2 H^2."""
+    n, c_sup, kappa = p.n, p["c_sup"], p["kappa"]
     shift = (c_sup - 4.0 * kappa) / 4.0
-    return _gap_form(
-        "eta-shift", spectrum, j, n, (shift,),
+    return _gap_report(
+        "eta-shift", p, j, (shift,),
         {"j": j, "n": n, "c_sup": c_sup, "kappa": kappa,
          "eigenvalue_convention": "raw spectrum values"},
         lambda gamma_j, eta_j: {"eta_j": eta_j, "shift": shift, "gamma_j": gamma_j},
-        provenance,
     )
 
 
-def check_universal_euclidean(
-    spectrum, j: int, n: int, c1: float, c2: float, provenance=None
-) -> InequalityReport:
-    """The sum bound with immersion-wide constants, C = c1 - 4 c2.
-
-    c1 bounds n^2 H^2 from above, c2 bounds the bundle curvature term from
-    below; for a minimal immersion into a round sphere c1 = n^2.
-    """
-    return _sum_bound(
-        "universal-euclidean", spectrum, j, n, {"j": j, "n": n, "c1": c1, "c2": c2},
-        {"c1": c1, "c2_term": 4.0 * c2}, plus=c1, minus=4.0 * c2, provenance=provenance,
+@_sum_bound("universal-euclidean")
+def _universal_euclidean(p, j):
+    """The sum bound with immersion-wide constants, C = c1 - 4 c2: c1
+    bounds n^2 H^2 from above, c2 the bundle curvature term from below."""
+    n, c1, c2 = p.n, p["c1"], p["c2"]
+    return _sum_report(
+        "universal-euclidean", p, j, {"j": j, "n": n, "c1": c1, "c2": c2},
+        {"c1": c1, "c2_term": 4.0 * c2}, plus=c1, minus=4.0 * c2,
     )
 
 
-def check_universal_sphere(
-    spectrum, j: int, n: int, c3: float, provenance=None
-) -> InequalityReport:
+@_sum_bound("universal-sphere")
+def _universal_sphere(p, j):
     """Minimal-in-the-unit-sphere form of the sum bound, C = n^2 - 4 c3."""
-    return _sum_bound(
-        "universal-sphere", spectrum, j, n, {"j": j, "n": n, "c3": c3},
+    n, c3 = p.n, p["c3"]
+    return _sum_report(
+        "universal-sphere", p, j, {"j": j, "n": n, "c3": c3},
         {"n_sq": float(n**2), "c3_term": 4.0 * c3}, plus=n**2, minus=4.0 * c3,
-        provenance=provenance,
     )
 
 
-def check_sphere_theorem(
-    spectrum, j: int, n: int, hbar1_integral: float, r_term: float, provenance=None
-) -> InequalityReport:
+@_sum_bound("sphere")
+def _sphere(p, j):
     """Immersions into the unit sphere: the sum bound with
-    C = n^2 hbar1_integral - r_term, where the H^2 integral splits as
-    (Hbar^2 + 1) with Hbar the mean curvature inside the sphere.
-
-    ``hbar1_integral`` is the weighted integral of Hbar^2 + 1 against
-    <s_j, s_j>; for homogeneous models it is the constant Hbar^2 + 1.
-    """
-    h_term = n**2 * hbar1_integral
-    return _sum_bound(
-        "sphere", spectrum, j, n, {"j": j, "n": n},
-        {"h_term": h_term, "r_term": r_term}, plus=h_term, minus=r_term,
-        provenance=provenance,
+    C = n^2 hbar1_integral - 4 kappa, where hbar1_integral is the integral
+    of Hbar^2 + 1 against <s_j, s_j>, Hbar the mean curvature inside the
+    sphere (the constant Hbar^2 + 1 on a homogeneous model)."""
+    n = p.n
+    h_term, r_term = n**2 * p["hbar1_integral"], 4.0 * p["kappa"]
+    return _sum_report(
+        "sphere", p, j, {"j": j, "n": n}, {"h_term": h_term, "r_term": r_term},
+        plus=h_term, minus=r_term,
     )
 
 
-def check_reilly_I(
-    spectrum, n: int, m: int, h_sq_integral: float, volume: float, provenance=None
-) -> InequalityReport:
-    """(1/n) sum_{k=1..n} G_{k+m} <= (n/vol) * integral of H^2.
-
-    Also emits the first-nonzero-eigenvalue specialization
-    G_{m+1} <= (n/vol) * integral of H^2 as a sub-report.
-    """
-    report = _kernel_mean(
-        "reilly-mean-curvature", spectrum, n, m, h_sq_integral,
+@_kernel_mean("reilly1")
+def _reilly1(p, j):
+    """(1/n) sum_{k=1..n} G_{k+m} <= (n/vol) * integral of H^2, with the
+    first-nonzero specialization G_{m+1} <= (n/vol) * integral of H^2 as
+    a sub-report."""
+    m, h_sq_integral, volume = p["m"], p["h_sq_integral"], p["volume"]
+    report = _kernel_report(
+        "reilly-mean-curvature", p, m, h_sq_integral,
         {"h_sq_integral": h_sq_integral}, "mean_h_sq", volume=volume,
-        provenance=provenance,
     )
-    gamma_bar_1 = spectrum.gamma(m + 1)
+    gamma_bar_1 = p.spectrum.gamma(m + 1)
     first = make_report(
         "first-nonzero-mean-curvature",
         UPPER,
@@ -389,152 +421,129 @@ def check_reilly_I(
         report.rhs,
         report.params,
         {"gamma_bar_1": gamma_bar_1, "mean_h_sq": report.rhs},
-        provenance,
+        p.provenance,
     )
     return replace(report, subreports=(first,))
 
 
-def check_reilly_II(
-    spectrum, n: int, m: int, hbar1_integral_total: float, volume: float, provenance=None
-) -> InequalityReport:
-    """Sphere-immersion form of the kernel-shifted mean bound:
+@_kernel_mean("reilly2")
+def _reilly2(p, j):
+    """Sphere-immersion form of the kernel mean bound:
     (1/n) sum G_{k+m} <= (n/vol) * integral of (Hbar^2 + 1)."""
-    return _kernel_mean(
-        "reilly-sphere", spectrum, n, m, hbar1_integral_total,
-        {"hbar1_integral": hbar1_integral_total}, "mean_bound", volume=volume,
-        provenance=provenance,
+    volume = p["volume"]
+    total = p["hbar1_integral"] * volume
+    return _kernel_report(
+        "reilly-sphere", p, p["m"], total, {"hbar1_integral": total}, "mean_bound",
+        volume=volume,
     )
 
 
-def check_reilly_III(
-    spectrum,
-    n: int,
-    m: int,
-    field_id: str,
-    htilde_sq_integral: float,
-    volume: float,
-    provenance=None,
-) -> InequalityReport:
+@_kernel_mean("reilly3")
+def _reilly3(p, j):
     """Projective-target form: (1/n) sum G_{k+m} <=
     (n/vol) * integral of (Htilde^2 + 2(n + d_F)/n)."""
-    return _kernel_mean(
-        "reilly-projective", spectrum, n, m, htilde_sq_integral,
-        {"htilde_sq_integral": htilde_sq_integral}, "mean_bound", volume=volume,
-        field_id=field_id, provenance=provenance,
+    m, field, integral, volume = p["m"], p["field"], p["htilde_sq_integral"], p["volume"]
+    return _kernel_report(
+        "reilly-projective", p, m, integral, {"htilde_sq_integral": integral},
+        "mean_bound", volume=volume, field_id=field,
     )
 
 
-def check_projective(
-    spectrum,
-    j: int,
-    n: int,
-    field_id: str,
-    sup_term: float | None = None,
-    s_inf: float | None = None,
-    minimal: bool = False,
-    provenance=None,
-) -> InequalityReport:
-    """Gap form for immersions into a projective space:
-
-    sum_{i=1..n} (G_{i+j} - G_j) <= 4 (G_j + (n/2)(n + d_F) + sup_term/4)
-
-    with ``sup_term`` an upper bound for n^2 Htilde^2 - 4 kappa_S over the
-    surface (infimum over congruences of the supremum).  For minimal
-    immersions Htilde vanishes and the caller passes the scalar curvature
-    infimum ``s_inf`` instead; the bound becomes
-    4 (G_j + (n/2)(n + d_F) - s_inf).
-    """
-    ambient = 0.5 * n * (n + field_dimension(field_id))
+@_gap_form("projective")
+def _projective(p, j):
+    """Gap form for immersions into a projective space over ``field``:
+    sum_{i=1..n} (G_{i+j} - G_j) <= 4 (G_j + (n/2)(n + d_F) + sup_term/4),
+    with sup_term an upper bound for n^2 Htilde^2 - 4 kappa_S over the
+    surface.  A ``minimal`` immersion has Htilde = 0 and takes the scalar
+    curvature infimum instead: 4 (G_j + (n/2)(n + d_F) - s_inf)."""
+    n, field, minimal = p.n, p["field"], bool(p.optional("minimal"))
+    ambient = 0.5 * n * (n + field_dimension(field))
     if minimal:
-        if s_inf is None:
-            raise UsageError("minimal form needs s_inf")
+        s_inf = p["s_inf"]
         offsets, last = (ambient, -s_inf), {"s_inf": s_inf}
     else:
-        if sup_term is None:
-            raise UsageError("general form needs sup_term")
+        sup_term = p["sup_term"]
         offsets, last = (ambient, sup_term / 4.0), {"sup_term": sup_term}
-    return _gap_form(
-        "projective", spectrum, j, n, offsets,
-        {"j": j, "n": n, "field": field_id, "minimal": minimal},
+    return _gap_report(
+        "projective", p, j, offsets,
+        {"j": j, "n": n, "field": field, "minimal": minimal},
         lambda gamma_j, _: {"gamma_j": gamma_j, "ambient": ambient, **last},
-        provenance,
     )
 
 
-def check_lp_spin(
-    spectrum, j: int, n: int, b_sq_supinf: float, provenance=None
-) -> InequalityReport:
+@_sum_bound("lp-spin")
+def _lp_spin(p, j):
     """Flat-space spin form of the sum bound, C = inf sup |B|^2."""
-    return _sum_bound(
-        "flat-spin", spectrum, j, n, {"j": j, "n": n},
-        {"b_sq_supinf": b_sq_supinf}, plus=b_sq_supinf, provenance=provenance,
+    b_sq = p["b_sq_sup"]
+    return _sum_report(
+        "flat-spin", p, j, {"j": j, "n": p.n}, {"b_sq_supinf": b_sq}, plus=b_sq
     )
 
 
-def check_index_corollary(
-    spectrum, n: int, m: int, b_sq_supinf: float, provenance=None
-) -> InequalityReport:
-    """Kernel-anchored form: sum_{i=1..n} Gbar_i <= inf sup |B|^2.
-
-    Requires actual zero modes (m >= 1); the hypothesis is consumed as the
-    presence of a kernel, so m must match the spectrum's zero count.
-    """
+@_kernel_mean("index")
+def _index(p, j):
+    """Kernel-anchored form: sum_{i=1..n} Gbar_i <= inf sup |B|^2.  It
+    needs actual zero modes, m >= 1."""
+    m, b_sq = p["m"], p["b_sq_sup"]
     if m < 1:
         raise HypothesisViolatedError(
             "the kernel-anchored bound needs at least one zero mode", m=m
         )
-    return _kernel_mean(
-        "kernel-gap-sum", spectrum, n, m, b_sq_supinf,
-        {"b_sq_supinf": b_sq_supinf}, provenance=provenance,
-    )
+    return _kernel_report("kernel-gap-sum", p, m, b_sq, {"b_sq_supinf": b_sq})
 
 
-# ---------------------------------------------------------------------------
-# background bounds
+def _background_reads(p, j_max, m):
+    """Gbar_1, G_1 and G_2, and what the index-taking sub-bounds read."""
+    need = [m + 1, 2]
+    for key, extra in (("gap_k", 1), ("yang_k", 1), ("lp_j", p.n)):
+        if p.given(key):
+            need.append(p[key] + extra)
+    if p.given("chen_h_sq"):
+        need.append(1 + p.n)
+    return max(need)
 
 
-def check_background_bounds(spectrum, params: dict, provenance=None) -> list:
-    """Evaluate the classical comparison bounds whose inputs are present.
-
-    Keys of ``params`` select the bounds: every bound with all of its
-    required inputs available is evaluated, the rest are skipped.  All
-    constant curvature inputs follow the homogeneous-model convention
-    (fields constant, sections unit-normalized).
-    """
-    _require_spectrum(spectrum)
-    n = params.get("n")
-    if n is None:
-        raise UsageError("background bounds need the dimension n")
-    for key in ("area", "volume", "gap_k", "yang_k"):
-        if key in params and not params[key] > 0:
-            raise UsageError("%s must be positive, got %g" % (key, params[key]),
-                             parameter=key, value=params[key])
+@_family(_background_reads)("background")
+def _background(p, j):
+    """Classical comparison bounds: one report for each sub-bound whose
+    switch (``s0``, ``genus``, ``gap_k``, ``b_sq_sup``, ``h_sq_integral``,
+    ``htilde_sq_integral``, ``yang_k``, ``chen_h_sq``, ``lp_j``) is given.
+    Constant curvature inputs follow the homogeneous-model convention
+    (fields constant, sections unit-normalized)."""
+    spectrum, n, m = p.spectrum, p.n, p.optional("m")
+    if m is not None:
+        _check_kernel(spectrum, m)
     reports = []
+
+    def positive(key):
+        value = p[key]
+        if not value > 0:
+            raise UsageError("%s must be positive, got %g" % (key, value),
+                             parameter=key, value=value)
+        return value
 
     def add(ineq_id, direction, lhs, rhs, extra, terms):
         reports.append(make_report(
             ineq_id, direction, lhs, rhs, _base_params(spectrum, n=n, **extra), terms,
-            provenance,
+            p.provenance,
         ))
 
-    if "S0" in params:
-        s0 = params["S0"]
+    if p.given("s0"):
+        s0 = p["s0"]
         if n < 2:
             raise UsageError("the scalar-curvature lower bound needs n >= 2", n=n)
         rhs = n * s0 / (4.0 * (n - 1.0))
         add("scalar-curvature-lower", LOWER, spectrum.gamma(1), rhs, {"S0": s0},
             {"gamma_1": spectrum.gamma(1), "bound": rhs})
 
-    if "genus" in params and "area" in params:
-        genus, area = params["genus"], params["area"]
+    if p.given("genus"):
+        genus, area = p["genus"], positive("area")
         rhs = 4.0 * np.pi * (1.0 - genus) / area
         add("genus-area-lower", LOWER, spectrum.gamma(1), rhs,
             {"genus": genus, "area": area}, {"gamma_1": spectrum.gamma(1), "bound": rhs})
 
-    if "gap_k" in params and "H_sq" in params:
-        k = params["gap_k"]
-        kappa = params.get("kappa", 0.0)
-        h_sq = params["H_sq"]
+    if p.given("gap_k"):
+        k, h_sq, kappa = positive("gap_k"), p["h_sq"], p["kappa"]
         partial = sum(spectrum.gamma(i) for i in range(1, k + 1))
         lhs = spectrum.gamma(k + 1) - spectrum.gamma(k)
         rhs = n * h_sq + (4.0 / (k * n)) * partial - (4.0 / n) * kappa
@@ -545,31 +554,32 @@ def check_background_bounds(spectrum, params: dict, provenance=None) -> list:
             "kappa_term": (4.0 / n) * kappa,
         })
 
-    if "B_sq_sup" in params:
+    if p.given("b_sq_sup"):
+        b_sq_sup = p["b_sq_sup"]
         rank = 2 ** (n // 2)
         add("second-form-first-nonzero", UPPER, spectrum.gamma_bar(1),
-            rank * params["B_sq_sup"], {"B_sq_sup": params["B_sq_sup"]},
+            rank * b_sq_sup, {"B_sq_sup": b_sq_sup},
             {"gamma_bar_1": spectrum.gamma_bar(1), "rank_factor": float(rank)})
 
-    if "H_sq_integral" in params and "volume" in params:
-        rhs = n**2 / (4.0 * params["volume"]) * params["H_sq_integral"]
+    if p.given("h_sq_integral"):
+        integral, volume = p["h_sq_integral"], positive("volume")
+        rhs = n**2 / (4.0 * volume) * integral
         add("hypersurface-euclidean", UPPER, spectrum.gamma_bar(1), rhs,
-            {"volume": params["volume"]},
+            {"volume": volume},
             {"gamma_bar_1": spectrum.gamma_bar(1), "mean_h_sq_term": rhs})
 
-    if "Htilde_sq_integral" in params and "volume" in params:
-        mean_term = n**2 / (4.0 * params["volume"]) * params["Htilde_sq_integral"]
+    if p.given("htilde_sq_integral"):
+        integral, volume = p["htilde_sq_integral"], positive("volume")
+        mean_term = n**2 / (4.0 * volume) * integral
         add("hypersurface-sphere", UPPER, spectrum.gamma_bar(1), n**2 / 4.0 + mean_term,
-            {"volume": params["volume"]}, {
+            {"volume": volume}, {
                 "gamma_bar_1": spectrum.gamma_bar(1),
                 "flat_term": n**2 / 4.0,
                 "mean_term": mean_term,
             })
 
-    if "yang_k" in params and "H_sq" in params:
-        k = params["yang_k"]
-        kappa = params.get("kappa", 0.0)
-        h_sq = params["H_sq"]
+    if p.given("yang_k"):
+        k, h_sq, kappa = positive("yang_k"), p["h_sq"], p["kappa"]
         top = spectrum.gamma(k + 1)
         gaps = np.array([top - spectrum.gamma(i) for i in range(1, k + 1)])
         weights = np.array(
@@ -580,23 +590,62 @@ def check_background_bounds(spectrum, params: dict, provenance=None) -> list:
         add("quadratic-gap", UPPER, lhs, rhs, {"k": k, "H_sq": h_sq, "kappa": kappa},
             {"gap_sq_sum": lhs, "weighted_gap_sum": rhs})
 
-    if "chen_H_sq" in params:
-        kappa = params.get("kappa", 0.0)
-        terms = WeightedCurvatureTerms.from_constants(n, params["chen_H_sq"], kappa)
-        base = check_main_theorem(spectrum, 1, n, terms, provenance)
-        reports.append(replace(base, ineq_id="low-order-gap"))
+    if p.given("chen_h_sq"):
+        h_term, r_term = n**2 * p["chen_h_sq"], 4.0 * p["kappa"]
+        reports.append(_sum_report(
+            "low-order-gap", p, 1, {"j": 1, "n": n},
+            {"h_term": h_term, "r_term": r_term}, plus=h_term, minus=r_term,
+            show_gamma_j=True,
+        ))
 
-    if "lp_j" in params:
-        j = params["lp_j"]
-        reports.append(
-            _sum_bound("flat-domain-sum", spectrum, j, n, {"n": n, "j": j}, {},
-                       provenance=provenance)
-        )
+    if p.given("lp_j"):
+        lp_j = p["lp_j"]
+        reports.append(_sum_report("flat-domain-sum", p, lp_j, {"n": n, "j": lp_j}, {}))
 
     if not reports:
+        # n is the one input that every sub-bound shares
         raise UsageError("no background bound matched the supplied parameters",
-                         keys=sorted(params.keys()))
+                         keys=["n"])
     return reports
+
+
+@_family(None)("conjecture")
+def _conjecture(p, j):
+    """Exploratory: (Gbar_1 + Gbar_2)/2 >= 4 pi^2 / area on a flat 2-torus,
+    see :func:`conjecture_probe`."""
+    return conjecture_probe(
+        p["lattice"],
+        p["area"] if p.given("area") else None,
+        p["count"] if p.given("count") else 64,
+    )
+
+
+def evaluate_inputs(p, j=None):
+    """Evaluate the check id ``p.ineq`` from the parameters ``p``, at ``j``
+    (default ``p["j"]``) for a per-j id.  Returns a report, or a list for
+    ``background`` and ``conjecture``.
+    """
+    ineq = INEQS[p.ineq]
+    if ineq.reads is not None:
+        if not isinstance(p.spectrum, IndexedSpectrum):
+            raise UsageError(
+                "expected a Spectrum or EigenBasis, got %r" % type(p.spectrum).__name__
+            )
+        if p.n < 1:
+            raise UsageError("dimension n must be >= 1, got %d" % p.n, n=p.n)
+    if ineq.per_j and j is None:
+        j = p["j"]
+    return ineq.body(p, j)
+
+
+def evaluate(ineq_id, spectrum=None, provenance=None, **values):
+    """Evaluate one check id with keyword parameters, for example
+    ``evaluate("reilly1", spectrum, n=2, m=1, h_sq_integral=..., volume=...)``.
+
+    Keys are those of :class:`Inputs`; a missing one is a usage error that
+    names it.  ``main`` reads ``h_sq`` as the integral of H^2 <s_j, s_j>.
+    """
+    return evaluate_inputs(Inputs(ineq_id, values, spectrum, provenance))
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,7 @@ def _validate(verts: np.ndarray, faces: np.ndarray) -> MeshGeometry:
     with np.errstate(over="ignore", invalid="ignore"):
         areas = face_areas(verts, faces)
         bbox_diag_sq = float(np.sum((verts.max(axis=0) - verts.min(axis=0)) ** 2))
+        total_area = float(areas.sum())
     rank = np.where(np.isinf(areas), 0, np.where(np.isnan(areas), 1, 2))
     f = int(np.argmin(rank))
     if rank[f] < 2:
@@ -265,6 +266,14 @@ def _validate(verts: np.ndarray, faces: np.ndarray) -> MeshGeometry:
             "face %d area overflows (area %g); coordinates are too large" % (f, areas[f]),
             face=f,
             area=float(areas[f]),
+        )
+    # the degeneracy threshold squares the extent: it overflows before a face area
+    if not (np.isfinite(bbox_diag_sq) and np.isfinite(total_area)):
+        raise MeshValidationError(
+            "mesh extent overflows (total area %g, squared bounding-box "
+            "diagonal %g); coordinates are too large" % (total_area, bbox_diag_sq),
+            total_area=total_area,
+            bbox_diag_sq=bbox_diag_sq,
         )
     degenerate = np.flatnonzero(areas <= DEGENERATE_AREA_REL * max(bbox_diag_sq, 1e-30))
     if degenerate.size:
@@ -314,7 +323,7 @@ def _validate(verts: np.ndarray, faces: np.ndarray) -> MeshGeometry:
         vertices=np.ascontiguousarray(verts, dtype=float),
         faces=np.ascontiguousarray(faces, dtype=np.int64),
         vertex_area=vertex_area,
-        total_area=float(areas.sum()),
+        total_area=total_area,
     )
 
 

@@ -15,16 +15,7 @@ import pytest
 from specgeom.cli import main
 from specgeom.eigensolve import dense_eigenbasis, solve_smallest
 from specgeom.errors import IndexRangeError
-from specgeom.inequalities import (
-    WeightedCurvatureTerms,
-    check_background_bounds,
-    check_lp_spin,
-    check_main_theorem,
-    check_reilly_I,
-    check_sphere_theorem,
-    check_universal_euclidean,
-    check_universal_sphere,
-)
+from specgeom.inequalities import evaluate, weighted_density_integral
 from specgeom.mesh import assemble_operators, extrinsic_summary, mesh_from_arrays
 from specgeom.meshgen import ellipsoid, icosphere, write_obj, write_off
 from specgeom.models import (
@@ -66,13 +57,11 @@ def test_criterion_01_sphere_equality_suite():
     for n in range(2, 7):
         spec = sphere_dirac_spectrum(n, 1.0, 8)
         s0 = float(n * (n - 1))
-        (rep,) = check_background_bounds(spec, {"n": n, "S0": s0})
+        (rep,) = evaluate("background", spec, n=n, s0=s0)
         worst = max(worst, abs(rep.lhs - rep.rhs))
         assert abs(rep.lhs - rep.rhs) <= 1e-12, n
     s2 = sphere_dirac_spectrum(2, 1.0, 8)
-    (genus_rep,) = check_background_bounds(
-        s2, {"n": 2, "genus": 0.0, "area": 4.0 * math.pi}
-    )
+    (genus_rep,) = evaluate("background", s2, n=2, genus=0.0, area=4.0 * math.pi)
     worst = max(worst, abs(genus_rep.lhs - genus_rep.rhs))
     assert abs(genus_rep.lhs - genus_rep.rhs) <= 1e-12
     elapsed = budget.done("criterion 1")
@@ -87,8 +76,7 @@ def test_criterion_02_main_theorem_scalar_equality():
     """Unit 2-sphere scalar spectrum closes the main bound at j = 1."""
     budget = Budget(1.0)
     spec = sphere_laplace_spectrum(2, 1.0, 10)
-    terms = WeightedCurvatureTerms.from_constants(2, 1.0, 0.0)
-    rep = check_main_theorem(spec, 1, 2, terms)
+    rep = evaluate("main", spec, j=1, n=2, h_sq=1.0, kappa=0.0)
     assert rep.lhs == pytest.approx(4.0, abs=1e-12)
     assert rep.rhs == pytest.approx(4.0, abs=1e-12)
     assert abs(rep.margin) <= 1e-12
@@ -103,16 +91,18 @@ def test_criterion_02_main_theorem_scalar_equality():
 def test_criterion_03_reilly_equality_and_rescaling():
     """First mean-curvature bound is sharp on round spheres of any radius."""
     budget = Budget(1.0)
-    rep = check_reilly_I(
-        sphere_laplace_spectrum(2, 1.0, 10), 2, 1, 4.0 * math.pi, 4.0 * math.pi
+    rep = evaluate(
+        "reilly1", sphere_laplace_spectrum(2, 1.0, 10), n=2, m=1,
+        h_sq_integral=4.0 * math.pi, volume=4.0 * math.pi,
     )
     assert rep.lhs == pytest.approx(2.0, abs=1e-12)
     assert rep.rhs == pytest.approx(2.0, abs=1e-12)
     worst = abs(rep.margin)
     for radius in (0.5, 2.0, 7.5):
         vol = 4.0 * math.pi * radius**2
-        scaled = check_reilly_I(
-            sphere_laplace_spectrum(2, radius, 10), 2, 1, vol / radius**2, vol
+        scaled = evaluate(
+            "reilly1", sphere_laplace_spectrum(2, radius, 10), n=2, m=1,
+            h_sq_integral=vol / radius**2, volume=vol,
         )
         worst = max(worst, abs(scaled.margin))
         assert abs(scaled.margin) <= 1e-12, radius
@@ -166,16 +156,17 @@ def test_criterion_05_mesh_inequality_suite():
     extr = extrinsic_summary(mesh, ops)
     margins = []
     for j in range(1, 11):
-        terms = WeightedCurvatureTerms.from_vertex_fields(
-            2, extr.H_sq, basis.vectors[:, j - 1], ops.mass_diag
-        )
-        rep = check_main_theorem(basis, j, 2, terms)
+        h_sq = weighted_density_integral(extr.H_sq, basis.vectors[:, j - 1], ops.mass_diag)
+        rep = evaluate("main", basis, j=j, n=2, h_sq=h_sq, kappa=0.0)
         assert rep.satisfied and rep.margin > 0.0, j
         margins.append(rep.margin)
-    reilly = check_reilly_I(basis, 2, 1, extr.willmore, mesh.total_area)
+    reilly = evaluate(
+        "reilly1", basis, n=2, m=1, h_sq_integral=extr.willmore, volume=mesh.total_area
+    )
     assert reilly.satisfied and reilly.margin > 0.0
     with pytest.raises(IndexRangeError):
-        check_main_theorem(basis, 12, 2, terms)  # needs the 14th eigenvalue
+        # needs the 14th eigenvalue
+        evaluate("main", basis, j=12, n=2, h_sq=h_sq, kappa=0.0)
     elapsed = budget.done("criterion 5")
     report_line(
         "criterion-05 ellipsoid-suite",
@@ -195,41 +186,37 @@ def test_criterion_06_dirac_model_suite():
     for n in (2, 3):
         spec = sphere_dirac_spectrum(n, 1.0, 60)
         kappa = n * (n - 1) / 4.0
-        terms = WeightedCurvatureTerms.from_constants(n, 1.0, kappa)
         for j in js:
-            assert check_main_theorem(spec, j, n, terms).satisfied
-            assert check_universal_euclidean(
-                spec, j, n, c1=float(n**2), c2=kappa
-            ).satisfied
-            assert check_universal_sphere(spec, j, n, c3=kappa).satisfied
-            assert check_sphere_theorem(
-                spec, j, n, hbar1_integral=1.0, r_term=4.0 * kappa
-            ).satisfied
-            assert check_lp_spin(spec, j, n, b_sq_supinf=float(n)).satisfied
-            checked += 5
+            for ineq_id, params in (
+                ("main", {"h_sq": 1.0, "kappa": kappa}),
+                ("universal-euclidean", {"c1": float(n**2), "c2": kappa}),
+                ("universal-sphere", {"c3": kappa}),
+                ("sphere", {"hbar1_integral": 1.0, "kappa": kappa}),
+                ("lp-spin", {"b_sq_sup": float(n)}),
+            ):
+                assert evaluate(ineq_id, spec, j=j, n=n, **params).satisfied
+                checked += 1
 
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for r1, r2 in ((1.0, 1.0), (1.0, 2.0), (inv_sqrt2, inv_sqrt2)):
         lat, extr = product_torus_extrinsic(r1, r2)
         scale = math.hypot(r1, r2)
         unit_lat, unit_extr = product_torus_extrinsic(r1 / scale, r2 / scale)
-        terms = WeightedCurvatureTerms.from_constants(2, extr.H_sq, 0.0)
         for spin in all_spin_structures(2):
             spec = torus_dirac_spectrum(lat, spin, 60)
             unit_spec = torus_dirac_spectrum(unit_lat, spin, 60)
             for j in js:
-                assert check_main_theorem(spec, j, 2, terms).satisfied
-                assert check_universal_euclidean(
-                    spec, j, 2, c1=4.0 * extr.H_sq, c2=0.0
-                ).satisfied
-                assert check_lp_spin(spec, j, 2, b_sq_supinf=extr.B_sq).satisfied
                 # sphere forms apply to the copy normalized into the unit
                 # 3-sphere, where H^2 = Hbar^2 + 1 exactly
-                assert check_universal_sphere(unit_spec, j, 2, c3=0.0).satisfied
-                assert check_sphere_theorem(
-                    unit_spec, j, 2, hbar1_integral=unit_extr.H_sq, r_term=0.0
-                ).satisfied
-                checked += 5
+                for ineq_id, s, params in (
+                    ("main", spec, {"h_sq": extr.H_sq, "kappa": 0.0}),
+                    ("universal-euclidean", spec, {"c1": 4.0 * extr.H_sq, "c2": 0.0}),
+                    ("lp-spin", spec, {"b_sq_sup": extr.B_sq}),
+                    ("universal-sphere", unit_spec, {"c3": 0.0}),
+                    ("sphere", unit_spec, {"hbar1_integral": unit_extr.H_sq, "kappa": 0.0}),
+                ):
+                    assert evaluate(ineq_id, s, j=j, n=2, **params).satisfied
+                    checked += 1
 
     elapsed = budget.done("criterion 6")
     report_line(

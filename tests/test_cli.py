@@ -136,6 +136,22 @@ class TestSpectrum:
         data = np.frombuffer(sidecar.read_bytes(), dtype="<f8")
         assert data.size == doc["vectors_shape"][0] * doc["vectors_shape"][1]
 
+    @pytest.mark.parametrize("argv", [
+        ["--mesh", "{mesh}"],
+        ["--model", "sphere", "--output", "{out}"],
+        ["--model", "sphere"],
+    ])
+    def test_include_vectors_needs_mesh_and_output(self, ico_files, tmp_path, capsys, argv):
+        """Without both, no sidecar could be written: a usage error, not a
+        vectors_shape on stdout or a silently ignored flag."""
+        out = tmp_path / "basis.json"
+        argv = [a.format(mesh=ico_files[2], out=out) for a in argv]
+        code, doc, err = run_json(capsys, ["spectrum", *argv, "--count", "3",
+                                           "--include-vectors"])
+        assert (code, doc, err["kind"]) == (2, None, "usage")
+        assert err["detail"] == {"parameter": "include_vectors"}
+        assert list(tmp_path.iterdir()) == []
+
     def test_tol_below_floor_rejected(self, ico_files, capsys, loaded_meshes):
         code = main(["spectrum", "--mesh", ico_files[2], "--tol", "1e-13"])
         assert code == 2
@@ -288,6 +304,32 @@ class TestCheck:
         )
         assert code == 2
         assert err["detail"]["parameter"] == "b_sq_sup"
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--model", "sphere", "--dim", "2", "--operator", "laplace"], "sup_term"),
+        (["--minimal", "--model", "torus", "--lattice", "1 0.3; 0 1",
+          "--operator", "laplace"], "s_inf"),
+    ])
+    def test_projective_names_its_missing_parameter(self, capsys, argv, key):
+        code, doc, err = run_json(capsys, ["check", "--ineq", "projective", *argv])
+        assert (code, doc, err["kind"]) == (2, None, "usage")
+        assert err["detail"] == {"parameter": key, "ineq": "projective"}
+
+    @pytest.mark.parametrize("m, code, kind", [
+        ([], 0, None), (["--m", "2"], 0, None), (["--m", "0"], 2, "inconsistent-kernel"),
+    ])
+    def test_background_checks_the_claimed_kernel(self, capsys, m, code, kind):
+        """The solve is sized from --m, so a wrong --m is the error reilly1
+        gives, not an index past the resolved spectrum."""
+        got, doc, err = run_json(
+            capsys, ["check", "--ineq", "background", "--model", "torus", "--lattice",
+                     "clifford", "--operator", "dirac", "--b-sq-sup", "1", *m])
+        assert got == code
+        if kind is None:
+            assert doc["reports"][0]["ineq_id"] == "second-form-first-nonzero"
+        else:
+            assert err["kind"] == kind
+            assert err["detail"] == {"claimed": 0, "zero_dim": 2}
 
     def test_insufficient_count_validated_before_compute(self, capsys):
         code, _, err = run_json(

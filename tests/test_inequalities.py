@@ -18,21 +18,10 @@ from specgeom.errors import (
     UsageError,
 )
 from specgeom.inequalities import (
-    WeightedCurvatureTerms,
+    INEQS,
     aggregate_exit,
-    check_background_bounds,
-    check_corollary_eta,
-    check_index_corollary,
-    check_lp_spin,
-    check_main_theorem,
-    check_projective,
-    check_reilly_I,
-    check_reilly_II,
-    check_reilly_III,
-    check_sphere_theorem,
-    check_universal_euclidean,
-    check_universal_sphere,
     conjecture_probe,
+    evaluate,
     weighted_density_integral,
 )
 from specgeom.mesh import assemble_operators, extrinsic_summary
@@ -51,13 +40,14 @@ from specgeom.models import (
 
 S2_LAPLACE = sphere_laplace_spectrum(2, 1.0, 20)
 S2_DIRAC = sphere_dirac_spectrum(2, 1.0, 20)
-SCALAR_S2_TERMS = WeightedCurvatureTerms.from_constants(2, 1.0, 0.0)
+# the unit 2-sphere's scalar bundle: H^2 = 1, no curvature term
+SCALAR_S2 = {"n": 2, "h_sq": 1.0, "kappa": 0.0}
 
 
 class TestMainTheorem:
     def test_scalar_sphere_equality(self):
         """Unit 2-sphere, scalar spectrum, j = 1: both sides are exactly 4."""
-        report = check_main_theorem(S2_LAPLACE, 1, 2, SCALAR_S2_TERMS)
+        report = evaluate("main", S2_LAPLACE, j=1, **SCALAR_S2)
         assert report.lhs == 4.0
         assert report.rhs == 4.0
         assert report.margin == 0.0
@@ -65,19 +55,18 @@ class TestMainTheorem:
 
     def test_scalar_sphere_higher_j(self):
         for j in range(1, 8):
-            report = check_main_theorem(S2_LAPLACE, j, 2, SCALAR_S2_TERMS)
+            report = evaluate("main", S2_LAPLACE, j=j, **SCALAR_S2)
             assert report.satisfied, j
 
     def test_dirac_sphere(self):
         # kappa = S/4 = 1/2 on the unit 2-sphere spinor bundle
-        terms = WeightedCurvatureTerms.from_constants(2, 1.0, 0.5)
-        report = check_main_theorem(S2_DIRAC, 1, 2, terms)
+        report = evaluate("main", S2_DIRAC, j=1, n=2, h_sq=1.0, kappa=0.5)
         assert report.lhs == 2.0
         assert report.rhs == 8.0
         assert report.satisfied and not report.equality
 
     def test_term_breakdown(self):
-        report = check_main_theorem(S2_LAPLACE, 2, 2, SCALAR_S2_TERMS)
+        report = evaluate("main", S2_LAPLACE, j=2, **SCALAR_S2)
         terms = report.term_breakdown
         assert terms["gamma_sum"] == report.lhs
         assert terms["lead_term"] + terms["h_term"] - terms["r_term"] == report.rhs
@@ -85,22 +74,20 @@ class TestMainTheorem:
     def test_insufficient_spectrum_errors(self):
         short = Spectrum("laplace", ((0.0, 1), (2.0, 2)), 1)
         with pytest.raises(IndexRangeError):
-            check_main_theorem(short, 2, 2, SCALAR_S2_TERMS)
+            evaluate("main", short, j=2, **SCALAR_S2)
 
     def test_bad_indices(self):
         with pytest.raises(IndexRangeError):
-            check_main_theorem(S2_LAPLACE, 0, 2, SCALAR_S2_TERMS)
+            evaluate("main", S2_LAPLACE, j=0, **SCALAR_S2)
         with pytest.raises(UsageError):
-            check_main_theorem(S2_LAPLACE, 1, 0, SCALAR_S2_TERMS)
+            evaluate("main", S2_LAPLACE, j=1, n=0, h_sq=1.0, kappa=0.0)
 
     def test_mesh_route(self, ico_mesh, ico_ops):
         mesh, ops = ico_mesh(3), ico_ops(3)
         basis = solve_smallest(ops, 8, seed=0)
         extr = extrinsic_summary(mesh, ops)
-        terms = WeightedCurvatureTerms.from_vertex_fields(
-            2, extr.H_sq, basis.vectors[:, 0], ops.mass_diag
-        )
-        report = check_main_theorem(basis, 1, 2, terms)
+        h_sq = weighted_density_integral(extr.H_sq, basis.vectors[:, 0], ops.mass_diag)
+        report = evaluate("main", basis, j=1, n=2, h_sq=h_sq, kappa=0.0)
         assert report.satisfied
         # discrete margin should sit near the smooth equality case
         assert abs(report.margin) < 0.1
@@ -108,7 +95,7 @@ class TestMainTheorem:
 
 class TestEtaShift:
     def test_sphere_equality(self):
-        report = check_corollary_eta(S2_LAPLACE, 1, 2, c_sup=4.0, kappa=0.0)
+        report = evaluate("eta", S2_LAPLACE, j=1, n=2, c_sup=4.0, kappa=0.0)
         assert report.lhs == 4.0
         assert report.rhs == 4.0
         assert report.equality
@@ -120,37 +107,35 @@ class TestEtaShift:
         h_sq = 0.0  # flat torus has H = 0 only as abstract manifold; use
         # the product-immersion value instead to keep the test nontrivial
         h_sq = 0.5
-        terms = WeightedCurvatureTerms.from_constants(2, h_sq, 0.0)
-        main = check_main_theorem(spec, 3, 2, terms)
-        eta = check_corollary_eta(spec, 3, 2, c_sup=4.0 * h_sq, kappa=0.0)
+        main = evaluate("main", spec, j=3, n=2, h_sq=h_sq, kappa=0.0)
+        eta = evaluate("eta", spec, j=3, n=2, c_sup=4.0 * h_sq, kappa=0.0)
         assert eta.margin == pytest.approx(main.margin, abs=1e-12)
 
 
 class TestUniversalForms:
     def test_euclidean_form_sphere(self):
-        report = check_universal_euclidean(S2_DIRAC, 1, 2, c1=4.0, c2=0.5)
+        report = evaluate("universal-euclidean", S2_DIRAC, j=1, n=2, c1=4.0, c2=0.5)
         assert report.rhs == 8.0
         assert report.satisfied
 
     def test_sphere_form_matches_geodesic_case(self):
         """The unit sphere sits totally geodesically in itself: c3 = kappa
         and the sphere form agrees with the explicit integral form."""
-        univ = check_universal_sphere(S2_DIRAC, 1, 2, c3=0.5)
-        integral = check_sphere_theorem(
-            S2_DIRAC, 1, 2, hbar1_integral=1.0, r_term=2.0
-        )
+        univ = evaluate("universal-sphere", S2_DIRAC, j=1, n=2, c3=0.5)
+        integral = evaluate("sphere", S2_DIRAC, j=1, n=2, hbar1_integral=1.0, kappa=0.5)
         assert univ.rhs == integral.rhs == 8.0
         assert univ.lhs == integral.lhs == 2.0
 
     def test_sphere_form_satisfied_along_j(self):
         for j in range(1, 12):
-            assert check_universal_sphere(S2_DIRAC, j, 2, c3=0.5).satisfied
+            assert evaluate("universal-sphere", S2_DIRAC, j=j, n=2, c3=0.5).satisfied
 
 
 class TestReilly:
     def test_first_form_equality(self):
-        report = check_reilly_I(
-            S2_LAPLACE, 2, 1, h_sq_integral=4.0 * math.pi, volume=4.0 * math.pi
+        report = evaluate(
+            "reilly1", S2_LAPLACE, n=2, m=1, h_sq_integral=4.0 * math.pi,
+            volume=4.0 * math.pi,
         )
         assert report.lhs == 2.0
         assert report.rhs == 2.0
@@ -165,20 +150,21 @@ class TestReilly:
         spec = sphere_laplace_spectrum(2, radius, 20)
         vol = 4.0 * math.pi * radius**2
         h_sq_integral = vol / radius**2
-        report = check_reilly_I(spec, 2, 1, h_sq_integral, vol)
+        report = evaluate("reilly1", spec, n=2, m=1, h_sq_integral=h_sq_integral, volume=vol)
         assert report.margin == pytest.approx(0.0, abs=1e-12)
         assert report.equality
 
     def test_kernel_mismatch(self):
         with pytest.raises(InconsistentKernelError):
-            check_reilly_I(S2_LAPLACE, 2, 0, 4.0 * math.pi, 4.0 * math.pi)
+            evaluate("reilly1", S2_LAPLACE, n=2, m=0, h_sq_integral=4.0 * math.pi,
+                     volume=4.0 * math.pi)
 
     def test_second_form_clifford_equality(self):
         """Clifford torus in the 3-sphere: mean of the first two nonzero
         eigenvalues equals the (Hbar^2 + 1)-mean exactly."""
         spec = torus_laplace_spectrum(clifford_torus_lattice(), 16)
         vol = 2.0 * math.pi**2
-        report = check_reilly_II(spec, 2, 1, hbar1_integral_total=vol, volume=vol)
+        report = evaluate("reilly2", spec, n=2, m=1, hbar1_integral=1.0, volume=vol)
         assert report.lhs == pytest.approx(2.0, abs=1e-12)
         assert report.rhs == pytest.approx(2.0, abs=1e-12)
         assert report.equality
@@ -187,8 +173,9 @@ class TestReilly:
         """Dirac spectrum of the 2-sphere of curvature 4 (the complex
         projective line) against the projective-target mean bound."""
         spec = sphere_dirac_spectrum(2, 0.5, 20)
-        report = check_reilly_III(
-            spec, 2, 0, "C", htilde_sq_integral=0.0, volume=sphere_volume(2, 0.5)
+        report = evaluate(
+            "reilly3", spec, n=2, m=0, field="C", htilde_sq_integral=0.0,
+            volume=sphere_volume(2, 0.5),
         )
         assert report.lhs == pytest.approx(4.0, abs=1e-12)
         assert report.rhs == pytest.approx(8.0, abs=1e-12)
@@ -196,7 +183,7 @@ class TestReilly:
 
     def test_volume_validation(self):
         with pytest.raises(UsageError):
-            check_reilly_I(S2_LAPLACE, 2, 1, 4.0 * math.pi, 0.0)
+            evaluate("reilly1", S2_LAPLACE, n=2, m=1, h_sq_integral=4.0 * math.pi, volume=0.0)
 
 
 class TestProjectiveGap:
@@ -204,7 +191,7 @@ class TestProjectiveGap:
         """Dirac on the curvature-4 sphere: the minimal projective gap bound
         closes exactly at j = 1."""
         spec = sphere_dirac_spectrum(2, 0.5, 20)
-        report = check_projective(spec, 1, 2, "C", minimal=True, s_inf=8.0)
+        report = evaluate("projective", spec, j=1, n=2, field="C", minimal=True, s_inf=8.0)
         assert report.lhs == 0.0
         assert report.rhs == 0.0
         assert report.equality
@@ -213,17 +200,17 @@ class TestProjectiveGap:
         """Scalar spectrum of the curvature-4 sphere with sup_term = 0
         (minimal, flat function bundle): equality at j = 1."""
         spec = sphere_laplace_spectrum(2, 0.5, 20)
-        report = check_projective(spec, 1, 2, "C", sup_term=0.0)
+        report = evaluate("projective", spec, j=1, n=2, field="C", sup_term=0.0)
         assert report.lhs == 16.0
         assert report.rhs == 16.0
         assert report.equality
 
     def test_parameter_requirements(self):
         spec = sphere_laplace_spectrum(2, 0.5, 10)
-        with pytest.raises(UsageError):
-            check_projective(spec, 1, 2, "C", minimal=True)
-        with pytest.raises(UsageError):
-            check_projective(spec, 1, 2, "C")
+        for flags, key in (({"minimal": True}, "s_inf"), ({}, "sup_term")):
+            with pytest.raises(UsageError) as exc:
+                evaluate("projective", spec, j=1, n=2, field="C", **flags)
+            assert exc.value.detail == {"parameter": key, "ineq": "projective"}
 
 
 class TestFlatSpin:
@@ -231,7 +218,7 @@ class TestFlatSpin:
         lat = Lattice(2.0 * math.pi * np.eye(2))
         spec = torus_dirac_spectrum(lat, SpinStructure((0.5, 0.5)), 30)
         # product immersion S^1 x S^1 in R^4 with unit circles: |B|^2 = 2
-        report = check_lp_spin(spec, 1, 2, b_sq_supinf=2.0)
+        report = evaluate("lp-spin", spec, j=1, n=2, b_sq_sup=2.0)
         assert report.lhs == 1.0
         assert report.rhs == pytest.approx(6.0 * 0.5 + 2.0, abs=1e-12)
         assert report.satisfied
@@ -241,25 +228,25 @@ class TestFlatSpin:
         for spin in all_spin_structures(2):
             spec = torus_dirac_spectrum(lat, spin, 40)
             for j in range(1, 6):
-                assert check_lp_spin(spec, j, 2, b_sq_supinf=4.0).satisfied
+                assert evaluate("lp-spin", spec, j=j, n=2, b_sq_sup=4.0).satisfied
 
 
 class TestIndexForm:
     def test_synthetic_kernel(self):
         spec = Spectrum("dirac_squared", ((0.0, 2), (1.0, 1), (2.0, 1)), 2)
-        report = check_index_corollary(spec, 2, 2, b_sq_supinf=5.0)
+        report = evaluate("index", spec, n=2, m=2, b_sq_sup=5.0)
         assert report.lhs == 3.0
         assert report.rhs == 5.0
         assert report.satisfied
 
     def test_requires_zero_modes(self):
         with pytest.raises(HypothesisViolatedError):
-            check_index_corollary(S2_DIRAC, 2, 0, b_sq_supinf=5.0)
+            evaluate("index", S2_DIRAC, n=2, m=0, b_sq_sup=5.0)
 
     def test_kernel_count_must_match(self):
         spec = Spectrum("dirac_squared", ((0.0, 2), (1.0, 2)), 2)
         with pytest.raises(InconsistentKernelError):
-            check_index_corollary(spec, 2, 1, b_sq_supinf=5.0)
+            evaluate("index", spec, n=2, m=1, b_sq_sup=5.0)
 
 
 class TestBackgroundBounds:
@@ -269,48 +256,40 @@ class TestBackgroundBounds:
         scalar-curvature lower bound exactly, every dimension."""
         spec = sphere_dirac_spectrum(n, 1.0, 8)
         s0 = float(n * (n - 1))
-        (report,) = check_background_bounds(spec, {"n": n, "S0": s0})
+        (report,) = evaluate("background", spec, n=n, s0=s0)
         assert report.ineq_id == "scalar-curvature-lower"
         assert report.lhs == report.rhs
         assert report.margin == 0.0
         assert report.equality
 
     def test_genus_area_equality_on_sphere(self):
-        (report,) = check_background_bounds(
-            S2_DIRAC, {"n": 2, "genus": 0.0, "area": 4.0 * math.pi}
-        )
+        (report,) = evaluate("background", S2_DIRAC, n=2, genus=0.0, area=4.0 * math.pi)
         assert report.ineq_id == "genus-area-lower"
         assert report.lhs == 1.0
         assert report.rhs == pytest.approx(1.0, abs=1e-15)
         assert report.equality
 
     def test_successive_gap_equality_at_first_index(self):
-        (report,) = check_background_bounds(
-            S2_LAPLACE, {"n": 2, "gap_k": 1, "H_sq": 1.0}
-        )
+        (report,) = evaluate("background", S2_LAPLACE, gap_k=1, **SCALAR_S2)
         assert report.ineq_id == "successive-gap"
         assert report.lhs == 2.0 and report.rhs == 2.0
         assert report.equality
 
     def test_successive_gap_inside_shell(self):
-        (report,) = check_background_bounds(
-            S2_LAPLACE, {"n": 2, "gap_k": 3, "H_sq": 1.0}
-        )
+        (report,) = evaluate("background", S2_LAPLACE, gap_k=3, **SCALAR_S2)
         assert report.lhs == 0.0  # indices 3 and 4 share the shell
         assert report.satisfied
 
     def test_rank_factor_bound(self):
-        (report,) = check_background_bounds(
-            S2_DIRAC, {"n": 2, "B_sq_sup": 2.0}
-        )
+        (report,) = evaluate("background", S2_DIRAC, n=2, b_sq_sup=2.0)
         assert report.ineq_id == "second-form-first-nonzero"
         assert report.lhs == 1.0
         assert report.rhs == 4.0  # rank 2 spinor bundle doubles the bound
 
     def test_hypersurface_euclidean_equality(self):
-        (report,) = check_background_bounds(
-            S2_DIRAC,
-            {"n": 2, "H_sq_integral": 4.0 * math.pi, "volume": 4.0 * math.pi},
+        (report,) = evaluate(
+            "background", S2_DIRAC, n=2, h_sq_integral=4.0 * math.pi,
+            volume=4.0 * math.pi,
         )
         assert report.ineq_id == "hypersurface-euclidean"
         assert report.lhs == 1.0 and report.rhs == pytest.approx(1.0, abs=1e-15)
@@ -319,48 +298,40 @@ class TestBackgroundBounds:
     def test_hypersurface_sphere_equality(self):
         """Equator 2-sphere in the 3-sphere is totally geodesic: the bound
         n^2/4 is met exactly by the first Dirac eigenvalue."""
-        (report,) = check_background_bounds(
-            S2_DIRAC,
-            {"n": 2, "Htilde_sq_integral": 0.0, "volume": 4.0 * math.pi},
+        (report,) = evaluate(
+            "background", S2_DIRAC, n=2, htilde_sq_integral=0.0, volume=4.0 * math.pi
         )
         assert report.ineq_id == "hypersurface-sphere"
         assert report.lhs == 1.0 and report.rhs == 1.0
         assert report.equality
 
     def test_quadratic_gap_equality_at_first_index(self):
-        (report,) = check_background_bounds(
-            S2_LAPLACE, {"n": 2, "yang_k": 1, "H_sq": 1.0}
-        )
+        (report,) = evaluate("background", S2_LAPLACE, yang_k=1, **SCALAR_S2)
         assert report.ineq_id == "quadratic-gap"
         assert report.lhs == 4.0 and report.rhs == 4.0
         assert report.equality
 
     def test_quadratic_gap_larger_k(self):
-        (report,) = check_background_bounds(
-            S2_LAPLACE, {"n": 2, "yang_k": 6, "H_sq": 1.0}
-        )
+        (report,) = evaluate("background", S2_LAPLACE, yang_k=6, **SCALAR_S2)
         assert report.satisfied
 
     def test_low_order_gap_delegates_to_main(self):
-        (report,) = check_background_bounds(
-            S2_LAPLACE, {"n": 2, "chen_H_sq": 1.0}
-        )
-        main = check_main_theorem(S2_LAPLACE, 1, 2, SCALAR_S2_TERMS)
+        (report,) = evaluate("background", S2_LAPLACE, n=2, chen_h_sq=1.0, kappa=0.0)
+        main = evaluate("main", S2_LAPLACE, j=1, **SCALAR_S2)
         assert report.ineq_id == "low-order-gap"
         assert report.lhs == pytest.approx(main.lhs, abs=1e-12)
         assert report.rhs == pytest.approx(main.rhs, abs=1e-12)
 
     def test_flat_domain_sum_arithmetic(self):
         spec = Spectrum("laplace", ((1.0, 1), (2.0, 1), (3.0, 1)), 0)
-        (report,) = check_background_bounds(spec, {"n": 1, "lp_j": 1})
+        (report,) = evaluate("background", spec, n=1, lp_j=1)
         assert report.lhs == 2.0
         assert report.rhs == 5.0
         assert report.satisfied
 
     def test_multiple_bounds_one_call(self):
-        reports = check_background_bounds(
-            S2_DIRAC,
-            {"n": 2, "S0": 2.0, "genus": 0.0, "area": 4.0 * math.pi},
+        reports = evaluate(
+            "background", S2_DIRAC, n=2, s0=2.0, genus=0.0, area=4.0 * math.pi
         )
         assert [r.ineq_id for r in reports] == [
             "scalar-curvature-lower",
@@ -369,11 +340,11 @@ class TestBackgroundBounds:
 
     def test_no_matching_bound(self):
         with pytest.raises(UsageError):
-            check_background_bounds(S2_DIRAC, {"n": 2})
+            evaluate("background", S2_DIRAC, n=2)
 
     def test_dimension_required(self):
         with pytest.raises(UsageError):
-            check_background_bounds(S2_DIRAC, {"S0": 2.0})
+            evaluate("background", S2_DIRAC, s0=2.0)
 
 
 class TestConjectureProbe:
@@ -405,15 +376,11 @@ class TestConjectureProbe:
 class TestViewAndHelpers:
     def test_view_rejects_other_types(self):
         """Every evaluator family rejects input that is not a spectrum."""
-        terms = WeightedCurvatureTerms.from_constants(2, 1.0, 0.0)
-        with pytest.raises(UsageError):
-            check_main_theorem([1.0, 2.0], 1, 2, terms)
-        with pytest.raises(UsageError):
-            check_corollary_eta([1.0, 2.0], 1, 2, 1.0, 0.0)
-        with pytest.raises(UsageError):
-            check_reilly_I([0.0, 2.0], 2, 1, 1.0, 1.0)
-        with pytest.raises(UsageError):
-            check_background_bounds([1.0, 2.0], {"n": 2, "S0": 1.0})
+        for ineq_id in INEQS:
+            if INEQS[ineq_id].reads is not None:
+                with pytest.raises(UsageError) as exc:
+                    evaluate(ineq_id, [1.0, 2.0])
+                assert "expected a Spectrum" in str(exc.value)
 
     def test_gamma_sum_validates_before_work(self, monkeypatch):
         """The sum's last index is read first, so a sum past the resolved
@@ -427,9 +394,8 @@ class TestViewAndHelpers:
             return real_gamma(self, j)
 
         monkeypatch.setattr(Spectrum, "gamma", spy)
-        terms = WeightedCurvatureTerms.from_constants(4, 1.0, 0.0)
         with pytest.raises(IndexRangeError) as exc:
-            check_main_theorem(spec, 1, 4, terms)
+            evaluate("main", spec, j=1, n=4, h_sq=1.0, kappa=0.0)
         assert reads == [5]
         assert exc.value.detail == {"index": 5, "length": 3}
 
@@ -459,16 +425,12 @@ class TestViewAndHelpers:
         mesh, ops = ico_mesh(3), ico_ops(3)
         basis = solve_smallest(ops, 4, seed=0)
         extr = extrinsic_summary(mesh, ops)
-        terms = WeightedCurvatureTerms.from_vertex_fields(
-            2, extr.H_sq, basis.vectors[:, 1], ops.mass_diag
-        )
-        exact = WeightedCurvatureTerms.from_constants(2, 1.0, 0.0)
-        assert terms.h_term == pytest.approx(exact.h_term, rel=0.05)
-        assert terms.r_term == 0.0
+        h_sq = weighted_density_integral(extr.H_sq, basis.vectors[:, 1], ops.mass_diag)
+        assert h_sq == pytest.approx(1.0, rel=0.05)
 
     def test_aggregate_exit_mixed(self):
-        sat = check_main_theorem(S2_LAPLACE, 1, 2, SCALAR_S2_TERMS)
-        unsat = check_lp_spin(S2_LAPLACE, 1, 2, b_sq_supinf=-10.0)
+        sat = evaluate("main", S2_LAPLACE, j=1, **SCALAR_S2)
+        unsat = evaluate("lp-spin", S2_LAPLACE, j=1, n=2, b_sq_sup=-10.0)
         exploratory = conjecture_probe(clifford_torus_lattice())[3]
         assert not exploratory.satisfied
         assert aggregate_exit([sat, exploratory]) is True

@@ -110,6 +110,17 @@ class TestValidation:
         with pytest.raises(MeshValidationError, match="area overflows"):
             mesh_from_arrays(verts * 1e160, faces)
 
+    @pytest.mark.parametrize("scale", [1e154, 3e154])
+    def test_extent_past_the_area_range_named_as_overflow(self, scale):
+        """Every face area is finite here, but the total area and the squared
+        bounding-box diagonal of the degeneracy threshold are not."""
+        verts, faces = icosphere(2)
+        with pytest.raises(MeshValidationError, match="overflows") as exc:
+            mesh_from_arrays(verts * scale, faces)
+        assert "degenerate" not in str(exc.value)
+        assert exc.value.detail["total_area"] == math.inf
+        assert mesh_from_arrays(verts * 1e150, faces).total_area < math.inf
+
     def test_inconsistent_orientation_rejected(self):
         faces = TET_FACES.copy()
         faces[1] = faces[1][::-1]

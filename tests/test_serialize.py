@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from specgeom.eigensolve import dense_eigenbasis
 from specgeom.errors import UsageError
-from specgeom.inequalities import check_main_theorem, WeightedCurvatureTerms
+from specgeom.inequalities import evaluate
 from specgeom.mesh import SparseOperatorPair
 from specgeom.models import sphere_laplace_spectrum
 from specgeom.serialize import (
@@ -93,8 +93,7 @@ class TestCsv:
 
     def test_report_rows(self):
         spec = sphere_laplace_spectrum(2, 1.0, 10)
-        terms = WeightedCurvatureTerms.from_constants(2, 1.0, 0.0)
-        report = check_main_theorem(spec, 1, 2, terms)
+        report = evaluate("main", spec, j=1, n=2, h_sq=1.0, kappa=0.0)
         rows = report_csv_rows([report])
         assert len(rows) == 1
         row = dict(zip(REPORT_COLUMNS, rows[0]))
