@@ -54,8 +54,12 @@ CORPUS = {
     # one inequality id per command, on a model and on the mesh
     "main-model": ["check", "--ineq", "main", *SPHERE_L, "--j-range", "1:3"],
     "main-mesh": ["check", "--ineq", "main", *MESH, "--j-range", "1:2"],
+    "main-mesh-h-sq": ["check", "--ineq", "main", *MESH, "--j", "1", "--h-sq", "3"],
     "eta-model": ["check", "--ineq", "eta", *SPHERE_D, "--j", "2"],
     "eta-mesh": ["check", "--ineq", "eta", *MESH, "--j", "1"],
+    "eta-oblique-torus": [
+        "check", "--ineq", "eta", "--model", "torus", "--lattice", "1 0; 0.5 1",
+        "--operator", "dirac"],
     "universal-euclidean-model": [
         "check", "--ineq", "universal-euclidean", *CLIFFORD, "--spin", "0,1/2",
         "--j", "1", "--count", "64"],
@@ -69,10 +73,21 @@ CORPUS = {
     "sphere-torus-model": [
         "check", "--ineq", "sphere", "--model", "clifford-torus", "--operator",
         "dirac", "--j", "2"],
+    "sphere-cubic-torus": [
+        "check", "--ineq", "sphere", "--model", "torus", "--lattice",
+        "1 0 0; 0 1 0; 0 0 1", "--operator", "laplace"],
+    "sphere-oblique-torus": [
+        "check", "--ineq", "sphere", "--model", "torus", "--lattice", "1 0; 0.5 1",
+        "--operator", "laplace"],
     "sphere-mesh": ["check", "--ineq", "sphere", *MESH, "--hbar1-integral", "1"],
     "reilly1-model": ["check", "--ineq", "reilly1", *SPHERE_L],
     "reilly1-mesh": ["check", "--ineq", "reilly1", *MESH],
+    "reilly1-sphere-h-sq": [
+        "check", "--ineq", "reilly1", "--model", "sphere", "--dim", "3", "--h-sq", "2"],
     "reilly2-model": ["check", "--ineq", "reilly2", *SPHERE_L, "--radius", "0.5"],
+    "reilly2-clifford-torus": [
+        "check", "--ineq", "reilly2", "--model", "clifford-torus", "--operator",
+        "laplace"],
     "reilly2-mesh": ["check", "--ineq", "reilly2", *MESH, "--hbar1-integral", "1"],
     "reilly3-model": [
         "check", "--ineq", "reilly3", *SPHERE_L, "--field", "R",
