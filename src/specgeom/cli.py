@@ -16,6 +16,7 @@ deterministic: reruns with the same config and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -250,61 +251,86 @@ def _torus_lattice(cfg, user: str) -> Lattice:
 
 
 def _model_source(cfg) -> dict:
-    model = cfg["model"]
     operator = _resolve_operator(cfg)
     dirac = operator == "dirac"
-    if model == "sphere":
+    hbar1_integral = None  # Hbar^2 + 1, constant on a model in the unit sphere
+    if cfg["model"] == "sphere":
         n = int(cfg["dim"])
         radius = float(cfg["radius"])
         spectrum = sphere_dirac_spectrum if dirac else sphere_laplace_spectrum
-        return {
-            "kind": "model",
-            "n": n,
+        extr = sphere_extrinsic(n, radius)
+
+        def hbar1_integral(p):
+            if radius > 1.0 + 1e-12:
+                raise UsageError(
+                    "a sphere of radius %s does not fit in the unit sphere"
+                    % format_float(radius),
+                    radius=radius,
+                )
+            return 1.0 / radius**2
+
+        src = {
             "build": lambda count: spectrum(n, radius, count),
-            "extr": sphere_extrinsic(n, radius),
-            "radius": radius,
             "zero_dim": 0 if dirac else 1,
-            "operator": operator,
             "provenance": {
                 "spectrum": "sphere-%s n=%d r=%s" % (operator, n, format_float(radius)),
                 "extrinsic": "model:sphere",
             },
         }
-    lat = _torus_lattice(cfg, "torus model")
-    n = lat.dim
-    spin = None
-    if dirac:
-        spin = (
-            _parse_spin(cfg["spin"], n)
-            if cfg.get("spin") is not None
-            else SpinStructure((0.0,) * n)
-        )
-    radii = _diagonal_radii(lat)
-    extr = None
-    if radii is not None and n == 2:
-        _, extr = product_torus_extrinsic(radii[0], radii[1])
-    basis_text = "; ".join(
-        " ".join(format_float(x) for x in lat.basis[:, i]) for i in range(n)
-    )
-    src = {"kind": "model", "n": n, "extr": extr, "radii": radii, "operator": operator}
-    if dirac:
-        src.update(
-            build=lambda count: torus_dirac_spectrum(lat, spin, count),
-            zero_dim=2 ** (n // 2) if spin.is_trivial else 0,
-        )
     else:
-        src.update(build=lambda count: torus_laplace_spectrum(lat, count), zero_dim=1)
-    src["provenance"] = {
-        "spectrum": "torus-%s lattice=[%s]%s"
-        % (operator, basis_text, " spin=%s" % spin.label() if spin else ""),
-        "extrinsic": "model:product-torus" if extr is not None else "explicit",
-    }
+        lat = _torus_lattice(cfg, "torus model")
+        n = lat.dim
+        spin = None
+        if dirac:
+            spin = (
+                _parse_spin(cfg["spin"], n)
+                if cfg.get("spin") is not None
+                else SpinStructure((0.0,) * n)
+            )
+        radii = _diagonal_radii(lat)
+        extr = None
+        if radii is not None and n == 2:
+            _, extr = product_torus_extrinsic(radii[0], radii[1])
+        if radii is not None:
+            def hbar1_integral(p):  # a product of circles: Hbar^2 + 1 = H^2
+                rsum = float(np.sum(np.asarray(radii) ** 2))
+                if abs(rsum - 1.0) > 1e-6:
+                    raise UsageError(
+                        "torus must be scaled into the unit sphere (sum of squared "
+                        "radii is %s)" % format_float(rsum),
+                        parameter="hbar1_integral",
+                    )
+                return p["h_sq"]
+
+        if dirac:
+            src = {"build": lambda count: torus_dirac_spectrum(lat, spin, count),
+                   "zero_dim": 2 ** (n // 2) if spin.is_trivial else 0}
+        else:
+            src = {"build": lambda count: torus_laplace_spectrum(lat, count), "zero_dim": 1}
+        basis_text = "; ".join(
+            " ".join(format_float(x) for x in lat.basis[:, i]) for i in range(n)
+        )
+        src["provenance"] = {
+            "spectrum": "torus-%s lattice=[%s]%s"
+            % (operator, basis_text, " spin=%s" % spin.label() if spin else ""),
+            "extrinsic": "model:product-torus" if extr is not None else "explicit",
+        }
+    fallbacks = {"n": n}
+    if extr is not None:
+        fallbacks.update(h_sq=extr.H_sq, s_inf=extr.S, b_sq_sup=extr.B_sq,
+                         volume=extr.volume, kappa=extr.curvature_term_kappa)
+    if operator == "laplace":  # functions carry no bundle curvature term
+        fallbacks["kappa"] = 0.0
+    if hbar1_integral is not None:
+        fallbacks["hbar1_integral"] = hbar1_integral
+    src.update(kind="model", fallbacks=fallbacks)
     return src
 
 
 def _mesh_source(cfg, path=None) -> dict:
     """Mesh source, loaded, validated and assembled once, here.
-    ``build(count)`` solves and fills in the provenance."""
+    ``build(count)`` solves and fills in the provenance; the extrinsic
+    fields are computed on the first read of a fallback that needs them."""
     path = cfg["mesh"] if path is None else path
     # the solver checks tol too, but only after the mesh is loaded and assembled
     tol = float(cfg["tol"])
@@ -331,8 +357,19 @@ def _mesh_source(cfg, path=None) -> dict:
         }
         return basis
 
-    src = {"kind": "mesh", "n": 2, "operator": "laplace", "mesh": mesh, "ops": ops,
-           "build": build}
+    @functools.cache
+    def extr():
+        return extrinsic_summary(mesh, ops)
+
+    src = {"kind": "mesh", "mesh": mesh, "ops": ops, "build": build,
+           "h_sq_field": lambda: extr().H_sq}
+    # a surface, and the scalar Laplacian has no bundle curvature term
+    src["fallbacks"] = {
+        "n": 2, "kappa": 0.0, "volume": lambda p: float(mesh.total_area),
+        "h_sq": lambda p: float(np.max(extr().H_sq)),
+        "s_inf": lambda p: float(np.min(extr().S)),
+        "h_sq_integral": lambda p: extr().willmore,
+    }
     return src
 
 
@@ -372,109 +409,49 @@ def cmd_spectrum(cfg) -> int:
 # check command
 
 
-# parameters read off the source's extrinsic data when no flag gives them:
-# (attribute, how a mesh reduces its per-vertex field, or None for no mesh
-# fallback); a model's extrinsic data holds constants
-EXTRINSIC = {
-    "h_sq": ("H_sq", np.max),
-    "s_inf": ("S", np.min),
-    "b_sq_sup": ("B_sq", None),
-    "volume": ("volume", float),
+# fallbacks that hold for every source, read after the source's own
+FALLBACKS = {
+    "c_sup": lambda p: p.n**2 * p["h_sq"],
+    "c1": lambda p: p.n**2 * p["h_sq"],
+    "c2": lambda p: p["kappa"],
+    "c3": lambda p: p["kappa"],
+    "area": lambda p: p["volume"],
+    "h_sq_integral": lambda p: p["h_sq"] * p["volume"],
+    "htilde_sq_integral": 0.0,
+    "m": lambda p: p.spectrum.zero_dim,
 }
 
 
 class Params(Inputs):
-    """The parameters of one check id: a flag wins, then the source's fallback.
-
-    Fallbacks come from ``EXTRINSIC`` or from the method named after the
-    parameter with a leading underscore.  A parameter with neither a flag
-    nor a fallback value is a usage error that names it.
-    """
+    """The parameters of one check id: a given flag wins, then the source's
+    ``fallbacks``, then ``FALLBACKS``.  A fallback is a value, or a function
+    of these parameters where it chains or must only run when read.  A
+    parameter with none of the three is a usage error that names it."""
 
     def __init__(self, ineq, cfg, src=None, spectrum=None):
         self.src = src or {}
         super().__init__(ineq, cfg, spectrum, self.src.get("provenance"))
-        self.extr = self.src.get("extr")
-        self.mesh = self.src.get("kind") == "mesh"
 
     def optional(self, key):
         if key == "lattice":  # parsed, or the one --model clifford-torus fixes
             return _torus_lattice(self.values, "the conjecture probe")
         if self.given(key):
             return self.values[key]
-        if key in EXTRINSIC:
-            attr, reduce = EXTRINSIC[key]
-            if self.extr is None or (self.mesh and reduce is None):
-                return None
-            value = getattr(self.extr, attr)
-            return float(reduce(value)) if self.mesh else value
-        fallback = getattr(self, "_" + key, None)
-        return None if fallback is None else fallback()
+        for fallbacks in (self.src.get("fallbacks", {}), FALLBACKS):
+            if key in fallbacks:
+                value = fallbacks[key]
+                return value(self) if callable(value) else value
+        return None
 
     def weighted_h_sq(self, j):
         """On a mesh, the integral of the vertex field H^2 against the
         squared j-th eigenvector; on a model, ``h_sq``."""
-        if not self.mesh:
+        field = self.src.get("h_sq_field")
+        if field is None:
             return self["h_sq"]
         return weighted_density_integral(
-            self.extr.H_sq, self.spectrum.vectors[:, j - 1], self.src["ops"].mass_diag
+            field(), self.spectrum.vectors[:, j - 1], self.src["ops"].mass_diag
         )
-
-    def _n(self):
-        return self.src.get("n")
-
-    def _kappa(self):
-        """Curvature term of the operator's bundle: S/4 for spinors, 0 for
-        functions; flat models give 0 either way."""
-        if self.src["operator"] == "laplace":
-            return 0.0
-        return None if self.extr is None else self.extr.curvature_term_kappa
-
-    def _m(self):
-        return self.spectrum.zero_dim
-
-    def _c_sup(self):
-        return self.n**2 * self["h_sq"]
-
-    _c1 = _c_sup
-
-    def _c2(self):
-        return self["kappa"]
-
-    _c3 = _c2
-
-    def _area(self):
-        return self["volume"]
-
-    def _h_sq_integral(self):
-        if self.mesh:
-            return self.extr.willmore
-        return self["h_sq"] * self["volume"]
-
-    def _htilde_sq_integral(self):
-        return 0.0
-
-    def _hbar1_integral(self):
-        """Constant (Hbar^2 + 1) for a model immersed in the unit sphere."""
-        radius, radii = self.src.get("radius"), self.src.get("radii")
-        if self.mesh or (radius is None and radii is None):
-            return None
-        if radius is not None:
-            if radius > 1.0 + 1e-12:
-                raise UsageError(
-                    "a sphere of radius %s does not fit in the unit sphere"
-                    % format_float(radius),
-                    radius=radius,
-                )
-            return 1.0 / radius**2
-        rsum = float(np.sum(np.asarray(radii) ** 2))
-        if abs(rsum - 1.0) > 1e-6:
-            raise UsageError(
-                "torus must be scaled into the unit sphere (sum of squared "
-                "radii is %s)" % format_float(rsum),
-                parameter="hbar1_integral",
-            )
-        return self["h_sq"]
 
 
 def _check_spectrum(cfg, ineqs, jlist):
@@ -498,10 +475,7 @@ def _check_spectrum(cfg, ineqs, jlist):
             parameter="count",
             required=need,
         )
-    spectrum = src["build"](need if cfg.get("count") is None else cfg["count"])
-    if src["kind"] == "mesh":
-        src["extr"] = extrinsic_summary(src["mesh"], src["ops"])
-    return src, spectrum
+    return src, src["build"](need if cfg.get("count") is None else cfg["count"])
 
 
 def cmd_check(cfg) -> int:

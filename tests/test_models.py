@@ -339,11 +339,12 @@ class TestModelExtrinsic:
 
     def test_clifford_model(self):
         """The clifford-torus model takes its constants from its radii."""
-        extr = cli._model_source({"model": "clifford-torus", "operator": "laplace"})["extr"]
-        assert extr.H_sq == pytest.approx(1.0, rel=1e-14)
-        assert extr.B_sq == pytest.approx(4.0, rel=1e-14)
-        assert extr.S == 0.0
-        assert extr.volume == pytest.approx(2.0 * math.pi**2, rel=1e-15)
+        src = cli._model_source({"model": "clifford-torus", "operator": "laplace"})
+        fallbacks = src["fallbacks"]
+        assert fallbacks["h_sq"] == pytest.approx(1.0, rel=1e-14)
+        assert fallbacks["b_sq_sup"] == pytest.approx(4.0, rel=1e-14)
+        assert fallbacks["s_inf"] == 0.0
+        assert fallbacks["volume"] == pytest.approx(2.0 * math.pi**2, rel=1e-15)
 
     def test_product_torus_matches_clifford(self):
         r = 1.0 / math.sqrt(2.0)
