@@ -31,6 +31,7 @@ from .inequalities import (
     aggregate_exit,
     conjecture_probe,
     evaluate_inputs,
+    lookup,
     validate_index,
     weighted_density_integral,
 )
@@ -444,10 +445,10 @@ class Params(Inputs):
         return None
 
     def weighted_h_sq(self, j):
-        """On a mesh, the integral of the vertex field H^2 against the
-        squared j-th eigenvector; on a model, ``h_sq``."""
+        """On a mesh without --h-sq, the integral of the vertex field H^2
+        against the squared j-th eigenvector; otherwise ``h_sq``."""
         field = self.src.get("h_sq_field")
-        if field is None:
+        if field is None or self.given("h_sq"):
             return self["h_sq"]
         return weighted_density_integral(
             field(), self.spectrum.vectors[:, j - 1], self.src["ops"].mass_diag
@@ -483,11 +484,7 @@ def cmd_check(cfg) -> int:
         raise UsageError("check needs --ineq", parameter="ineq")
     ineqs = [tok.strip() for tok in str(cfg["ineq"]).split(",") if tok.strip()]
     for iq in ineqs:
-        if iq not in INEQS:
-            raise UsageError(
-                "unknown inequality id %r (known: %s)" % (iq, ", ".join(INEQS)),
-                ineq=iq,
-            )
+        lookup(iq)
     jlist = _j_values(cfg)
     # checks that need no model or mesh (the conjecture probe) report first
     ineqs.sort(key=lambda iq: INEQS[iq].reads is not None)

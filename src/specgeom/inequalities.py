@@ -322,6 +322,16 @@ class Ineq(NamedTuple):
 INEQS = {}
 
 
+def lookup(ineq_id) -> Ineq:
+    """The entry of a check id, or the usage error that lists the known ids."""
+    if ineq_id not in INEQS:
+        raise UsageError(
+            "unknown inequality id %r (known: %s)" % (ineq_id, ", ".join(INEQS)),
+            ineq=ineq_id,
+        )
+    return INEQS[ineq_id]
+
+
 def _family(reads, per_j=False):
     """The decorator that registers a body as a check id of one family."""
     def entry(ineq_id):
@@ -492,6 +502,11 @@ def _index(p, j):
     return _kernel_report("kernel-gap-sum", p, m, b_sq, {"b_sq_supinf": b_sq})
 
 
+# the background sub-bounds' switches, in the order of their reports
+BACKGROUND_SWITCHES = ("s0", "genus", "gap_k", "b_sq_sup", "h_sq_integral",
+                       "htilde_sq_integral", "yang_k", "chen_h_sq", "lp_j")
+
+
 def _background_reads(p, j_max, m):
     """Gbar_1, G_1 and G_2, and what the index-taking sub-bounds read."""
     need = [m + 1, 2]
@@ -506,8 +521,7 @@ def _background_reads(p, j_max, m):
 @_family(_background_reads)("background")
 def _background(p, j):
     """Classical comparison bounds: one report for each sub-bound whose
-    switch (``s0``, ``genus``, ``gap_k``, ``b_sq_sup``, ``h_sq_integral``,
-    ``htilde_sq_integral``, ``yang_k``, ``chen_h_sq``, ``lp_j``) is given.
+    switch (``BACKGROUND_SWITCHES``) is given.
     Constant curvature inputs follow the homogeneous-model convention
     (fields constant, sections unit-normalized)."""
     spectrum, n, m = p.spectrum, p.n, p.optional("m")
@@ -603,9 +617,8 @@ def _background(p, j):
         reports.append(_sum_report("flat-domain-sum", p, lp_j, {"n": n, "j": lp_j}, {}))
 
     if not reports:
-        # n is the one input that every sub-bound shares
         raise UsageError("no background bound matched the supplied parameters",
-                         keys=["n"])
+                         keys=list(BACKGROUND_SWITCHES))
     return reports
 
 
@@ -625,7 +638,7 @@ def evaluate_inputs(p, j=None):
     (default ``p["j"]``) for a per-j id.  Returns a report, or a list for
     ``background`` and ``conjecture``.
     """
-    ineq = INEQS[p.ineq]
+    ineq = lookup(p.ineq)
     if ineq.reads is not None:
         if not isinstance(p.spectrum, IndexedSpectrum):
             raise UsageError(

@@ -262,6 +262,13 @@ class TestBackgroundBounds:
         assert report.margin == 0.0
         assert report.equality
 
+    def test_no_switch_names_every_switch(self):
+        with pytest.raises(UsageError) as exc:
+            evaluate("background", S2_LAPLACE, n=2)
+        assert exc.value.detail == {"keys": [
+            "s0", "genus", "gap_k", "b_sq_sup", "h_sq_integral", "htilde_sq_integral",
+            "yang_k", "chen_h_sq", "lp_j"]}
+
     def test_genus_area_equality_on_sphere(self):
         (report,) = evaluate("background", S2_DIRAC, n=2, genus=0.0, area=4.0 * math.pi)
         assert report.ineq_id == "genus-area-lower"
@@ -381,6 +388,12 @@ class TestViewAndHelpers:
                 with pytest.raises(UsageError) as exc:
                     evaluate(ineq_id, [1.0, 2.0])
                 assert "expected a Spectrum" in str(exc.value)
+
+    def test_unknown_id_lists_the_known_ids(self):
+        with pytest.raises(UsageError) as exc:
+            evaluate("nope", S2_LAPLACE)
+        assert str(exc.value) == "unknown inequality id 'nope' (known: %s)" % ", ".join(INEQS)
+        assert exc.value.detail == {"ineq": "nope"}
 
     def test_gamma_sum_validates_before_work(self, monkeypatch):
         """The sum's last index is read first, so a sum past the resolved
