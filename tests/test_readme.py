@@ -1,11 +1,14 @@
-"""The README's library example runs as documented."""
+"""The README's examples run as documented."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
+from specgeom import cli
 from specgeom.inequalities import INEQS
+from specgeom.meshgen import icosphere, write_off
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +32,30 @@ def test_id_table_lists_every_check_id():
     table = re.findall(r"^\| `([^`]+)` \|", section, re.M)
     assert len(table) == len(set(table))
     assert set(table) == set(INEQS)
+
+
+def readme_commands():
+    """The argument lists of the ``specgeom`` lines in the README's sh
+    blocks, with backslash continuations joined."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("specgeom "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_command_line_examples_run(tmp_path, monkeypatch):
+    """Every ``specgeom`` example exits 0, run on small icospheres written
+    under the file names the README uses."""
+    for name, level in (("surface.off", 2), ("lvl3.off", 1), ("lvl4.off", 2),
+                        ("lvl5.off", 3)):
+        write_off(tmp_path / name, *icosphere(level))
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 7
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(argv)
+        assert code == 0, (argv, err.getvalue())
