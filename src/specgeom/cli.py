@@ -82,18 +82,6 @@ class _Parser(argparse.ArgumentParser):
 # config plumbing
 
 
-# values of the flags that neither the command line nor the config file set;
-# every other flag defaults to None
-DEFAULTS = {
-    "spectrum": {"dim": 2, "radius": 1.0, "count": 16, "seed": 0, "tol": 1e-9,
-                 "include_vectors": False},
-    "check": {"dim": 2, "radius": 1.0, "seed": 0, "tol": 1e-9, "field": "C",
-              "minimal": False, "csv": False},
-    "sweep": {"area": CLIFFORD_AREA, "count": 64},
-    "prooflab": {"psi": "x", "seed": 0, "tol": 1e-9},
-}
-
-
 def _load_config(path) -> dict:
     import json
 
@@ -131,25 +119,38 @@ def _config_value(action, key, value):
     return value
 
 
-def _merge_config(args, parser, defaults: dict) -> dict:
-    flags = {k: a for k, a in parser.flags.items() if k not in ("help", "config")}
-    cfg = {key: defaults.get(key) for key in flags}
-    if args.config:
-        for key, value in _load_config(args.config).items():
-            norm = key.replace("-", "_")
-            if norm not in flags:
-                raise UsageError("unknown config key %r" % key, key=key)
-            if value is not None:
-                cfg[norm] = _config_value(flags[norm], key, value)
-    for key in flags:
-        value = getattr(args, key)
+def _config_defaults(parser, path) -> dict:
+    """The config file's entries, converted and checked by their flags, to
+    become ``parser``'s defaults, so flags given on the command line win."""
+    entries = {}
+    for key, value in _load_config(path).items():
+        norm = key.replace("-", "_")
+        if norm not in parser.flags or norm in ("help", "config"):
+            raise UsageError("unknown config key %r" % key, key=key)
         if value is not None:
-            cfg[key] = value
-    return cfg
+            entries[norm] = _config_value(parser.flags[norm], key, value)
+    return entries
 
 
 # ---------------------------------------------------------------------------
-# input parsing helpers
+# parsers of flag text: the argparse types, which config entries go through
+# too, and the spin parser, which needs the lattice dimension
+
+
+def _typed(convert, check):
+    """Convert the text, then check the value; named after ``convert`` so
+    that malformed text reads "invalid int value" as it would without."""
+    def parse(text):
+        value = convert(text)
+        check(value)
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _csv(text) -> list:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
 def _parse_lattice(text) -> Lattice:
@@ -158,22 +159,22 @@ def _parse_lattice(text) -> Lattice:
     try:
         rows = [
             [float(tok) for tok in row.split()]
-            for row in str(text).split(";")
+            for row in text.split(";")
             if row.strip()
         ]
     except ValueError:
-        raise UsageError("cannot parse lattice %r" % text, lattice=str(text))
+        raise UsageError("cannot parse lattice %r" % text, lattice=text)
     if not rows or any(len(r) != len(rows) for r in rows):
-        raise UsageError("lattice rows must form a square matrix", lattice=str(text))
+        raise UsageError("lattice rows must form a square matrix", lattice=text)
     if not all(math.isfinite(x) for row in rows for x in row):
-        raise UsageError("lattice entries must be finite", lattice=str(text))
+        raise UsageError("lattice entries must be finite", lattice=text)
     # rows of the flag are the generators; the Lattice type stores columns
     return Lattice(np.array(rows, dtype=float).T)
 
 
 def _parse_spin(text, dim: int) -> SpinStructure:
     shifts = []
-    for tok in str(text).split(","):
+    for tok in text.split(","):
         tok = tok.strip()
         if tok in ("1/2", "0.5", ".5"):
             shifts.append(0.5)
@@ -191,21 +192,33 @@ def _parse_spin(text, dim: int) -> SpinStructure:
     return SpinStructure(tuple(shifts))
 
 
-def _j_values(cfg) -> list:
-    if cfg.get("j_range"):
-        text = str(cfg["j_range"])
-        try:
-            lo, hi = (int(part) for part in text.split(":"))
-        except ValueError:
-            raise UsageError("j-range must look like a:b, got %r" % text)
-        if lo < 1 or hi < lo:
-            raise UsageError("empty j-range %r" % text, lo=lo, hi=hi)
-        return list(range(lo, hi + 1))
-    if cfg.get("j") is not None:
-        j = int(cfg["j"])
-        validate_index(j)
-        return [j]
-    return [1]
+def _j_range(text) -> range:
+    try:
+        lo, hi = (int(part) for part in text.split(":"))
+    except ValueError:
+        raise UsageError("j-range must look like a:b, got %r" % text)
+    if lo < 1 or hi < lo:
+        raise UsageError("empty j-range %r" % text, lo=lo, hi=hi)
+    return range(lo, hi + 1)
+
+
+def _parse_grid(text) -> list:
+    try:
+        start, stop, step = (float(tok) for tok in text.split(":"))
+    except ValueError:
+        raise UsageError("ratio grid must look like start:stop:step, got %r" % text)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(
+            "ratio grid %r must be finite" % text, start=start, stop=stop, step=step
+        )
+    if step <= 0.0:
+        raise UsageError("grid step must be positive, got %s" % format_float(step))
+    steps = int(math.floor((stop - start) / step + 0.5))
+    if start <= 0.0 or steps < 0:
+        raise UsageError(
+            "empty or invalid ratio grid %r" % text, start=start, stop=stop, step=step
+        )
+    return [start + i * step for i in range(steps + 1)]
 
 
 def _emit(cfg, text: str) -> None:
@@ -248,7 +261,7 @@ def _torus_lattice(cfg, user: str) -> Lattice:
         return clifford_torus_lattice()
     if cfg.get("lattice") is None:
         raise UsageError("%s needs --lattice" % user, parameter="lattice")
-    return _parse_lattice(cfg["lattice"])
+    return cfg["lattice"]
 
 
 def _model_source(cfg) -> dict:
@@ -256,8 +269,7 @@ def _model_source(cfg) -> dict:
     dirac = operator == "dirac"
     hbar1_integral = None  # Hbar^2 + 1, constant on a model in the unit sphere
     if cfg["model"] == "sphere":
-        n = int(cfg["dim"])
-        radius = float(cfg["radius"])
+        n, radius = cfg["dim"], cfg["radius"]
         spectrum = sphere_dirac_spectrum if dirac else sphere_laplace_spectrum
         extr = sphere_extrinsic(n, radius)
 
@@ -333,9 +345,6 @@ def _mesh_source(cfg, path=None) -> dict:
     ``build(count)`` solves and fills in the provenance; the extrinsic
     fields are computed on the first read of a fallback that needs them."""
     path = cfg["mesh"] if path is None else path
-    # the solver checks tol too, but only after the mesh is loaded and assembled
-    tol = float(cfg["tol"])
-    check_tol(tol)
     mesh = load_mesh(path, cfg.get("mesh_format"))
     if _resolve_operator(cfg) != "laplace":
         raise UsageError(
@@ -350,10 +359,10 @@ def _mesh_source(cfg, path=None) -> dict:
                 count=count,
                 vertices=mesh.n_vertices,
             )
-        basis = solve_smallest(ops, count, tol=tol, seed=int(cfg["seed"]))
+        basis = solve_smallest(ops, count, tol=cfg["tol"], seed=cfg["seed"])
         src["provenance"] = {
             "spectrum": "mesh:%s laplace count=%d seed=%d"
-            % (os.path.basename(str(path)), count, int(cfg["seed"])),
+            % (os.path.basename(path), count, cfg["seed"]),
             "extrinsic": "mesh-fields",
         }
         return basis
@@ -388,16 +397,16 @@ def _source(cfg):
 
 
 def cmd_spectrum(cfg) -> int:
-    if cfg["include_vectors"] and not (cfg.get("mesh") and cfg.get("output")):
+    if cfg["include_vectors"] and not (cfg["mesh"] and cfg["output"]):
         raise UsageError("--include-vectors needs --mesh and --output",
                          parameter="include_vectors")
-    count = int(cfg["count"])
+    count = cfg["count"]
     src = _source(cfg)
     if src is None:
         raise UsageError("spectrum needs --model or --mesh", parameter="model")
     spec = src["build"](count)
-    if src["kind"] == "mesh" and cfg.get("output"):
-        write_eigenbasis(cfg["output"], spec, bool(cfg["include_vectors"]))
+    if src["kind"] == "mesh" and cfg["output"]:
+        write_eigenbasis(cfg["output"], spec, cfg["include_vectors"])
         return 0
     doc = spec.to_json_dict()
     if src["kind"] == "model":
@@ -463,31 +472,30 @@ def _check_spectrum(cfg, ineqs, jlist):
     src = _source(cfg)
     if src is None:
         raise UsageError("check needs --model, --mesh, or a probe lattice")
-    m = cfg.get("m")
+    m = cfg["m"]
     if m is None:
         m = src["mesh"].n_components if src["kind"] == "mesh" else src["zero_dim"]
     need = max(
         [1] + [INEQS[iq].reads(Params(iq, cfg, src), max(jlist), m) for iq in ineqs]
     )
-    if cfg.get("count") is not None and cfg["count"] < need:
+    if cfg["count"] is not None and cfg["count"] < need:
         raise UsageError(
             "count %d is below the %d values the requested checks read"
             % (cfg["count"], need),
             parameter="count",
             required=need,
         )
-    return src, src["build"](need if cfg.get("count") is None else cfg["count"])
+    return src, src["build"](need if cfg["count"] is None else cfg["count"])
 
 
 def cmd_check(cfg) -> int:
-    if not cfg.get("ineq"):
+    if not cfg["ineq"]:
         raise UsageError("check needs --ineq", parameter="ineq")
-    ineqs = [tok.strip() for tok in str(cfg["ineq"]).split(",") if tok.strip()]
-    for iq in ineqs:
+    for iq in cfg["ineq"]:
         lookup(iq)
-    jlist = _j_values(cfg)
+    jlist = cfg["j_range"] or [cfg["j"] or 1]
     # checks that need no model or mesh (the conjecture probe) report first
-    ineqs.sort(key=lambda iq: INEQS[iq].reads is not None)
+    ineqs = sorted(cfg["ineq"], key=lambda iq: INEQS[iq].reads is not None)
     src = spectrum = None
     reports = []
     for iq in ineqs:
@@ -499,7 +507,7 @@ def cmd_check(cfg) -> int:
             out = evaluate_inputs(params, j)
             reports.extend(out if isinstance(out, list) else [out])
 
-    if cfg.get("csv") or (cfg.get("output") and str(cfg["output"]).endswith(".csv")):
+    if cfg["csv"] or (cfg["output"] and cfg["output"].endswith(".csv")):
         text = format_csv(REPORT_COLUMNS, report_csv_rows(reports))
     else:
         text = dumps_json(
@@ -516,42 +524,21 @@ def cmd_check(cfg) -> int:
 # sweep command
 
 
-def _parse_grid(text) -> list:
-    try:
-        start, stop, step = (float(tok) for tok in str(text).split(":"))
-    except ValueError:
-        raise UsageError("ratio grid must look like start:stop:step, got %r" % text)
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise UsageError(
-            "ratio grid %r must be finite" % text, start=start, stop=stop, step=step
-        )
-    if step <= 0.0:
-        raise UsageError("grid step must be positive, got %s" % format_float(step))
-    steps = int(math.floor((stop - start) / step + 0.5))
-    if start <= 0.0 or steps < 0:
-        raise UsageError(
-            "empty or invalid ratio grid %r" % text, start=start, stop=stop, step=step
-        )
-    return [start + i * step for i in range(steps + 1)]
-
-
 def cmd_sweep(cfg) -> int:
-    if not cfg.get("ratio_grid"):
+    if not cfg["ratio_grid"]:
         raise UsageError("sweep needs --ratio-grid", parameter="ratio_grid")
-    ratios = _parse_grid(cfg["ratio_grid"])
-    area = float(cfg["area"])
+    area = cfg["area"]
     if not (math.isfinite(area) and area > 0.0):
         raise UsageError("sweep area must be finite and positive, got %r" % area, area=area)
-    count = int(cfg["count"])
     rows = []
-    for ratio in ratios:
+    for ratio in cfg["ratio_grid"]:
         # fixed area, aspect ratio r2/r1 = ratio
         r1 = math.sqrt(area / (4.0 * math.pi**2 * ratio))
         lat = Lattice(np.diag([2.0 * math.pi * r1, 2.0 * math.pi * r1 * ratio]))
         rows.extend(
             [ratio, rep.params["spin"], rep.ineq_id, rep.lhs, rep.rhs, rep.margin,
              rep.satisfied]
-            for rep in conjecture_probe(lat, area=area, count=count)
+            for rep in conjecture_probe(lat, area=area, count=cfg["count"])
         )
     header = ("ratio", "spin", "ineq_id", "lhs", "rhs", "margin", "satisfied")
     _emit(cfg, format_csv(header, rows))
@@ -570,15 +557,15 @@ def _prooflab_basis(cfg, src, default_count=None):
     small sparse solve on large meshes; the full dense basis is the
     fallback for small ones.
     """
-    if cfg.get("count") is not None:
-        return src["build"](int(cfg["count"]))
+    if cfg["count"] is not None:
+        return src["build"](cfg["count"])
     if default_count is not None and src["mesh"].n_vertices > 4 * default_count:
         return src["build"](default_count)
     return dense_eigenbasis(src["ops"])
 
 
 def _psi_field(cfg, mesh) -> np.ndarray:
-    spec = str(cfg.get("psi", "x"))
+    spec = cfg["psi"]
     if spec in ("const", "one", "1"):
         return np.ones(mesh.n_vertices)
     if spec in ("x", "y", "z"):
@@ -594,21 +581,21 @@ def _psi_field(cfg, mesh) -> np.ndarray:
 
 def _anghel_report(cfg, path):
     src = _mesh_source(cfg, path)
-    j = int(cfg["j"]) if cfg.get("j") is not None else 2
+    j = cfg["j"] if cfg["j"] is not None else 2
     basis = _prooflab_basis(cfg, src, default_count=j + 8)
     return verify_anghel_lemma(src["mesh"], src["ops"], basis, j)
 
 
 def cmd_prooflab(cfg) -> int:
-    task = cfg.get("task")
+    task = cfg["task"]
     if task not in ("prop31", "anghel", "identities", "refinement"):
         raise UsageError(
             "task must be prop31, anghel, identities, or refinement", task=task
         )
     if task == "refinement":
-        if not cfg.get("mesh_list"):
+        paths = cfg["mesh_list"]
+        if paths is None:
             raise UsageError("refinement needs --mesh-list", parameter="mesh_list")
-        paths = [p.strip() for p in str(cfg["mesh_list"]).split(",") if p.strip()]
         if len(paths) < 2:
             raise UsageError("refinement needs at least two meshes", count=len(paths))
         rows = [
@@ -618,7 +605,7 @@ def cmd_prooflab(cfg) -> int:
         _emit(cfg, format_csv(("level", "residual"), rows))
         return 0
 
-    if not cfg.get("mesh"):
+    if not cfg["mesh"]:
         raise UsageError("prooflab needs --mesh", parameter="mesh")
     if task == "anghel":
         report = _anghel_report(cfg, cfg["mesh"])
@@ -629,10 +616,9 @@ def cmd_prooflab(cfg) -> int:
             report = coordinate_identities(mesh, ops)
         else:
             basis = _prooflab_basis(cfg, src)
-            j = int(cfg["j"]) if cfg.get("j") is not None else 1
+            j = cfg["j"] if cfg["j"] is not None else 1
             psi = _psi_field(cfg, mesh)
-            trunc = None if cfg.get("trunc") is None else int(cfg["trunc"])
-            report = verify_prop31(mesh, ops, basis, psi, j, trunc)
+            report = verify_prop31(mesh, ops, basis, psi, j, cfg["trunc"])
     _emit(cfg, dumps_json(report.to_json_dict()))
     return 0
 
@@ -644,6 +630,7 @@ def cmd_prooflab(cfg) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="specgeom", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    tol = _typed(float, check_tol)
 
     def add_common_source(p):
         p.add_argument("--config", help="JSON config file; flags override its entries")
@@ -651,13 +638,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mesh", help="OFF or OBJ mesh path")
         p.add_argument("--mesh-format", dest="mesh_format", choices=("off", "obj"))
         p.add_argument("--operator", choices=("dirac", "laplace"))
-        p.add_argument("--dim", type=int, help="sphere dimension n")
-        p.add_argument("--radius", type=float, help="sphere radius")
-        p.add_argument("--lattice", help='torus lattice rows "a b; c d" or clifford')
+        p.add_argument("--dim", type=int, default=2, help="sphere dimension n")
+        p.add_argument("--radius", type=float, default=1.0, help="sphere radius")
+        p.add_argument("--lattice", type=_parse_lattice,
+                       help='torus lattice rows "a b; c d" or clifford')
         p.add_argument("--spin", help="spin shifts per generator, e.g. 0,1/2")
         p.add_argument("--count", type=int, help="number of eigenvalues")
-        p.add_argument("--seed", type=int, help="solver start-vector seed")
-        p.add_argument("--tol", type=float, help="solver tolerance")
+        p.add_argument("--seed", type=int, default=0, help="solver start-vector seed")
+        p.add_argument("--tol", type=tol, default=1e-9, help="solver tolerance")
         p.add_argument("--output", help="output path (default stdout)")
 
     p_spec = sub.add_parser("spectrum", help="compute a model or mesh spectrum")
@@ -666,15 +654,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--include-vectors",
         dest="include_vectors",
         action="store_true",
-        default=None,
         help="store eigenvectors in a binary sidecar",
     )
+    p_spec.set_defaults(count=16)
 
     p_check = sub.add_parser("check", help="evaluate inequality reports")
     add_common_source(p_check)
-    p_check.add_argument("--ineq", help="comma-separated inequality ids")
-    p_check.add_argument("--j", type=int)
-    p_check.add_argument("--j-range", dest="j_range", help="inclusive range a:b")
+    p_check.add_argument("--ineq", type=_csv, help="comma-separated inequality ids")
+    p_check.add_argument("--j", type=_typed(int, validate_index))
+    p_check.add_argument("--j-range", dest="j_range", type=_j_range,
+                         help="inclusive range a:b")
     p_check.add_argument("--m", type=int, help="kernel dimension")
     p_check.add_argument("--h-sq", dest="h_sq", type=float)
     p_check.add_argument("--kappa", type=float)
@@ -692,23 +681,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--htilde-sq-integral", dest="htilde_sq_integral", type=float
     )
-    p_check.add_argument("--field", choices=("R", "C", "Q"))
+    p_check.add_argument("--field", choices=("R", "C", "Q"), default="C")
     p_check.add_argument("--sup-term", dest="sup_term", type=float)
     p_check.add_argument("--s-inf", dest="s_inf", type=float)
-    p_check.add_argument("--minimal", action="store_true", default=None)
+    p_check.add_argument("--minimal", action="store_true")
     p_check.add_argument("--gap-k", dest="gap_k", type=int)
     p_check.add_argument("--yang-k", dest="yang_k", type=int)
     p_check.add_argument("--chen-h-sq", dest="chen_h_sq", type=float)
     p_check.add_argument("--lp-j", dest="lp_j", type=int)
-    p_check.add_argument("--csv", action="store_true", default=None)
+    p_check.add_argument("--csv", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="probe a torus family on a ratio grid")
     p_sweep.add_argument("--config")
-    p_sweep.add_argument(
-        "--ratio-grid", dest="ratio_grid", help="aspect grid start:stop:step"
-    )
-    p_sweep.add_argument("--area", type=float, help="fixed torus area")
-    p_sweep.add_argument("--count", type=int)
+    p_sweep.add_argument("--ratio-grid", dest="ratio_grid", type=_parse_grid,
+                         help="aspect grid start:stop:step")
+    p_sweep.add_argument("--area", type=float, default=CLIFFORD_AREA,
+                         help="fixed torus area")
+    p_sweep.add_argument("--count", type=int, default=64)
     p_sweep.add_argument("--output")
 
     p_lab = sub.add_parser("prooflab", help="residual checks of proof identities")
@@ -716,13 +705,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--task", choices=("prop31", "anghel", "identities", "refinement"))
     p_lab.add_argument("--mesh")
     p_lab.add_argument("--mesh-format", dest="mesh_format", choices=("off", "obj"))
-    p_lab.add_argument("--mesh-list", dest="mesh_list", help="comma-separated paths")
+    p_lab.add_argument("--mesh-list", dest="mesh_list", type=_csv,
+                       help="comma-separated paths")
     p_lab.add_argument("--j", type=int)
-    p_lab.add_argument("--psi", help="test field: const, x, y, z, or seed:<int>")
+    p_lab.add_argument("--psi", default="x",
+                       help="test field: const, x, y, z, or seed:<int>")
     p_lab.add_argument("--trunc", type=int, help="expansion truncation")
     p_lab.add_argument("--count", type=int, help="sparse basis size (default dense)")
-    p_lab.add_argument("--seed", type=int)
-    p_lab.add_argument("--tol", type=float)
+    p_lab.add_argument("--seed", type=int, default=0)
+    p_lab.add_argument("--tol", type=tol, default=1e-9)
     p_lab.add_argument("--output")
     parser.commands = sub.choices
     return parser
@@ -756,10 +747,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _merge_config(
-            args, parser.commands[args.command], DEFAULTS[args.command]
-        )
-        return HANDLERS[args.command](cfg)
+        if args.config:
+            sub = parser.commands[args.command]
+            sub.set_defaults(**_config_defaults(sub, args.config))
+            args = parser.parse_args(argv)
+        return HANDLERS[args.command](vars(args))
     except SolverConvergenceError as exc:
         _write_error(exc.to_json_dict())
         return 3
