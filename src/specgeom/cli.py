@@ -5,11 +5,13 @@ sweep (flat-torus family probe), prooflab (identity residual checks).
 
 Exit codes: 0 success and, for checks, every non-exploratory report
 satisfied; 1 when a non-exploratory check is unsatisfied; 2 usage or
-validation error; 3 solver non-convergence.  Validation and solver errors
-print one JSON object {"kind", "message", "detail"} to stderr.
+validation error; 3 solver non-convergence; 4 internal error (an
+unexpected exception).  Errors print one JSON object {"kind", "message",
+"detail"} to stderr.
 
 Configuration comes from flags or from a single JSON config file
-(--config); explicitly given flags override config entries.  All output is
+(--config), whose entries, converted by their flags' types, become the
+subcommand's defaults; explicitly given flags override them.  All output is
 deterministic: reruns with the same config and seed are byte-identical.
 """
 
@@ -149,6 +151,14 @@ def _typed(convert, check):
     return parse
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError("seed must be >= 0, got %d" % seed, seed=seed)
+
+
+_seed = _typed(int, _check_seed)
+
+
 def _csv(text) -> list:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
@@ -192,14 +202,14 @@ def _parse_spin(text, dim: int) -> SpinStructure:
     return SpinStructure(tuple(shifts))
 
 
-def _j_range(text) -> range:
+def _j_range(text) -> list:
     try:
         lo, hi = (int(part) for part in text.split(":"))
     except ValueError:
         raise UsageError("j-range must look like a:b, got %r" % text)
     if lo < 1 or hi < lo:
         raise UsageError("empty j-range %r" % text, lo=lo, hi=hi)
-    return range(lo, hi + 1)
+    return list(range(lo, hi + 1))
 
 
 def _parse_grid(text) -> list:
@@ -572,7 +582,7 @@ def _psi_field(cfg, mesh) -> np.ndarray:
         return mesh.vertices[:, "xyz".index(spec)].copy()
     if spec.startswith("seed:"):
         try:
-            seed = int(spec.split(":", 1)[1])
+            seed = _seed(spec.split(":", 1)[1])
         except ValueError:
             raise UsageError("bad psi seed %r" % spec)
         return np.random.default_rng(seed).standard_normal(mesh.n_vertices)
@@ -635,18 +645,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common_source(p):
         p.add_argument("--config", help="JSON config file; flags override its entries")
         p.add_argument("--model", choices=("sphere", "torus", "clifford-torus"))
-        p.add_argument("--mesh", help="OFF or OBJ mesh path")
+        p.add_argument("--mesh", type=str, help="OFF or OBJ mesh path")
         p.add_argument("--mesh-format", dest="mesh_format", choices=("off", "obj"))
         p.add_argument("--operator", choices=("dirac", "laplace"))
         p.add_argument("--dim", type=int, default=2, help="sphere dimension n")
         p.add_argument("--radius", type=float, default=1.0, help="sphere radius")
         p.add_argument("--lattice", type=_parse_lattice,
                        help='torus lattice rows "a b; c d" or clifford')
-        p.add_argument("--spin", help="spin shifts per generator, e.g. 0,1/2")
+        p.add_argument("--spin", type=str, help="spin shifts per generator, e.g. 0,1/2")
         p.add_argument("--count", type=int, help="number of eigenvalues")
-        p.add_argument("--seed", type=int, default=0, help="solver start-vector seed")
+        p.add_argument("--seed", type=_seed, default=0, help="solver start-vector seed")
         p.add_argument("--tol", type=tol, default=1e-9, help="solver tolerance")
-        p.add_argument("--output", help="output path (default stdout)")
+        p.add_argument("--output", type=str, help="output path (default stdout)")
 
     p_spec = sub.add_parser("spectrum", help="compute a model or mesh spectrum")
     add_common_source(p_spec)
@@ -698,23 +708,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--area", type=float, default=CLIFFORD_AREA,
                          help="fixed torus area")
     p_sweep.add_argument("--count", type=int, default=64)
-    p_sweep.add_argument("--output")
+    p_sweep.add_argument("--output", type=str)
 
     p_lab = sub.add_parser("prooflab", help="residual checks of proof identities")
     p_lab.add_argument("--config")
     p_lab.add_argument("--task", choices=("prop31", "anghel", "identities", "refinement"))
-    p_lab.add_argument("--mesh")
+    p_lab.add_argument("--mesh", type=str)
     p_lab.add_argument("--mesh-format", dest="mesh_format", choices=("off", "obj"))
     p_lab.add_argument("--mesh-list", dest="mesh_list", type=_csv,
                        help="comma-separated paths")
     p_lab.add_argument("--j", type=int)
-    p_lab.add_argument("--psi", default="x",
+    p_lab.add_argument("--psi", type=str, default="x",
                        help="test field: const, x, y, z, or seed:<int>")
     p_lab.add_argument("--trunc", type=int, help="expansion truncation")
     p_lab.add_argument("--count", type=int, help="sparse basis size (default dense)")
-    p_lab.add_argument("--seed", type=int, default=0)
+    p_lab.add_argument("--seed", type=_seed, default=0)
     p_lab.add_argument("--tol", type=tol, default=1e-9)
-    p_lab.add_argument("--output")
+    p_lab.add_argument("--output", type=str)
     parser.commands = sub.choices
     return parser
 
@@ -761,6 +771,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         _write_error({"kind": "io", "message": str(exc), "detail": {}})
         return 2
+    except Exception as exc:  # a defect, not bad input: never exit 1 like a failed check
+        _write_error({"kind": "internal", "message": str(exc) or type(exc).__name__,
+                      "detail": {"exception": type(exc).__name__}})
+        return 4
 
 
 if __name__ == "__main__":

@@ -42,6 +42,11 @@ VALUE_GROUP_RTOL = 1e-9
 
 OPERATOR_KINDS = ("dirac_squared", "laplace")
 
+# Grid points in one dual-lattice enumeration box.  A model-sweep spectrum
+# (ratios 0.5 to 4, count 256) needs about 6e3 and the extreme "1 0; 0 1e-12"
+# lattice 6e7; a box past this limit would need many GiB, so it is an error.
+MAX_DUAL_BOX = 10**8
+
 
 # ---------------------------------------------------------------------------
 # spectrum containers
@@ -245,9 +250,18 @@ class Lattice:
         basis = np.asarray(self.basis, dtype=float)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise InvalidModelError("lattice basis must be square", shape=basis.shape)
-        if abs(np.linalg.det(basis)) < 1e-300:
-            raise InvalidModelError("lattice basis is singular")
+        with np.errstate(over="ignore"):
+            det = float(np.linalg.det(basis))
+            if abs(det) < 1e-300:
+                raise InvalidModelError("lattice basis is singular")
+            dual = 2.0 * math.pi * np.linalg.inv(basis).T
+        if not (math.isfinite(det) and np.all(np.isfinite(dual))):
+            raise InvalidModelError(
+                "lattice determinant or dual basis is not finite", determinant=det
+            )
+        dual.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_dual_basis", dual)
 
     @property
     def dim(self) -> int:
@@ -260,7 +274,7 @@ class Lattice:
     @property
     def dual_basis(self) -> np.ndarray:
         """Generators (as columns) of the dual lattice, pairing in 2*pi*Z."""
-        return 2.0 * math.pi * np.linalg.inv(self.basis).T
+        return self._dual_basis
 
 
 @dataclass(frozen=True)
@@ -310,12 +324,18 @@ def _shifted_dual_norms(lat: Lattice, shift, count: int) -> np.ndarray:
         np.linalg.norm(gstar @ shift)
     )
     for _ in range(64):
-        ranges = []
-        for i in range(n):
-            half = radius * inv_rows[i]
-            lo = math.floor(-half - shift[i]) - 1
-            hi = math.ceil(half - shift[i]) + 1
-            ranges.append(np.arange(lo, hi + 1))
+        try:
+            bounds = [(math.floor(-h - s) - 1, math.ceil(h - s) + 1)
+                      for h, s in zip((radius * inv_rows).tolist(), shift.tolist())]
+            size = math.prod([hi - lo + 1 for lo, hi in bounds])
+        except (OverflowError, ValueError):  # a half-width that is not finite
+            size = math.inf
+        if size > MAX_DUAL_BOX:
+            raise InvalidModelError(
+                "dual lattice enumeration needs more than %d grid points" % MAX_DUAL_BOX,
+                limit=MAX_DUAL_BOX,
+            )
+        ranges = [np.arange(lo, hi + 1) for lo, hi in bounds]
         grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, n)
         points = (grid + shift) @ gstar.T
         norms = np.einsum("ij,ij->i", points, points)

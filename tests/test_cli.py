@@ -721,6 +721,102 @@ class TestConfigFile:
         code, _, err = run_json(capsys, ["spectrum", "--config", str(cfg)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, entries", [
+        (["spectrum", "--model", "torus", "--lattice", "1 0; 0 2", "--spin", "0,1/2",
+          "--count", "8"],
+         {"model": "torus", "lattice": "1 0; 0 2", "spin": "0,1/2", "count": 8}),
+        (["check", "--ineq", "main,reilly1", "--model", "sphere", "--operator",
+          "laplace", "--j-range", "1:3", "--radius", "0.5", "--csv"],
+         {"ineq": "main,reilly1", "model": "sphere", "operator": "laplace",
+          "j-range": "1:3", "radius": 0.5, "csv": True}),
+        (["sweep", "--ratio-grid", "0.9:1.1:0.1", "--count", "32", "--area", "12"],
+         {"ratio_grid": "0.9:1.1:0.1", "count": "32", "area": 12}),
+        (["prooflab", "--task", "prop31", "--mesh", "{mesh}", "--psi", "y", "--j", "2",
+          "--trunc", "40"],
+         {"task": "prop31", "mesh": "{mesh}", "psi": "y", "j": 2, "trunc": 40}),
+    ])
+    def test_config_prints_what_its_flags_print(self, ico_files, tmp_path, capsys,
+                                                argv, entries):
+        argv = [a.format(mesh=ico_files[2]) for a in argv]
+        entries = {k: v.format(mesh=ico_files[2]) if isinstance(v, str) else v
+                   for k, v in entries.items()}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        assert main(argv) == 0
+        by_flags = capsys.readouterr()
+        assert main([argv[0], "--config", str(cfg)]) == 0
+        by_config = capsys.readouterr()
+        assert (by_config.out, by_config.err) == (by_flags.out, by_flags.err)
+        assert by_flags.out
+
+    def test_flag_overrides_typed_config_entry(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"ineq": "main", "model": "sphere", "j_range": "1:3"}')
+        code, doc, _ = run_json(
+            capsys, ["check", "--config", str(cfg), "--j-range", "2:2"])
+        assert code == 0
+        assert [r["params"]["j"] for r in doc["reports"]] == [2]
+
+    def test_text_entry_is_a_path_not_a_file_descriptor(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """{"output": 2} names the file 2; it used to write to stderr and
+        then close the caller's file descriptor 2."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"output": 2}')
+        code = main(["spectrum", "--model", "sphere", "--count", "3",
+                     "--config", "cfg.json"])
+        assert code == 0
+        assert capsys.readouterr() == ("", "")
+        assert json.loads((tmp_path / "2").read_text())["values"] == [0, 2, 2]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv, kind, detail", [
+        (["spectrum", "--mesh", "{mesh}", "--seed", "-1"], "usage", {"seed": -1}),
+        (["prooflab", "--task", "prop31", "--mesh", "{mesh}", "--psi", "seed:-1"],
+         "usage", {"seed": -1}),
+        (["spectrum", "--model", "torus", "--lattice", "1e300 0; 0 1e300"],
+         "invalid-model", {"determinant": "inf"}),
+        (["spectrum", "--model", "torus", "--lattice", "1e-308 0; 0 1e308"],
+         "invalid-model", {"determinant": 1.0}),
+        (["sweep", "--ratio-grid", "1e-300:1e-300:1"], "invalid-model", {"limit": 10**8}),
+        (["sweep", "--ratio-grid", "1e300:1e300:1"], "invalid-model", {"limit": 10**8}),
+    ])
+    def test_input_outside_the_domain_exits_2(self, ico_files, capsys, argv, kind,
+                                              detail):
+        """Each of these raised a numpy error (exit 1 with a traceback)."""
+        argv = [a.format(mesh=ico_files[2]) for a in argv]
+        code, doc, err = run_json(capsys, argv)
+        assert (code, doc, err["kind"], err["detail"]) == (2, None, kind, detail)
+
+    def test_dual_box_past_the_limit_rejected_before_allocation(
+        self, capsys, monkeypatch
+    ):
+        """An 8-dimensional unit lattice at --count 100000 asked numpy for
+        52 GiB; the same check, with a small limit, on a small lattice."""
+        import specgeom.models as models_mod
+
+        monkeypatch.setattr(models_mod, "MAX_DUAL_BOX", 1000)
+        code, doc, err = run_json(
+            capsys, ["spectrum", "--model", "clifford-torus", "--count", "256"])
+        assert (code, doc, err["kind"]) == (2, None, "invalid-model")
+        assert err["detail"] == {"limit": 1000}
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), MemoryError()])
+    def test_uncaught_exception_exits_4(self, capsys, monkeypatch, exc):
+        """A defect exits 4 with one JSON object, never 1 like a failed check."""
+        import specgeom.cli as cli_mod
+
+        def handler(cfg):
+            raise exc
+
+        monkeypatch.setitem(cli_mod.HANDLERS, "spectrum", handler)
+        code, doc, err = run_json(capsys, ["spectrum", "--model", "sphere"])
+        name = type(exc).__name__
+        assert (code, doc) == (4, None)
+        assert err == {"kind": "internal", "message": str(exc) or name,
+                       "detail": {"exception": name}}
+
 
 class TestEntryPoint:
     def test_console_script_runs(self):
