@@ -603,9 +603,9 @@ def cmd_prooflab(cfg) -> int:
             "task must be prop31, anghel, identities, or refinement", task=task
         )
     if task == "refinement":
-        paths = cfg["mesh_list"]
-        if paths is None:
+        if not cfg["mesh_list"]:
             raise UsageError("refinement needs --mesh-list", parameter="mesh_list")
+        paths = _csv(cfg["mesh_list"])
         if len(paths) < 2:
             raise UsageError("refinement needs at least two meshes", count=len(paths))
         rows = [
@@ -715,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--task", choices=("prop31", "anghel", "identities", "refinement"))
     p_lab.add_argument("--mesh", type=str)
     p_lab.add_argument("--mesh-format", dest="mesh_format", choices=("off", "obj"))
-    p_lab.add_argument("--mesh-list", dest="mesh_list", type=_csv,
+    p_lab.add_argument("--mesh-list", dest="mesh_list", type=str,
                        help="comma-separated paths")
     p_lab.add_argument("--j", type=int)
     p_lab.add_argument("--psi", type=str, default="x",
