@@ -56,7 +56,7 @@ from .serialize import (
     format_csv,
     format_float,
     report_csv_rows,
-    write_eigenbasis,
+    write_vector_sidecar,
 )
 
 CLIFFORD_AREA = 2.0 * math.pi**2
@@ -415,12 +415,11 @@ def cmd_spectrum(cfg) -> int:
     if src is None:
         raise UsageError("spectrum needs --model or --mesh", parameter="model")
     spec = src["build"](count)
-    if src["kind"] == "mesh" and cfg["output"]:
-        write_eigenbasis(cfg["output"], spec, cfg["include_vectors"])
-        return 0
     doc = spec.to_json_dict()
     if src["kind"] == "model":
         doc["values"] = list(spec.values(count))
+    if cfg["include_vectors"]:
+        doc.update(write_vector_sidecar(cfg["output"], spec.vectors))
     _emit(cfg, dumps_json(doc))
     return 0
 
@@ -598,7 +597,7 @@ def _anghel_report(cfg, path):
 
 def cmd_prooflab(cfg) -> int:
     task = cfg["task"]
-    if task not in ("prop31", "anghel", "identities", "refinement"):
+    if task is None:
         raise UsageError(
             "task must be prop31, anghel, identities, or refinement", task=task
         )
@@ -640,91 +639,72 @@ def cmd_prooflab(cfg) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="specgeom", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    tol = _typed(float, check_tol)
 
-    def add_common_source(p):
+    def add_command(name, help):
+        """A subcommand with the flags every subcommand takes."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file; flags override its entries")
-        p.add_argument("--model", choices=("sphere", "torus", "clifford-torus"))
+        p.add_argument("--count", type=int,
+                       help="number of eigenvalues (prooflab: sparse basis size, "
+                            "default dense)")
+        p.add_argument("--output", type=str, help="output path (default stdout)")
+        return p
+
+    def add_mesh(p):
         p.add_argument("--mesh", type=str, help="OFF or OBJ mesh path")
-        p.add_argument("--mesh-format", dest="mesh_format", choices=("off", "obj"))
+        p.add_argument("--mesh-format", choices=("off", "obj"))
+        p.add_argument("--seed", type=_seed, default=0, help="solver start-vector seed")
+        p.add_argument("--tol", type=_typed(float, check_tol), default=1e-9,
+                       help="solver tolerance")
+
+    def add_model(p):
+        p.add_argument("--model", choices=("sphere", "torus", "clifford-torus"))
         p.add_argument("--operator", choices=("dirac", "laplace"))
         p.add_argument("--dim", type=int, default=2, help="sphere dimension n")
         p.add_argument("--radius", type=float, default=1.0, help="sphere radius")
         p.add_argument("--lattice", type=_parse_lattice,
                        help='torus lattice rows "a b; c d" or clifford')
         p.add_argument("--spin", type=str, help="spin shifts per generator, e.g. 0,1/2")
-        p.add_argument("--count", type=int, help="number of eigenvalues")
-        p.add_argument("--seed", type=_seed, default=0, help="solver start-vector seed")
-        p.add_argument("--tol", type=tol, default=1e-9, help="solver tolerance")
-        p.add_argument("--output", type=str, help="output path (default stdout)")
+        add_mesh(p)
 
-    p_spec = sub.add_parser("spectrum", help="compute a model or mesh spectrum")
-    add_common_source(p_spec)
-    p_spec.add_argument(
-        "--include-vectors",
-        dest="include_vectors",
-        action="store_true",
-        help="store eigenvectors in a binary sidecar",
-    )
+    p_spec = add_command("spectrum", "compute a model or mesh spectrum")
+    add_model(p_spec)
+    p_spec.add_argument("--include-vectors", action="store_true",
+                        help="store eigenvectors in a binary sidecar")
     p_spec.set_defaults(count=16)
 
-    p_check = sub.add_parser("check", help="evaluate inequality reports")
-    add_common_source(p_check)
+    p_check = add_command("check", "evaluate inequality reports")
+    add_model(p_check)
     p_check.add_argument("--ineq", type=_csv, help="comma-separated inequality ids")
     p_check.add_argument("--j", type=_typed(int, validate_index))
-    p_check.add_argument("--j-range", dest="j_range", type=_j_range,
-                         help="inclusive range a:b")
+    p_check.add_argument("--j-range", type=_j_range, help="inclusive range a:b")
     p_check.add_argument("--m", type=int, help="kernel dimension")
-    p_check.add_argument("--h-sq", dest="h_sq", type=float)
-    p_check.add_argument("--kappa", type=float)
-    p_check.add_argument("--c-sup", dest="c_sup", type=float)
-    p_check.add_argument("--c1", type=float)
-    p_check.add_argument("--c2", type=float)
-    p_check.add_argument("--c3", type=float)
-    p_check.add_argument("--b-sq-sup", dest="b_sq_sup", type=float)
-    p_check.add_argument("--s0", type=float, help="scalar curvature lower bound")
-    p_check.add_argument("--genus", type=float)
-    p_check.add_argument("--area", type=float)
-    p_check.add_argument("--volume", type=float)
-    p_check.add_argument("--h-sq-integral", dest="h_sq_integral", type=float)
-    p_check.add_argument("--hbar1-integral", dest="hbar1_integral", type=float)
-    p_check.add_argument(
-        "--htilde-sq-integral", dest="htilde_sq_integral", type=float
-    )
+    for name in ("h-sq", "kappa", "c-sup", "c1", "c2", "c3", "b-sq-sup", "s0", "genus",
+                 "area", "volume", "h-sq-integral", "hbar1-integral",
+                 "htilde-sq-integral", "sup-term", "s-inf", "chen-h-sq"):
+        p_check.add_argument("--" + name, type=float,
+                             help="scalar curvature lower bound" if name == "s0" else None)
     p_check.add_argument("--field", choices=("R", "C", "Q"), default="C")
-    p_check.add_argument("--sup-term", dest="sup_term", type=float)
-    p_check.add_argument("--s-inf", dest="s_inf", type=float)
     p_check.add_argument("--minimal", action="store_true")
-    p_check.add_argument("--gap-k", dest="gap_k", type=int)
-    p_check.add_argument("--yang-k", dest="yang_k", type=int)
-    p_check.add_argument("--chen-h-sq", dest="chen_h_sq", type=float)
-    p_check.add_argument("--lp-j", dest="lp_j", type=int)
+    p_check.add_argument("--gap-k", type=int)
+    p_check.add_argument("--yang-k", type=int)
+    p_check.add_argument("--lp-j", type=int)
     p_check.add_argument("--csv", action="store_true")
 
-    p_sweep = sub.add_parser("sweep", help="probe a torus family on a ratio grid")
-    p_sweep.add_argument("--config")
-    p_sweep.add_argument("--ratio-grid", dest="ratio_grid", type=_parse_grid,
-                         help="aspect grid start:stop:step")
+    p_sweep = add_command("sweep", "probe a torus family on a ratio grid")
+    p_sweep.add_argument("--ratio-grid", type=_parse_grid, help="aspect grid start:stop:step")
     p_sweep.add_argument("--area", type=float, default=CLIFFORD_AREA,
                          help="fixed torus area")
-    p_sweep.add_argument("--count", type=int, default=64)
-    p_sweep.add_argument("--output", type=str)
+    p_sweep.set_defaults(count=64)
 
-    p_lab = sub.add_parser("prooflab", help="residual checks of proof identities")
-    p_lab.add_argument("--config")
+    p_lab = add_command("prooflab", "residual checks of proof identities")
+    add_mesh(p_lab)
     p_lab.add_argument("--task", choices=("prop31", "anghel", "identities", "refinement"))
-    p_lab.add_argument("--mesh", type=str)
-    p_lab.add_argument("--mesh-format", dest="mesh_format", choices=("off", "obj"))
-    p_lab.add_argument("--mesh-list", dest="mesh_list", type=str,
-                       help="comma-separated paths")
+    p_lab.add_argument("--mesh-list", type=str, help="comma-separated paths")
     p_lab.add_argument("--j", type=int)
     p_lab.add_argument("--psi", type=str, default="x",
                        help="test field: const, x, y, z, or seed:<int>")
     p_lab.add_argument("--trunc", type=int, help="expansion truncation")
-    p_lab.add_argument("--count", type=int, help="sparse basis size (default dense)")
-    p_lab.add_argument("--seed", type=_seed, default=0)
-    p_lab.add_argument("--tol", type=tol, default=1e-9)
-    p_lab.add_argument("--output", type=str)
     parser.commands = sub.choices
     return parser
 

@@ -56,16 +56,13 @@ class EigenBasis(IndexedSpectrum):
     def _value(self, j: int) -> float:
         return float(self.values[j - 1])
 
-    def to_json_dict(self, include_vectors: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "values": list(self.values),
             "residuals": list(self.residuals),
             "mass_gram_error": self.mass_gram_error,
             "size": self.size,
         }
-        if include_vectors:
-            out["vectors_shape"] = list(self.vectors.shape)
-        return out
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

@@ -70,11 +70,6 @@ def dumps_json(obj) -> str:
     return "".join(out)
 
 
-def write_json(path, obj) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(dumps_json(obj))
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -133,23 +128,23 @@ def report_csv_rows(reports) -> list:
     return rows
 
 
-def write_eigenbasis(path, basis, include_vectors: bool = False) -> None:
-    """Eigenbasis artifact: JSON summary, vectors in a binary sidecar.
+def write_vector_sidecar(path, vectors) -> dict:
+    """Write ``vectors`` to the binary sidecar of the JSON document at
+    ``path`` and return the keys that document records about it.
 
     The sidecar holds the vector matrix as little-endian 64-bit floats in
-    row-major order (one vertex per row, one mode per column); the JSON
-    records its file name and shape.
+    row-major order (one vertex per row, one mode per column).
     """
-    doc = basis.to_json_dict(include_vectors=include_vectors)
-    if include_vectors:
-        sidecar = str(path) + ".vectors.bin"
-        mat = np.ascontiguousarray(basis.vectors, dtype="<f8")
-        with open(sidecar, "wb") as fh:
-            fh.write(mat.tobytes(order="C"))
-        doc["vectors_file"] = os.path.basename(sidecar)
-        doc["vectors_dtype"] = "<f8"
-        doc["vectors_order"] = "row-major"
-    write_json(path, doc)
+    sidecar = str(path) + ".vectors.bin"
+    mat = np.ascontiguousarray(vectors, dtype="<f8")
+    with open(sidecar, "wb") as fh:
+        fh.write(mat.tobytes(order="C"))
+    return {
+        "vectors_shape": list(mat.shape),
+        "vectors_file": os.path.basename(sidecar),
+        "vectors_dtype": "<f8",
+        "vectors_order": "row-major",
+    }
 
 
 def read_vector_sidecar(json_path, doc) -> np.ndarray:

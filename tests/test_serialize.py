@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from specgeom.cli import main
 from specgeom.eigensolve import dense_eigenbasis
 from specgeom.errors import UsageError
 from specgeom.inequalities import evaluate
 from specgeom.mesh import SparseOperatorPair
+from specgeom.meshgen import icosphere, write_off
 from specgeom.models import sphere_laplace_spectrum
 from specgeom.serialize import (
     REPORT_COLUMNS,
@@ -20,8 +22,7 @@ from specgeom.serialize import (
     format_float,
     read_vector_sidecar,
     report_csv_rows,
-    write_eigenbasis,
-    write_json,
+    write_vector_sidecar,
 )
 
 
@@ -72,10 +73,13 @@ class TestJson:
         with pytest.raises(UsageError):
             dumps_json({"x": math.inf})
 
-    def test_write_json(self, tmp_path):
+    def test_output_file_holds_dumps_json(self, tmp_path):
         path = tmp_path / "doc.json"
-        write_json(path, {"k": 0.25})
-        assert path.read_text() == '{"k": 0.25}\n'
+        assert main(["spectrum", "--model", "sphere", "--radius", "2", "--count", "1",
+                     "--output", str(path)]) == 0
+        doc = sphere_laplace_spectrum(2, 2.0, 1).to_json_dict()
+        doc["values"] = [0.0]
+        assert path.read_text() == dumps_json(doc)
 
 
 class TestCsv:
@@ -115,7 +119,9 @@ class TestEigenbasisFiles:
         )
         basis = dense_eigenbasis(ops, 4)
         path = tmp_path / "basis.json"
-        write_eigenbasis(path, basis, include_vectors=True)
+        doc = basis.to_json_dict()
+        doc.update(write_vector_sidecar(path, basis.vectors))
+        path.write_text(dumps_json(doc))
         doc = json.loads(path.read_text())
         assert doc["size"] == 4
         assert doc["vectors_dtype"] == "<f8"
@@ -123,18 +129,11 @@ class TestEigenbasisFiles:
         np.testing.assert_array_equal(vectors, basis.vectors)
 
     def test_values_only_by_default(self, tmp_path):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((8, 8))
-        import scipy.sparse as sp
-
-        ops = SparseOperatorPair(
-            stiffness=sp.csr_matrix(a @ a.T),
-            mass=sp.identity(8, format="csr"),
-            clamp_count=0,
-        )
-        basis = dense_eigenbasis(ops, 3)
+        mesh = tmp_path / "ico1.off"
+        write_off(mesh, *icosphere(1))
         path = tmp_path / "vals.json"
-        write_eigenbasis(path, basis)
+        assert main(["spectrum", "--mesh", str(mesh), "--count", "3",
+                     "--output", str(path)]) == 0
         doc = json.loads(path.read_text())
         assert "vectors_file" not in doc
         assert not (tmp_path / "vals.json.vectors.bin").exists()
