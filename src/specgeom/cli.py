@@ -61,6 +61,10 @@ from .serialize import (
 
 CLIFFORD_AREA = 2.0 * math.pi**2
 
+# the most eigenvalues, j-range indices or ratio-grid points one run may
+# ask for; the largest legitimate requests are in the hundreds
+MAX_COUNT = 10**5
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser that records each flag's action by destination, so
@@ -151,12 +155,31 @@ def _typed(convert, check):
     return parse
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise UsageError("seed must be >= 0, got %d" % seed, seed=seed)
+def _non_negative(key, what):
+    def check(value):
+        if value < 0:
+            raise UsageError("%s must be >= 0, got %d" % (what, value), **{key: value})
+
+    return check
 
 
-_seed = _typed(int, _check_seed)
+def _check_finite(value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(value)
+
+
+def _check_count(count: int) -> None:
+    # zero and negative counts are left to the spectrum's own error
+    if count > MAX_COUNT:
+        raise UsageError("count must be at most %d, got %d" % (MAX_COUNT, count),
+                         parameter="count", cap=MAX_COUNT)
+
+
+_seed = _typed(int, _non_negative("seed", "seed"))
+_kernel_dim = _typed(int, _non_negative("m", "kernel dimension m"))
+_index = _typed(int, validate_index)
+_finite = _typed(float, _check_finite)
+_count = _typed(int, _check_count)
 
 
 def _csv(text) -> list:
@@ -209,6 +232,9 @@ def _j_range(text) -> list:
         raise UsageError("j-range must look like a:b, got %r" % text)
     if lo < 1 or hi < lo:
         raise UsageError("empty j-range %r" % text, lo=lo, hi=hi)
+    if hi - lo >= MAX_COUNT:
+        raise UsageError("j-range %r spans more than %d indices" % (text, MAX_COUNT),
+                         parameter="j_range", cap=MAX_COUNT)
     return list(range(lo, hi + 1))
 
 
@@ -223,12 +249,15 @@ def _parse_grid(text) -> list:
         )
     if step <= 0.0:
         raise UsageError("grid step must be positive, got %s" % format_float(step))
-    steps = int(math.floor((stop - start) / step + 0.5))
-    if start <= 0.0 or steps < 0:
+    steps = (stop - start) / step + 0.5  # inf for a tiny step, so capped as a float
+    if start <= 0.0 or steps < 0.0:
         raise UsageError(
             "empty or invalid ratio grid %r" % text, start=start, stop=stop, step=step
         )
-    return [start + i * step for i in range(steps + 1)]
+    if steps >= MAX_COUNT:
+        raise UsageError("ratio grid %r has more than %d points" % (text, MAX_COUNT),
+                         parameter="ratio_grid", cap=MAX_COUNT)
+    return [start + i * step for i in range(int(steps) + 1)]
 
 
 def _emit(cfg, text: str) -> None:
@@ -644,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand with the flags every subcommand takes."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file; flags override its entries")
-        p.add_argument("--count", type=int,
+        p.add_argument("--count", type=_count,
                        help="number of eigenvalues (prooflab: sparse basis size, "
                             "default dense)")
         p.add_argument("--output", type=str, help="output path (default stdout)")
@@ -661,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=("sphere", "torus", "clifford-torus"))
         p.add_argument("--operator", choices=("dirac", "laplace"))
         p.add_argument("--dim", type=int, default=2, help="sphere dimension n")
-        p.add_argument("--radius", type=float, default=1.0, help="sphere radius")
+        p.add_argument("--radius", type=_finite, default=1.0, help="sphere radius")
         p.add_argument("--lattice", type=_parse_lattice,
                        help='torus lattice rows "a b; c d" or clifford')
         p.add_argument("--spin", type=str, help="spin shifts per generator, e.g. 0,1/2")
@@ -676,13 +705,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = add_command("check", "evaluate inequality reports")
     add_model(p_check)
     p_check.add_argument("--ineq", type=_csv, help="comma-separated inequality ids")
-    p_check.add_argument("--j", type=_typed(int, validate_index))
+    p_check.add_argument("--j", type=_index)
     p_check.add_argument("--j-range", type=_j_range, help="inclusive range a:b")
-    p_check.add_argument("--m", type=int, help="kernel dimension")
+    p_check.add_argument("--m", type=_kernel_dim, help="kernel dimension")
     for name in ("h-sq", "kappa", "c-sup", "c1", "c2", "c3", "b-sq-sup", "s0", "genus",
                  "area", "volume", "h-sq-integral", "hbar1-integral",
                  "htilde-sq-integral", "sup-term", "s-inf", "chen-h-sq"):
-        p_check.add_argument("--" + name, type=float,
+        p_check.add_argument("--" + name, type=_finite,
                              help="scalar curvature lower bound" if name == "s0" else None)
     p_check.add_argument("--field", choices=("R", "C", "Q"), default="C")
     p_check.add_argument("--minimal", action="store_true")
@@ -701,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_mesh(p_lab)
     p_lab.add_argument("--task", choices=("prop31", "anghel", "identities", "refinement"))
     p_lab.add_argument("--mesh-list", type=str, help="comma-separated paths")
-    p_lab.add_argument("--j", type=int)
+    p_lab.add_argument("--j", type=_index)
     p_lab.add_argument("--psi", type=str, default="x",
                        help="test field: const, x, y, z, or seed:<int>")
     p_lab.add_argument("--trunc", type=int, help="expansion truncation")

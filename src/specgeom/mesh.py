@@ -11,7 +11,6 @@ R^3 are accepted; every violation is reported as a structured error.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +178,8 @@ def _parse_off(path):
 def _parse_obj(path):
     verts = []
     faces = []
-    ignored = 0
+    # normals, texture coordinates, groups and materials play no part in
+    # the Laplacian and are skipped
     for lineno, tokens in _tokenized_lines(path):
         key = tokens[0]
         if key == "v":
@@ -208,10 +208,6 @@ def _parse_obj(path):
                                          path=str(path), line=lineno)
                 idx.append(value - 1)
             faces.append(idx)
-        else:
-            ignored += 1
-    if ignored:
-        warnings.warn("ignored %d non-geometry OBJ records" % ignored)
     if not verts:
         raise MeshParseError("OBJ file holds no vertices", path=str(path), line=0)
     return (

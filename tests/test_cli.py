@@ -1,16 +1,17 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from specgeom.cli import main
+from specgeom.cli import MAX_COUNT, main
 from specgeom.errors import SolverConvergenceError
 from specgeom.mesh import assemble_operators, extrinsic_summary, load_mesh
-from specgeom.meshgen import icosphere, write_off
+from specgeom.meshgen import icosphere, write_obj, write_off
 
 
 @pytest.fixture(scope="module")
@@ -818,6 +819,88 @@ class TestExitCodes:
                        "detail": {"exception": name}}
 
 
+class TestInputBounds:
+    """Flag values outside their domain exit 2 at parse time, from argv and
+    from a config file alike, before any mesh is loaded or solved."""
+
+    @pytest.mark.parametrize("flag", ["h-sq", "kappa", "s0", "radius"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_parameter_flags_must_be_finite(self, capsys, flag, text):
+        code, doc, err = run_json(
+            capsys, ["check", "--ineq", "main", "--model", "sphere", f"--{flag}={text}"])
+        assert (code, doc) == (2, None)
+        assert err == {"kind": "usage", "detail": {},
+                       "message": f"argument --{flag}: invalid float value: '{text}'"}
+
+    @pytest.mark.parametrize("key", ["h_sq", "radius"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_parameters_must_be_finite(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))  # NaN, Infinity, -Infinity
+        code, doc, err = run_json(
+            capsys, ["check", "--ineq", "main", "--model", "sphere", "--config", str(cfg)])
+        assert (code, doc) == (2, None)
+        assert err == {"kind": "usage", "detail": {"key": key},
+                       "message": f"config key '{key}': invalid float value {value!r}"}
+
+    @pytest.mark.parametrize("argv, kind, detail", [
+        (["check", "--ineq", "main", "--model", "sphere", "--m", "-1"], "usage", {"m": -1}),
+        (["check", "--ineq", "main", "--mesh", "{mesh}", "--m", "-1"], "usage", {"m": -1}),
+        (["prooflab", "--task", "anghel", "--mesh", "{mesh}", "--j", "0"],
+         "index-range", {"index": 0}),
+    ])
+    def test_index_flags_checked_before_load_and_solve(
+        self, ico_files, capsys, loaded_meshes, solve_sizes, argv, kind, detail
+    ):
+        argv = [a.format(mesh=ico_files[2]) for a in argv]
+        code, doc, err = run_json(capsys, argv)
+        assert (code, doc, err["kind"], err["detail"]) == (2, None, kind, detail)
+        assert (loaded_meshes, solve_sizes) == ([], [])
+
+    @pytest.mark.parametrize("argv, parameter", [
+        (["check", "--ineq", "main", "--model", "sphere", "--j-range", "1:1000000000000"],
+         "j_range"),
+        (["check", "--ineq", "main", "--model", "sphere", "--j-range", "1:100001"],
+         "j_range"),
+        (["spectrum", "--model", "torus", "--lattice", "1 0; 0 1", "--count", "1" + "0" * 400],
+         "count"),
+        (["spectrum", "--model", "sphere", "--dim", "2", "--operator", "dirac",
+          "--count", "100000000"], "count"),
+        (["spectrum", "--model", "sphere", "--count", "100001"], "count"),
+        (["prooflab", "--task", "identities", "--mesh", "x.off", "--count", "100001"],
+         "count"),
+        (["sweep", "--ratio-grid", "0.5:0.6:1e-9"], "ratio_grid"),
+        (["sweep", "--ratio-grid", "0.5:0.6:1e-320"], "ratio_grid"),
+        (["sweep", "--ratio-grid", "1:1:1", "--count", "100001"], "count"),
+    ])
+    def test_sizes_capped_before_allocation(self, capsys, argv, parameter):
+        """Each of these raised MemoryError or OverflowError (exit 4)."""
+        code, doc, err = run_json(capsys, argv)
+        assert (code, doc, err["kind"]) == (2, None, "usage")
+        assert err["detail"] == {"parameter": parameter, "cap": MAX_COUNT}
+
+    def test_count_cap_applies_to_config_entries(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"count": 100001}')
+        code, doc, err = run_json(
+            capsys, ["check", "--ineq", "main", "--model", "sphere", "--config", str(cfg)])
+        assert (code, doc, err["detail"]) == (2, None, {"parameter": "count", "cap": MAX_COUNT})
+
+    def test_count_at_the_cap_accepted(self, capsys):
+        code, doc, _ = run_json(capsys, ["spectrum", "--model", "sphere", "--count",
+                                         str(MAX_COUNT)])
+        assert code == 0 and len(doc["values"]) == MAX_COUNT
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["spectrum", "--model", "sphere", "--count", "0"], "empty-request"),
+        (["sweep", "--ratio-grid", "1:1:1", "--count", "-3"], "empty-request"),
+        (["check", "--ineq", "main", "--model", "sphere", "--count", "0"], "usage"),
+    ])
+    def test_zero_and_negative_counts_keep_their_errors(self, capsys, argv, kind):
+        code, doc, err = run_json(capsys, argv)
+        assert (code, doc, err["kind"]) == (2, None, kind)
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
         proc = subprocess.run(
@@ -836,3 +919,30 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    @pytest.fixture
+    def obj_with_extras(self, tmp_path):
+        """An icosphere OBJ with texture, normal, group and material records."""
+        path = tmp_path / "ico.obj"
+        write_obj(path, *icosphere(1))
+        with open(path, "a") as fh:
+            fh.write("vt 0 0\nvn 0 0 1\ng part\nusemtl steel\n")
+        return path
+
+    def test_obj_extras_skipped_without_output_on_stderr(self, obj_with_extras):
+        """A run in a fresh interpreter, because pytest would capture a warning."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "specgeom.cli", "spectrum", "--mesh",
+             str(obj_with_extras), "--count", "3"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(json.loads(proc.stdout)["values"]) == 3
+
+    def test_obj_error_is_one_json_object_on_stderr(self, obj_with_extras):
+        proc = subprocess.run(
+            [sys.executable, "-m", "specgeom.cli", "spectrum", "--mesh",
+             str(obj_with_extras), "--count", "99"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["kind"] == "usage"
