@@ -164,6 +164,8 @@ def _non_negative(key, what):
 
 
 def _check_finite(value: float) -> None:
+    # a ValueError, so that argparse and _config_value report the flag's
+    # text as an "invalid float value"
     if not math.isfinite(value):
         raise ValueError(value)
 
@@ -694,16 +696,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lattice", type=_parse_lattice,
                        help='torus lattice rows "a b; c d" or clifford')
         p.add_argument("--spin", type=str, help="spin shifts per generator, e.g. 0,1/2")
-        add_mesh(p)
 
     p_spec = add_command("spectrum", "compute a model or mesh spectrum")
     add_model(p_spec)
+    add_mesh(p_spec)
     p_spec.add_argument("--include-vectors", action="store_true",
                         help="store eigenvectors in a binary sidecar")
     p_spec.set_defaults(count=16)
 
     p_check = add_command("check", "evaluate inequality reports")
     add_model(p_check)
+    add_mesh(p_check)
     p_check.add_argument("--ineq", type=_csv, help="comma-separated inequality ids")
     p_check.add_argument("--j", type=_index)
     p_check.add_argument("--j-range", type=_j_range, help="inclusive range a:b")
