@@ -28,13 +28,17 @@ COT_CLAMP = 1e8
 # relative to the squared bounding-box diagonal
 DEGENERATE_AREA_REL = 1e-14
 
+# each corner c of a face with the corners (a, b) that follow it
+CORNERS = ((1, 2), (2, 0), (0, 1))
+
 
 @dataclass(frozen=True)
 class MeshGeometry:
-    """Validated closed triangle mesh with precomputed vertex areas."""
+    """Validated closed triangle mesh with precomputed face and vertex areas."""
 
     vertices: np.ndarray
     faces: np.ndarray
+    face_area: np.ndarray
     vertex_area: np.ndarray
     total_area: float
 
@@ -58,6 +62,11 @@ class MeshGeometry:
         edges = sparse.coo_matrix((np.ones(heads.size), (self.faces.ravel(), heads)),
                                   shape=(self.n_vertices,) * 2)
         return int(connected_components(edges, directed=False)[0])
+
+    @functools.cached_property
+    def face_normals(self) -> np.ndarray:
+        """Unit normal of each face, oriented by its vertex order."""
+        return _face_cross(self.vertices, self.faces) / (2.0 * self.face_area)[:, None]
 
 
 @dataclass(frozen=True)
@@ -318,6 +327,7 @@ def _validate(verts: np.ndarray, faces: np.ndarray) -> MeshGeometry:
     return MeshGeometry(
         vertices=np.ascontiguousarray(verts, dtype=float),
         faces=np.ascontiguousarray(faces, dtype=np.int64),
+        face_area=areas,
         vertex_area=vertex_area,
         total_area=total_area,
     )
@@ -363,58 +373,57 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.ldexp(np.linalg.norm(np.ldexp(x, -exp[:, None]), axis=1), exp)
 
 
+def _face_cross(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    return np.cross(
+        verts[faces[:, 1]] - verts[faces[:, 0]],
+        verts[faces[:, 2]] - verts[faces[:, 0]],
+    )
+
+
 def face_areas(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    cross = np.cross(
-        verts[faces[:, 1]] - verts[faces[:, 0]],
-        verts[faces[:, 2]] - verts[faces[:, 0]],
-    )
-    return 0.5 * row_norms(cross)
-
-
-def face_normals(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    cross = np.cross(
-        verts[faces[:, 1]] - verts[faces[:, 0]],
-        verts[faces[:, 2]] - verts[faces[:, 0]],
-    )
-    return cross / row_norms(cross)[:, None]
+    return 0.5 * row_norms(_face_cross(verts, faces))
 
 
 def face_gradients(mesh: MeshGeometry, u: np.ndarray) -> np.ndarray:
     """Gradient of the piecewise-linear interpolant of ``u``, per face.
 
     grad u = sum_corners u_c * (n x e_c) / (2A) with e_c the edge opposite
-    corner c, oriented with the face.
+    corner c, oriented with the face.  Trailing axes of ``u`` hold fields
+    of their own and follow the component axis of the result, so
+    ``face_gradients(mesh, mesh.vertices)[f, :, A]`` is grad x_A on face f.
     """
     verts, faces = mesh.vertices, mesh.faces
     u = np.asarray(u, dtype=float)
-    normals = face_normals(verts, faces)
-    areas = face_areas(verts, faces)
-    grad = np.zeros((len(faces), 3))
-    for c, (a, b) in enumerate([(1, 2), (2, 0), (0, 1)]):
-        opposite = verts[faces[:, b]] - verts[faces[:, a]]
-        grad += u[faces[:, c], None] * np.cross(normals, opposite)
-    return grad / (2.0 * areas[:, None])
+    fields = (None,) * (u.ndim - 1)
+    grad = sum(
+        np.cross(mesh.face_normals, verts[faces[:, b]] - verts[faces[:, a]])[(...,) + fields]
+        * u[faces[:, c], None]
+        for c, (a, b) in enumerate(CORNERS)
+    )
+    return grad / (2.0 * mesh.face_area)[(slice(None), None) + fields]
 
 
 def vertex_average_from_faces(mesh: MeshGeometry, face_values: np.ndarray) -> np.ndarray:
-    """Mass-weighted average of per-face values onto vertices."""
-    areas = face_areas(mesh.vertices, mesh.faces)
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.faces.ravel(), np.repeat(face_values * areas / 3.0, 3))
-    return out / mesh.vertex_area
+    """Mass-weighted average of per-face values onto vertices; trailing
+    axes of ``face_values`` are averaged one by one."""
+    face_values = np.asarray(face_values, dtype=float)
+    per_row = (slice(None),) + (None,) * (face_values.ndim - 1)
+    out = np.zeros((mesh.n_vertices,) + face_values.shape[1:])
+    np.add.at(out, mesh.faces.ravel(),
+              np.repeat(face_values * mesh.face_area[per_row] / 3.0, 3, axis=0))
+    return out / mesh.vertex_area[per_row]
 
 
 def angle_defects(mesh: MeshGeometry) -> np.ndarray:
-    """2*pi minus the sum of incident triangle angles, per vertex."""
+    """2*pi minus the sum of incident triangle angles, per vertex.  The
+    angle between corner edges u and v is atan2(|u x v|, u . v), with
+    |u x v| twice the face area, accurate at angles near 0 and pi."""
     verts, faces = mesh.vertices, mesh.faces
     defect = np.full(mesh.n_vertices, 2.0 * np.pi)
-    for c, (a, b) in enumerate([(1, 2), (2, 0), (0, 1)]):
+    for c, (a, b) in enumerate(CORNERS):
         u = verts[faces[:, a]] - verts[faces[:, c]]
         v = verts[faces[:, b]] - verts[faces[:, c]]
-        cosang = np.einsum("ij,ij->i", u, v) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-        )
-        angles = np.arccos(np.clip(cosang, -1.0, 1.0))
+        angles = np.arctan2(2.0 * mesh.face_area, np.einsum("ij,ij->i", u, v))
         np.subtract.at(defect, faces[:, c], angles)
     return defect
 
@@ -433,7 +442,7 @@ def assemble_operators(mesh: MeshGeometry) -> SparseOperatorPair:
     verts, faces = mesh.vertices, mesh.faces
     rows, cols, vals = [], [], []
     clamp_count = 0
-    for c, (a, b) in enumerate([(1, 2), (2, 0), (0, 1)]):
+    for c, (a, b) in enumerate(CORNERS):
         u = verts[faces[:, a]] - verts[faces[:, c]]
         v = verts[faces[:, b]] - verts[faces[:, c]]
         cross_norm = row_norms(np.cross(u, v))
@@ -455,13 +464,16 @@ def assemble_operators(mesh: MeshGeometry) -> SparseOperatorPair:
     return SparseOperatorPair(stiffness=stiffness, mass=mass, clamp_count=clamp_count)
 
 
-def mean_curvature_field(mesh: MeshGeometry, ops: SparseOperatorPair) -> np.ndarray:
-    """Squared mean curvature from the coordinate Laplacians.
+def coordinate_laplacians(mesh: MeshGeometry, ops: SparseOperatorPair) -> np.ndarray:
+    """The discrete Laplacian Delta = M^{-1} L of the coordinate functions:
+    column A holds Delta x_A."""
+    return ops.stiffness @ mesh.vertices / mesh.vertex_area[:, None]
 
-    Uses sum_A (Delta x_A)^2 = n^2 H^2 with n = 2 and the discrete
-    Laplacian Delta = M^{-1} L applied to the three coordinates.
-    """
-    coord_lap = ops.stiffness @ mesh.vertices / mesh.vertex_area[:, None]
+
+def mean_curvature_field(mesh: MeshGeometry, ops: SparseOperatorPair) -> np.ndarray:
+    """Squared mean curvature from the coordinate Laplacians, through
+    sum_A (Delta x_A)^2 = n^2 H^2 with n = 2."""
+    coord_lap = coordinate_laplacians(mesh, ops)
     return np.einsum("ij,ij->i", coord_lap, coord_lap) / 4.0
 
 

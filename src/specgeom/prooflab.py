@@ -24,6 +24,7 @@ from .inequalities import weighted_density_integral
 from .mesh import (
     MeshGeometry,
     SparseOperatorPair,
+    coordinate_laplacians,
     face_gradients,
     mean_curvature_field,
     vertex_average_from_faces,
@@ -201,19 +202,15 @@ def verify_anghel_lemma(
     lam_j = basis.gamma(j)
     mass = ops.mass_diag
     s = basis.vectors[:, j - 1]
-    grad_s = face_gradients(mesh, s)
-    lhs = 0.0
-    for axis in range(3):
-        x_a = mesh.vertices[:, axis]
-        delta_x = (ops.stiffness @ x_a) / mass
-        grad_x = face_gradients(mesh, x_a)
-        coupling_face = np.einsum("ij,ij->i", grad_x, grad_s)
-        coupling_vertex = vertex_average_from_faces(mesh, coupling_face)
-        term = delta_x * s - 2.0 * coupling_vertex
-        lhs += float(np.dot(term * term, mass))
-    h_sq = mean_curvature_field(mesh, ops)
-    h_integral = weighted_density_integral(h_sq, s, mass)
-    rhs = 4.0 * lam_j + 4.0 * h_integral
+    delta_x = coordinate_laplacians(mesh, ops)
+    grad_x = face_gradients(mesh, mesh.vertices)
+    coupling = vertex_average_from_faces(
+        mesh, np.einsum("fca,fc->fa", grad_x, face_gradients(mesh, s)))
+    term = delta_x * s[:, None] - 2.0 * coupling
+    lhs = float(np.einsum("va,va,v->", term, term, mass))
+    # n^2 H^2 = sum_A (Delta x_A)^2 with n = 2
+    h_term = weighted_density_integral(np.einsum("va,va->v", delta_x, delta_x), s, mass)
+    rhs = 4.0 * lam_j + h_term
     resid, rel = _relative(lhs, rhs)
     return ResidualReport(
         check_id="coordinate-gradient-identity",
@@ -225,7 +222,7 @@ def verify_anghel_lemma(
         truncation_K=basis.size,
         term_breakdown={
             "eigenvalue_term": 4.0 * lam_j,
-            "h_sq_term": 4.0 * h_integral,
+            "h_sq_term": h_term,
         },
     )
 
@@ -259,22 +256,10 @@ def coordinate_identities(
     refinement limit and is reported as a diagnostic.
     """
     mass = ops.mass_diag
-    grad_sq_sum = np.zeros(mesh.n_faces)
-    delta = np.zeros((mesh.n_vertices, 3))
-    cross = np.zeros((mesh.n_vertices, 3))
-    grads = []
-    for axis in range(3):
-        x_a = mesh.vertices[:, axis]
-        g = face_gradients(mesh, x_a)
-        grads.append(g)
-        grad_sq_sum += np.einsum("ij,ij->i", g, g)
-        delta[:, axis] = (ops.stiffness @ x_a) / mass
-    for axis in range(3):
-        avg = np.stack(
-            [vertex_average_from_faces(mesh, grads[axis][:, c]) for c in range(3)],
-            axis=1,
-        )
-        cross += delta[:, axis, None] * avg
+    delta = coordinate_laplacians(mesh, ops)
+    grads = face_gradients(mesh, mesh.vertices)
+    grad_sq_sum = np.einsum("fca,fca->f", grads, grads)
+    cross = np.einsum("va,vca->vc", delta, vertex_average_from_faces(mesh, grads))
     h_sq = mean_curvature_field(mesh, ops)
     lap_err = np.abs(np.einsum("ij,ij->i", delta, delta) - 4.0 * h_sq)
     cross_norm = np.linalg.norm(cross, axis=1)

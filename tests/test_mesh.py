@@ -19,7 +19,6 @@ from specgeom.mesh import (
     extrinsic_summary,
     face_areas,
     face_gradients,
-    face_normals,
     load_mesh,
     mean_curvature_field,
     mesh_from_arrays,
@@ -298,8 +297,7 @@ class TestOperators:
         assert abs(assemble_operators(mesh).stiffness - ico_ops(2).stiffness).max() < 1e-14
         np.testing.assert_allclose(
             mesh.vertex_area / scale**2, ico_mesh(2).vertex_area, rtol=1e-14)
-        np.testing.assert_allclose(
-            face_normals(verts * scale, faces), face_normals(verts, faces), atol=1e-15)
+        np.testing.assert_allclose(mesh.face_normals, ico_mesh(2).face_normals, atol=1e-15)
 
     def test_row_norms_match_numpy_bit_for_bit(self):
         """The power-of-two scaling is exact, so rows whose squares are
@@ -334,9 +332,7 @@ class TestGradients:
         u = mesh.vertices @ coeff + 5.0
         grads = face_gradients(mesh, u)
         # the tangential part of the coefficient vector is recovered exactly
-        from specgeom.mesh import face_normals
-
-        normals = face_normals(mesh.vertices, mesh.faces)
+        normals = mesh.face_normals
         tangential = coeff - normals * (normals @ coeff)[:, None]
         np.testing.assert_allclose(grads, tangential, atol=1e-12)
 
