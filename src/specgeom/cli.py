@@ -280,7 +280,7 @@ def _diagonal_radii(lat: Lattice):
     off = basis - np.diag(np.diag(basis))
     if np.max(np.abs(off)) > 1e-12 * np.max(np.abs(basis)):
         return None
-    return np.diag(basis) / (2.0 * math.pi)
+    return np.abs(np.diag(basis)) / (2.0 * math.pi)
 
 
 def _resolve_operator(cfg) -> str:
@@ -313,6 +313,8 @@ def _model_source(cfg) -> dict:
         n, radius = cfg["dim"], cfg["radius"]
         spectrum = sphere_dirac_spectrum if dirac else sphere_laplace_spectrum
         extr = sphere_extrinsic(n, radius)
+        consts = {"h_sq": extr.H_sq, "s_inf": extr.S, "b_sq_sup": extr.B_sq,
+                  "volume": extr.volume, "kappa": extr.curvature_term_kappa}
 
         def hbar1_integral(p):
             if radius > 1.0 + 1e-12:
@@ -342,12 +344,15 @@ def _model_source(cfg) -> dict:
                 else SpinStructure((0.0,) * n)
             )
         radii = _diagonal_radii(lat)
-        extr = None
-        if radii is not None and n == 2:
-            _, extr = product_torus_extrinsic(radii[0], radii[1])
+        # every flat torus has S = 0, so kappa = S/4 = 0 for spinors too;
+        # a product of circles also fixes H^2 and |B|^2 of its immersion
+        consts = {"s_inf": 0.0, "kappa": 0.0, "volume": lat.covolume}
         if radii is not None:
+            extr = product_torus_extrinsic(*radii)[1]
+            consts.update(h_sq=extr.H_sq, b_sq_sup=extr.B_sq)
+
             def hbar1_integral(p):  # a product of circles: Hbar^2 + 1 = H^2
-                rsum = float(np.sum(np.asarray(radii) ** 2))
+                rsum = float(np.sum(radii**2))
                 if abs(rsum - 1.0) > 1e-6:
                     raise UsageError(
                         "torus must be scaled into the unit sphere (sum of squared "
@@ -367,12 +372,9 @@ def _model_source(cfg) -> dict:
         src["provenance"] = {
             "spectrum": "torus-%s lattice=[%s]%s"
             % (operator, basis_text, " spin=%s" % spin.label() if spin else ""),
-            "extrinsic": "model:product-torus" if extr is not None else "explicit",
+            "extrinsic": "model:product-torus" if radii is not None else "explicit",
         }
-    fallbacks = {"n": n}
-    if extr is not None:
-        fallbacks.update(h_sq=extr.H_sq, s_inf=extr.S, b_sq_sup=extr.B_sq,
-                         volume=extr.volume, kappa=extr.curvature_term_kappa)
+    fallbacks = {"n": n, **consts}
     if operator == "laplace":  # functions carry no bundle curvature term
         fallbacks["kappa"] = 0.0
     if hbar1_integral is not None:
@@ -518,6 +520,16 @@ def _check_spectrum(cfg, ineqs, jlist):
     need = max(
         [1] + [INEQS[iq].reads(Params(iq, cfg, src), max(jlist), m) for iq in ineqs]
     )
+    # the indices (--j, --gap-k, --m, --dim, ...) are capped through the
+    # size they make the spectrum resolve
+    if need > MAX_COUNT:
+        raise UsageError(
+            "the requested checks read %d values, more than the cap of %d"
+            % (need, MAX_COUNT),
+            parameter="count",
+            required=need,
+            cap=MAX_COUNT,
+        )
     if cfg["count"] is not None and cfg["count"] < need:
         raise UsageError(
             "count %d is below the %d values the requested checks read"

@@ -501,22 +501,14 @@ def sphere_extrinsic(n: int, radius: float) -> ModelExtrinsic:
     return ModelExtrinsic(n, *consts)
 
 
-def product_torus_extrinsic(r1: float, r2: float) -> tuple[Lattice, ModelExtrinsic]:
-    """Lattice and extrinsic constants of S^1(r1) x S^1(r2) in R^4.
+def product_torus_extrinsic(*radii: float) -> tuple[Lattice, ModelExtrinsic]:
+    """Lattice and extrinsic constants of S^1(r_1) x ... x S^1(r_n) in R^2n.
 
     The coordinate Laplacians give Delta x = -x/r_i^2 circle-wise, so
-    sum_A (Delta x_A)^2 = 1/r1^2 + 1/r2^2 = 4 H^2; the surface is flat.
+    sum_A (Delta x_A)^2 = sum_i 1/r_i^2 = n^2 H^2 = |B|^2; the torus is flat.
     """
-    if r1 <= 0 or r2 <= 0:
-        raise InvalidModelError("circle radii must be positive", r1=r1, r2=r2)
-    lat = Lattice(np.diag([2.0 * math.pi * r1, 2.0 * math.pi * r2]))
-    curv_sum = 1.0 / r1**2 + 1.0 / r2**2
-    extr = ModelExtrinsic(
-        2,
-        curv_sum / 4.0,
-        curv_sum,
-        0.0,
-        4.0 * math.pi**2 * r1 * r2,
-        0.0,
-    )
-    return lat, extr
+    if not radii or min(radii) <= 0:
+        raise InvalidModelError("circle radii must be positive", radii=list(radii))
+    lat = Lattice(np.diag([2.0 * math.pi * r for r in radii]))
+    n, curv_sum = len(radii), sum(1.0 / r**2 for r in radii)
+    return lat, ModelExtrinsic(n, curv_sum / n**2, curv_sum, 0.0, lat.covolume, 0.0)

@@ -77,6 +77,25 @@ def loaded_meshes(monkeypatch):
     return meshes
 
 
+@pytest.fixture
+def source_builds(monkeypatch):
+    """The count of every spectrum the CLI builds from a model or mesh."""
+    import specgeom.cli as cli_mod
+
+    counts = []
+    real_source = cli_mod._source
+
+    def spy(cfg):
+        src = real_source(cfg)
+        if src is not None:
+            build = src["build"]
+            src["build"] = lambda count: (counts.append(count), build(count))[1]
+        return src
+
+    monkeypatch.setattr(cli_mod, "_source", spy)
+    return counts
+
+
 def run_json(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -258,6 +277,12 @@ class TestSpectrum:
         assert err["kind"] == "solver-convergence"
 
 
+OBLIQUE = ["--model", "torus", "--lattice", "1 0; 0.5 1"]
+# three circles of radius 1/sqrt3: a minimal torus in the unit 5-sphere
+EDGE = 2.0 * math.pi / math.sqrt(3.0)
+CUBIC = ["--model", "torus", "--lattice", "%r 0 0; 0 %r 0; 0 0 %r" % ((EDGE,) * 3)]
+
+
 class TestCheck:
     def test_main_sphere_equality(self, capsys):
         code, doc, _ = run_json(
@@ -308,13 +333,34 @@ class TestCheck:
 
     @pytest.mark.parametrize("argv, key", [
         (["--model", "sphere", "--dim", "2", "--operator", "laplace"], "sup_term"),
-        (["--minimal", "--model", "torus", "--lattice", "1 0.3; 0 1",
-          "--operator", "laplace"], "s_inf"),
     ])
     def test_projective_names_its_missing_parameter(self, capsys, argv, key):
         code, doc, err = run_json(capsys, ["check", "--ineq", "projective", *argv])
         assert (code, doc, err["kind"]) == (2, None, "usage")
         assert err["detail"] == {"parameter": key, "ineq": "projective"}
+
+    @pytest.mark.parametrize("argv, code, part, key, value", [
+        pytest.param(["main", *OBLIQUE, "--operator", "dirac", "--h-sq", "1"],
+                     1, "terms", "r_term", 0.0, id="main-dirac-oblique"),
+        pytest.param(["projective", "--minimal", *OBLIQUE],
+                     1, "terms", "s_inf", 0.0, id="projective-minimal-oblique"),
+        pytest.param(["reilly2", *CUBIC, "--hbar1-integral", "1"],
+                     0, "params", "volume", EDGE**3, id="reilly2-cubic"),
+        pytest.param(["sphere", *CUBIC], 0, "terms", "h_term", 9.0, id="sphere-cubic"),
+        # a generator and its negative span one lattice
+        pytest.param(["main", "--model", "torus", "--lattice", "-1 0; 0 1"],
+                     0, "terms", "h_term", 8.0 * math.pi**2, id="main-negative-generator"),
+    ])
+    def test_flat_torus_constants_from_lattice(self, capsys, argv, code, part, key,
+                                               value):
+        """Every flat torus has S = 0, so kappa = s_inf = 0, and its covolume
+        as volume; a product of circles also fixes h_sq = sum r_i^-2 / n^2
+        (1 on the cubic torus, so h_term = n^2 h_sq = 9).  Each of these
+        exited 2: the first four naming kappa, s_inf, volume or h_sq, the
+        last rejecting the negative generator's circle radius."""
+        got, doc, err = run_json(capsys, ["check", "--ineq", *argv])
+        assert (got, err) == (code, None)
+        assert doc["reports"][0][part][key] == pytest.approx(value, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("m, code, kind", [
         ([], 0, None), (["--m", "2"], 0, None), (["--m", "0"], 2, "inconsistent-kernel"),
@@ -878,6 +924,29 @@ class TestInputBounds:
         code, doc, err = run_json(capsys, argv)
         assert (code, doc, err["kind"]) == (2, None, "usage")
         assert err["detail"] == {"parameter": parameter, "cap": MAX_COUNT}
+
+    @pytest.mark.parametrize("flags, required", [
+        (["--ineq", "background", "--gap-k", "10000000"], 10000001),
+        (["--ineq", "main", "--j", "1" + "0" * 23], 10**23 + 2),
+        (["--ineq", "main", "--j", "1000000000000"], 10**12 + 2),
+        (["--ineq", "main", "--j-range", "99999:100000"], 100002),
+        (["--ineq", "background", "--yang-k", "100000"], 100001),
+        (["--ineq", "background", "--lp-j", "100000"], 100002),
+        (["--ineq", "reilly1", "--m", "100000", "--h-sq-integral", "1"], 100002),
+    ])
+    def test_inferred_size_capped_before_build(self, capsys, source_builds, flags,
+                                               required):
+        """The first three exited 0 after seconds of work, or 4 with a
+        MemoryError under a 2 GiB address-space limit."""
+        code, doc, err = run_json(capsys, ["check", "--model", "sphere", *flags])
+        assert (code, doc, err["kind"], source_builds) == (2, None, "usage", [])
+        assert err["detail"] == {"parameter": "count", "required": required,
+                                 "cap": MAX_COUNT}
+
+    def test_inferred_size_at_the_cap_builds(self, capsys, source_builds):
+        code, _, _ = run_json(capsys, ["check", "--ineq", "main", "--model", "sphere",
+                                       "--j", str(MAX_COUNT - 2)])
+        assert (code, source_builds) == (0, [MAX_COUNT])
 
     def test_count_cap_applies_to_config_entries(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -346,6 +346,22 @@ class TestGradients:
             total += np.sum(g * g, axis=1)
         np.testing.assert_allclose(total, 2.0, atol=1e-12)
 
+    def test_stacked_fields_match_one_call_per_column(self, ico_mesh):
+        mesh = ico_mesh(2)
+        fields = np.column_stack(
+            [mesh.vertices, np.random.default_rng(0).standard_normal(mesh.n_vertices)])
+        grads = face_gradients(mesh, fields)
+        assert grads.shape == (mesh.n_faces, 3, 4)
+        averaged = vertex_average_from_faces(mesh, grads)
+        assert averaged.shape == (mesh.n_vertices, 3, 4)
+        for col in range(4):
+            grad = face_gradients(mesh, fields[:, col])
+            np.testing.assert_allclose(grads[:, :, col], grad, rtol=0, atol=1e-15)
+            for c in range(3):
+                np.testing.assert_allclose(
+                    averaged[:, c, col], vertex_average_from_faces(mesh, grad[:, c]),
+                    rtol=0, atol=1e-15)
+
     def test_vertex_average_of_constant(self, ico_mesh):
         mesh = ico_mesh(1)
         averaged = vertex_average_from_faces(mesh, np.ones(mesh.n_faces))
@@ -360,6 +376,25 @@ class TestCurvature:
     def test_gauss_bonnet_torus(self, revolution_torus_mesh):
         defects = angle_defects(revolution_torus_mesh)
         assert abs(defects.sum()) < 1e-9
+
+    def test_angle_defects_on_a_sliver_face(self):
+        """A face 1e-9 high has a corner angle within 1e-9 of pi; arccos of
+        its cosine was off by 4e-9.  The reference is atan2(|u x v|, u . v)
+        per corner in Python floats."""
+        verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-9, 0.0], [0.5, 0.3, 1.0]]
+        faces = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [2, 0, 3]]
+        expected = [2.0 * math.pi] * 4
+        for face in faces:
+            for c in range(3):
+                p, a, b = (verts[face[(c + k) % 3]] for k in range(3))
+                u = [a[i] - p[i] for i in range(3)]
+                v = [b[i] - p[i] for i in range(3)]
+                cross = [u[(i + 1) % 3] * v[(i + 2) % 3] - u[(i + 2) % 3] * v[(i + 1) % 3]
+                         for i in range(3)]
+                expected[face[c]] -= math.atan2(math.hypot(*cross),
+                                                sum(x * y for x, y in zip(u, v)))
+        defects = angle_defects(mesh_from_arrays(np.array(verts), np.array(faces)))
+        np.testing.assert_allclose(defects, expected, rtol=0, atol=1e-14)
 
     def test_sphere_willmore(self, ico_mesh, ico_ops):
         extr = extrinsic_summary(ico_mesh(4), ico_ops(4))

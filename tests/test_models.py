@@ -358,6 +358,14 @@ class TestModelExtrinsic:
         assert extr.H_sq == pytest.approx((1.0 + 0.25) / 4.0, rel=1e-14)
         assert extr.volume == pytest.approx(8.0 * math.pi**2, rel=1e-13)
 
+    def test_product_torus_any_dimension(self):
+        lat, extr = product_torus_extrinsic(1.0, 2.0, 0.5)
+        curv_sum = 1.0 + 0.25 + 4.0
+        assert (lat.dim, extr.n, extr.S, extr.curvature_term_kappa) == (3, 3, 0.0, 0.0)
+        assert extr.H_sq == pytest.approx(curv_sum / 9.0, rel=1e-15)
+        assert extr.B_sq == pytest.approx(curv_sum, rel=1e-15)
+        assert extr.volume == pytest.approx(8.0 * math.pi**3, rel=1e-13)
+
 
 # The standard embedding of FP^m sends the line through a unit vector z of
 # F^(m+1) to the rank-one Hermitian projector z z*.  Every field is written
