@@ -89,7 +89,12 @@ def source_builds(monkeypatch):
         src = real_source(cfg)
         if src is not None:
             build = src["build"]
-            src["build"] = lambda count: (counts.append(count), build(count))[1]
+
+            def spied(count):
+                counts.append(count)
+                return build(count)
+
+            src["build"] = spied
         return src
 
     monkeypatch.setattr(cli_mod, "_source", spy)
