@@ -360,9 +360,8 @@ class TestCheck:
                                                value):
         """Every flat torus has S = 0, so kappa = s_inf = 0, and its covolume
         as volume; a product of circles also fixes h_sq = sum r_i^-2 / n^2
-        (1 on the cubic torus, so h_term = n^2 h_sq = 9).  Each of these
-        exited 2: the first four naming kappa, s_inf, volume or h_sq, the
-        last rejecting the negative generator's circle radius."""
+        (1 on the cubic torus, so h_term = n^2 h_sq = 9).  Each case reads
+        one of these constants without a flag for it."""
         got, doc, err = run_json(capsys, ["check", "--ineq", *argv])
         assert (got, err) == (code, None)
         assert doc["reports"][0][part][key] == pytest.approx(value, rel=1e-14, abs=0.0)
@@ -941,8 +940,8 @@ class TestInputBounds:
     ])
     def test_inferred_size_capped_before_build(self, capsys, source_builds, flags,
                                                required):
-        """The first three exited 0 after seconds of work, or 4 with a
-        MemoryError under a 2 GiB address-space limit."""
+        """Uncapped, the first three run for seconds, or run out of memory
+        under a 2 GiB address-space limit."""
         code, doc, err = run_json(capsys, ["check", "--model", "sphere", *flags])
         assert (code, doc, err["kind"], source_builds) == (2, None, "usage", [])
         assert err["detail"] == {"parameter": "count", "required": required,

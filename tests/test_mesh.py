@@ -378,9 +378,9 @@ class TestCurvature:
         assert abs(defects.sum()) < 1e-9
 
     def test_angle_defects_on_a_sliver_face(self):
-        """A face 1e-9 high has a corner angle within 1e-9 of pi; arccos of
-        its cosine was off by 4e-9.  The reference is atan2(|u x v|, u . v)
-        per corner in Python floats."""
+        """A face 1e-9 high has a corner angle within 1e-9 of pi, where
+        arccos of the cosine is off by ~4e-9.  The reference is
+        atan2(|u x v|, u . v) per corner in Python floats."""
         verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-9, 0.0], [0.5, 0.3, 1.0]]
         faces = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [2, 0, 3]]
         expected = [2.0 * math.pi] * 4
