@@ -296,9 +296,6 @@ def _torus_lattice(cfg, user: str) -> Lattice:
     """The one lattice of a run: the Clifford lattice for --model
     clifford-torus, which fixes it, or else --lattice."""
     if cfg.get("model") == "clifford-torus":
-        if cfg.get("lattice") is not None:
-            raise UsageError("--model clifford-torus fixes its lattice; drop --lattice",
-                             parameter="lattice")
         return clifford_torus_lattice()
     if cfg.get("lattice") is None:
         raise UsageError("%s needs --lattice" % user, parameter="lattice")
@@ -414,12 +411,14 @@ def _mesh_source(cfg, path=None) -> dict:
     def extr():
         return extrinsic_summary(mesh, ops)
 
-    src = {"kind": "mesh", "mesh": mesh, "ops": ops, "build": build,
-           "h_sq_field": lambda: extr().H_sq}
-    # a surface, and the scalar Laplacian has no bundle curvature term
+    src = {"kind": "mesh", "mesh": mesh, "ops": ops, "build": build}
+    # a surface, and the scalar Laplacian has no bundle curvature term;
+    # main reads H^2 weighted by the squared j-th eigenvector, h_sq_at(j)
     src["fallbacks"] = {
         "n": 2, "kappa": 0.0, "volume": lambda p: float(mesh.total_area),
         "h_sq": lambda p: float(np.max(extr().H_sq)),
+        "h_sq_at": lambda p: lambda j: weighted_density_integral(
+            extr().H_sq, p.spectrum.vectors[:, j - 1], ops.mass_diag),
         "s_inf": lambda p: float(np.min(extr().S)),
         "h_sq_integral": lambda p: extr().willmore,
     }
@@ -471,39 +470,8 @@ FALLBACKS = {
     "h_sq_integral": lambda p: p["h_sq"] * p["volume"],
     "htilde_sq_integral": 0.0,
     "m": lambda p: p.spectrum.zero_dim,
+    "lattice": lambda p: _torus_lattice(p.values, "the conjecture probe"),
 }
-
-
-class Params(Inputs):
-    """The parameters of one check id: a given flag wins, then the source's
-    ``fallbacks``, then ``FALLBACKS``.  A fallback is a value, or a function
-    of these parameters where it chains or must only run when read.  A
-    parameter with none of the three is a usage error that names it."""
-
-    def __init__(self, ineq, cfg, src=None, spectrum=None):
-        self.src = src or {}
-        super().__init__(ineq, cfg, spectrum, self.src.get("provenance"))
-
-    def optional(self, key):
-        if key == "lattice":  # parsed, or the one --model clifford-torus fixes
-            return _torus_lattice(self.values, "the conjecture probe")
-        if self.given(key):
-            return self.values[key]
-        for fallbacks in (self.src.get("fallbacks", {}), FALLBACKS):
-            if key in fallbacks:
-                value = fallbacks[key]
-                return value(self) if callable(value) else value
-        return None
-
-    def weighted_h_sq(self, j):
-        """On a mesh without --h-sq, the integral of the vertex field H^2
-        against the squared j-th eigenvector; otherwise ``h_sq``."""
-        field = self.src.get("h_sq_field")
-        if field is None or self.given("h_sq"):
-            return self["h_sq"]
-        return weighted_density_integral(
-            field(), self.spectrum.vectors[:, j - 1], self.src["ops"].mass_diag
-        )
 
 
 def _check_spectrum(cfg, ineqs, jlist):
@@ -517,9 +485,9 @@ def _check_spectrum(cfg, ineqs, jlist):
     m = cfg["m"]
     if m is None:
         m = src["mesh"].n_components if src["kind"] == "mesh" else src["zero_dim"]
-    need = max(
-        [1] + [INEQS[iq].reads(Params(iq, cfg, src), max(jlist), m) for iq in ineqs]
-    )
+    tables = (src["fallbacks"], FALLBACKS)
+    need = max([1] + [INEQS[iq].reads(Inputs(iq, cfg, fallbacks=tables), max(jlist), m)
+                      for iq in ineqs])
     # the indices (--j, --gap-k, --m, --dim, ...) are capped through the
     # size they make the spectrum resolve
     if need > MAX_COUNT:
@@ -548,13 +516,13 @@ def cmd_check(cfg) -> int:
     jlist = cfg["j_range"] or [cfg["j"] or 1]
     # checks that need no model or mesh (the conjecture probe) report first
     ineqs = sorted(cfg["ineq"], key=lambda iq: INEQS[iq].reads is not None)
-    src = spectrum = None
+    src, spectrum = {"fallbacks": {}, "provenance": None}, None
     reports = []
     for iq in ineqs:
         ineq = INEQS[iq]
-        if ineq.reads is not None and src is None:
+        if ineq.reads is not None and spectrum is None:
             src, spectrum = _check_spectrum(cfg, ineqs, jlist)
-        params = Params(iq, cfg, src, spectrum)
+        params = Inputs(iq, cfg, spectrum, src["provenance"], (src["fallbacks"], FALLBACKS))
         for j in jlist if ineq.per_j else [None]:
             out = evaluate_inputs(params, j)
             reports.extend(out if isinstance(out, list) else [out])
@@ -785,6 +753,9 @@ def main(argv=None) -> int:
             sub = parser.commands[args.command]
             sub.set_defaults(**_config_defaults(sub, args.config))
             args = parser.parse_args(argv)
+        if getattr(args, "model", None) == "clifford-torus" and args.lattice is not None:
+            raise UsageError("--model clifford-torus fixes its lattice; drop --lattice",
+                             parameter="lattice")
         return HANDLERS[args.command](vars(args))
     except SolverConvergenceError as exc:
         _write_error(exc.to_json_dict())

@@ -149,20 +149,27 @@ class Inputs:
     ``p[key]`` is a value, or a usage error that names the parameter and the
     id; ``optional(key)`` is a value or None; ``given(key)`` says whether the
     caller supplied the key itself.  Keys are the ``check`` flags'
-    destinations (``h_sq``, ``b_sq_sup``, ...) plus ``n``.  This class reads
-    a plain mapping; the command line's subclass adds the fallbacks it
-    derives from a model or mesh.
+    destinations (``h_sq``, ``b_sq_sup``, ...) plus ``n``.  A given value
+    wins; otherwise each of the ``fallbacks`` tables is read in turn.  A
+    table entry is a value, or a function of these parameters where it
+    chains or must only run when read.
     """
 
-    def __init__(self, ineq, values, spectrum=None, provenance=None):
-        self.ineq, self.values = ineq, values
+    def __init__(self, ineq, values, spectrum=None, provenance=None, fallbacks=()):
+        self.ineq, self.values, self.fallbacks = ineq, values, fallbacks
         self.spectrum, self.provenance = spectrum, provenance
 
     def given(self, key) -> bool:
         return self.values.get(key) is not None
 
     def optional(self, key):
-        return self.values.get(key)
+        if self.given(key):
+            return self.values[key]
+        for table in self.fallbacks:
+            if key in table:
+                value = table[key]
+                return value(self) if callable(value) else value
+        return None
 
     def __getitem__(self, key):
         value = self.optional(key)
@@ -180,8 +187,10 @@ class Inputs:
 
     def weighted_h_sq(self, j):
         """The integral of H^2 <s_j, s_j> over the unit-normalized j-th
-        section: ``h_sq`` itself for constant H^2."""
-        return self["h_sq"]
+        section: a given ``h_sq``, else ``h_sq_at(j)`` where a table has it
+        (a mesh, whose H^2 varies), else ``h_sq`` for constant H^2."""
+        h_sq_at = None if self.given("h_sq") else self.optional("h_sq_at")
+        return self["h_sq"] if h_sq_at is None else h_sq_at(j)
 
 
 def _base_params(spectrum, **extra) -> dict:
