@@ -116,6 +116,16 @@ def _tokenized_lines(path):
                 yield lineno, line.split()
 
 
+def _doubling(n, first=1024):
+    """Row ranges [lo, hi) that double in size and end at n.  An OFF
+    header's counts are only claims, so its blocks grow with the lines read
+    instead of being allocated from the header."""
+    lo, hi = 0, min(n, first)
+    while lo < n:
+        yield lo, hi
+        lo, hi = hi, min(n, 2 * hi)
+
+
 def _parse_off(path):
     rows = _tokenized_lines(path)
     try:
@@ -145,42 +155,46 @@ def _parse_off(path):
     if n_verts < 0 or n_faces < 0:
         raise MeshParseError("negative OFF counts", path=str(path), line=lineno)
 
-    verts = np.empty((n_verts, 3), dtype=float)
-    for i in range(n_verts):
-        try:
-            lineno, tokens = next(rows)
-        except StopIteration:
-            raise MeshParseError("OFF file ends inside vertex block",
-                                 path=str(path), line=lineno)
-        if len(tokens) != 3:
-            raise MeshParseError("vertex line must hold exactly 3 coordinates",
-                                 path=str(path), line=lineno)
-        try:
-            verts[i] = [float(t) for t in tokens]
-        except ValueError:
-            raise MeshParseError("vertex coordinate is not a number",
-                                 path=str(path), line=lineno)
+    verts = np.empty((0, 3), dtype=float)
+    for lo, hi in _doubling(n_verts):
+        verts = np.concatenate((verts, np.empty((hi - lo, 3))))
+        for i in range(lo, hi):
+            try:
+                lineno, tokens = next(rows)
+            except StopIteration:
+                raise MeshParseError("OFF file ends inside vertex block",
+                                     path=str(path), line=lineno)
+            if len(tokens) != 3:
+                raise MeshParseError("vertex line must hold exactly 3 coordinates",
+                                     path=str(path), line=lineno)
+            try:
+                verts[i] = [float(t) for t in tokens]
+            except ValueError:
+                raise MeshParseError("vertex coordinate is not a number",
+                                     path=str(path), line=lineno)
 
-    faces = np.empty((n_faces, 3), dtype=np.int64)
-    for i in range(n_faces):
-        try:
-            lineno, tokens = next(rows)
-        except StopIteration:
-            raise MeshParseError("OFF file ends inside face block",
-                                 path=str(path), line=lineno)
-        try:
-            arity = int(tokens[0])
-        except ValueError:
-            raise MeshParseError("face line must start with its vertex count",
-                                 path=str(path), line=lineno)
-        if arity != 3 or len(tokens) != 4:
-            raise MeshParseError("only triangular faces are supported",
-                                 path=str(path), line=lineno)
-        try:
-            faces[i] = [int(t) for t in tokens[1:]]
-        except ValueError:
-            raise MeshParseError("face index is not an integer",
-                                 path=str(path), line=lineno)
+    faces = np.empty((0, 3), dtype=np.int64)
+    for lo, hi in _doubling(n_faces):
+        faces = np.concatenate((faces, np.empty((hi - lo, 3), dtype=np.int64)))
+        for i in range(lo, hi):
+            try:
+                lineno, tokens = next(rows)
+            except StopIteration:
+                raise MeshParseError("OFF file ends inside face block",
+                                     path=str(path), line=lineno)
+            try:
+                arity = int(tokens[0])
+            except ValueError:
+                raise MeshParseError("face line must start with its vertex count",
+                                     path=str(path), line=lineno)
+            if arity != 3 or len(tokens) != 4:
+                raise MeshParseError("only triangular faces are supported",
+                                     path=str(path), line=lineno)
+            try:
+                faces[i] = [int(t) for t in tokens[1:]]
+            except ValueError:
+                raise MeshParseError("face index is not an integer",
+                                     path=str(path), line=lineno)
     return verts, faces
 
 
