@@ -155,10 +155,11 @@ def _typed(convert, check):
     return parse
 
 
-def _non_negative(key, what):
+def _at_least(low, key, what):
     def check(value):
-        if value < 0:
-            raise UsageError("%s must be >= 0, got %d" % (what, value), **{key: value})
+        if value < low:
+            raise UsageError("%s must be >= %d, got %d" % (what, low, value),
+                             **{key: value})
 
     return check
 
@@ -177,8 +178,9 @@ def _check_count(count: int) -> None:
                          parameter="count", cap=MAX_COUNT)
 
 
-_seed = _typed(int, _non_negative("seed", "seed"))
-_kernel_dim = _typed(int, _non_negative("m", "kernel dimension m"))
+_seed = _typed(int, _at_least(0, "seed", "seed"))
+_kernel_dim = _typed(int, _at_least(0, "m", "kernel dimension m"))
+_trunc = _typed(int, _at_least(1, "trunc", "trunc"))
 _index = _typed(int, validate_index)
 _finite = _typed(float, _check_finite)
 _count = _typed(int, _check_count)
@@ -225,6 +227,21 @@ def _parse_spin(text, dim: int) -> SpinStructure:
             dim=dim,
         )
     return SpinStructure(tuple(shifts))
+
+
+def _psi(text):
+    """The prooflab test field, as a function of the mesh."""
+    if text in ("const", "one", "1"):
+        return lambda mesh: np.ones(mesh.n_vertices)
+    if text in ("x", "y", "z"):
+        return lambda mesh: mesh.vertices[:, "xyz".index(text)].copy()
+    if text.startswith("seed:"):
+        try:
+            seed = _seed(text.split(":", 1)[1])
+        except ValueError:
+            raise UsageError("bad psi seed %r" % text)
+        return lambda mesh: np.random.default_rng(seed).standard_normal(mesh.n_vertices)
+    raise UsageError("psi must be const, x, y, z, or seed:<int>, got %r" % text)
 
 
 def _j_range(text) -> list:
@@ -584,21 +601,6 @@ def _prooflab_basis(cfg, src, default_count=None):
     return dense_eigenbasis(src["ops"])
 
 
-def _psi_field(cfg, mesh) -> np.ndarray:
-    spec = cfg["psi"]
-    if spec in ("const", "one", "1"):
-        return np.ones(mesh.n_vertices)
-    if spec in ("x", "y", "z"):
-        return mesh.vertices[:, "xyz".index(spec)].copy()
-    if spec.startswith("seed:"):
-        try:
-            seed = _seed(spec.split(":", 1)[1])
-        except ValueError:
-            raise UsageError("bad psi seed %r" % spec)
-        return np.random.default_rng(seed).standard_normal(mesh.n_vertices)
-    raise UsageError("psi must be const, x, y, z, or seed:<int>, got %r" % spec)
-
-
 def _anghel_report(cfg, path):
     src = _mesh_source(cfg, path)
     j = cfg["j"] if cfg["j"] is not None else 2
@@ -637,8 +639,7 @@ def cmd_prooflab(cfg) -> int:
         else:
             basis = _prooflab_basis(cfg, src)
             j = cfg["j"] if cfg["j"] is not None else 1
-            psi = _psi_field(cfg, mesh)
-            report = verify_prop31(mesh, ops, basis, psi, j, cfg["trunc"])
+            report = verify_prop31(mesh, ops, basis, cfg["psi"](mesh), j, cfg["trunc"])
     _emit(cfg, dumps_json(report.to_json_dict()))
     return 0
 
@@ -714,9 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--task", choices=("prop31", "anghel", "identities", "refinement"))
     p_lab.add_argument("--mesh-list", type=str, help="comma-separated paths")
     p_lab.add_argument("--j", type=_index)
-    p_lab.add_argument("--psi", type=str, default="x",
+    p_lab.add_argument("--psi", type=_psi, default="x",
                        help="test field: const, x, y, z, or seed:<int>")
-    p_lab.add_argument("--trunc", type=int, help="expansion truncation")
+    p_lab.add_argument("--trunc", type=_trunc, help="expansion truncation, at least 1")
     parser.commands = sub.choices
     return parser
 

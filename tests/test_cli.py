@@ -907,6 +907,29 @@ class TestInputBounds:
         assert (code, doc, err["kind"], err["detail"]) == (2, None, kind, detail)
         assert (loaded_meshes, solve_sizes) == ([], [])
 
+    @pytest.mark.parametrize("flags, detail", [
+        (["--psi", "bogus"], {}),
+        (["--psi", "seed:-1"], {"seed": -1}),
+        (["--trunc", "0"], {"trunc": 0}),
+        (["--config", "{config}"], {}),
+    ])
+    def test_prooflab_field_and_truncation_checked_before_load_and_solve(
+        self, ico_files, tmp_path, capsys, monkeypatch, loaded_meshes, solve_sizes, flags,
+        detail
+    ):
+        """The 642-vertex dense solve used to run before these were read."""
+        import specgeom.cli as cli_mod
+
+        dense = []
+        monkeypatch.setattr(cli_mod, "dense_eigenbasis", dense.append)
+        config = tmp_path / "cfg.json"
+        config.write_text('{"psi": "bogus"}')
+        argv = ["prooflab", "--task", "prop31", "--mesh", ico_files[3],
+                *(f.format(config=config) for f in flags)]
+        code, doc, err = run_json(capsys, argv)
+        assert (code, doc, err["kind"], err["detail"]) == (2, None, "usage", detail)
+        assert (loaded_meshes, solve_sizes, dense) == ([], [], [])
+
     @pytest.mark.parametrize("argv, parameter", [
         (["check", "--ineq", "main", "--model", "sphere", "--j-range", "1:1000000000000"],
          "j_range"),
