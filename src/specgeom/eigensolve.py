@@ -192,11 +192,12 @@ def solve_smallest(
     # ARPACK stops at ``tol`` relative to the shift-inverted eigenvalues,
     # which does not by itself bound the residuals in the original pencil.
     # The Ritz re-extraction below and the check in _finalize enforce that
-    # bound.  On icosphere and torus meshes at the default tol the worst
-    # kept residual comes out at 1e-4 to 1e-3 of it, so no polish sweep runs.
-    # Block inverse iteration with the same LU (full reorthogonalization
-    # plus Ritz re-extraction each sweep) is a safety net for pairs that
-    # miss half the bound.
+    # bound.  On connected icosphere and torus meshes at the default tol the
+    # worst kept residual comes out at 1e-4 to 1e-3 of it, so no polish
+    # sweep runs; two disjoint L3 icospheres (1,284 vertices, k = 4 to 8)
+    # take one or two.  Block inverse iteration with the same LU (full
+    # reorthogonalization plus Ritz re-extraction each sweep) polishes the
+    # pairs that miss half the bound.
     mass_diag = ops.mass_diag
     converged = False
     for _ in range(MAX_POLISH_STEPS):
