@@ -116,11 +116,11 @@ def _tokenized_lines(path):
                 yield lineno, line.split()
 
 
-def _doubling(n, first=1024):
-    """Row ranges [lo, hi) that double in size and end at n.  An OFF
-    header's counts are only claims, so its blocks grow with the lines read
-    instead of being allocated from the header."""
-    lo, hi = 0, min(n, first)
+def _doubling(n):
+    """Row ranges [lo, hi) that double in size from 1,024 rows and end at
+    n.  An OFF header's counts are only claims, so its blocks grow with the
+    lines read instead of being allocated from the header."""
+    lo, hi = 0, min(n, 1024)
     while lo < n:
         yield lo, hi
         lo, hi = hi, min(n, 2 * hi)
