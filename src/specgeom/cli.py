@@ -328,7 +328,7 @@ def _model_source(cfg) -> dict:
         spectrum = sphere_dirac_spectrum if dirac else sphere_laplace_spectrum
         extr = sphere_extrinsic(n, radius)
         consts = {"h_sq": extr.H_sq, "s_inf": extr.S, "b_sq_sup": extr.B_sq,
-                  "volume": extr.volume, "kappa": extr.curvature_term_kappa}
+                  "volume": extr.volume}
 
         def hbar1_integral(p):
             if radius > 1.0 + 1e-12:
@@ -358,9 +358,9 @@ def _model_source(cfg) -> dict:
                 else SpinStructure((0.0,) * n)
             )
         radii = _diagonal_radii(lat)
-        # every flat torus has S = 0, so kappa = S/4 = 0 for spinors too;
-        # a product of circles also fixes H^2 and |B|^2 of its immersion
-        consts = {"s_inf": 0.0, "kappa": 0.0, "volume": lat.covolume}
+        # every flat torus has S = 0; a product of circles also fixes H^2
+        # and |B|^2 of its immersion
+        consts = {"s_inf": 0.0, "volume": lat.covolume}
         if radii is not None:
             extr = product_torus_extrinsic(*radii)[1]
             consts.update(h_sq=extr.H_sq, b_sq_sup=extr.B_sq)
@@ -388,9 +388,9 @@ def _model_source(cfg) -> dict:
             % (operator, basis_text, " spin=%s" % spin.label() if spin else ""),
             "extrinsic": "model:product-torus" if radii is not None else "explicit",
         }
-    fallbacks = {"n": n, **consts}
-    if operator == "laplace":  # functions carry no bundle curvature term
-        fallbacks["kappa"] = 0.0
+    # the spinor curvature term of the Lichnerowicz formula is S/4;
+    # functions carry none
+    fallbacks = {"n": n, **consts, "kappa": consts["s_inf"] / 4.0 if dirac else 0.0}
     if hbar1_integral is not None:
         fallbacks["hbar1_integral"] = hbar1_integral
     src.update(kind="model", fallbacks=fallbacks)

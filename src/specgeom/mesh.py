@@ -99,7 +99,6 @@ class ExtrinsicData:
     S: np.ndarray
     B_sq: np.ndarray
     willmore: float
-    volume: float
     clamped: int
 
 
@@ -509,6 +508,5 @@ def extrinsic_summary(mesh: MeshGeometry, ops: SparseOperatorPair) -> ExtrinsicD
         S=S,
         B_sq=B_sq,
         willmore=willmore,
-        volume=mesh.total_area,
         clamped=clamped,
     )

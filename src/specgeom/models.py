@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import (
     EmptyRequestError,
-    InconsistentKernelError,
     IndexRangeError,
     InvalidModelError,
 )
@@ -91,7 +90,6 @@ class Spectrum(IndexedSpectrum):
 
     operator_kind: str
     entries: tuple[tuple[float, int], ...]
-    zero_dim: int
 
     def __post_init__(self):
         if self.operator_kind not in OPERATOR_KINDS:
@@ -102,7 +100,6 @@ class Spectrum(IndexedSpectrum):
         if not self.entries:
             raise EmptyRequestError("spectrum with no entries")
         prev = -math.inf
-        zero_mult = 0
         for value, mult in self.entries:
             if value < 0.0:
                 raise InvalidModelError("negative eigenvalue %r" % (value,))
@@ -110,11 +107,13 @@ class Spectrum(IndexedSpectrum):
                 raise InvalidModelError("entries not strictly increasing")
             if mult < 1 or mult != int(mult):
                 raise InvalidModelError("bad multiplicity %r" % (mult,))
-            if value == 0.0:
-                zero_mult = mult
             prev = value
-        if self.zero_dim != zero_mult:
-            raise _inconsistent_kernel(self.zero_dim, zero_mult)
+
+    @functools.cached_property
+    def zero_dim(self) -> int:
+        """The kernel dimension: the multiplicity of a leading 0 entry."""
+        value, mult = self.entries[0]
+        return mult if value == 0.0 else 0
 
     @functools.cached_property
     def total_count(self) -> int:
@@ -147,15 +146,6 @@ class Spectrum(IndexedSpectrum):
             "entries": [[v, m] for v, m in self.entries],
             "zero_dim": self.zero_dim,
         }
-
-
-def _inconsistent_kernel(claimed, actual):
-    return InconsistentKernelError(
-        "zero_dim %d does not match multiplicity %d of eigenvalue 0"
-        % (claimed, actual),
-        zero_dim=claimed,
-        kernel_multiplicity=actual,
-    )
 
 
 def _entries_from_shells(shells, count):
@@ -206,7 +196,7 @@ def sphere_dirac_spectrum(n: int, radius: float, count: int) -> Spectrum:
         (((n / 2.0 + k) / radius) ** 2, 2 * spinor_rank * math.comb(k + n - 1, k))
         for k in itertools.count()
     )
-    return Spectrum("dirac_squared", _entries_from_shells(shells, count), 0)
+    return Spectrum("dirac_squared", _entries_from_shells(shells, count))
 
 
 def sphere_laplace_mult(n: int, k: int) -> int:
@@ -228,7 +218,7 @@ def sphere_laplace_spectrum(n: int, radius: float, count: int) -> Spectrum:
         (k * (k + n - 1) / radius**2, sphere_laplace_mult(n, k))
         for k in itertools.count()
     )
-    return Spectrum("laplace", _entries_from_shells(shells, count), 1)
+    return Spectrum("laplace", _entries_from_shells(shells, count))
 
 
 def sphere_volume(n: int, radius: float = 1.0) -> float:
@@ -392,14 +382,11 @@ def _group_values(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _torus_spectrum(lat, shift, count, mult_factor, operator_kind):
+    if count < 1:
+        raise EmptyRequestError("requested %d eigenvalues" % count)
     values, mults = _group_values(_shifted_dual_norms(lat, shift, count))
-    mults = mults * mult_factor
-    # the shells up to the first one at which the running count covers count
-    kept = int(np.searchsorted(np.cumsum(mults), count)) + 1
-    shells = zip(values[:kept].tolist(), mults[:kept].tolist())
-    entries = _entries_from_shells(shells, count)
-    zero_dim = entries[0][1] if entries[0][0] == 0.0 else 0
-    return Spectrum(operator_kind, entries, zero_dim)
+    shells = zip(values, mults * mult_factor)
+    return Spectrum(operator_kind, _entries_from_shells(shells, count))
 
 
 def torus_dirac_spectrum(lat: Lattice, spin: SpinStructure, count: int) -> Spectrum:
@@ -417,16 +404,12 @@ def torus_dirac_spectrum(lat: Lattice, spin: SpinStructure, count: int) -> Spect
             spin_dim=spin.dim,
             lattice_dim=lat.dim,
         )
-    if count < 1:
-        raise EmptyRequestError("requested %d eigenvalues" % count)
     spinor_rank = 2 ** (lat.dim // 2)
     return _torus_spectrum(lat, spin.shift, count, spinor_rank, "dirac_squared")
 
 
 def torus_laplace_spectrum(lat: Lattice, count: int) -> Spectrum:
     """First ``count`` Laplace eigenvalues |gamma|^2 of the flat torus."""
-    if count < 1:
-        raise EmptyRequestError("requested %d eigenvalues" % count)
     return _torus_spectrum(lat, np.zeros(lat.dim), count, 1, "laplace")
 
 
@@ -444,10 +427,8 @@ class ModelExtrinsic:
     """Constant extrinsic data of a homogeneous model immersion.
 
     ``H_sq`` is the squared mean curvature of the immersion into Euclidean
-    space, ``B_sq`` the squared norm of the second fundamental form, ``S``
-    the scalar curvature, and ``curvature_term_kappa`` a lower bound for the
-    curvature term of the squared Dirac operator on the model's bundle
-    (S/4 for the classical spinor bundle, 0 for functions).
+    space, ``B_sq`` the squared norm of the second fundamental form, and
+    ``S`` the scalar curvature.
     """
 
     n: int
@@ -455,7 +436,6 @@ class ModelExtrinsic:
     B_sq: float
     S: float
     volume: float
-    curvature_term_kappa: float
 
     def __post_init__(self):
         gauss = self.n**2 * self.H_sq - self.B_sq - self.S
@@ -489,8 +469,7 @@ def sphere_extrinsic(n: int, radius: float) -> ModelExtrinsic:
         raise InvalidModelError("bad sphere parameters", n=n, radius=radius)
     try:
         r2 = radius**2
-        consts = (1.0 / r2, n / r2, n * (n - 1) / r2, sphere_volume(n, radius),
-                  n * (n - 1) / (4.0 * r2))
+        consts = (1.0 / r2, n / r2, n * (n - 1) / r2, sphere_volume(n, radius))
     except (OverflowError, ZeroDivisionError):
         consts = (math.inf,)
     if not (all(math.isfinite(c) for c in consts) and consts[3] > 0.0):
@@ -511,4 +490,4 @@ def product_torus_extrinsic(*radii: float) -> tuple[Lattice, ModelExtrinsic]:
         raise InvalidModelError("circle radii must be positive", radii=list(radii))
     lat = Lattice(np.diag([2.0 * math.pi * r for r in radii]))
     n, curv_sum = len(radii), sum(1.0 / r**2 for r in radii)
-    return lat, ModelExtrinsic(n, curv_sum / n**2, curv_sum, 0.0, lat.covolume, 0.0)
+    return lat, ModelExtrinsic(n, curv_sum / n**2, curv_sum, 0.0, lat.covolume)

@@ -15,7 +15,7 @@ to quadratic forms in the stiffness matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,13 +43,10 @@ class ExpansionTable:
     truncation_K: int
 
     def __post_init__(self):
-        partial = np.cumsum(self.coefficients**2)
-        if np.any(np.diff(partial) < -1e-15):
-            raise UsageError("partial sums of squared coefficients decreased")
-        if partial.size and partial[-1] > self.psi_norm_sq + 1e-10:
+        if self.bessel_defect < -1e-10:
             raise UsageError(
                 "squared coefficients exceed the norm of the expanded field",
-                excess=float(partial[-1] - self.psi_norm_sq),
+                excess=-self.bessel_defect,
             )
 
     @property
@@ -69,19 +66,9 @@ class ResidualReport:
     residual_abs: float
     residual_rel: float
     truncation_K: int
-    term_breakdown: dict
+    terms: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "j": self.j,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual_abs": self.residual_abs,
-            "residual_rel": self.residual_rel,
-            "truncation_K": self.truncation_K,
-            "terms": self.term_breakdown,
-        }
+    to_json_dict = asdict
 
 
 def _relative(lhs: float, rhs: float) -> tuple[float, float]:
@@ -98,9 +85,9 @@ def expansion_coefficients(
 ) -> ExpansionTable:
     """Coefficients of Psi s_j against the first K basis vectors.
 
-    K defaults to min(200, basis size).  The Bessel bound (partial sums
-    nondecreasing, at most the squared mass norm of Psi s_j) is validated
-    on construction.
+    K defaults to min(200, basis size).  The Bessel bound (the squared
+    coefficients sum to at most the squared mass norm of Psi s_j) is
+    validated on construction.
     """
     basis.gamma(j)  # an index outside the basis is an IndexRangeError
     K = min(DEFAULT_TRUNCATION, basis.size) if trunc is None else trunc
@@ -178,7 +165,7 @@ def verify_prop31(
         residual_abs=resid,
         residual_rel=rel,
         truncation_K=K,
-        term_breakdown={
+        terms={
             "coefficient_sum": lhs,
             "laplace_term": delta_term,
             "coupling_term": coupling,
@@ -220,7 +207,7 @@ def verify_anghel_lemma(
         residual_abs=resid,
         residual_rel=rel,
         truncation_K=basis.size,
-        term_breakdown={
+        terms={
             "eigenvalue_term": 4.0 * lam_j,
             "h_sq_term": h_term,
         },
@@ -236,13 +223,7 @@ class CoordinateIdentityReport:
     cross_term_l2: float
     cross_term_max: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "grad_norm_max_err": self.grad_norm_max_err,
-            "laplace_h_max_err": self.laplace_h_max_err,
-            "cross_term_l2": self.cross_term_l2,
-            "cross_term_max": self.cross_term_max,
-        }
+    to_json_dict = asdict
 
 
 def coordinate_identities(

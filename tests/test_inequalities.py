@@ -72,7 +72,7 @@ class TestMainTheorem:
         assert terms["lead_term"] + terms["h_term"] - terms["r_term"] == report.rhs
 
     def test_insufficient_spectrum_errors(self):
-        short = Spectrum("laplace", ((0.0, 1), (2.0, 2)), 1)
+        short = Spectrum("laplace", ((0.0, 1), (2.0, 2)))
         with pytest.raises(IndexRangeError):
             evaluate("main", short, j=2, **SCALAR_S2)
 
@@ -233,7 +233,7 @@ class TestFlatSpin:
 
 class TestIndexForm:
     def test_synthetic_kernel(self):
-        spec = Spectrum("dirac_squared", ((0.0, 2), (1.0, 1), (2.0, 1)), 2)
+        spec = Spectrum("dirac_squared", ((0.0, 2), (1.0, 1), (2.0, 1)))
         report = evaluate("index", spec, n=2, m=2, b_sq_sup=5.0)
         assert report.lhs == 3.0
         assert report.rhs == 5.0
@@ -244,7 +244,7 @@ class TestIndexForm:
             evaluate("index", S2_DIRAC, n=2, m=0, b_sq_sup=5.0)
 
     def test_kernel_count_must_match(self):
-        spec = Spectrum("dirac_squared", ((0.0, 2), (1.0, 2)), 2)
+        spec = Spectrum("dirac_squared", ((0.0, 2), (1.0, 2)))
         with pytest.raises(InconsistentKernelError):
             evaluate("index", spec, n=2, m=1, b_sq_sup=5.0)
 
@@ -330,7 +330,7 @@ class TestBackgroundBounds:
         assert report.rhs == pytest.approx(main.rhs, abs=1e-12)
 
     def test_flat_domain_sum_arithmetic(self):
-        spec = Spectrum("laplace", ((1.0, 1), (2.0, 1), (3.0, 1)), 0)
+        spec = Spectrum("laplace", ((1.0, 1), (2.0, 1), (3.0, 1)))
         (report,) = evaluate("background", spec, n=1, lp_j=1)
         assert report.lhs == 2.0
         assert report.rhs == 5.0
@@ -398,7 +398,7 @@ class TestViewAndHelpers:
     def test_gamma_sum_validates_before_work(self, monkeypatch):
         """The sum's last index is read first, so a sum past the resolved
         spectrum fails before any partial work."""
-        spec = Spectrum("laplace", ((0.0, 1), (1.0, 2)), 1)
+        spec = Spectrum("laplace", ((0.0, 1), (1.0, 2)))
         reads = []
         real_gamma = Spectrum.gamma
 

@@ -18,6 +18,7 @@ from specgeom.models import (
     VALUE_GROUP_RTOL,
     Lattice,
     ModelExtrinsic,
+    Spectrum,
     SpinStructure,
     all_spin_structures,
     clifford_torus_lattice,
@@ -43,6 +44,10 @@ class TestSphereSpectra:
         spec = sphere_dirac_spectrum(2, 1.0, 30)
         assert spec.entries[:4] == SPHERE_DIRAC_N2
         assert spec.zero_dim == 0
+
+    def test_kernel_is_the_multiplicity_of_a_leading_zero(self):
+        assert Spectrum("laplace", ((0.0, 3), (1.0, 2))).zero_dim == 3
+        assert Spectrum("dirac_squared", ((0.5, 2), (1.0, 2))).zero_dim == 0
 
     def test_counts_computed_once(self):
         spec = sphere_dirac_spectrum(2, 1.0, 30)
@@ -325,7 +330,6 @@ class TestModelExtrinsic:
         assert extr.H_sq == 1.0
         assert extr.B_sq == 2.0
         assert extr.S == 2.0
-        assert extr.curvature_term_kappa == 0.5
         assert extr.volume == pytest.approx(4.0 * math.pi, rel=1e-15)
 
     def test_sphere_radius_scaling(self):
@@ -335,7 +339,17 @@ class TestModelExtrinsic:
 
     def test_gauss_identity_enforced(self):
         with pytest.raises(InvalidModelError):
-            ModelExtrinsic(2, 1.0, 1.0, 0.0, 1.0, 0.0)
+            ModelExtrinsic(2, 1.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("n, radius", [(2, 1.0), (3, 0.7), (7, 3.0)])
+    def test_kappa_is_a_quarter_of_the_scalar_curvature(self, n, radius):
+        """The sphere source's kappa is S/4 for spinors, bit for bit the
+        closed form n(n-1)/(4r^2), and 0 for functions."""
+        cfg = {"model": "sphere", "dim": n, "radius": radius}
+        dirac = cli._model_source({**cfg, "operator": "dirac"})["fallbacks"]
+        assert dirac["kappa"] == n * (n - 1) / (4.0 * radius**2)
+        assert dirac["kappa"] == dirac["s_inf"] / 4.0
+        assert cli._model_source({**cfg, "operator": "laplace"})["fallbacks"]["kappa"] == 0.0
 
     def test_clifford_model(self):
         """The clifford-torus model takes its constants from its radii."""
@@ -361,7 +375,7 @@ class TestModelExtrinsic:
     def test_product_torus_any_dimension(self):
         lat, extr = product_torus_extrinsic(1.0, 2.0, 0.5)
         curv_sum = 1.0 + 0.25 + 4.0
-        assert (lat.dim, extr.n, extr.S, extr.curvature_term_kappa) == (3, 3, 0.0, 0.0)
+        assert (lat.dim, extr.n, extr.S) == (3, 3, 0.0)
         assert extr.H_sq == pytest.approx(curv_sum / 9.0, rel=1e-15)
         assert extr.B_sq == pytest.approx(curv_sum, rel=1e-15)
         assert extr.volume == pytest.approx(8.0 * math.pi**3, rel=1e-13)

@@ -107,7 +107,7 @@ class TestProp31:
             j = int(rng.integers(1, 12))
             report = verify_prop31(mesh, ops, basis, psi, j, trunc=basis.size)
             assert report.residual_rel < 1e-6
-            assert report.term_breakdown["bessel_defect"] >= -1e-10
+            assert report.terms["bessel_defect"] >= -1e-10
 
     def test_truncation_tail_decays(self, ico2_setup):
         mesh, ops, basis = ico2_setup
