@@ -46,6 +46,7 @@ from .models import (
     sphere_dirac_spectrum,
     sphere_extrinsic,
     sphere_laplace_spectrum,
+    sphere_volume,
     torus_dirac_spectrum,
     torus_laplace_spectrum,
 )
@@ -327,8 +328,9 @@ def _model_source(cfg) -> dict:
         n, radius = cfg["dim"], cfg["radius"]
         spectrum = sphere_dirac_spectrum if dirac else sphere_laplace_spectrum
         extr = sphere_extrinsic(n, radius)
+        # read lazily: it leaves the float range far sooner (n > 340 at r = 1)
         consts = {"h_sq": extr.H_sq, "s_inf": extr.S, "b_sq_sup": extr.B_sq,
-                  "volume": extr.volume}
+                  "volume": lambda p: sphere_volume(n, radius)}
 
         def hbar1_integral(p):
             if radius > 1.0 + 1e-12:

@@ -222,8 +222,19 @@ def sphere_laplace_spectrum(n: int, radius: float, count: int) -> Spectrum:
 
 
 def sphere_volume(n: int, radius: float = 1.0) -> float:
-    """Riemannian volume of the round sphere S^n(radius)."""
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0) * radius**n
+    """Riemannian volume of S^n(radius), checked to be a finite positive float."""
+    try:
+        volume = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0) * radius**n
+    except OverflowError:
+        volume = math.inf
+    if not (math.isfinite(volume) and volume > 0.0):
+        raise _sphere_out_of_range(n, radius)
+    return volume
+
+
+def _sphere_out_of_range(n, radius):
+    return InvalidModelError("sphere constants are not finite floats with a positive volume",
+                             n=n, radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +446,6 @@ class ModelExtrinsic:
     H_sq: float
     B_sq: float
     S: float
-    volume: float
 
     def __post_init__(self):
         gauss = self.n**2 * self.H_sq - self.B_sq - self.S
@@ -462,21 +472,18 @@ def sphere_extrinsic(n: int, radius: float) -> ModelExtrinsic:
     """Extrinsic constants of the round sphere S^n(radius) in R^(n+1).
 
     Raises ``InvalidModelError`` when a constant is not a finite float,
-    as for radii whose square overflows or underflows to 0, or dimensions
-    whose volume overflows, and when the volume underflows to 0.
+    as for radii whose square overflows or underflows to 0.  The volume is
+    ``sphere_volume``, computed apart, since no constant here needs it.
     """
     if n < 1 or radius <= 0:
         raise InvalidModelError("bad sphere parameters", n=n, radius=radius)
     try:
         r2 = radius**2
-        consts = (1.0 / r2, n / r2, n * (n - 1) / r2, sphere_volume(n, radius))
+        consts = (1.0 / r2, n / r2, n * (n - 1) / r2)
     except (OverflowError, ZeroDivisionError):
         consts = (math.inf,)
-    if not (all(math.isfinite(c) for c in consts) and consts[3] > 0.0):
-        raise InvalidModelError(
-            "sphere constants are not finite floats with a positive volume",
-            n=n, radius=radius,
-        )
+    if not all(math.isfinite(c) for c in consts):
+        raise _sphere_out_of_range(n, radius)
     return ModelExtrinsic(n, *consts)
 
 
@@ -490,4 +497,4 @@ def product_torus_extrinsic(*radii: float) -> tuple[Lattice, ModelExtrinsic]:
         raise InvalidModelError("circle radii must be positive", radii=list(radii))
     lat = Lattice(np.diag([2.0 * math.pi * r for r in radii]))
     n, curv_sum = len(radii), sum(1.0 / r**2 for r in radii)
-    return lat, ModelExtrinsic(n, curv_sum / n**2, curv_sum, 0.0, lat.covolume)
+    return lat, ModelExtrinsic(n, curv_sum / n**2, curv_sum, 0.0)

@@ -234,18 +234,28 @@ class TestSpectrum:
     @pytest.mark.parametrize("argv, detail", [
         (["spectrum", "--dim", "2", "--radius", "1e308"], {"n": 2, "radius": 1e308}),
         (["spectrum", "--dim", "2", "--radius", "1e-308"], {"n": 2, "radius": 1e-308}),
-        (["check", "--ineq", "main", "--dim", "1000", "--operator", "dirac"],
-         {"n": 1000, "radius": 1}),
         (["check", "--ineq", "reilly1", "--dim", "300", "--radius", "0.01"],
          {"n": 300, "radius": 0.01}),
-        (["spectrum", "--dim", "300", "--radius", "0.01"], {"n": 300, "radius": 0.01}),
     ])
     def test_sphere_constants_outside_float_range_exit_2(self, capsys, argv, detail):
-        """A radius whose square overflows or underflows, or a dimension
-        whose volume overflows or underflows to 0, is an invalid model, not
+        """A radius whose square overflows or underflows, or a volume that
+        underflows to 0 where a check reads it, is an invalid model, not
         a crash (exit 1) or an error about a volume the user never gave."""
         code, doc, err = run_json(capsys, [argv[0], "--model", "sphere", *argv[1:]])
         assert (code, doc, err["kind"], err["detail"]) == (2, None, "invalid-model", detail)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--ineq", "main", "--dim", "1000", "--operator", "dirac"],
+        ["check", "--ineq", "main", "--dim", "400"],
+        ["spectrum", "--dim", "300", "--radius", "0.01"],
+    ])
+    def test_sphere_volume_computed_only_when_read(self, capsys, argv):
+        """The volume of S^400, or of S^300 at radius 0.01, underflows and
+        that of S^1000 overflows, but neither main nor the spectrum reads
+        it, so both run."""
+        code, doc, err = run_json(capsys, [argv[0], "--model", "sphere", *argv[1:]])
+        assert (code, err) == (0, None)
+        assert doc["reports"][0]["satisfied"] if argv[0] == "check" else doc["values"]
 
     def test_non_finite_error_detail_is_written_as_string(self, tmp_path, capsys):
         """An overflowing mesh reports area inf as one JSON object, exit 2."""

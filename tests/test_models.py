@@ -117,6 +117,14 @@ class TestSphereSpectra:
         assert sphere_volume(3, 1.0) == pytest.approx(2.0 * math.pi**2, rel=1e-15)
         assert sphere_volume(2, 3.0) == pytest.approx(36.0 * math.pi, rel=1e-15)
 
+    @pytest.mark.parametrize("n, radius", [(400, 1.0), (1000, 1.0), (3, 1e110), (300, 0.01)])
+    def test_sphere_volume_outside_float_range(self, n, radius):
+        """A volume that overflows or underflows to 0 is an invalid model."""
+        with pytest.raises(InvalidModelError) as info:
+            sphere_volume(n, radius)
+        assert info.value.detail == {"n": n, "radius": radius}
+        assert sphere_extrinsic(n, radius).n == n  # the constants stay in range
+
 
 def brute_force_torus_values(basis, shift, count):
     """Independent flat-torus oracle: enumerate dual-lattice points in a box.
@@ -330,7 +338,6 @@ class TestModelExtrinsic:
         assert extr.H_sq == 1.0
         assert extr.B_sq == 2.0
         assert extr.S == 2.0
-        assert extr.volume == pytest.approx(4.0 * math.pi, rel=1e-15)
 
     def test_sphere_radius_scaling(self):
         extr = sphere_extrinsic(3, 2.0)
@@ -339,7 +346,7 @@ class TestModelExtrinsic:
 
     def test_gauss_identity_enforced(self):
         with pytest.raises(InvalidModelError):
-            ModelExtrinsic(2, 1.0, 1.0, 0.0, 1.0)
+            ModelExtrinsic(2, 1.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("n, radius", [(2, 1.0), (3, 0.7), (7, 3.0)])
     def test_kappa_is_a_quarter_of_the_scalar_curvature(self, n, radius):
@@ -370,7 +377,7 @@ class TestModelExtrinsic:
     def test_product_torus_general(self):
         lat, extr = product_torus_extrinsic(1.0, 2.0)
         assert extr.H_sq == pytest.approx((1.0 + 0.25) / 4.0, rel=1e-14)
-        assert extr.volume == pytest.approx(8.0 * math.pi**2, rel=1e-13)
+        assert lat.covolume == pytest.approx(8.0 * math.pi**2, rel=1e-13)
 
     def test_product_torus_any_dimension(self):
         lat, extr = product_torus_extrinsic(1.0, 2.0, 0.5)
@@ -378,7 +385,7 @@ class TestModelExtrinsic:
         assert (lat.dim, extr.n, extr.S) == (3, 3, 0.0)
         assert extr.H_sq == pytest.approx(curv_sum / 9.0, rel=1e-15)
         assert extr.B_sq == pytest.approx(curv_sum, rel=1e-15)
-        assert extr.volume == pytest.approx(8.0 * math.pi**3, rel=1e-13)
+        assert lat.covolume == pytest.approx(8.0 * math.pi**3, rel=1e-13)
 
 
 # The standard embedding of FP^m sends the line through a unit vector z of
