@@ -117,7 +117,7 @@ CORPUS = {
         "--operator", "laplace", "--j-range", "1:2", "--csv"],
     "sweep": ["sweep", "--ratio-grid", "0.9:1.1:0.1", "--count", "32"],
     "prooflab-prop31": [
-        "prooflab", "--task", "prop31", *MESH, "--psi", "x", "--j", "2"],
+        "prooflab", "--task", "prop31", *MESH, "--psi", "x", "--j", "1"],
     "prooflab-anghel": ["prooflab", "--task", "anghel", *MESH, "--j", "2"],
     "prooflab-identities": ["prooflab", "--task", "identities", *MESH],
     "prooflab-refinement": [
