@@ -1,5 +1,7 @@
 """Sparse eigensolver against closed forms, a dense oracle, and its own contract."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,8 +13,10 @@ from specgeom.eigensolve import (
     dense_eigenbasis,
     solve_smallest,
 )
+from specgeom.cli import main
 from specgeom.errors import IndexRangeError, SolverConvergenceError, UsageError
-from specgeom.mesh import SparseOperatorPair, assemble_operators
+from specgeom.mesh import SparseOperatorPair, assemble_operators, mesh_from_arrays
+from specgeom.meshgen import icosphere, write_off
 from specgeom.models import sphere_laplace_spectrum
 
 
@@ -308,3 +312,44 @@ class TestFactorization:
         assert counter.factorizations == 1
         assert counter.solves > solves_in_eigsh[0]  # polish sweeps ran
         assert_residual_contract(ops, basis, tol)
+
+
+def two_disjoint_icospheres():
+    """Two L3 icospheres, the second shifted by 3 along x."""
+    verts, faces = icosphere(3)
+    return np.vstack([verts, verts + [3.0, 0.0, 0.0]]), np.vstack([faces, faces + len(verts)])
+
+
+class TestExhaustedPolish:
+    """With no polish sweep allowed, the solver still re-extracts once after
+    the loop and then applies the residual check to what it has."""
+
+    def test_connected_mesh_needs_no_sweep(self, ico_ops, monkeypatch):
+        default = solve_smallest(ico_ops(3), 8, seed=0)
+        monkeypatch.setattr(eigensolve, "MAX_POLISH_STEPS", 0)
+        bare = solve_smallest(ico_ops(3), 8, seed=0)
+        assert np.array_equal(bare.values, default.values)
+        assert np.array_equal(bare.vectors, default.vectors)
+
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    def test_disjoint_spheres_fail_the_residual_check(self, monkeypatch, k):
+        """Two components take one or two sweeps; without them the kept
+        pairs miss the bound by about an order of magnitude."""
+        ops = assemble_operators(mesh_from_arrays(*two_disjoint_icospheres()))
+        monkeypatch.setattr(eigensolve, "MAX_POLISH_STEPS", 0)
+        with pytest.raises(SolverConvergenceError) as info:
+            solve_smallest(ops, k, seed=0)
+        detail = info.value.detail
+        assert detail["bound"] == 1e-9
+        assert 1e-9 < detail["worst_residual"] < 1e-6
+
+    def test_main_exits_3_with_one_json_error(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "two.off"
+        write_off(path, *two_disjoint_icospheres())
+        monkeypatch.setattr(eigensolve, "MAX_POLISH_STEPS", 0)
+        code = main(["spectrum", "--mesh", str(path), "--count", "4"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        doc = json.loads(err)
+        assert doc["kind"] == "solver-convergence"
+        assert doc["detail"]["worst_residual"] > doc["detail"]["bound"] == 1e-9
