@@ -46,6 +46,10 @@ OPERATOR_KINDS = ("dirac_squared", "laplace")
 # lattice 6e7; a box past this limit would need many GiB, so it is an error.
 MAX_DUAL_BOX = 10**8
 
+# The first dual-lattice radius is this factor times (count * dual covolume)^(1/n);
+# the enumeration grows it by 1.5 until enough values lie inside.
+FIRST_RADIUS_FACTOR = 1.5
+
 
 # ---------------------------------------------------------------------------
 # spectrum containers
@@ -321,7 +325,7 @@ def _shifted_dual_norms(lat: Lattice, shift, count: int) -> np.ndarray:
     inv_rows = np.linalg.norm(np.linalg.inv(gstar), axis=1)
     # crude initial radius from the covolume of the dual lattice
     dual_covol = abs(np.linalg.det(gstar))
-    radius = 1.5 * (count * dual_covol) ** (1.0 / n) + float(
+    radius = FIRST_RADIUS_FACTOR * (count * dual_covol) ** (1.0 / n) + float(
         np.linalg.norm(gstar @ shift)
     )
     for _ in range(64):

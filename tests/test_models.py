@@ -250,6 +250,35 @@ class TestTorusSpectra:
         vals = torus_dirac_spectrum(lat, spin, count).values(count)
         assert np.all(np.diff(vals) >= -1e-15)
 
+    @pytest.mark.parametrize("basis", [
+        math.sqrt(2.0) * math.pi * np.eye(2),
+        [[1.0, 0.5], [0.0, 1.0]],
+        [[1.0, 0.3, 0.1], [0.0, 1.2, 0.2], [0.0, 0.0, 0.9]],
+    ], ids=["clifford", "oblique", "3d"])
+    @pytest.mark.parametrize("count", [1, 7, 64])
+    def test_growing_the_dual_radius_keeps_the_spectrum(self, monkeypatch, basis, count):
+        """A first radius far too small makes the enumeration grow it; the
+        shells come out as they do from the default first radius."""
+        lat = Lattice(np.array(basis))
+        builders = [lambda: torus_laplace_spectrum(lat, count)] + [
+            lambda s=s: torus_dirac_spectrum(lat, SpinStructure((s,) * lat.dim), count)
+            for s in (0.0, 0.5)]
+        default = [build().entries for build in builders]
+        boxes = 0
+        real_meshgrid = np.meshgrid
+
+        def counting_meshgrid(*args, **kwargs):  # one enumeration box per radius
+            nonlocal boxes
+            boxes += 1
+            return real_meshgrid(*args, **kwargs)
+
+        monkeypatch.setattr(models, "FIRST_RADIUS_FACTOR", 0.05)
+        monkeypatch.setattr(np, "meshgrid", counting_meshgrid)
+        for build, entries in zip(builders, default):
+            boxes = 0
+            assert build().entries == entries
+            assert boxes > 1 or count == 1  # a single value fits the first box
+
 
 def reference_group_values(norms):
     """The original per-value grouping loop, kept verbatim as the oracle."""
