@@ -141,8 +141,9 @@ class Spectrum(IndexedSpectrum):
                 index=count,
                 length=self.total_count,
             )
-        out = np.concatenate([np.full(m, v) for v, m in self.entries])
-        return out[:count]
+        # clip each shell to count: one Dirac shell of S^n holds over 2^(n/2) values
+        mults = [min(m, count) for _, m in self.entries]
+        return np.repeat([v for v, _ in self.entries], mults)[:count]
 
     def to_json_dict(self) -> dict:
         return {

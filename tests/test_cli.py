@@ -248,6 +248,7 @@ class TestSpectrum:
         ["check", "--ineq", "main", "--dim", "1000", "--operator", "dirac"],
         ["check", "--ineq", "main", "--dim", "400"],
         ["spectrum", "--dim", "300", "--radius", "0.01"],
+        ["spectrum", "--dim", "1000", "--operator", "dirac", "--count", "4"],
     ])
     def test_sphere_volume_computed_only_when_read(self, capsys, argv):
         """The volume of S^400, or of S^300 at radius 0.01, underflows and

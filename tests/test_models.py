@@ -84,6 +84,13 @@ class TestSphereSpectra:
         # whole shells are materialized, so the total may exceed the request
         assert spec.total_count >= 6
 
+    def test_values_of_a_shell_too_large_for_an_array(self):
+        """The first Dirac shell of S^1000 holds 2^501 values; the first
+        four are read without building the shell."""
+        spec = sphere_dirac_spectrum(1000, 1.0, 4)
+        assert spec.entries == ((250000.0, 2 ** 501),)
+        assert list(spec.values(4)) == [250000.0] * 4
+
     def test_gamma_indexing(self):
         spec = sphere_laplace_spectrum(2, 1.0, 10)
         assert spec.gamma(1) == 0.0
