@@ -234,6 +234,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("argv, detail", [
         (["spectrum", "--dim", "2", "--radius", "1e308"], {"n": 2, "radius": 1e308}),
         (["spectrum", "--dim", "2", "--radius", "1e-308"], {"n": 2, "radius": 1e-308}),
+        (["check", "--ineq", "reilly1", "--dim", "400"], {"n": 400, "radius": 1}),
         (["check", "--ineq", "reilly1", "--dim", "300", "--radius", "0.01"],
          {"n": 300, "radius": 0.01}),
     ])
