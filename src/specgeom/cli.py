@@ -22,6 +22,8 @@ import functools
 import math
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +39,13 @@ from .inequalities import (
     validate_index,
     weighted_density_integral,
 )
-from .mesh import assemble_operators, extrinsic_summary, load_mesh
+from .mesh import (
+    MeshGeometry,
+    SparseOperatorPair,
+    assemble_operators,
+    extrinsic_summary,
+    load_mesh,
+)
 from .models import (
     Lattice,
     SpinStructure,
@@ -292,6 +300,27 @@ def _emit(cfg, text: str) -> None:
 # source resolution
 
 
+@dataclass(frozen=True)
+class Source:
+    """A model or a mesh, read the same way by every handler: ``build(count)``
+    returns its first ``count`` eigenvalues and ``provenance(count)`` names
+    them, ``fallbacks`` is the table of its own facts that checks read, and
+    ``zero_dim`` is its kernel dimension, ``kernel()``: fixed for a model, a
+    mesh's connected components counted on first read.  A mesh source also
+    carries the loaded ``mesh`` and its assembled ``ops``."""
+
+    build: Callable
+    provenance: Callable
+    fallbacks: dict
+    kernel: Callable
+    mesh: MeshGeometry | None = None
+    ops: SparseOperatorPair | None = None
+
+    @property
+    def zero_dim(self) -> int:
+        return self.kernel()
+
+
 def _diagonal_radii(lat: Lattice):
     """Circle radii of a rectangular lattice, or None if oblique."""
     basis = lat.basis
@@ -304,10 +333,9 @@ def _diagonal_radii(lat: Lattice):
 def _resolve_operator(cfg) -> str:
     # a spin structure only makes sense for the Dirac operator, so its
     # presence selects dirac when --operator is not given
-    operator = cfg.get("operator")
-    if operator is None:
-        operator = "dirac" if cfg.get("spin") is not None else "laplace"
-    return operator
+    if cfg.get("operator") is not None:
+        return cfg["operator"]
+    return "dirac" if cfg.get("spin") is not None else "laplace"
 
 
 def _torus_lattice(cfg, user: str) -> Lattice:
@@ -320,7 +348,7 @@ def _torus_lattice(cfg, user: str) -> Lattice:
     return cfg["lattice"]
 
 
-def _model_source(cfg) -> dict:
+def _model_source(cfg) -> Source:
     operator = _resolve_operator(cfg)
     dirac = operator == "dirac"
     hbar1_integral = None  # Hbar^2 + 1, constant on a model in the unit sphere
@@ -341,24 +369,18 @@ def _model_source(cfg) -> dict:
                 )
             return 1.0 / radius**2
 
-        src = {
-            "build": lambda count: spectrum(n, radius, count),
-            "zero_dim": 0 if dirac else 1,
-            "provenance": {
-                "spectrum": "sphere-%s n=%d r=%s" % (operator, n, format_float(radius)),
-                "extrinsic": "model:sphere",
-            },
-        }
+        build = functools.partial(spectrum, n, radius)
+        zero_dim = 0 if dirac else 1
+        label = "sphere-%s n=%d r=%s" % (operator, n, format_float(radius))
+        extrinsic = "model:sphere"
     else:
         lat = _torus_lattice(cfg, "torus model")
         n = lat.dim
         spin = None
-        if dirac:
-            spin = (
-                _parse_spin(cfg["spin"], n)
-                if cfg.get("spin") is not None
-                else SpinStructure((0.0,) * n)
-            )
+        if dirac and cfg.get("spin") is not None:
+            spin = _parse_spin(cfg["spin"], n)
+        elif dirac:
+            spin = SpinStructure((0.0,) * n)
         radii = _diagonal_radii(lat)
         # every flat torus has S = 0; a product of circles also fixes H^2
         # and |B|^2 of its immersion
@@ -378,62 +400,51 @@ def _model_source(cfg) -> dict:
                 return p["h_sq"]
 
         if dirac:
-            src = {"build": lambda count: torus_dirac_spectrum(lat, spin, count),
-                   "zero_dim": 2 ** (n // 2) if spin.is_trivial else 0}
+            build = functools.partial(torus_dirac_spectrum, lat, spin)
+            zero_dim = 2 ** (n // 2) if spin.is_trivial else 0
         else:
-            src = {"build": lambda count: torus_laplace_spectrum(lat, count), "zero_dim": 1}
-        basis_text = "; ".join(
-            " ".join(format_float(x) for x in lat.basis[:, i]) for i in range(n)
-        )
-        src["provenance"] = {
-            "spectrum": "torus-%s lattice=[%s]%s"
-            % (operator, basis_text, " spin=%s" % spin.label() if spin else ""),
-            "extrinsic": "model:product-torus" if radii is not None else "explicit",
-        }
+            build, zero_dim = functools.partial(torus_laplace_spectrum, lat), 1
+        basis_text = "; ".join(" ".join(map(format_float, col)) for col in lat.basis.T)
+        label = "torus-%s lattice=[%s]%s" % (
+            operator, basis_text, " spin=%s" % spin.label() if spin else "")
+        extrinsic = "model:product-torus" if radii is not None else "explicit"
     # the spinor curvature term of the Lichnerowicz formula is S/4;
     # functions carry none
     fallbacks = {"n": n, **consts, "kappa": consts["s_inf"] / 4.0 if dirac else 0.0}
     if hbar1_integral is not None:
         fallbacks["hbar1_integral"] = hbar1_integral
-    src.update(kind="model", fallbacks=fallbacks)
-    return src
+    provenance = {"spectrum": label, "extrinsic": extrinsic}
+    return Source(build, lambda count: provenance, fallbacks, lambda: zero_dim)
 
 
-def _mesh_source(cfg, path=None) -> dict:
-    """Mesh source, loaded, validated and assembled once, here.
-    ``build(count)`` solves and fills in the provenance; the extrinsic
+def _mesh_source(cfg, path) -> Source:
+    """Mesh source, loaded, validated and assembled once, here; its extrinsic
     fields are computed on the first read of a fallback that needs them."""
-    path = cfg["mesh"] if path is None else path
     mesh = load_mesh(path, cfg.get("mesh_format"))
     if _resolve_operator(cfg) != "laplace":
-        raise UsageError(
-            "mesh spectra are scalar Laplace only", operator=cfg["operator"]
-        )
+        raise UsageError("mesh spectra are scalar Laplace only", operator=cfg["operator"])
     ops = assemble_operators(mesh)
 
     def build(count):
         if count >= mesh.n_vertices:
             raise UsageError(
                 "count %d must be below the vertex count %d" % (count, mesh.n_vertices),
-                count=count,
-                vertices=mesh.n_vertices,
+                count=count, vertices=mesh.n_vertices,
             )
-        basis = solve_smallest(ops, count, tol=cfg["tol"], seed=cfg["seed"])
-        src["provenance"] = {
-            "spectrum": "mesh:%s laplace count=%d seed=%d"
-            % (os.path.basename(path), count, cfg["seed"]),
-            "extrinsic": "mesh-fields",
-        }
-        return basis
+        return solve_smallest(ops, count, tol=cfg["tol"], seed=cfg["seed"])
+
+    def provenance(count):
+        return {"spectrum": "mesh:%s laplace count=%d seed=%d"
+                % (os.path.basename(path), count, cfg["seed"]),
+                "extrinsic": "mesh-fields"}
 
     @functools.cache
     def extr():
         return extrinsic_summary(mesh, ops)
 
-    src = {"kind": "mesh", "mesh": mesh, "ops": ops, "build": build}
     # a surface, and the scalar Laplacian has no bundle curvature term;
     # main reads H^2 weighted by the squared j-th eigenvector, h_sq_at(j)
-    src["fallbacks"] = {
+    fallbacks = {
         "n": 2, "kappa": 0.0, "volume": lambda p: float(mesh.total_area),
         "h_sq": lambda p: float(np.max(extr().H_sq)),
         "h_sq_at": lambda p: lambda j: weighted_density_integral(
@@ -441,15 +452,17 @@ def _mesh_source(cfg, path=None) -> dict:
         "s_inf": lambda p: float(np.min(extr().S)),
         "h_sq_integral": lambda p: extr().willmore,
     }
-    return src
+    return Source(build, provenance, fallbacks, lambda: mesh.n_components, mesh, ops)
 
 
-def _source(cfg):
-    """The model or mesh source the config names, or None for neither."""
-    if cfg.get("mesh") and cfg.get("model"):
+def _source(cfg, path=None):
+    """The source the config names, a mesh at ``path`` when it is given
+    (else at --mesh) or a model, or None for neither."""
+    path = path or cfg.get("mesh")
+    if path and cfg.get("model"):
         raise UsageError("pass either --model or --mesh, not both")
-    if cfg.get("mesh"):
-        return _mesh_source(cfg)
+    if path:
+        return _mesh_source(cfg, path)
     return _model_source(cfg) if cfg.get("model") else None
 
 
@@ -465,10 +478,9 @@ def cmd_spectrum(cfg) -> int:
     src = _source(cfg)
     if src is None:
         raise UsageError("spectrum needs --model or --mesh", parameter="model")
-    spec = src["build"](count)
-    doc = spec.to_json_dict()
-    if src["kind"] == "model":
-        doc["values"] = list(spec.values(count))
+    spec = src.build(count)
+    # a model's last shell may run past count; list exactly count values
+    doc = {**spec.to_json_dict(), "values": [spec.gamma(j) for j in range(1, count + 1)]}
     if cfg["include_vectors"]:
         doc.update(write_vector_sidecar(cfg["output"], spec.vectors))
     _emit(cfg, dumps_json(doc))
@@ -494,17 +506,15 @@ FALLBACKS = {
 
 
 def _check_spectrum(cfg, ineqs, jlist):
-    """The source and its spectrum, resolved up to the highest index the
-    ids read, with the kernel dimension from --m or from the source; a
-    mesh's kernel dimension is its number of connected components."""
+    """The source's spectrum, resolved up to the highest index the ids
+    read, with the kernel dimension from --m or from the source, then its
+    provenance and the fallback tables a check reads."""
     ineqs = [iq for iq in ineqs if INEQS[iq].reads is not None]
     src = _source(cfg)
     if src is None:
         raise UsageError("check needs --model, --mesh, or a probe lattice")
-    m = cfg["m"]
-    if m is None:
-        m = src["mesh"].n_components if src["kind"] == "mesh" else src["zero_dim"]
-    tables = (src["fallbacks"], FALLBACKS)
+    m = src.zero_dim if cfg["m"] is None else cfg["m"]
+    tables = (src.fallbacks, FALLBACKS)
     need = max([1] + [INEQS[iq].reads(Inputs(iq, cfg, fallbacks=tables), max(jlist), m)
                       for iq in ineqs])
     # the indices (--j, --gap-k, --m, --dim, ...) are capped through the
@@ -524,7 +534,8 @@ def _check_spectrum(cfg, ineqs, jlist):
             parameter="count",
             required=need,
         )
-    return src, src["build"](need if cfg["count"] is None else cfg["count"])
+    count = need if cfg["count"] is None else cfg["count"]
+    return src.build(count), src.provenance(count), tables
 
 
 def cmd_check(cfg) -> int:
@@ -535,13 +546,13 @@ def cmd_check(cfg) -> int:
     jlist = cfg["j_range"] or [cfg["j"] or 1]
     # checks that need no model or mesh (the conjecture probe) report first
     ineqs = sorted(cfg["ineq"], key=lambda iq: INEQS[iq].reads is not None)
-    src, spectrum = {"fallbacks": {}, "provenance": None}, None
+    spectrum, provenance, tables = None, None, (FALLBACKS,)
     reports = []
     for iq in ineqs:
         ineq = INEQS[iq]
         if ineq.reads is not None and spectrum is None:
-            src, spectrum = _check_spectrum(cfg, ineqs, jlist)
-        params = Inputs(iq, cfg, spectrum, src["provenance"], (src["fallbacks"], FALLBACKS))
+            spectrum, provenance, tables = _check_spectrum(cfg, ineqs, jlist)
+        params = Inputs(iq, cfg, spectrum, provenance, tables)
         for j in jlist if ineq.per_j else [None]:
             out = evaluate_inputs(params, j)
             reports.extend(out if isinstance(out, list) else [out])
@@ -588,26 +599,26 @@ def cmd_sweep(cfg) -> int:
 # prooflab command
 
 
-def _prooflab_basis(cfg, src, default_count=None):
-    """Eigenbasis for a prooflab task.
+def _prooflab_report(cfg, task, path):
+    """The report of one prooflab task on the mesh at ``path``.
 
-    Explicit --count forces a sparse solve of that size.  Otherwise tasks
-    that only need a single low eigenpair pass default_count and get a
-    small sparse solve on large meshes; the full dense basis is the
-    fallback for small ones.
+    Explicit --count forces a sparse basis of that size.  Otherwise the
+    anghel task, which reads a single low eigenpair, gets a small sparse
+    solve on a large mesh; the full dense basis serves the rest.
     """
-    if cfg["count"] is not None:
-        return src["build"](cfg["count"])
-    if default_count is not None and src["mesh"].n_vertices > 4 * default_count:
-        return src["build"](default_count)
-    return dense_eigenbasis(src["ops"])
-
-
-def _anghel_report(cfg, path):
-    src = _mesh_source(cfg, path)
-    j = cfg["j"] if cfg["j"] is not None else 2
-    basis = _prooflab_basis(cfg, src, default_count=j + 8)
-    return verify_anghel_lemma(src["mesh"], src["ops"], basis, j)
+    src = _source(cfg, path)
+    mesh, ops = src.mesh, src.ops
+    if task == "identities":
+        return coordinate_identities(mesh, ops)
+    anghel = task == "anghel"
+    j = cfg["j"] if cfg["j"] is not None else 2 if anghel else 1
+    count = cfg["count"]
+    if count is None and anghel and mesh.n_vertices > 4 * (j + 8):
+        count = j + 8
+    basis = dense_eigenbasis(ops) if count is None else src.build(count)
+    if anghel:
+        return verify_anghel_lemma(mesh, ops, basis, j)
+    return verify_prop31(mesh, ops, basis, cfg["psi"](mesh), j, cfg["trunc"])
 
 
 def cmd_prooflab(cfg) -> int:
@@ -623,7 +634,7 @@ def cmd_prooflab(cfg) -> int:
         if len(paths) < 2:
             raise UsageError("refinement needs at least two meshes", count=len(paths))
         rows = [
-            [level, _anghel_report(cfg, path).residual_rel]
+            [level, _prooflab_report(cfg, "anghel", path).residual_rel]
             for level, path in enumerate(paths, start=1)
         ]
         _emit(cfg, format_csv(("level", "residual"), rows))
@@ -631,18 +642,7 @@ def cmd_prooflab(cfg) -> int:
 
     if not cfg["mesh"]:
         raise UsageError("prooflab needs --mesh", parameter="mesh")
-    if task == "anghel":
-        report = _anghel_report(cfg, cfg["mesh"])
-    else:
-        src = _mesh_source(cfg)
-        mesh, ops = src["mesh"], src["ops"]
-        if task == "identities":
-            report = coordinate_identities(mesh, ops)
-        else:
-            basis = _prooflab_basis(cfg, src)
-            j = cfg["j"] if cfg["j"] is not None else 1
-            report = verify_prop31(mesh, ops, basis, cfg["psi"](mesh), j, cfg["trunc"])
-    _emit(cfg, dumps_json(report.to_json_dict()))
+    _emit(cfg, dumps_json(_prooflab_report(cfg, task, cfg["mesh"]).to_json_dict()))
     return 0
 
 

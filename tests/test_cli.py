@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -85,17 +86,16 @@ def source_builds(monkeypatch):
     counts = []
     real_source = cli_mod._source
 
-    def spy(cfg):
-        src = real_source(cfg)
-        if src is not None:
-            build = src["build"]
+    def spy(cfg, path=None):
+        src = real_source(cfg, path)
+        if src is None:
+            return None
 
-            def spied(count):
-                counts.append(count)
-                return build(count)
+        def spied(count):
+            counts.append(count)
+            return src.build(count)
 
-            src["build"] = spied
-        return src
+        return dataclasses.replace(src, build=spied)
 
     monkeypatch.setattr(cli_mod, "_source", spy)
     return counts

@@ -389,15 +389,15 @@ class TestModelExtrinsic:
         """The sphere source's kappa is S/4 for spinors, bit for bit the
         closed form n(n-1)/(4r^2), and 0 for functions."""
         cfg = {"model": "sphere", "dim": n, "radius": radius}
-        dirac = cli._model_source({**cfg, "operator": "dirac"})["fallbacks"]
+        dirac = cli._model_source({**cfg, "operator": "dirac"}).fallbacks
         assert dirac["kappa"] == n * (n - 1) / (4.0 * radius**2)
         assert dirac["kappa"] == dirac["s_inf"] / 4.0
-        assert cli._model_source({**cfg, "operator": "laplace"})["fallbacks"]["kappa"] == 0.0
+        assert cli._model_source({**cfg, "operator": "laplace"}).fallbacks["kappa"] == 0.0
 
     def test_clifford_model(self):
         """The clifford-torus model takes its constants from its radii."""
         src = cli._model_source({"model": "clifford-torus", "operator": "laplace"})
-        fallbacks = src["fallbacks"]
+        fallbacks = src.fallbacks
         assert fallbacks["h_sq"] == pytest.approx(1.0, rel=1e-14)
         assert fallbacks["b_sq_sup"] == pytest.approx(4.0, rel=1e-14)
         assert fallbacks["s_inf"] == 0.0
