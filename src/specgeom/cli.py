@@ -33,6 +33,7 @@ from .inequalities import (
     INEQS,
     Inputs,
     aggregate_exit,
+    check_positive,
     conjecture_probe,
     evaluate_inputs,
     lookup,
@@ -193,6 +194,8 @@ _trunc = _typed(int, _at_least(1, "trunc", "trunc"))
 _index = _typed(int, validate_index)
 _finite = _typed(float, _check_finite)
 _count = _typed(int, _check_count)
+_gap_k = _typed(int, functools.partial(check_positive, "gap_k"))
+_yang_k = _typed(int, functools.partial(check_positive, "yang_k"))
 
 
 def _csv(text) -> list:
@@ -420,9 +423,10 @@ def _model_source(cfg) -> Source:
 def _mesh_source(cfg, path) -> Source:
     """Mesh source, loaded, validated and assembled once, here; its extrinsic
     fields are computed on the first read of a fallback that needs them."""
+    operator = _resolve_operator(cfg)
+    if operator != "laplace":
+        raise UsageError("mesh spectra are scalar Laplace only", operator=operator)
     mesh = load_mesh(path, cfg.get("mesh_format"))
-    if _resolve_operator(cfg) != "laplace":
-        raise UsageError("mesh spectra are scalar Laplace only", operator=cfg["operator"])
     ops = assemble_operators(mesh)
 
     def build(count):
@@ -701,9 +705,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="scalar curvature lower bound" if name == "s0" else None)
     p_check.add_argument("--field", choices=("R", "C", "Q"), default="C")
     p_check.add_argument("--minimal", action="store_true")
-    p_check.add_argument("--gap-k", type=int)
-    p_check.add_argument("--yang-k", type=int)
-    p_check.add_argument("--lp-j", type=int)
+    p_check.add_argument("--gap-k", type=_gap_k)
+    p_check.add_argument("--yang-k", type=_yang_k)
+    p_check.add_argument("--lp-j", type=_index)
     p_check.add_argument("--csv", action="store_true")
 
     p_sweep = add_command("sweep", "probe a torus family on a ratio grid")

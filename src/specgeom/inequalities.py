@@ -203,6 +203,14 @@ def _base_params(spectrum, **extra) -> dict:
 # the three formula families
 
 
+def check_positive(key, value):
+    """Reject a parameter that must be positive, naming it."""
+    if not value > 0:
+        raise UsageError("%s must be positive, got %g" % (key, value),
+                         parameter=key, value=value)
+    return value
+
+
 def validate_index(j: int) -> None:
     """Reject an index j < 1 of a sum bound or gap form."""
     if j < 1:
@@ -539,11 +547,7 @@ def _background(p, j):
     reports = []
 
     def positive(key):
-        value = p[key]
-        if not value > 0:
-            raise UsageError("%s must be positive, got %g" % (key, value),
-                             parameter=key, value=value)
-        return value
+        return check_positive(key, p[key])
 
     def add(ineq_id, direction, lhs, rhs, extra, terms):
         reports.append(make_report(

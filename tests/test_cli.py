@@ -186,14 +186,16 @@ class TestSpectrum:
         )
         assert loaded_meshes == []
 
-    def test_dirac_on_mesh_rejected(self, ico_files, capsys):
-        code, _, err = run_json(
-            capsys,
-            ["spectrum", "--mesh", ico_files[2], "--operator", "dirac",
-             "--count", "4"],
-        )
-        assert code == 2
-        assert err["kind"] == "usage"
+    def test_dirac_on_mesh_rejected(self, ico_files, capsys, loaded_meshes):
+        """Rejected before the mesh is loaded, naming the operator that a
+        spin structure selects too."""
+        for flags in (["--operator", "dirac"], ["--spin", "0,0"]):
+            code, doc, err = run_json(
+                capsys, ["spectrum", "--mesh", ico_files[2], *flags, "--count", "4"])
+            assert (code, doc) == (2, None)
+            assert err == {"kind": "usage", "message": "mesh spectra are scalar Laplace only",
+                           "detail": {"operator": "dirac"}}
+        assert loaded_meshes == []
 
     def test_malformed_off_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.off"
@@ -909,6 +911,12 @@ class TestInputBounds:
         (["check", "--ineq", "main", "--model", "sphere", "--m", "-1"], "usage", {"m": -1}),
         (["check", "--ineq", "main", "--mesh", "{mesh}", "--m", "-1"], "usage", {"m": -1}),
         (["prooflab", "--task", "anghel", "--mesh", "{mesh}", "--j", "0"],
+         "index-range", {"index": 0}),
+        (["check", "--ineq", "background", "--mesh", "{mesh}", "--gap-k", "0"],
+         "usage", {"parameter": "gap_k", "value": 0}),
+        (["check", "--ineq", "background", "--mesh", "{mesh}", "--yang-k", "-2"],
+         "usage", {"parameter": "yang_k", "value": -2}),
+        (["check", "--ineq", "background", "--mesh", "{mesh}", "--lp-j", "0"],
          "index-range", {"index": 0}),
     ])
     def test_index_flags_checked_before_load_and_solve(
