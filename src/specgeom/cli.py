@@ -622,7 +622,7 @@ def _prooflab_report(cfg, task, path):
     basis = dense_eigenbasis(ops) if count is None else src.build(count)
     if anghel:
         return verify_anghel_lemma(mesh, ops, basis, j)
-    return verify_prop31(mesh, ops, basis, cfg["psi"](mesh), j, cfg["trunc"])
+    return verify_prop31(ops, basis, cfg["psi"](mesh), j, cfg["trunc"])
 
 
 def cmd_prooflab(cfg) -> int:

@@ -130,7 +130,6 @@ def gradient_coupling(
 
 
 def verify_prop31(
-    mesh: MeshGeometry,
     ops: SparseOperatorPair,
     basis,
     psi: np.ndarray,

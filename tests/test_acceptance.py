@@ -240,7 +240,7 @@ def test_criterion_07_prooflab_oracle_suite():
     for _ in range(20):
         psi = rng.standard_normal(mesh.n_vertices)
         j = int(rng.integers(1, 15))
-        rep = verify_prop31(mesh, ops, basis, psi, j, trunc=basis.size)
+        rep = verify_prop31(ops, basis, psi, j, trunc=basis.size)
         worst_resid = max(worst_resid, rep.residual_rel)
         assert rep.residual_rel <= 1e-6, (j, rep.residual_rel)
         table = expansion_coefficients(psi, basis, ops, j, trunc=basis.size)

@@ -191,5 +191,5 @@ def test_prooflab_seeded_psi(ico2, capsys):
     mesh = load_mesh(ico2)
     ops = assemble_operators(mesh)
     psi = np.random.default_rng(5).standard_normal(mesh.n_vertices)
-    expected = verify_prop31(mesh, ops, dense_eigenbasis(ops), psi, 1)
+    expected = verify_prop31(ops, dense_eigenbasis(ops), psi, 1)
     assert report["lhs"] == pytest.approx(expected.lhs, rel=1e-9)

@@ -81,7 +81,7 @@ class TestExpansion:
 class TestProp31:
     def test_constant_psi_both_sides_vanish(self, ico2_setup):
         mesh, ops, basis = ico2_setup
-        report = verify_prop31(mesh, ops, basis, np.ones(mesh.n_vertices), 2)
+        report = verify_prop31(ops, basis, np.ones(mesh.n_vertices), 2)
         assert abs(report.lhs) < 1e-12
         assert abs(report.rhs) < 1e-12
 
@@ -89,14 +89,14 @@ class TestProp31:
         """With the complete basis the identity is exact up to roundoff."""
         mesh, ops, basis = ico2_setup
         psi = mesh.vertices[:, 0]
-        report = verify_prop31(mesh, ops, basis, psi, 2, trunc=basis.size)
+        report = verify_prop31(ops, basis, psi, 2, trunc=basis.size)
         assert report.residual_rel < 1e-6
         assert report.residual_rel < 1e-10  # roundoff, in practice
 
     def test_eigenvector_as_psi(self, ico2_setup):
         mesh, ops, basis = ico2_setup
         psi = basis.vectors[:, 1]
-        report = verify_prop31(mesh, ops, basis, psi, 2, trunc=basis.size)
+        report = verify_prop31(ops, basis, psi, 2, trunc=basis.size)
         assert report.residual_rel < 1e-6
 
     def test_random_psi_and_j_pairs(self, ico2_setup):
@@ -105,21 +105,21 @@ class TestProp31:
         for _ in range(20):
             psi = rng.standard_normal(mesh.n_vertices)
             j = int(rng.integers(1, 12))
-            report = verify_prop31(mesh, ops, basis, psi, j, trunc=basis.size)
+            report = verify_prop31(ops, basis, psi, j, trunc=basis.size)
             assert report.residual_rel < 1e-6
             assert report.terms["bessel_defect"] >= -1e-10
 
     def test_truncation_tail_decays(self, ico2_setup):
         mesh, ops, basis = ico2_setup
         psi = mesh.vertices[:, 0]
-        r30 = verify_prop31(mesh, ops, basis, psi, 2, trunc=30)
-        r90 = verify_prop31(mesh, ops, basis, psi, 2, trunc=90)
-        rfull = verify_prop31(mesh, ops, basis, psi, 2, trunc=basis.size)
+        r30 = verify_prop31(ops, basis, psi, 2, trunc=30)
+        r90 = verify_prop31(ops, basis, psi, 2, trunc=90)
+        rfull = verify_prop31(ops, basis, psi, 2, trunc=basis.size)
         assert r30.residual_rel > r90.residual_rel > rfull.residual_rel
 
     def test_report_serialization(self, ico2_setup):
         mesh, ops, basis = ico2_setup
-        report = verify_prop31(mesh, ops, basis, mesh.vertices[:, 1], 3)
+        report = verify_prop31(ops, basis, mesh.vertices[:, 1], 3)
         doc = report.to_json_dict()
         assert doc["check_id"] == "expansion-identity"
         assert doc["j"] == 3
