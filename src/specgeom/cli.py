@@ -308,9 +308,9 @@ class Source:
     """A model or a mesh, read the same way by every handler: ``build(count)``
     returns its first ``count`` eigenvalues and ``provenance(count)`` names
     them, ``fallbacks`` is the table of its own facts that checks read, and
-    ``zero_dim`` is its kernel dimension, ``kernel()``: fixed for a model, a
-    mesh's connected components counted on first read.  A mesh source also
-    carries the loaded ``mesh`` and its assembled ``ops``."""
+    ``zero_dim``, the kernel dimension, is ``kernel()``: fixed for a model,
+    and a mesh's connected components, counted on first read.  A mesh
+    source also carries the loaded ``mesh`` and its assembled ``ops``."""
 
     build: Callable
     provenance: Callable
@@ -615,7 +615,7 @@ def _prooflab_report(cfg, task, path):
     if task == "identities":
         return coordinate_identities(mesh, ops)
     anghel = task == "anghel"
-    j = cfg["j"] if cfg["j"] is not None else 2 if anghel else 1
+    j = cfg["j"] if cfg["j"] is not None else (2 if anghel else 1)
     count = cfg["count"]
     if count is None and anghel and mesh.n_vertices > 4 * (j + 8):
         count = j + 8
