@@ -196,6 +196,9 @@ _finite = _typed(float, _check_finite)
 _count = _typed(int, _check_count)
 _gap_k = _typed(int, functools.partial(check_positive, "gap_k"))
 _yang_k = _typed(int, functools.partial(check_positive, "yang_k"))
+# a fallback volume (a mesh's area) is still checked where a bound reads it
+_area = _typed(_finite, functools.partial(check_positive, "area"))
+_volume = _typed(_finite, functools.partial(check_positive, "volume"))
 
 
 def _csv(text) -> list:
@@ -663,8 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file; flags override its entries")
         p.add_argument("--count", type=_count,
-                       help="number of eigenvalues (prooflab: sparse basis size, "
-                            "default dense)")
+                       help="number of eigenvalues (sweep and the conjecture probe: "
+                            "a cap of at least 4 per spectrum; prooflab: sparse "
+                            "basis size, default dense)")
         p.add_argument("--output", type=str, help="output path (default stdout)")
         return p
 
@@ -699,10 +703,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--j-range", type=_j_range, help="inclusive range a:b")
     p_check.add_argument("--m", type=_kernel_dim, help="kernel dimension")
     for name in ("h-sq", "kappa", "c-sup", "c1", "c2", "c3", "b-sq-sup", "s0", "genus",
-                 "area", "volume", "h-sq-integral", "hbar1-integral",
-                 "htilde-sq-integral", "sup-term", "s-inf", "chen-h-sq"):
+                 "h-sq-integral", "hbar1-integral", "htilde-sq-integral", "sup-term",
+                 "s-inf", "chen-h-sq"):
         p_check.add_argument("--" + name, type=_finite,
                              help="scalar curvature lower bound" if name == "s0" else None)
+    p_check.add_argument("--area", type=_area)
+    p_check.add_argument("--volume", type=_volume)
     p_check.add_argument("--field", choices=("R", "C", "Q"), default="C")
     p_check.add_argument("--minimal", action="store_true")
     p_check.add_argument("--gap-k", type=_gap_k)

@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (
+    EmptyRequestError,
     HypothesisViolatedError,
     IndexRangeError,
     InconsistentKernelError,
@@ -683,12 +684,27 @@ def conjecture_probe(lat: Lattice, area: float | None = None, count: int = 64) -
 
     Evaluated for all four spin structures of the 2-torus because the
     conjectured statement does not pin one down.  The reports are labeled
-    exploratory; they never feed pass/fail aggregation.
+    exploratory; they never feed pass/fail aggregation.  Each spectrum is
+    built only up to Gbar_2, the kernel plus 2 values; ``count`` caps that
+    size, so a larger one changes nothing and one below the most a spectrum
+    reads is a usage error.
     """
     if lat.dim != 2:
         raise UsageError(
             "the probe needs a 2-dimensional lattice, got dimension %d" % lat.dim,
             dim=lat.dim,
+        )
+    # Gbar_2 is the kernel plus 2 values: the trivial structure's kernel is
+    # its 2^[n/2] parallel spinors, and the other structures have none
+    kernel = 2 ** (lat.dim // 2)
+    if count < 1:
+        raise EmptyRequestError("requested %d eigenvalues" % count)
+    if count < kernel + 2:
+        raise UsageError(
+            "count %d is below the %d values the requested checks read"
+            % (count, kernel + 2),
+            parameter="count",
+            required=kernel + 2,
         )
     if area is None:
         area = lat.covolume
@@ -697,7 +713,7 @@ def conjecture_probe(lat: Lattice, area: float | None = None, count: int = 64) -
     rhs = 4.0 * np.pi**2 / area
     reports = []
     for spin in all_spin_structures(lat.dim):
-        spec = torus_dirac_spectrum(lat, spin, count)
+        spec = torus_dirac_spectrum(lat, spin, (kernel if spin.is_trivial else 0) + 2)
         g1, g2 = spec.gamma_bar(1), spec.gamma_bar(2)
         lhs = 0.5 * (g1 + g2)
         reports.append(

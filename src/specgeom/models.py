@@ -42,12 +42,14 @@ VALUE_GROUP_RTOL = 1e-9
 OPERATOR_KINDS = ("dirac_squared", "laplace")
 
 # Grid points in one dual-lattice enumeration box.  A model-sweep spectrum
-# (ratios 0.5 to 4, count 256) needs about 6e3 and the extreme "1 0; 0 1e-12"
-# lattice 6e7; a box past this limit would need many GiB, so it is an error.
+# (ratios 0.5 to 4) asks for at most 2 dual vectors, which one box of at
+# most 96 points holds, and the extreme "1 0; 0 1e-12" lattice needs 6e7; a
+# box past this limit would need many GiB, so it is an error.
 MAX_DUAL_BOX = 10**8
 
-# The first dual-lattice radius is this factor times (count * dual covolume)^(1/n);
-# the enumeration grows it by 1.5 until enough values lie inside.
+# The first dual-lattice radius is this factor times (k * dual covolume)^(1/n)
+# for k requested dual vectors, plus the length of the spin shift; the
+# enumeration grows it by 1.5 until k dual vectors lie inside.
 FIRST_RADIUS_FACTOR = 1.5
 
 
@@ -273,9 +275,22 @@ class Lattice:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
+    @functools.cached_property
     def covolume(self) -> float:
         return abs(float(np.linalg.det(self.basis)))
+
+    @functools.cached_property
+    def dual_spacing(self) -> float:
+        """The n-th root of the dual covolume (2 pi)^n / covolume, taken as
+        2 pi / covolume^(1/n) so that no power of 2 pi can overflow."""
+        return 2.0 * math.pi / self.covolume ** (1.0 / self.dim)
+
+    @functools.cached_property
+    def dual_reach(self) -> np.ndarray:
+        """Row norms of the inverse dual basis, inv(G*) = B^T / 2 pi, so the
+        basis column norms over 2 pi: a dual vector no longer than R has
+        coordinates at most R times these."""
+        return np.linalg.norm(self.basis, axis=0) / (2.0 * math.pi)
 
     @property
     def dual_basis(self) -> np.ndarray:
@@ -317,22 +332,19 @@ def _shifted_dual_norms(lat: Lattice, shift, count: int) -> np.ndarray:
     """Sorted squared norms |G*(c + shift)|^2 over c in Z^n, first >= count.
 
     The enumeration radius grows geometrically until at least ``count``
-    values lie strictly below R^2, which guarantees every kept shell is
-    complete (no dual vector of smaller norm is missed).
+    dual vectors lie strictly below R^2, which guarantees every kept shell
+    is complete (no dual vector of smaller norm is missed).
     """
     gstar = lat.dual_basis
     n = lat.dim
     shift = np.asarray(shift, dtype=float)
-    inv_rows = np.linalg.norm(np.linalg.inv(gstar), axis=1)
-    # crude initial radius from the covolume of the dual lattice
-    dual_covol = abs(np.linalg.det(gstar))
-    radius = FIRST_RADIUS_FACTOR * (count * dual_covol) ** (1.0 / n) + float(
+    radius = FIRST_RADIUS_FACTOR * count ** (1.0 / n) * lat.dual_spacing + float(
         np.linalg.norm(gstar @ shift)
     )
     for _ in range(64):
         try:
             bounds = [(math.floor(-h - s) - 1, math.ceil(h - s) + 1)
-                      for h, s in zip((radius * inv_rows).tolist(), shift.tolist())]
+                      for h, s in zip((radius * lat.dual_reach).tolist(), shift.tolist())]
             size = math.prod([hi - lo + 1 for lo, hi in bounds])
         except (OverflowError, ValueError):  # a half-width that is not finite
             size = math.inf
@@ -400,7 +412,9 @@ def _group_values(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _torus_spectrum(lat, shift, count, mult_factor, operator_kind):
     if count < 1:
         raise EmptyRequestError("requested %d eigenvalues" % count)
-    values, mults = _group_values(_shifted_dual_norms(lat, shift, count))
+    # ceil(count / mult_factor): each dual vector carries mult_factor values
+    vectors = -(-count // mult_factor)
+    values, mults = _group_values(_shifted_dual_norms(lat, shift, vectors))
     shells = zip(values, mults * mult_factor)
     return Spectrum(operator_kind, _entries_from_shells(shells, count))
 

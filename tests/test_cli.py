@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -649,6 +650,19 @@ class TestSweep:
         cfg.write_text('{"ratio_grid": "1:1.1:0.1", "area": "nan"}\n')
         code, doc, err = run_json(capsys, ["sweep", "--config", str(cfg)])
         assert (code, doc, err["kind"], err["detail"]) == (2, None, "usage", {"area": "nan"})
+
+    def test_count_above_what_the_probe_reads_changes_nothing(self, capsys):
+        """Each spectrum is built up to the kernel plus 2 values, at most 4,
+        so a larger --count leaves every row of all four spin structures as
+        it is, byte for byte."""
+        outs = []
+        for count in ("4", "64", "256"):
+            assert main(["sweep", "--ratio-grid", "0.5:4.0:0.25", "--count", count]) == 0
+            outs.append(capsys.readouterr().out)
+        rows = list(csv.reader(outs[0].splitlines()[1:]))
+        assert len(rows) == 4 * 15
+        assert {row[1] for row in rows} == {"0,0", "0,1/2", "1/2,0", "1/2,1/2"}
+        assert outs[1] == outs[0] and outs[2] == outs[0]
 
     def test_rows_sorted_by_ratio_then_spin(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from specgeom import cli, models
 from specgeom.cli import main
 from specgeom.eigensolve import dense_eigenbasis
 from specgeom.errors import MeshParseError
@@ -150,6 +151,42 @@ def test_usage_error(ico2, capsys, argv, message, detail):
     code, out, err = run(capsys, [a.format(mesh=ico2) for a in argv])
     assert (code, out) == (2, "")
     assert err == {"kind": "usage", "message": message, "detail": detail}
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--area", "0", "area must be positive, got 0"),
+    ("--volume", "-1", "volume must be positive, got -1"),
+])
+def test_area_and_volume_checked_at_parse_time(ico2, capsys, monkeypatch, flag, value,
+                                               message):
+    """Rejected before the mesh is solved, naming the flag given, though
+    a given volume is also the fallback of area."""
+    solves = []
+    monkeypatch.setattr(cli, "solve_smallest", lambda *args, **kwargs: solves.append(args))
+    code, out, err = run(capsys, ["check", "--ineq", "background", "--mesh", ico2,
+                                  "--genus", "0", flag, value])
+    assert (code, out, solves) == (2, "", [])
+    assert err == {"kind": "usage", "message": message,
+                   "detail": {"parameter": flag[2:], "value": float(value)}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--ratio-grid", "1:1:0.1", "--count", "2"],
+    ["sweep", "--ratio-grid", "1:1:0.1", "--count", "3"],
+    ["check", "--ineq", "conjecture", "--lattice", "clifford", "--count", "2"],
+])
+def test_probe_count_below_what_it_reads(capsys, monkeypatch, argv):
+    """The trivial spin structure's Gbar_2 is its fourth value: a smaller
+    count is the usage error of check's other ids, raised before any dual
+    lattice is enumerated."""
+    enumerated = []
+    monkeypatch.setattr(models, "_shifted_dual_norms", lambda *args: enumerated.append(args))
+    code, out, err = run(capsys, argv)
+    assert (code, out, enumerated) == (2, "", [])
+    assert err == {"kind": "usage",
+                   "message": "count %s is below the 4 values the requested checks read"
+                   % argv[-1],
+                   "detail": {"parameter": "count", "required": 4}}
 
 
 @pytest.mark.parametrize("entry, message", [

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from specgeom import models
 from specgeom.eigensolve import solve_smallest
 from specgeom.errors import (
     HypothesisViolatedError,
@@ -378,6 +379,22 @@ class TestConjectureProbe:
     def test_probe_area_override(self):
         reports = conjecture_probe(clifford_torus_lattice(), area=math.pi**2)
         assert all(r.rhs == pytest.approx(4.0, abs=1e-13) for r in reports)
+
+    def test_probe_builds_only_what_it_reads(self, monkeypatch):
+        """Gbar_2 is the kernel plus 2 values, 2 per dual vector: the
+        trivial structure (a 2-dimensional kernel) asks for 2 dual vectors
+        and the other three for 1, whatever the count allows."""
+        asked = []
+        real = models._shifted_dual_norms
+
+        def spy(lat, shift, count):
+            asked.append(count)
+            return real(lat, shift, count)
+
+        monkeypatch.setattr(models, "_shifted_dual_norms", spy)
+        for count in (4, 64, 256):
+            conjecture_probe(clifford_torus_lattice(), count=count)
+        assert asked == [2, 1, 1, 1] * 3
 
 
 class TestViewAndHelpers:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specgeom import cli, models
@@ -257,6 +257,49 @@ class TestTorusSpectra:
         vals = torus_dirac_spectrum(lat, spin, count).values(count)
         assert np.all(np.diff(vals) >= -1e-15)
 
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_a_smaller_build_is_a_prefix(self, data):
+        """The enumeration asks for the dual vectors that ``count`` values
+        need, not ``count`` of them; every shell it keeps is still whole, so
+        the first c values do not depend on the size built."""
+        dim = data.draw(st.sampled_from([2, 3]), label="dim")
+        coord = st.floats(min_value=-1.0, max_value=1.0)
+        basis = np.array(data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                            min_size=dim, max_size=dim), label="off"))
+        basis += np.diag(data.draw(st.lists(st.floats(min_value=1.0, max_value=3.0),
+                                            min_size=dim, max_size=dim), label="diag"))
+        assume(np.linalg.cond(basis) < 30.0)
+        lat = Lattice(basis)
+        spin = data.draw(st.sampled_from(all_spin_structures(dim) + [None]), label="spin")
+        small = data.draw(st.integers(min_value=1, max_value=40), label="c")
+        large = data.draw(st.integers(min_value=small + 1, max_value=160), label="C")
+
+        def build(count):
+            if spin is None:
+                return torus_laplace_spectrum(lat, count)
+            return torus_dirac_spectrum(lat, spin, count)
+
+        np.testing.assert_array_equal(build(small).values(small),
+                                      build(large).values(large)[:small])
+
+    @pytest.mark.parametrize("count, vectors", [(1, 1), (2, 1), (3, 2), (7, 4), (8, 4)])
+    def test_enumeration_asks_for_whole_dual_vectors(self, monkeypatch, count, vectors):
+        """A dual vector of the 2-torus carries 2 Dirac values, so count
+        values need ceil(count / 2) of them; the Laplacian needs count."""
+        asked = []
+        real = models._shifted_dual_norms
+
+        def spy(lat, shift, k):
+            asked.append(k)
+            return real(lat, shift, k)
+
+        monkeypatch.setattr(models, "_shifted_dual_norms", spy)
+        lat = Lattice(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        torus_dirac_spectrum(lat, SpinStructure((0.0, 0.5)), count)
+        torus_laplace_spectrum(lat, count)
+        assert asked == [vectors, count]
+
     @pytest.mark.parametrize("basis", [
         math.sqrt(2.0) * math.pi * np.eye(2),
         [[1.0, 0.5], [0.0, 1.0]],
@@ -265,12 +308,19 @@ class TestTorusSpectra:
     @pytest.mark.parametrize("count", [1, 7, 64])
     def test_growing_the_dual_radius_keeps_the_spectrum(self, monkeypatch, basis, count):
         """A first radius far too small makes the enumeration grow it; the
-        shells come out as they do from the default first radius."""
+        shells come out as they do from the default first radius.  The
+        radius grows exactly when fewer than the requested dual vectors,
+        ceil(count / values per vector), lie inside it: the half-integer
+        shift can put 2^n of them at |G* delta|, inside the first radius."""
         lat = Lattice(np.array(basis))
-        builders = [lambda: torus_laplace_spectrum(lat, count)] + [
-            lambda s=s: torus_dirac_spectrum(lat, SpinStructure((s,) * lat.dim), count)
+        vectors = -(-count // 2 ** (lat.dim // 2))  # each carries 2^[n/2] Dirac values
+        builders = [(lambda: torus_laplace_spectrum(lat, count), 0.0, count)] + [
+            (lambda s=s: torus_dirac_spectrum(lat, SpinStructure((s,) * lat.dim), count),
+             s, vectors)
             for s in (0.0, 0.5)]
-        default = [build().entries for build in builders]
+        default = [build().entries for build, _, _ in builders]
+        monkeypatch.setattr(models, "FIRST_RADIUS_FACTOR", 0.05)
+        forced = [vectors_inside_first_radius(lat, shift, k) < k for _, shift, k in builders]
         boxes = 0
         real_meshgrid = np.meshgrid
 
@@ -279,12 +329,21 @@ class TestTorusSpectra:
             boxes += 1
             return real_meshgrid(*args, **kwargs)
 
-        monkeypatch.setattr(models, "FIRST_RADIUS_FACTOR", 0.05)
         monkeypatch.setattr(np, "meshgrid", counting_meshgrid)
-        for build, entries in zip(builders, default):
+        for (build, _, _), entries, grows in zip(builders, default, forced):
             boxes = 0
             assert build().entries == entries
-            assert boxes > 1 or count == 1  # a single value fits the first box
+            assert (boxes > 1) == grows
+
+
+def vectors_inside_first_radius(lat, shift, vectors):
+    """Shifted dual vectors strictly inside the first enumeration radius for
+    ``vectors`` requested, counted over a box that holds them all."""
+    shift = np.full(lat.dim, shift)
+    radius = (models.FIRST_RADIUS_FACTOR * vectors ** (1.0 / lat.dim) * lat.dual_spacing
+              + np.linalg.norm(lat.dual_basis @ shift))
+    grid = np.stack(np.meshgrid(*[np.arange(-8, 9)] * lat.dim), axis=-1).reshape(-1, lat.dim)
+    return int(np.sum(np.linalg.norm((grid + shift) @ lat.dual_basis.T, axis=1) < radius))
 
 
 def reference_group_values(norms):
