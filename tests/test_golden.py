@@ -112,10 +112,14 @@ CORPUS = {
         "check", "--ineq", "background", *MESH, "--genus", "0", "--area", "12",
         "--gap-k", "2", "--h-sq-integral", "12", "--lp-j", "1"],
     "conjecture": ["check", "--ineq", "conjecture", "--lattice", "clifford"],
+    # a non-diagonal dual basis: the spin shifts' boxes are not aligned
+    "conjecture-oblique": ["check", "--ineq", "conjecture", "--lattice", "1 0.3; 0 1.2"],
     "multi-csv": [
         "check", "--ineq", "conjecture,main,reilly1", "--model", "clifford-torus",
         "--operator", "laplace", "--j-range", "1:2", "--csv"],
     "sweep": ["sweep", "--ratio-grid", "0.9:1.1:0.1", "--count", "32"],
+    # aspect ratios 0.5 to 4, the ends of the benchmark's sweep
+    "sweep-wide": ["sweep", "--ratio-grid", "0.5:4.0:0.25"],
     "prooflab-prop31": [
         "prooflab", "--task", "prop31", *MESH, "--psi", "x", "--j", "1"],
     "prooflab-anghel": ["prooflab", "--task", "anghel", *MESH, "--j", "2"],
