@@ -35,7 +35,7 @@ from .models import (
     Lattice,
     all_spin_structures,
     field_dimension,
-    torus_dirac_spectrum,
+    torus_dirac_spectra,
 )
 
 ABS_TOL_REL = 1e-10
@@ -684,10 +684,10 @@ def conjecture_probe(lat: Lattice, area: float | None = None, count: int = 64) -
 
     Evaluated for all four spin structures of the 2-torus because the
     conjectured statement does not pin one down.  The reports are labeled
-    exploratory; they never feed pass/fail aggregation.  Each spectrum is
-    built only up to Gbar_2, the kernel plus 2 values; ``count`` caps that
-    size, so a larger one changes nothing and one below the most a spectrum
-    reads is a usage error.
+    exploratory; they never feed pass/fail aggregation.  One dual-lattice
+    enumeration builds all four spectra up to the trivial structure's
+    Gbar_2, its kernel plus 2 values; ``count`` caps that size, so a larger
+    one changes nothing and a smaller one is a usage error.
     """
     if lat.dim != 2:
         raise UsageError(
@@ -712,8 +712,8 @@ def conjecture_probe(lat: Lattice, area: float | None = None, count: int = 64) -
         raise UsageError("area must be positive, got %g" % area, area=area)
     rhs = 4.0 * np.pi**2 / area
     reports = []
-    for spin in all_spin_structures(lat.dim):
-        spec = torus_dirac_spectrum(lat, spin, (kernel if spin.is_trivial else 0) + 2)
+    spins = all_spin_structures(lat.dim)
+    for spin, spec in zip(spins, torus_dirac_spectra(lat, spins, kernel + 2)):
         g1, g2 = spec.gamma_bar(1), spec.gamma_bar(2)
         lhs = 0.5 * (g1 + g2)
         reports.append(

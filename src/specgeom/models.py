@@ -41,15 +41,15 @@ VALUE_GROUP_RTOL = 1e-9
 
 OPERATOR_KINDS = ("dirac_squared", "laplace")
 
-# Grid points in one dual-lattice enumeration box.  A model-sweep spectrum
-# (ratios 0.5 to 4) asks for at most 2 dual vectors, which one box of at
-# most 96 points holds, and the extreme "1 0; 0 1e-12" lattice needs 6e7; a
-# box past this limit would need many GiB, so it is an error.
+# Grid points in one dual-lattice enumeration box, which all spin shifts of
+# a request share.  The model-sweep probe (ratios 0.5 to 4) needs at most
+# 136; ``spectrum`` on the "1 0; 0 1e-12" lattice (trivial spin, default 16
+# values) needs 4.2e7.  A box past this limit would need many GiB: an error.
 MAX_DUAL_BOX = 10**8
 
 # The first dual-lattice radius is this factor times (k * dual covolume)^(1/n)
-# for k requested dual vectors, plus the length of the spin shift; the
-# enumeration grows it by 1.5 until k dual vectors lie inside.
+# for k requested dual vectors, plus the length of the longest spin shift; the
+# enumeration grows it by 1.5 until k dual vectors of every shift lie inside.
 FIRST_RADIUS_FACTOR = 1.5
 
 
@@ -105,7 +105,7 @@ class Spectrum(IndexedSpectrum):
             )
         if not self.entries:
             raise EmptyRequestError("spectrum with no entries")
-        prev = -math.inf
+        prev, cumulative = -math.inf, []
         for value, mult in self.entries:
             if value < 0.0:
                 raise InvalidModelError("negative eigenvalue %r" % (value,))
@@ -114,20 +114,12 @@ class Spectrum(IndexedSpectrum):
             if mult < 1 or mult != int(mult):
                 raise InvalidModelError("bad multiplicity %r" % (mult,))
             prev = value
-
-    @functools.cached_property
-    def zero_dim(self) -> int:
-        """The kernel dimension: the multiplicity of a leading 0 entry."""
-        value, mult = self.entries[0]
-        return mult if value == 0.0 else 0
-
-    @functools.cached_property
-    def total_count(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    @functools.cached_property
-    def cumulative(self) -> tuple[int, ...]:
-        return tuple(itertools.accumulate(m for _, m in self.entries))
+            cumulative.append(cumulative[-1] + mult if cumulative else mult)
+        # the kernel dimension is the multiplicity of a leading 0 entry
+        first, kernel = self.entries[0]
+        object.__setattr__(self, "zero_dim", kernel if first == 0.0 else 0)
+        object.__setattr__(self, "total_count", cumulative[-1])
+        object.__setattr__(self, "cumulative", tuple(cumulative))
 
     def _value(self, j: int) -> float:
         return self.entries[bisect.bisect_left(self.cumulative, j)][0]
@@ -270,14 +262,11 @@ class Lattice:
         dual.setflags(write=False)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_dual_basis", dual)
+        object.__setattr__(self, "covolume", abs(det))
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    @functools.cached_property
-    def covolume(self) -> float:
-        return abs(float(np.linalg.det(self.basis)))
 
     @functools.cached_property
     def dual_spacing(self) -> float:
@@ -328,24 +317,27 @@ def all_spin_structures(n: int) -> list[SpinStructure]:
     return [SpinStructure(bits) for bits in itertools.product((0.0, 0.5), repeat=n)]
 
 
-def _shifted_dual_norms(lat: Lattice, shift, count: int) -> np.ndarray:
-    """Sorted squared norms |G*(c + shift)|^2 over c in Z^n, first >= count.
+def _shifted_dual_norms(lat: Lattice, shifts, count: int):
+    """Sorted squared norms |G*(c + shift)|^2 over c in Z^n, first >= count,
+    for one shift; for a stack of shifts (one per row), a list of them.
 
-    The enumeration radius grows geometrically until at least ``count``
-    dual vectors lie strictly below R^2, which guarantees every kept shell
-    is complete (no dual vector of smaller norm is missed).
+    The shifts share one enumeration radius and one integer box.  The radius
+    grows geometrically until at least ``count`` dual vectors of every shift
+    lie strictly below R^2, which guarantees every kept shell is complete
+    (no dual vector of smaller norm is missed).
     """
     gstar = lat.dual_basis
     n = lat.dim
-    shift = np.asarray(shift, dtype=float)
-    radius = FIRST_RADIUS_FACTOR * count ** (1.0 / n) * lat.dual_spacing + float(
-        np.linalg.norm(gstar @ shift)
-    )
+    stack = np.atleast_2d(np.asarray(shifts, dtype=float))
+    longest = float(np.linalg.norm(gstar @ stack.T, axis=0).max())
+    radius = FIRST_RADIUS_FACTOR * count ** (1.0 / n) * lat.dual_spacing + longest
     for _ in range(64):
         try:
-            bounds = [(math.floor(-h - s) - 1, math.ceil(h - s) + 1)
-                      for h, s in zip((radius * lat.dual_reach).tolist(), shift.tolist())]
-            size = math.prod([hi - lo + 1 for lo, hi in bounds])
+            half = (radius * lat.dual_reach).tolist()
+            lows = [math.floor(-h - s) - 1 for h, s in zip(half, stack.max(axis=0).tolist())]
+            sides = [math.ceil(h - s) + 2 - lo
+                     for h, s, lo in zip(half, stack.min(axis=0).tolist(), lows)]
+            size = math.prod(sides)
         except (OverflowError, ValueError):  # a half-width that is not finite
             size = math.inf
         if size > MAX_DUAL_BOX:
@@ -353,14 +345,18 @@ def _shifted_dual_norms(lat: Lattice, shift, count: int) -> np.ndarray:
                 "dual lattice enumeration needs more than %d grid points" % MAX_DUAL_BOX,
                 limit=MAX_DUAL_BOX,
             )
-        ranges = [np.arange(lo, hi + 1) for lo, hi in bounds]
-        grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, n)
-        points = (grid + shift) @ gstar.T
-        norms = np.einsum("ij,ij->i", points, points)
-        norms = np.sort(norms[norms <= radius**2])
-        below = int(np.searchsorted(norms, radius**2 * (1.0 - 1e-12)))
-        if below >= count:
-            return norms[:below]
+        grid = np.indices(sides).reshape(n, -1).T + lows
+        found = []
+        for shift in stack:  # one shift at a time keeps the memory of one
+            points = (grid + shift) @ gstar.T
+            norms = np.einsum("ij,ij->i", points, points)
+            norms = np.sort(norms[norms <= radius**2])
+            below = int(np.searchsorted(norms, radius**2 * (1.0 - 1e-12)))
+            if below < count:
+                break
+            found.append(norms[:below])
+        else:
+            return found if np.ndim(shifts) == 2 else found[0]
         radius *= 1.5
     raise InvalidModelError("dual lattice enumeration failed to converge")
 
@@ -392,31 +388,55 @@ def _group_values(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     multiplicities.
     """
     tol = VALUE_GROUP_RTOL * np.maximum(np.abs(norms), 1e-30)
+    # marks[i] starts a shell at value i and marks[size] ends the last one;
     # a gap to the previous value beyond tol is a gap to the shell's first
     # value too, which is no larger, so every candidate start is a start
-    starts = np.flatnonzero(np.diff(norms, prepend=-np.inf) > tol)
-    lengths = np.diff(np.append(starts, norms.size))
+    marks = np.ones(norms.size + 1, dtype=bool)
+    np.greater(norms[1:] - norms[:-1], tol[1:], out=marks[1:-1])
+    edges = np.flatnonzero(marks)
+    starts, lengths = edges[:-1], edges[1:] - edges[:-1]
+    firsts = _snap_zero(norms[starts])
     # a candidate whose members all lie within tol of its first value is a
     # shell; a chain of close neighbours that drifts further is re-split
-    over = norms - np.repeat(_snap_zero(norms[starts]), lengths) > tol
+    over = norms - np.repeat(firsts, lengths) > tol
     over[starts] = False
     if over.any():
         chains = np.unique(np.searchsorted(starts, np.flatnonzero(over), side="right") - 1)
-        extra = [i for c in chains for i in
-                 _first_value_breaks(norms, tol, starts[c], starts[c] + lengths[c])]
-        starts = np.union1d(starts, extra)
-        lengths = np.diff(np.append(starts, norms.size))
-    return _snap_zero(norms[starts]), lengths
+        marks[[i for c in chains for i in
+               _first_value_breaks(norms, tol, starts[c], starts[c] + lengths[c])]] = True
+        edges = np.flatnonzero(marks)
+        starts, lengths = edges[:-1], edges[1:] - edges[:-1]
+        firsts = _snap_zero(norms[starts])
+    return firsts, lengths
 
 
-def _torus_spectrum(lat, shift, count, mult_factor, operator_kind):
+def _torus_spectra(lat, shifts, count, mult_factor, operator_kind) -> list[Spectrum]:
+    """One spectrum per row of ``shifts``, all from one dual enumeration."""
     if count < 1:
         raise EmptyRequestError("requested %d eigenvalues" % count)
     # ceil(count / mult_factor): each dual vector carries mult_factor values
     vectors = -(-count // mult_factor)
-    values, mults = _group_values(_shifted_dual_norms(lat, shift, vectors))
-    shells = zip(values, mults * mult_factor)
-    return Spectrum(operator_kind, _entries_from_shells(shells, count))
+    spectra = []
+    for norms in _shifted_dual_norms(lat, shifts, vectors):
+        values, mults = _group_values(norms)
+        shells = zip(values, mults * mult_factor)
+        spectra.append(Spectrum(operator_kind, _entries_from_shells(shells, count)))
+    return spectra
+
+
+def torus_dirac_spectra(lat: Lattice, spins, count: int) -> list[Spectrum]:
+    """``torus_dirac_spectrum`` for each of one or more ``spins``, in order,
+    from one enumeration of the dual lattice shared by their shifts."""
+    for spin in spins:
+        if spin.dim != lat.dim:
+            raise InvalidModelError(
+                "spin structure dimension %d does not match lattice dimension %d"
+                % (spin.dim, lat.dim),
+                spin_dim=spin.dim,
+                lattice_dim=lat.dim,
+            )
+    shifts = [spin.shift for spin in spins]
+    return _torus_spectra(lat, shifts, count, 2 ** (lat.dim // 2), "dirac_squared")
 
 
 def torus_dirac_spectrum(lat: Lattice, spin: SpinStructure, count: int) -> Spectrum:
@@ -427,20 +447,12 @@ def torus_dirac_spectrum(lat: Lattice, spin: SpinStructure, count: int) -> Spect
     multiplicity 2^[n/2].  The trivial structure has a 2^[n/2]-dimensional
     space of parallel spinors (the kernel).
     """
-    if spin.dim != lat.dim:
-        raise InvalidModelError(
-            "spin structure dimension %d does not match lattice dimension %d"
-            % (spin.dim, lat.dim),
-            spin_dim=spin.dim,
-            lattice_dim=lat.dim,
-        )
-    spinor_rank = 2 ** (lat.dim // 2)
-    return _torus_spectrum(lat, spin.shift, count, spinor_rank, "dirac_squared")
+    return torus_dirac_spectra(lat, [spin], count)[0]
 
 
 def torus_laplace_spectrum(lat: Lattice, count: int) -> Spectrum:
     """First ``count`` Laplace eigenvalues |gamma|^2 of the flat torus."""
-    return _torus_spectrum(lat, np.zeros(lat.dim), count, 1, "laplace")
+    return _torus_spectra(lat, np.zeros((1, lat.dim)), count, 1, "laplace")[0]
 
 
 def clifford_torus_lattice() -> Lattice:

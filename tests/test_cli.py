@@ -881,6 +881,39 @@ class TestExitCodes:
         assert (code, doc, err["kind"]) == (2, None, "invalid-model")
         assert err["detail"] == {"limit": 1000}
 
+    def test_shared_dual_box_at_the_limit(self, capsys, monkeypatch):
+        """The probe enumerates its four spin structures in one box, which
+        covers every shift's bounds and is at most one row per axis wider
+        than the box of the longest shift alone.  A limit one point below
+        its size rejects it before the grid is allocated; its size fits."""
+        import specgeom.models as models_mod
+
+        sides, real_indices = [], np.indices
+
+        def spy(dims, *args, **kwargs):
+            sides.append(tuple(dims))
+            return real_indices(dims, *args, **kwargs)
+
+        monkeypatch.setattr(np, "indices", spy)
+        argv = ["check", "--ineq", "conjecture", "--lattice", "1 0.3; 0 1.2"]
+        assert run_json(capsys, argv)[0] == 0
+        [shared] = sides
+        lat = models_mod.Lattice(np.array([[1.0, 0.3], [0.0, 1.2]]))
+        shifts = [s.shift for s in models_mod.all_spin_structures(2)]
+        longest = max(shifts, key=lambda s: np.linalg.norm(lat.dual_basis @ s))
+        models_mod._shifted_dual_norms(lat, np.array(longest), 2)
+        assert all(0 <= a - b <= 1 for a, b in zip(shared, sides[1]))
+
+        size = math.prod(shared)
+        sides.clear()
+        monkeypatch.setattr(models_mod, "MAX_DUAL_BOX", size - 1)
+        code, doc, err = run_json(capsys, argv)
+        assert (code, doc, err["kind"], sides) == (2, None, "invalid-model", [])
+        assert err["detail"] == {"limit": size - 1}
+        monkeypatch.setattr(models_mod, "MAX_DUAL_BOX", size)
+        assert run_json(capsys, argv)[0] == 0
+        assert sides == [shared]
+
     @pytest.mark.parametrize("exc", [RuntimeError("boom"), MemoryError()])
     def test_uncaught_exception_exits_4(self, capsys, monkeypatch, exc):
         """A defect exits 4 with one JSON object, never 1 like a failed check."""

@@ -381,20 +381,22 @@ class TestConjectureProbe:
         assert all(r.rhs == pytest.approx(4.0, abs=1e-13) for r in reports)
 
     def test_probe_builds_only_what_it_reads(self, monkeypatch):
-        """Gbar_2 is the kernel plus 2 values, 2 per dual vector: the
-        trivial structure (a 2-dimensional kernel) asks for 2 dual vectors
-        and the other three for 1, whatever the count allows."""
+        """Gbar_2 of the trivial structure is its 2-dimensional kernel plus
+        2 values, 2 per dual vector: one enumeration per probe asks for 2
+        dual vectors of all four shifts, whatever the count allows, and
+        returns one sorted norm array per shift."""
         asked = []
         real = models._shifted_dual_norms
 
-        def spy(lat, shift, count):
-            asked.append(count)
-            return real(lat, shift, count)
+        def spy(lat, shifts, count):
+            found = real(lat, shifts, count)
+            asked.append((np.shape(shifts), count, [len(norms) >= count for norms in found]))
+            return found
 
         monkeypatch.setattr(models, "_shifted_dual_norms", spy)
         for count in (4, 64, 256):
             conjecture_probe(clifford_torus_lattice(), count=count)
-        assert asked == [2, 1, 1, 1] * 3
+        assert asked == [((4, 2), 2, [True] * 4)] * 3
 
 
 class TestViewAndHelpers:

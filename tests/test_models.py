@@ -28,6 +28,7 @@ from specgeom.models import (
     sphere_extrinsic,
     sphere_laplace_spectrum,
     sphere_volume,
+    torus_dirac_spectra,
     torus_dirac_spectrum,
     torus_laplace_spectrum,
 )
@@ -283,6 +284,27 @@ class TestTorusSpectra:
         np.testing.assert_array_equal(build(small).values(small),
                                       build(large).values(large)[:small])
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_one_enumeration_for_all_spins_matches_one_per_spin(self, data):
+        """The shared radius and box keep every shift's kept shells whole,
+        so each spectrum of a joint build, for any spin structures in any
+        order, is exactly its own build."""
+        dim = data.draw(st.sampled_from([2, 3]), label="dim")
+        coord = st.floats(min_value=-1.0, max_value=1.0)
+        basis = np.array(data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                            min_size=dim, max_size=dim), label="off"))
+        basis += np.diag(data.draw(st.lists(st.floats(min_value=0.3, max_value=3.0),
+                                            min_size=dim, max_size=dim), label="diag"))
+        assume(np.linalg.cond(basis) < 30.0)
+        lat = Lattice(basis)
+        spins = data.draw(st.lists(st.sampled_from(all_spin_structures(dim)), min_size=1,
+                                   max_size=2**dim, unique=True), label="spins")
+        count = data.draw(st.integers(min_value=1, max_value=64), label="count")
+        joint = torus_dirac_spectra(lat, spins, count)
+        assert [spec.entries for spec in joint] == [
+            torus_dirac_spectrum(lat, spin, count).entries for spin in spins]
+
     @pytest.mark.parametrize("count, vectors", [(1, 1), (2, 1), (3, 2), (7, 4), (8, 4)])
     def test_enumeration_asks_for_whole_dual_vectors(self, monkeypatch, count, vectors):
         """A dual vector of the 2-torus carries 2 Dirac values, so count
@@ -309,39 +331,46 @@ class TestTorusSpectra:
     def test_growing_the_dual_radius_keeps_the_spectrum(self, monkeypatch, basis, count):
         """A first radius far too small makes the enumeration grow it; the
         shells come out as they do from the default first radius.  The
-        radius grows exactly when fewer than the requested dual vectors,
-        ceil(count / values per vector), lie inside it: the half-integer
-        shift can put 2^n of them at |G* delta|, inside the first radius."""
+        radius grows exactly when, for some shift enumerated, fewer than the
+        requested dual vectors, ceil(count / values per vector), lie inside
+        it: the half-integer shift can put 2^n of them at |G* delta|, inside
+        the first radius.  All spin structures share one radius, which adds
+        the longest shift."""
         lat = Lattice(np.array(basis))
         vectors = -(-count // 2 ** (lat.dim // 2))  # each carries 2^[n/2] Dirac values
-        builders = [(lambda: torus_laplace_spectrum(lat, count), 0.0, count)] + [
-            (lambda s=s: torus_dirac_spectrum(lat, SpinStructure((s,) * lat.dim), count),
-             s, vectors)
-            for s in (0.0, 0.5)]
-        default = [build().entries for build, _, _ in builders]
+        spins = all_spin_structures(lat.dim)
+        builders = [  # (build, the shifts it enumerates, dual vectors it asks for)
+            (lambda: [torus_laplace_spectrum(lat, count)], [spins[0].shift], count),
+            (lambda: torus_dirac_spectra(lat, spins, count), [s.shift for s in spins], vectors),
+        ] + [(lambda s=s: [torus_dirac_spectrum(lat, s, count)], [s.shift], vectors)
+             for s in (spins[0], spins[-1])]
+        default = [[spec.entries for spec in build()] for build, _, _ in builders]
+        assert default[1][0] == default[2][0] and default[1][-1] == default[3][0]
         monkeypatch.setattr(models, "FIRST_RADIUS_FACTOR", 0.05)
-        forced = [vectors_inside_first_radius(lat, shift, k) < k for _, shift, k in builders]
+        forced = [any(vectors_inside_first_radius(lat, shift, k, shifts) < k for shift in shifts)
+                  for _, shifts, k in builders]
         boxes = 0
-        real_meshgrid = np.meshgrid
+        real_indices = np.indices
 
-        def counting_meshgrid(*args, **kwargs):  # one enumeration box per radius
+        def counting_indices(*args, **kwargs):  # one enumeration box per radius
             nonlocal boxes
             boxes += 1
-            return real_meshgrid(*args, **kwargs)
+            return real_indices(*args, **kwargs)
 
-        monkeypatch.setattr(np, "meshgrid", counting_meshgrid)
+        monkeypatch.setattr(np, "indices", counting_indices)
         for (build, _, _), entries, grows in zip(builders, default, forced):
             boxes = 0
-            assert build().entries == entries
+            assert [spec.entries for spec in build()] == entries
             assert (boxes > 1) == grows
 
 
-def vectors_inside_first_radius(lat, shift, vectors):
-    """Shifted dual vectors strictly inside the first enumeration radius for
-    ``vectors`` requested, counted over a box that holds them all."""
-    shift = np.full(lat.dim, shift)
+def vectors_inside_first_radius(lat, shift, vectors, shifts):
+    """Dual vectors shifted by ``shift`` strictly inside the first radius of
+    an enumeration of ``shifts`` that asks for ``vectors``, counted over a
+    box that holds them all."""
+    longest = max(np.linalg.norm(lat.dual_basis @ np.asarray(s)) for s in shifts)
     radius = (models.FIRST_RADIUS_FACTOR * vectors ** (1.0 / lat.dim) * lat.dual_spacing
-              + np.linalg.norm(lat.dual_basis @ shift))
+              + longest)
     grid = np.stack(np.meshgrid(*[np.arange(-8, 9)] * lat.dim), axis=-1).reshape(-1, lat.dim)
     return int(np.sum(np.linalg.norm((grid + shift) @ lat.dual_basis.T, axis=1) < radius))
 
