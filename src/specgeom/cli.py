@@ -33,6 +33,7 @@ from .inequalities import (
     INEQS,
     Inputs,
     aggregate_exit,
+    check_count,
     check_positive,
     conjecture_probe,
     evaluate_inputs,
@@ -56,6 +57,7 @@ from .models import (
     sphere_extrinsic,
     sphere_laplace_spectrum,
     sphere_volume,
+    spinor_rank,
     torus_dirac_spectrum,
     torus_laplace_spectrum,
 )
@@ -407,7 +409,7 @@ def _model_source(cfg) -> Source:
 
         if dirac:
             build = functools.partial(torus_dirac_spectrum, lat, spin)
-            zero_dim = 2 ** (n // 2) if spin.is_trivial else 0
+            zero_dim = spinor_rank(n) if spin.is_trivial else 0
         else:
             build, zero_dim = functools.partial(torus_laplace_spectrum, lat), 1
         basis_text = "; ".join(" ".join(map(format_float, col)) for col in lat.basis.T)
@@ -534,13 +536,8 @@ def _check_spectrum(cfg, ineqs, jlist):
             required=need,
             cap=MAX_COUNT,
         )
-    if cfg["count"] is not None and cfg["count"] < need:
-        raise UsageError(
-            "count %d is below the %d values the requested checks read"
-            % (cfg["count"], need),
-            parameter="count",
-            required=need,
-        )
+    if cfg["count"] is not None:
+        check_count(cfg["count"], need)
     count = need if cfg["count"] is None else cfg["count"]
     return src.build(count), src.provenance(count), tables
 

@@ -35,6 +35,7 @@ from .models import (
     Lattice,
     all_spin_structures,
     field_dimension,
+    spinor_rank,
     torus_dirac_spectra,
 )
 
@@ -210,6 +211,13 @@ def check_positive(key, value):
         raise UsageError("%s must be positive, got %g" % (key, value),
                          parameter=key, value=value)
     return value
+
+
+def check_count(count: int, required: int) -> None:
+    """Reject a requested count below the values the checks read."""
+    if count < required:
+        raise UsageError("count %d is below the %d values the requested checks read"
+                         % (count, required), parameter="count", required=required)
 
 
 def validate_index(j: int) -> None:
@@ -584,7 +592,7 @@ def _background(p, j):
 
     if p.given("b_sq_sup"):
         b_sq_sup = p["b_sq_sup"]
-        rank = 2 ** (n // 2)
+        rank = spinor_rank(n)
         add("second-form-first-nonzero", UPPER, spectrum.gamma_bar(1),
             rank * b_sq_sup, {"B_sq_sup": b_sq_sup},
             {"gamma_bar_1": spectrum.gamma_bar(1), "rank_factor": float(rank)})
@@ -696,16 +704,10 @@ def conjecture_probe(lat: Lattice, area: float | None = None, count: int = 64) -
         )
     # Gbar_2 is the kernel plus 2 values: the trivial structure's kernel is
     # its 2^[n/2] parallel spinors, and the other structures have none
-    kernel = 2 ** (lat.dim // 2)
+    kernel = spinor_rank(lat.dim)
     if count < 1:
         raise EmptyRequestError("requested %d eigenvalues" % count)
-    if count < kernel + 2:
-        raise UsageError(
-            "count %d is below the %d values the requested checks read"
-            % (count, kernel + 2),
-            parameter="count",
-            required=kernel + 2,
-        )
+    check_count(count, kernel + 2)
     if area is None:
         area = lat.covolume
     if area <= 0.0:

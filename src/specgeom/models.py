@@ -174,6 +174,11 @@ def _entries_from_shells(shells, count):
 # spheres
 
 
+def spinor_rank(n: int) -> int:
+    """Rank 2^[n/2] of the spinor bundle of an n-manifold."""
+    return 2 ** (n // 2)
+
+
 def _check_sphere_args(n, radius, count, min_dim):
     if n < min_dim or int(n) != n:
         raise InvalidModelError("sphere dimension %r out of range" % (n,), n=n)
@@ -190,9 +195,8 @@ def sphere_dirac_spectrum(n: int, radius: float, count: int) -> Spectrum:
     2 * 2^[n/2] * C(k+n-1, k).  The kernel is empty.
     """
     _check_sphere_args(n, radius, count, min_dim=2)
-    spinor_rank = 2 ** (n // 2)
     shells = (
-        (((n / 2.0 + k) / radius) ** 2, 2 * spinor_rank * math.comb(k + n - 1, k))
+        (((n / 2.0 + k) / radius) ** 2, 2 * spinor_rank(n) * math.comb(k + n - 1, k))
         for k in itertools.count()
     )
     return Spectrum("dirac_squared", _entries_from_shells(shells, count))
@@ -317,9 +321,10 @@ def all_spin_structures(n: int) -> list[SpinStructure]:
     return [SpinStructure(bits) for bits in itertools.product((0.0, 0.5), repeat=n)]
 
 
-def _shifted_dual_norms(lat: Lattice, shifts, count: int):
-    """Sorted squared norms |G*(c + shift)|^2 over c in Z^n, first >= count,
-    for one shift; for a stack of shifts (one per row), a list of them.
+def _shifted_dual_norms(lat: Lattice, shifts, count: int) -> list[np.ndarray]:
+    """Sorted squared norms |G*(c + shift)|^2 over c in Z^n, at least
+    ``count`` of them, for each shift of the stack ``shifts`` (one per row),
+    in order; no shifts give an empty list.
 
     The shifts share one enumeration radius and one integer box.  The radius
     grows geometrically until at least ``count`` dual vectors of every shift
@@ -328,7 +333,9 @@ def _shifted_dual_norms(lat: Lattice, shifts, count: int):
     """
     gstar = lat.dual_basis
     n = lat.dim
-    stack = np.atleast_2d(np.asarray(shifts, dtype=float))
+    stack = np.asarray(shifts, dtype=float).reshape(len(shifts), n)
+    if not len(stack):
+        return []
     longest = float(np.linalg.norm(gstar @ stack.T, axis=0).max())
     radius = FIRST_RADIUS_FACTOR * count ** (1.0 / n) * lat.dual_spacing + longest
     for _ in range(64):
@@ -356,58 +363,29 @@ def _shifted_dual_norms(lat: Lattice, shifts, count: int):
                 break
             found.append(norms[:below])
         else:
-            return found if np.ndim(shifts) == 2 else found[0]
+            return found
         radius *= 1.5
     raise InvalidModelError("dual lattice enumeration failed to converge")
 
 
-def _snap_zero(values: np.ndarray) -> np.ndarray:
-    # near-zero enumeration roundoff becomes an exact kernel value
-    return np.where(np.abs(values) < 1e-30, 0.0, values)
-
-
-def _first_value_breaks(norms, tol, start, stop) -> list[int]:
-    """Shell starts inside ``norms[start:stop]``, a run that begins a shell,
-    found value by value: a value more than its tol above the current
-    shell's first value starts the next shell."""
-    breaks = []
-    first = _snap_zero(norms[start])
-    for i in range(start + 1, stop):
-        if norms[i] - first > tol[i]:
-            breaks.append(i)
-            first = _snap_zero(norms[i])
-    return breaks
-
-
-def _group_values(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group a sorted nonnegative value array into shells.
+def _shells(norms: np.ndarray):
+    """Group a sorted nonnegative value array into ascending (value,
+    multiplicity) shells, yielding each once the next one starts.
 
     A value joins the current shell when it exceeds the shell's first value
     by at most ``VALUE_GROUP_RTOL * max(|v|, 1e-30)``; a shell's first value
-    below 1e-30 is reported as an exact 0.  Returns the shells' values and
-    multiplicities.
+    below 1e-30 is enumeration roundoff, reported as an exact 0.
     """
-    tol = VALUE_GROUP_RTOL * np.maximum(np.abs(norms), 1e-30)
-    # marks[i] starts a shell at value i and marks[size] ends the last one;
-    # a gap to the previous value beyond tol is a gap to the shell's first
-    # value too, which is no larger, so every candidate start is a start
-    marks = np.ones(norms.size + 1, dtype=bool)
-    np.greater(norms[1:] - norms[:-1], tol[1:], out=marks[1:-1])
-    edges = np.flatnonzero(marks)
-    starts, lengths = edges[:-1], edges[1:] - edges[:-1]
-    firsts = _snap_zero(norms[starts])
-    # a candidate whose members all lie within tol of its first value is a
-    # shell; a chain of close neighbours that drifts further is re-split
-    over = norms - np.repeat(firsts, lengths) > tol
-    over[starts] = False
-    if over.any():
-        chains = np.unique(np.searchsorted(starts, np.flatnonzero(over), side="right") - 1)
-        marks[[i for c in chains for i in
-               _first_value_breaks(norms, tol, starts[c], starts[c] + lengths[c])]] = True
-        edges = np.flatnonzero(marks)
-        starts, lengths = edges[:-1], edges[1:] - edges[:-1]
-        firsts = _snap_zero(norms[starts])
-    return firsts, lengths
+    first, mult = None, 0
+    for v in norms.tolist():
+        if mult and v - first <= VALUE_GROUP_RTOL * max(abs(v), 1e-30):
+            mult += 1
+        else:
+            if mult:
+                yield first, mult
+            first, mult = (0.0 if abs(v) < 1e-30 else v), 1
+    if mult:
+        yield first, mult
 
 
 def _torus_spectra(lat, shifts, count, mult_factor, operator_kind) -> list[Spectrum]:
@@ -416,12 +394,9 @@ def _torus_spectra(lat, shifts, count, mult_factor, operator_kind) -> list[Spect
         raise EmptyRequestError("requested %d eigenvalues" % count)
     # ceil(count / mult_factor): each dual vector carries mult_factor values
     vectors = -(-count // mult_factor)
-    spectra = []
-    for norms in _shifted_dual_norms(lat, shifts, vectors):
-        values, mults = _group_values(norms)
-        shells = zip(values, mults * mult_factor)
-        spectra.append(Spectrum(operator_kind, _entries_from_shells(shells, count)))
-    return spectra
+    return [Spectrum(operator_kind, _entries_from_shells(
+                ((v, m * mult_factor) for v, m in _shells(norms)), count))
+            for norms in _shifted_dual_norms(lat, shifts, vectors)]
 
 
 def torus_dirac_spectra(lat: Lattice, spins, count: int) -> list[Spectrum]:
@@ -436,7 +411,7 @@ def torus_dirac_spectra(lat: Lattice, spins, count: int) -> list[Spectrum]:
                 lattice_dim=lat.dim,
             )
     shifts = [spin.shift for spin in spins]
-    return _torus_spectra(lat, shifts, count, 2 ** (lat.dim // 2), "dirac_squared")
+    return _torus_spectra(lat, shifts, count, spinor_rank(lat.dim), "dirac_squared")
 
 
 def torus_dirac_spectrum(lat: Lattice, spin: SpinStructure, count: int) -> Spectrum:

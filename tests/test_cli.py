@@ -901,7 +901,7 @@ class TestExitCodes:
         lat = models_mod.Lattice(np.array([[1.0, 0.3], [0.0, 1.2]]))
         shifts = [s.shift for s in models_mod.all_spin_structures(2)]
         longest = max(shifts, key=lambda s: np.linalg.norm(lat.dual_basis @ s))
-        models_mod._shifted_dual_norms(lat, np.array(longest), 2)
+        models_mod._shifted_dual_norms(lat, [longest], 2)
         assert all(0 <= a - b <= 1 for a, b in zip(shared, sides[1]))
 
         size = math.prod(shared)

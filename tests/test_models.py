@@ -305,6 +305,11 @@ class TestTorusSpectra:
         assert [spec.entries for spec in joint] == [
             torus_dirac_spectrum(lat, spin, count).entries for spin in spins]
 
+    def test_no_spins_give_no_spectra(self):
+        """One spectrum per spin structure: an empty list gives an empty list."""
+        lat = Lattice(np.array([[1.0, 0.3], [0.0, 1.2]]))
+        assert torus_dirac_spectra(lat, [], 4) == []
+
     @pytest.mark.parametrize("count, vectors", [(1, 1), (2, 1), (3, 2), (7, 4), (8, 4)])
     def test_enumeration_asks_for_whole_dual_vectors(self, monkeypatch, count, vectors):
         """A dual vector of the 2-torus carries 2 Dirac values, so count
@@ -389,8 +394,7 @@ def reference_group_values(norms):
 
 
 def grouped(norms):
-    values, mults = models._group_values(np.asarray(norms, dtype=float))
-    return list(zip(values.tolist(), mults.tolist()))
+    return list(models._shells(np.asarray(norms, dtype=float)))
 
 
 @st.composite
@@ -412,9 +416,15 @@ def shell_arrays(draw):
 
 class TestShellGrouping:
     @settings(deadline=None, max_examples=300)
-    @given(shell_arrays())
-    def test_matches_reference_loop(self, norms):
+    @given(shell_arrays(), st.integers(min_value=1, max_value=80))
+    def test_matches_reference_loop(self, norms, count):
+        """The shells match the oracle loop, and so does their cut at any
+        count the values cover, where the lazy grouping stops early."""
         assert grouped(norms) == reference_group_values(norms)
+        if norms.size:
+            count = min(count, norms.size)
+            assert (models._entries_from_shells(models._shells(norms), count)
+                    == models._entries_from_shells(reference_group_values(norms), count))
 
     def test_kernel_snap_and_empty_input(self):
         assert grouped([0.0, 0.0, 5e-31, 2.0, 2.0]) == reference_group_values(
@@ -422,38 +432,16 @@ class TestShellGrouping:
         assert grouped([2e-40, 9e-40, 1.0]) == [(0.0, 2), (1.0, 1)]
         assert grouped([]) == []
 
-    def test_near_square_chain_is_resplit(self, monkeypatch):
+    def test_near_square_chain_is_resplit(self):
         """diag(1, 1 + 5.4e-10): neighbouring shells lie within tolerance of
-        each other but not of their shell's first value."""
-        calls = []
-        real = models._first_value_breaks
-
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(models, "_first_value_breaks", spy)
+        each other but not of their shell's first value, so a chain of close
+        neighbours splits where it drifts past that first value."""
         lat = Lattice(np.diag([1.0, 1.0000000005384615]))
-        norms = models._shifted_dual_norms(lat, np.zeros(2), 256)
+        [norms] = models._shifted_dual_norms(lat, np.zeros((1, 2)), 256)
         assert grouped(norms) == reference_group_values(norms)
-        assert calls
         spec = torus_laplace_spectrum(lat, 256)
         want = models._entries_from_shells(reference_group_values(norms), 256)
         assert spec.entries == want
-
-    def test_benchmark_grid_needs_no_resplit(self, monkeypatch, capsys):
-        """Over the sweep's 351 ratios x 4 spin structures every candidate
-        shell from neighbour gaps is already a shell."""
-        calls, groupings = [], []
-        real = models._group_values
-        monkeypatch.setattr(models, "_first_value_breaks",
-                            lambda *args: calls.append(args) or [])
-        monkeypatch.setattr(models, "_group_values",
-                            lambda norms: groupings.append(norms) or real(norms))
-        assert cli.main(["sweep", "--ratio-grid", "0.5:4.0:0.01", "--count", "256"]) == 0
-        capsys.readouterr()
-        assert len(groupings) == 351 * 4
-        assert calls == []
 
 
 class TestModelExtrinsic:
