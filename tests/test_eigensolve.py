@@ -16,7 +16,7 @@ from specgeom.eigensolve import (
 from specgeom.cli import main
 from specgeom.errors import IndexRangeError, SolverConvergenceError, UsageError
 from specgeom.mesh import SparseOperatorPair, assemble_operators, mesh_from_arrays
-from specgeom.meshgen import icosphere, write_off
+from specgeom.meshgen import icosphere, torus_of_revolution, write_off
 from specgeom.models import sphere_laplace_spectrum
 
 
@@ -170,6 +170,17 @@ class TestMeshSpectra:
             resid = np.linalg.norm(stiffness @ v - basis.values[i] * (mass @ v))
             assert resid <= 1e-9 * max(1.0, np.linalg.norm(stiffness @ v))
 
+    @pytest.mark.parametrize("k", [0, 163])
+    def test_dense_k_is_checked_before_the_dense_solve(self, ico_ops, monkeypatch, k):
+        """A bad k is a usage error raised before the O(n^3) solve."""
+        calls = []
+        monkeypatch.setattr(eigensolve.dla, "eigh", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(UsageError) as info:
+            dense_eigenbasis(ico_ops(2), k)  # 162 vertices
+        assert (str(info.value), info.value.detail) == (
+            "k must satisfy 1 <= k <= 162, got %d" % k, {"k": k})
+        assert calls == []
+
     def test_dense_size_refusal(self):
         n = 3001
         ops = pair(sp.identity(n).tocsr(), sp.identity(n).tocsr())
@@ -252,8 +263,8 @@ class TestFinalizeChecks:
 
 
 class CountingFactorization:
-    """Counts factorizations made through ``eigensolve.splu`` and the
-    solves made with each."""
+    """Counts factorizations made through ``eigensolve.splu`` (inertia
+    counts included) and the solves made with each."""
 
     def __init__(self, monkeypatch):
         self.factorizations = 0
@@ -269,6 +280,9 @@ class CountingFactorization:
                 def solve(self, rhs, *solve_args):
                     counter.solves += 1
                     return lu.solve(rhs, *solve_args)
+
+                def __getattr__(self, name):  # the inertia count reads U and perm_r
+                    return getattr(lu, name)
 
             return Counted()
 
@@ -353,3 +367,160 @@ class TestExhaustedPolish:
         doc = json.loads(err)
         assert doc["kind"] == "solver-convergence"
         assert doc["detail"]["worst_residual"] > doc["detail"]["bound"] == 1e-9
+
+
+def rotated_pencil(values, seed=0):
+    """A dense-pattern pencil (L, M) with eigenvalues ``values``:
+    L = R Q diag(values) Q^T R with M = R^2 diagonal and Q orthogonal."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))
+    root = np.diag(np.sqrt(rng.uniform(0.5, 2.0, len(values))))
+    stiffness = root @ q @ np.diag(values) @ q.T @ root
+    return pair(0.5 * (stiffness + stiffness.T), root @ root)
+
+
+class TestInertia:
+    """Sylvester's count of the eigenvalues below a shift, from the signs of
+    a symmetric-mode SuperLU factorization's pivots."""
+
+    VALUES = [0.0, 1.0, 2.0, 2.0, 3.0]
+    GAPS = {-0.5: 0, 0.5: 1, 1.5: 2, 2.5: 4, 3.5: 5}
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_shift_in_a_gap_counts_the_values_below(self, rotated):
+        ops = rotated_pencil(self.VALUES) if rotated else pair(np.diag(self.VALUES), np.eye(5))
+        assert {s: eigensolve.inertia(ops, s) for s in self.GAPS} == self.GAPS
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_shift_on_the_double_eigenvalue_is_rejected(self, rotated):
+        """L - 2M is singular: its count is refused, not read as 2 or 4."""
+        ops = rotated_pencil(self.VALUES) if rotated else pair(np.diag(self.VALUES), np.eye(5))
+        assert eigensolve.inertia(ops, 2.0) is None
+
+    def test_matches_the_dense_count_on_a_mesh(self, ico_ops):
+        ops = ico_ops(2)
+        values = dense_eigenbasis(ops).values
+        gaps = np.flatnonzero(np.diff(values) > 1e-6)[:40]
+        for i in gaps:
+            assert eigensolve.inertia(ops, 0.5 * (values[i] + values[i + 1])) == i + 1
+
+
+def padded(k):
+    """The request size of a one-window solve of k values."""
+    return k + max(8, k // 4)
+
+
+ONE_WINDOW_K = max(k for k in range(1, eigensolve.WINDOW) if padded(k) <= eigensolve.WINDOW)
+
+
+@pytest.fixture(scope="module")
+def sliced_torus():
+    """A 40x20 torus of revolution (800 vertices) and its dense spectrum."""
+    verts, faces = torus_of_revolution(1.0, 0.4, 40, 20)
+    ops = assemble_operators(mesh_from_arrays(verts, faces))
+    return ops, dense_eigenbasis(ops).values
+
+
+class ShortWindows:
+    """Wraps ``eigensolve.eigsh`` to drop the pair nearest the middle of a
+    window's values on the calls ``drop(call_number, sigma)`` selects."""
+
+    def __init__(self, monkeypatch, drop):
+        self.sigmas = []
+        real_eigsh = eigensolve.eigsh
+
+        def short_eigsh(*args, **kwargs):
+            values, vectors = real_eigsh(*args, **kwargs)
+            self.sigmas.append(kwargs["sigma"])
+            if drop(len(self.sigmas), kwargs["sigma"]):
+                keep = np.arange(len(values)) != np.argsort(values)[len(values) // 2]
+                return values[keep], vectors[:, keep]
+            return values, vectors
+
+        monkeypatch.setattr(eigensolve, "eigsh", short_eigsh)
+
+
+class TestSlicedSolve:
+    """A padded request above ``WINDOW`` values is solved in windows, each
+    certified by the inertia counts at its edges."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_dense_oracle_across_the_window_size(self, sliced_torus, seed):
+        ops, dense = sliced_torus
+        window = eigensolve.WINDOW
+        for k in (window - 1, window, window + 1, 2 * window):
+            basis = solve_smallest(ops, k, seed=seed)
+            np.testing.assert_allclose(basis.values, dense[:k], rtol=0, atol=1e-9,
+                                       err_msg="k=%d" % k)
+            assert basis.zero_dim == 1
+            assert_residual_contract(ops, basis, 1e-9)
+
+    def test_reruns_are_bit_identical(self, sliced_torus):
+        ops, _ = sliced_torus
+        b1 = solve_smallest(ops, 2 * eigensolve.WINDOW, seed=0)
+        b2 = solve_smallest(ops, 2 * eigensolve.WINDOW, seed=0)
+        assert np.array_equal(b1.values, b2.values)
+        assert np.array_equal(b1.vectors, b2.vectors)
+
+    def test_slicing_starts_past_one_window(self, sliced_torus, monkeypatch):
+        """Up to ``WINDOW`` padded values the solve is one window: one
+        factorization and no inertia count.  One value more and the edges
+        are counted."""
+        ops, dense = sliced_torus
+        counter = CountingFactorization(monkeypatch)
+        solve_smallest(ops, ONE_WINDOW_K, seed=0)
+        assert counter.factorizations == 1
+        basis = solve_smallest(ops, ONE_WINDOW_K + 1, seed=0)
+        assert counter.factorizations > 2
+        np.testing.assert_allclose(basis.values, dense[:ONE_WINDOW_K + 1], rtol=0, atol=1e-9)
+
+    def test_a_dropped_pair_is_found_by_a_wider_solve(self, sliced_torus, monkeypatch):
+        """Window 2's first solve loses a pair inside its edges; its count
+        says so, and the wider re-solve returns the dense values."""
+        ops, dense = sliced_torus
+        short = ShortWindows(monkeypatch, lambda call, sigma: call == 2)
+        k = eigensolve.WINDOW + 30
+        basis = solve_smallest(ops, k, seed=0)
+        assert len(short.sigmas) == 3 and short.sigmas[1] == short.sigmas[2] > 0
+        np.testing.assert_allclose(basis.values, dense[:k], rtol=0, atol=1e-9)
+
+    def test_polish_refactors_each_window(self, sliced_torus, monkeypatch):
+        """A sliced solve drops its factorizations before the Ritz step.
+        When vectors 1e-6 off their eigenspaces need a polish sweep, each
+        window is factored again at its own shift, and the pairs meet the
+        bound."""
+        ops, dense = sliced_torus
+        real_eigsh, real_splu = eigensolve.eigsh, eigensolve.splu
+        eigsh_calls, factored = [], []
+
+        def perturbed_eigsh(*args, **kwargs):
+            values, vectors = real_eigsh(*args, **kwargs)
+            eigsh_calls.append(kwargs["sigma"])
+            noise = np.random.default_rng(0).standard_normal(vectors.shape)
+            return values, vectors + 1e-6 * np.max(np.abs(vectors)) * noise
+
+        def recording_splu(matrix, *args, **kwargs):
+            if not kwargs:  # an inertia count passes its options
+                factored.append(len(eigsh_calls))
+            return real_splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "eigsh", perturbed_eigsh)
+        monkeypatch.setattr(eigensolve, "splu", recording_splu)
+        k = eigensolve.WINDOW + 30
+        basis = solve_smallest(ops, k, seed=0)
+        # window 1, window 2 after window 1's solve, both again to polish
+        assert factored == [0, 1, 2, 2]
+        np.testing.assert_allclose(basis.values, dense[:k], rtol=0, atol=1e-9)
+        assert_residual_contract(ops, basis, 1e-9)
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_a_window_that_stays_short_exits_3(self, sliced_torus, monkeypatch, window):
+        """Every solve of one window loses a pair: after ``MAX_WIDEN`` wider
+        re-solves the solver raises with the count and what it kept, and
+        never returns the short window."""
+        ops, _ = sliced_torus
+        ShortWindows(monkeypatch, lambda call, sigma: (sigma > 0) == (window == 2))
+        with pytest.raises(SolverConvergenceError) as info:
+            solve_smallest(ops, eigensolve.WINDOW + 30, seed=0)
+        detail = info.value.detail
+        assert detail["kept"] == detail["inertia"] - 1 > 0
