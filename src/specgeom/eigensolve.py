@@ -6,9 +6,20 @@ surface) is resolved reliably.  ARPACK stops at the caller's ``tol``; a
 Rayleigh-Ritz re-extraction follows, and every kept pair must then meet
 ``||L v - lambda M v|| <= tol * max(1, ||L v||)``.
 
+Every factorization goes through :func:`_factor`.  It factors the pencil
+in the mesh's nested-dissection order (``SparseOperatorPair.ordering``,
+computed once per mesh by :func:`specgeom.mesh.nested_dissection`), which
+SuperLU keeps (``NATURAL``, symmetric mode).  That order is a function of
+the mesh alone, so reruns factor the same matrix.  Shift-invert factorizations keep SuperLU's threshold
+pivoting; inertia counts take diagonal pivots only and refuse a count whose
+row and column orders differ or whose smallest pivot is below
+``PIVOT_FLOOR`` times the largest.
+
 A request padded to at most ``WINDOW`` values is one window: the shifted
 pencil L + eps M is factorized once, and ARPACK and the polish loop both
-use that LU.  A larger request is sliced into spectral windows (the
+use that LU.  No count checks it; a short Krylov block from a second start
+vector joins its Ritz step, so a copy of a multiple eigenvalue that
+ARPACK's single start vector missed is found.  A larger request is sliced into spectral windows (the
 shift-and-count strategy of Grimes, Lewis & Simon, SIAM J. Matrix Anal.
 Appl. 15, 1994).  Each window ends at an edge placed in a gap between its
 computed values, and the edge is counted by Sylvester's law of inertia
@@ -49,8 +60,9 @@ ZERO_REL = 1e-8
 # icosphere, an ellipsoid and an 80x40 torus the fastest size varied
 # within that range, and each size in it beat one window 1.3-3.3x.  120
 # keeps every request up to k = 96 on the one-window path.
-# GUARD is the number of gaps a window's edge is chosen from and the number
-# of values it reaches past its edges, MAX_WIDEN bounds the re-solves of a
+# GUARD is the number of gaps a window's edge is chosen from, the number of
+# values it reaches past its edges and the length of the one-window solve's
+# second-start block (see solve_smallest), MAX_WIDEN bounds the re-solves of a
 # short window, EDGE_TRIES the inertia counts per edge or centre, and a
 # pivot below PIVOT_FLOOR times the largest puts the shift on an eigenvalue.
 WINDOW = 120
@@ -175,23 +187,50 @@ def check_tol(tol: float) -> None:
         raise UsageError("tol %g outside [%g, %g]" % (tol, *TOL_RANGE), tol=tol)
 
 
+class _Factors:
+    """SuperLU factors ``lu`` of ``(L - shift M)[p][:, p]`` for the pair's
+    ordering ``p``; :meth:`solve` takes and returns vertex order."""
+
+    def __init__(self, lu, order):
+        self.lu, self.order = lu, order
+
+    def solve(self, rhs):
+        out = np.empty(rhs.shape)
+        out[self.order] = self.lu.solve(rhs[self.order])
+        return out
+
+
+def _factor(ops, shift, count=False):
+    """Factor ``L - shift M`` in the pair's ordering: every factorization
+    this module makes.
+
+    SuperLU keeps that order (``NATURAL``) and, in symmetric mode, prefers
+    diagonal pivots.  A count (``count=True``) takes only diagonal pivots,
+    so its factors are the LDL^T that :func:`inertia` reads.  A
+    shift-invert factorization keeps SuperLU's threshold pivoting, as the
+    pencil is indefinite at a shift inside the spectrum.
+    """
+    order = ops.ordering
+    matrix = (ops.stiffness - shift * ops.mass)[order][:, order].tocsc()
+    pivoting = dict(diag_pivot_thresh=0.0) if count else {}
+    lu = splu(matrix, permc_spec="NATURAL", options=dict(SymmetricMode=True), **pivoting)
+    return _Factors(lu, order)
+
+
 def inertia(ops: SparseOperatorPair, sigma: float) -> int | None:
     """Number of eigenvalues of (L, M) below ``sigma``, or None when
     ``sigma`` sits on one.
 
     Sylvester's law of inertia: a symmetric LDL^T factorization of
     ``L - sigma M`` has as many negative pivots as the pencil has eigenvalues
-    below ``sigma``.  SuperLU in symmetric mode with diagonal pivoting gives
-    that factorization when its row and column orders agree; a near-zero
-    pivot (or an exactly singular matrix) means ``sigma`` is an eigenvalue
-    to rounding, where the count is not to be trusted.
+    below ``sigma``, and so does its symmetric permutation.  SuperLU in
+    symmetric mode with diagonal pivoting gives that factorization when its
+    row and column orders agree; a near-zero pivot (or an exactly singular
+    matrix) means ``sigma`` is an eigenvalue to rounding, where the count
+    is not to be trusted.
     """
     try:
-        lu = splu(
-            (ops.stiffness - sigma * ops.mass).tocsc(),
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
+        lu = _factor(ops, sigma, count=True).lu
     except RuntimeError:
         return None
     pivots = lu.U.diagonal()
@@ -225,6 +264,26 @@ def _lanczos(ops, lu, sigma, k, tol, v0):
             requested=k,
         )
     return values, vectors
+
+
+def _krylov(ops, lu, vectors, start, steps):
+    """An M-orthonormal basis, M-orthogonal to ``vectors`` and at most
+    ``steps`` long, of the Krylov space from ``start`` of the shift-inverted
+    pencil whose factorization is ``lu``."""
+    mass = ops.mass_diag
+    block = np.empty((len(mass), steps))
+    q = start
+    for j in range(steps):
+        if j:
+            q = lu.solve(mass * block[:, j - 1])
+        size = np.sqrt(q @ (mass * q))
+        for basis in (vectors, block[:, :j]) * 2:
+            q = q - basis @ (basis.T @ (mass * q))
+        norm = np.sqrt(q @ (mass * q))
+        if not norm > ZERO_REL * size:
+            return block[:, :j]  # an invariant space: what is left is rounding
+        block[:, j] = q / norm
+    return block
 
 
 def _edge(ops, values, lo, need, tol):
@@ -299,7 +358,7 @@ def _slices(ops, lu, eps, k, tol, seed, v0):
         if shifts:
             size = min(WINDOW, n - 1, k - below + 2 * GUARD + 1)
             centre = _centre(ops, lo, below, size - 2 * GUARD, spacing)
-            lu = splu((ops.stiffness - centre * ops.mass).tocsc())
+            lu = _factor(ops, centre)
             v0 = np.random.default_rng([seed, len(shifts)]).standard_normal(n)
         edge = None
         for attempt in range(MAX_WIDEN + 1):
@@ -362,14 +421,22 @@ def solve_smallest(
     # transformed eigenvalues and is found first; the factorization of the
     # shifted pencil serves both ARPACK and the polish loop
     eps = 1e-8 * ops.stiffness.diagonal().sum() / max(ops.stiffness.nnz, 1)
-    lu = splu((ops.stiffness + eps * ops.mass).tocsc())
+    lu = _factor(ops, -eps)
     # pad the request so a multiplicity cluster cut at index k still lies
     # inside the converged subspace; the smallest k survive the polish.  A
     # pad clipped at n - 1 leaves no room above k for a window edge
     k_solve = min(n - 1, k + max(8, k // 4))
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n)
     if k_solve <= WINDOW or k_solve == n - 1:
         values, vectors = _lanczos(ops, lu, -eps, k_solve, tol, v0)
+        # From one start vector, Lanczos finds the second and later copies
+        # of a multiple eigenvalue only through rounding, and it can miss
+        # one.  A Krylov block from a second start, M-orthogonal to ARPACK's
+        # vectors, joins the Ritz step, so a copy it missed comes in among
+        # the k smallest Ritz values and the polish loop converges it.
+        block = _krylov(ops, lu, vectors, rng.standard_normal(n), min(GUARD, n - k_solve))
+        vectors = np.hstack([vectors, block])
         edges, lus, solved = [], [lu], []
     else:
         edges, shifts, values, vectors, solved = _slices(ops, lu, eps, k, tol, seed, v0)
@@ -396,7 +463,7 @@ def solve_smallest(
             converged = True
             break
         if lus is None:
-            lus = [splu((ops.stiffness - shift * ops.mass).tocsc()) for shift in shifts]
+            lus = [_factor(ops, shift) for shift in shifts]
         parts = np.split(mass_diag[:, None] * vectors, np.searchsorted(values, edges), axis=1)
         parts = [lu_w.solve(part) for lu_w, part in zip(lus, parts)]
         vectors = parts[0] if len(parts) == 1 else np.hstack(parts)
@@ -404,8 +471,9 @@ def solve_smallest(
         values, vectors = _ritz_extract(ops, vectors)
     # release the factorizations before the final checks allocate their blocks
     del lus
-    # the zero-mode scale covers the Ritz values and every window's values
-    solved = np.concatenate([values, solved])
+    # the zero-mode scale covers the Ritz values of the solve's own pairs
+    # (not the second start's) and every window's values
+    solved = np.concatenate([values[:k_solve], solved])
     return _finalize(values[:k], vectors[:, :k], ops, tol, solved=solved)
 
 

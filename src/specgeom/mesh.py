@@ -1,4 +1,5 @@
-"""Closed triangle meshes: loading, validation, operators, curvature fields.
+"""Closed triangle meshes: loading, validation, operators, their
+factorization order, curvature fields.
 
 The discrete pipeline follows the classical cotangent scheme: stiffness
 matrix L with edge weights (cot alpha + cot beta)/2, barycentric lumped
@@ -11,6 +12,8 @@ R^3 are accepted; every violation is reported as a structured error.
 from __future__ import annotations
 
 import functools
+import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,9 @@ DEGENERATE_AREA_REL = 1e-14
 
 # each corner c of a face with the corners (a, b) that follow it
 CORNERS = ((1, 2), (2, 0), (0, 1))
+
+# parts of at most this many vertices are not split further
+DISSECTION_LEAF = 64
 
 
 @dataclass(frozen=True)
@@ -74,12 +80,16 @@ class SparseOperatorPair:
     """Cotangent stiffness and lumped mass matrix of a mesh.
 
     ``clamp_count`` records how many cotangents hit the clamp threshold
-    during assembly (near-degenerate corners).
+    during assembly (near-degenerate corners).  ``ordering`` is the vertex
+    order every factorization of the pencil uses (see
+    :func:`nested_dissection`); a pair built from bare matrices passes
+    ``np.arange(n)``.
     """
 
     stiffness: sparse.csr_matrix
     mass: sparse.csr_matrix
     clamp_count: int
+    ordering: np.ndarray
 
     @property
     def mass_diag(self) -> np.ndarray:
@@ -106,103 +116,186 @@ class ExtrinsicData:
 # parsing
 
 
-def _tokenized_lines(path):
-    """Yield (line_number, tokens) with blank and comment lines removed."""
-    with open(path, "r", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line.split()
+# raw lines read and converted at a time: parsing holds one block's tokens,
+# and an OFF header's counts, which are only claims, size nothing
+BLOCK_LINES = 1024
 
 
-def _doubling(n):
-    """Row ranges [lo, hi) that double in size from 1,024 rows and end at
-    n.  An OFF header's counts are only claims, so its blocks grow with the
-    lines read instead of being allocated from the header."""
-    lo, hi = 0, min(n, 1024)
-    while lo < n:
-        yield lo, hi
-        lo, hi = hi, min(n, 2 * hi)
+def _rows(lines, lineno):
+    """Yield (line number, tokens) of the ``lines`` that hold data, with
+    comments cut; the first line is number ``lineno``."""
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split()
+
+
+def _table(lines, width):
+    """The tokens of ``lines`` as a (len(lines), width) object array, or
+    None when a comment or the token count rules that shape out.
+
+    One split reads the whole block, with a ';' token closing each line,
+    and the table drops the column where those land.  Callers turn every
+    entry into a number or a known key, which ';' is not.  When that
+    succeeds, every ';' sat in the dropped column, which has one slot per
+    line, so each line held exactly ``width`` tokens.
+    """
+    text = " ; ".join(lines) + " ;"
+    if "#" in text:
+        return None
+    tokens = text.split()
+    if len(tokens) != (width + 1) * len(lines):
+        return None
+    return np.array(tokens, dtype=object).reshape(len(lines), width + 1)[:, :width]
+
+
+def _off_vertices_bulk(lines):
+    table = _table(lines, 3)
+    try:
+        return None if table is None else table.astype(float)
+    except ValueError:
+        return None
+
+
+def _off_faces_bulk(lines):
+    table = _table(lines, 4)
+    try:
+        faces = None if table is None else table.astype(np.int64)
+    except (ValueError, OverflowError):
+        return None
+    return None if faces is None or np.any(faces[:, 0] != 3) else faces[:, 1:]
+
+
+def _off_vertices(rows, count, lineno, path):
+    verts = np.empty((count, 3))
+    for i in range(count):
+        try:
+            lineno, tokens = next(rows)
+        except StopIteration:
+            raise MeshParseError("OFF file ends inside vertex block",
+                                 path=str(path), line=lineno)
+        if len(tokens) != 3:
+            raise MeshParseError("vertex line must hold exactly 3 coordinates",
+                                 path=str(path), line=lineno)
+        try:
+            verts[i] = [float(t) for t in tokens]
+        except ValueError:
+            raise MeshParseError("vertex coordinate is not a number",
+                                 path=str(path), line=lineno)
+    return verts, lineno
+
+
+def _off_faces(rows, count, lineno, path):
+    faces = np.empty((count, 3), dtype=np.int64)
+    for i in range(count):
+        try:
+            lineno, tokens = next(rows)
+        except StopIteration:
+            raise MeshParseError("OFF file ends inside face block",
+                                 path=str(path), line=lineno)
+        try:
+            arity = int(tokens[0])
+        except ValueError:
+            raise MeshParseError("face line must start with its vertex count",
+                                 path=str(path), line=lineno)
+        if arity != 3 or len(tokens) != 4:
+            raise MeshParseError("only triangular faces are supported",
+                                 path=str(path), line=lineno)
+        try:
+            faces[i] = [int(t) for t in tokens[1:]]
+        except ValueError:
+            raise MeshParseError("face index is not an integer",
+                                 path=str(path), line=lineno)
+    return faces, lineno
+
+
+def _off_block(fh, path, count, lineno, bulk, by_line):
+    """The ``count`` data lines of an OFF block that starts after line
+    ``lineno``, as an array, and the number of the last line read.
+
+    Each run of raw lines is converted in bulk.  A run that does not
+    convert (comments, blank lines, bad tokens, the end of the file) is
+    read again line by line, on past the run as far as blank lines
+    require, and a bad line raises the error that names it."""
+    parts = []
+    for lo in range(0, count, BLOCK_LINES):
+        want = min(BLOCK_LINES, count - lo)
+        lines = list(itertools.islice(fh, want))
+        part = bulk(lines) if len(lines) == want else None
+        if part is None:
+            rows = _rows(itertools.chain(lines, fh), lineno + 1)
+            part, lineno = by_line(rows, want, lineno, path)
+        else:
+            lineno += want
+        parts.append(part)
+    return parts, lineno
 
 
 def _parse_off(path):
-    rows = _tokenized_lines(path)
-    try:
-        lineno, tokens = next(rows)
-    except StopIteration:
-        raise MeshParseError("empty OFF file", path=str(path), line=0)
-    counts = None
-    if tokens[0].upper() == "OFF":
-        if len(tokens) > 1:
-            counts = (lineno, tokens[1:])
-    else:
-        # headerless variant: counts on the first line
-        counts = (lineno, tokens)
-    if counts is None:
+    with open(path, "r", errors="replace") as fh:
+        rows = _rows(fh, 1)
         try:
-            counts = next(rows)
+            lineno, tokens = next(rows)
         except StopIteration:
-            raise MeshParseError("missing OFF count line", path=str(path), line=lineno)
-    lineno, tokens = counts
-    if len(tokens) < 2:
-        raise MeshParseError("OFF count line needs vertex and face counts",
-                             path=str(path), line=lineno)
+            raise MeshParseError("empty OFF file", path=str(path), line=0)
+        counts = None
+        if tokens[0].upper() == "OFF":
+            if len(tokens) > 1:
+                counts = (lineno, tokens[1:])
+        else:
+            # headerless variant: counts on the first line
+            counts = (lineno, tokens)
+        if counts is None:
+            try:
+                counts = next(rows)
+            except StopIteration:
+                raise MeshParseError("missing OFF count line", path=str(path), line=lineno)
+        lineno, tokens = counts
+        if len(tokens) < 2:
+            raise MeshParseError("OFF count line needs vertex and face counts",
+                                 path=str(path), line=lineno)
+        try:
+            n_verts, n_faces = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise MeshParseError("OFF counts are not integers", path=str(path), line=lineno)
+        if n_verts < 0 or n_faces < 0:
+            raise MeshParseError("negative OFF counts", path=str(path), line=lineno)
+        # the header read up to its count line, so line ``lineno`` is the
+        # last one taken from ``fh``
+        verts, lineno = _off_block(fh, path, n_verts, lineno, _off_vertices_bulk, _off_vertices)
+        faces, _ = _off_block(fh, path, n_faces, lineno, _off_faces_bulk, _off_faces)
+    return (np.concatenate([np.empty((0, 3))] + verts),
+            np.concatenate([np.empty((0, 3), dtype=np.int64)] + faces))
+
+
+def _obj_bulk(lines):
+    """Vertices and faces of ``lines`` when each is a ``v`` line of 3
+    coordinates or an ``f`` line of 3 indices, else None."""
+    table = _table(lines, 4)
+    if table is None:
+        return None
+    is_v, is_f = table[:, 0] == "v", table[:, 0] == "f"
+    if not np.all(is_v | is_f):
+        return None
+    indices = " ".join(table[is_f, 1:].ravel())
+    if "/" in indices:
+        indices = re.sub(r"/\S*", "", indices)
     try:
-        n_verts, n_faces = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise MeshParseError("OFF counts are not integers", path=str(path), line=lineno)
-    if n_verts < 0 or n_faces < 0:
-        raise MeshParseError("negative OFF counts", path=str(path), line=lineno)
-
-    verts = np.empty((0, 3), dtype=float)
-    for lo, hi in _doubling(n_verts):
-        verts = np.concatenate((verts, np.empty((hi - lo, 3))))
-        for i in range(lo, hi):
-            try:
-                lineno, tokens = next(rows)
-            except StopIteration:
-                raise MeshParseError("OFF file ends inside vertex block",
-                                     path=str(path), line=lineno)
-            if len(tokens) != 3:
-                raise MeshParseError("vertex line must hold exactly 3 coordinates",
-                                     path=str(path), line=lineno)
-            try:
-                verts[i] = [float(t) for t in tokens]
-            except ValueError:
-                raise MeshParseError("vertex coordinate is not a number",
-                                     path=str(path), line=lineno)
-
-    faces = np.empty((0, 3), dtype=np.int64)
-    for lo, hi in _doubling(n_faces):
-        faces = np.concatenate((faces, np.empty((hi - lo, 3), dtype=np.int64)))
-        for i in range(lo, hi):
-            try:
-                lineno, tokens = next(rows)
-            except StopIteration:
-                raise MeshParseError("OFF file ends inside face block",
-                                     path=str(path), line=lineno)
-            try:
-                arity = int(tokens[0])
-            except ValueError:
-                raise MeshParseError("face line must start with its vertex count",
-                                     path=str(path), line=lineno)
-            if arity != 3 or len(tokens) != 4:
-                raise MeshParseError("only triangular faces are supported",
-                                     path=str(path), line=lineno)
-            try:
-                faces[i] = [int(t) for t in tokens[1:]]
-            except ValueError:
-                raise MeshParseError("face index is not an integer",
-                                     path=str(path), line=lineno)
-    return verts, faces
+        verts = table[is_v, 1:].astype(float)
+        faces = np.array(indices.split(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if len(faces) != 3 * np.count_nonzero(is_f) or np.any(faces < 1):
+        return None
+    return verts, faces.reshape(-1, 3) - 1
 
 
-def _parse_obj(path):
+def _obj_lines(lines, lineno, path):
     verts = []
     faces = []
     # normals, texture coordinates, groups and materials play no part in
     # the Laplacian and are skipped
-    for lineno, tokens in _tokenized_lines(path):
+    for lineno, tokens in _rows(lines, lineno):
         key = tokens[0]
         if key == "v":
             if len(tokens) < 4:
@@ -230,12 +323,26 @@ def _parse_obj(path):
                                          path=str(path), line=lineno)
                 idx.append(value - 1)
             faces.append(idx)
-    if not verts:
+    return (np.asarray(verts, dtype=float).reshape(-1, 3),
+            np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+
+
+def _parse_obj(path):
+    """Blocks of lines converted in bulk, or line by line where they are
+    not plain ``v``/``f`` lines (see :func:`_off_block`)."""
+    verts = [np.empty((0, 3))]
+    faces = [np.empty((0, 3), dtype=np.int64)]
+    lineno = 1
+    with open(path, "r", errors="replace") as fh:
+        while lines := list(itertools.islice(fh, BLOCK_LINES)):
+            block = _obj_bulk(lines) or _obj_lines(lines, lineno, path)
+            verts.append(block[0])
+            faces.append(block[1])
+            lineno += len(lines)
+    verts = np.concatenate(verts)
+    if not len(verts):
         raise MeshParseError("OBJ file holds no vertices", path=str(path), line=0)
-    return (
-        np.asarray(verts, dtype=float),
-        np.asarray(faces, dtype=np.int64).reshape(-1, 3),
-    )
+    return verts, np.concatenate(faces)
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +552,94 @@ def angle_defects(mesh: MeshGeometry) -> np.ndarray:
 # operators and curvature
 
 
+def _place(position, vertices, part, first):
+    """Number ``vertices`` (ascending) consecutively within each of their
+    parts, from the part's ``first`` position, in vertex order."""
+    order = np.argsort(part, kind="stable")
+    vertices, part = vertices[order], part[order]
+    position[vertices] = first[part] + np.arange(part.size) - np.searchsorted(part, part)
+
+
+def nested_dissection(mesh: MeshGeometry) -> np.ndarray:
+    """A fill-reducing vertex order for factoring the mesh's operators:
+    ``p`` such that ``A[p][:, p]`` puts vertex ``p[i]`` in row ``i``.
+
+    Geometric nested dissection (George, SIAM J. Numer. Anal. 10, 1973;
+    Gilbert, Miller & Teng, SIAM J. Sci. Comput. 19, 1998).  Each part is
+    split at the median of its vertices along its principal axis, ties
+    broken by vertex index, so the splits turn with the mesh.  The
+    separator is the left half's vertices with an edge to the right half;
+    it is numbered after both halves, in vertex order, and the halves are
+    split in turn.  Parts of at most ``DISSECTION_LEAF`` vertices keep
+    vertex order.  Every part of one level is split at once, and the
+    result depends on nothing but the mesh.
+    """
+    n = mesh.n_vertices
+    # the axes do not depend on scale, and an exact power-of-two scale keeps
+    # the covariances finite at every size validation accepts
+    verts = np.ldexp(mesh.vertices, -np.frexp(np.max(np.abs(mesh.vertices)))[1])
+    # each edge once: a closed, consistently oriented mesh runs it once in
+    # each direction
+    tails, heads = mesh.faces.ravel(), np.roll(mesh.faces, -1, axis=1).ravel()
+    tails, heads = tails[tails < heads], heads[tails < heads]
+    position = np.empty(n, dtype=np.int64)
+    done = np.zeros(n, dtype=bool)
+    left = np.zeros(n, dtype=bool)
+    # the vertices still to place, ascending, with their part and each
+    # part's first position
+    active, part, first = np.arange(n), np.zeros(n, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    while active.size:
+        size = np.bincount(part, minlength=len(first))
+        leaf = size[part] <= DISSECTION_LEAF
+        _place(position, active[leaf], part[leaf], first)
+        done[active[leaf]] = True
+        split = size > DISSECTION_LEAF
+        active, part = active[~leaf], (np.cumsum(split) - 1)[part[~leaf]]
+        first, size = first[split], size[split]
+        parts = len(first)
+        # each part's principal axis, signed by its largest component
+        x = verts[active]
+        mean = np.stack([np.bincount(part, x[:, a], parts) for a in range(3)], axis=1)
+        x -= (mean / size[:, None])[part]
+        cov = np.empty((parts, 3, 3))
+        for a in range(3):
+            for b in range(a + 1):
+                cov[:, a, b] = cov[:, b, a] = np.bincount(part, x[:, a] * x[:, b], parts)
+        axis = np.linalg.eigh(cov)[1][:, :, -1]
+        axis *= np.sign(axis[np.arange(parts), np.argmax(np.abs(axis), axis=1)])[:, None]
+        # a stable sort: equal projections keep vertex order
+        rank = np.empty(active.size, dtype=np.int64)
+        rank[np.lexsort((np.einsum("ij,ij->i", x, axis[part]), part))] = np.arange(active.size)
+        is_left = rank - (np.cumsum(size) - size)[part] < (size // 2)[part]
+        left[active] = is_left
+        # edges to placed vertices left the recursion with them
+        live = ~(done[tails] | done[heads])
+        tails, heads = tails[live], heads[live]
+        cut = left[tails] != left[heads]
+        done[np.where(left[tails[cut]], tails[cut], heads[cut])] = True
+        tails, heads = tails[~cut], heads[~cut]
+        sep = done[active]
+        n_left = np.bincount(part, is_left & ~sep, parts).astype(np.int64)
+        n_right = size - np.bincount(part, is_left, parts).astype(np.int64)
+        _place(position, active[sep], part[sep], first + n_left + n_right)
+        right = ~is_left[~sep]
+        active, part = active[~sep], 2 * part[~sep] + right
+        first = np.stack([first, first + n_left], axis=1).ravel()
+    order = np.empty(n, dtype=np.int64)
+    order[position] = np.arange(n)
+    return order
+
+
 def assemble_operators(mesh: MeshGeometry) -> SparseOperatorPair:
     """Cotangent stiffness matrix and barycentric lumped mass matrix.
 
     L is symmetric positive semidefinite with zero row sums; M is the
     diagonal of vertex areas.  Cotangents are clamped to +-1e8 and the
-    number of clamped corners is recorded.
+    number of clamped corners is recorded.  The pair carries the mesh's
+    :func:`nested_dissection` order.
     """
+    # before the assembly's own arrays exist, so their peaks do not add up
+    ordering = nested_dissection(mesh)
     verts, faces = mesh.vertices, mesh.faces
     rows, cols, vals = [], [], []
     clamp_count = 0
@@ -474,7 +662,8 @@ def assemble_operators(mesh: MeshGeometry) -> SparseOperatorPair:
         shape=(n, n),
     )
     mass = sparse.csr_matrix(sparse.diags(mesh.vertex_area))
-    return SparseOperatorPair(stiffness=stiffness, mass=mass, clamp_count=clamp_count)
+    return SparseOperatorPair(stiffness=stiffness, mass=mass, clamp_count=clamp_count,
+                              ordering=ordering)
 
 
 def coordinate_laplacians(mesh: MeshGeometry, ops: SparseOperatorPair) -> np.ndarray:

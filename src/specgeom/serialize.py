@@ -145,14 +145,3 @@ def write_vector_sidecar(path, vectors) -> dict:
         "vectors_dtype": "<f8",
         "vectors_order": "row-major",
     }
-
-
-def read_vector_sidecar(json_path, doc) -> np.ndarray:
-    sidecar = os.path.join(os.path.dirname(str(json_path)), doc["vectors_file"])
-    shape = tuple(doc["vectors_shape"])
-    data = np.fromfile(sidecar, dtype="<f8")
-    if data.size != shape[0] * shape[1]:
-        raise UsageError(
-            "sidecar holds %d values, expected %d" % (data.size, shape[0] * shape[1])
-        )
-    return data.reshape(shape)

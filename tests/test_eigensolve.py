@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ def pair(stiffness, mass):
         stiffness=sp.csr_matrix(stiffness),
         mass=sp.csr_matrix(mass),
         clamp_count=0,
+        ordering=np.arange(stiffness.shape[0]),
     )
 
 
@@ -264,14 +266,18 @@ class TestFinalizeChecks:
 
 class CountingFactorization:
     """Counts factorizations made through ``eigensolve.splu`` (inertia
-    counts included) and the solves made with each."""
+    counts included), the solves made with each and, of those, the block
+    solves of the polish loop.  Every factorization must keep the pair's
+    ordering (``permc_spec="NATURAL"``), as ``eigensolve._factor`` asks."""
 
     def __init__(self, monkeypatch):
         self.factorizations = 0
         self.solves = 0
+        self.block_solves = 0
         real_splu = eigensolve.splu
 
         def counting_splu(matrix, *args, **kwargs):
+            assert kwargs["permc_spec"] == "NATURAL"
             self.factorizations += 1
             lu = real_splu(matrix, *args, **kwargs)
             counter = self
@@ -279,6 +285,7 @@ class CountingFactorization:
             class Counted:
                 def solve(self, rhs, *solve_args):
                     counter.solves += 1
+                    counter.block_solves += rhs.ndim == 2
                     return lu.solve(rhs, *solve_args)
 
                 def __getattr__(self, name):  # the inertia count reads U and perm_r
@@ -324,7 +331,8 @@ class TestFactorization:
         tol = 1e-9
         basis = solve_smallest(ops, 9, tol=tol, seed=0)
         assert counter.factorizations == 1
-        assert counter.solves > solves_in_eigsh[0]  # polish sweeps ran
+        assert counter.solves > solves_in_eigsh[0]
+        assert counter.block_solves > 0  # polish sweeps ran
         assert_residual_contract(ops, basis, tol)
 
 
@@ -369,6 +377,12 @@ class TestExhaustedPolish:
         assert doc["detail"]["worst_residual"] > doc["detail"]["bound"] == 1e-9
 
 
+def rotated_icosphere(level, seed=3):
+    verts, faces = icosphere(level)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    return verts @ q.T, faces
+
+
 def rotated_pencil(values, seed=0):
     """A dense-pattern pencil (L, M) with eigenvalues ``values``:
     L = R Q diag(values) Q^T R with M = R^2 diagonal and Q orthogonal."""
@@ -403,6 +417,78 @@ class TestInertia:
         gaps = np.flatnonzero(np.diff(values) > 1e-6)[:40]
         for i in gaps:
             assert eigensolve.inertia(ops, 0.5 * (values[i] + values[i + 1])) == i + 1
+
+    @pytest.mark.parametrize("verts, faces", [
+        rotated_icosphere(3),
+        torus_of_revolution(1.0, 0.4, 40, 20),
+    ], ids=["rotated-L3", "torus-40x20"])
+    def test_matches_the_dense_count_at_every_gap(self, verts, faces):
+        """Every gap among the first 60 values, counted on the factorization
+        in the mesh's nested-dissection order."""
+        ops = assemble_operators(mesh_from_arrays(verts, faces))
+        values = dense_eigenbasis(ops).values
+        gaps = np.flatnonzero(np.diff(values[:60]) > 1e-6)
+        assert len(gaps) > 10
+        for i in gaps:
+            assert eigensolve.inertia(ops, 0.5 * (values[i] + values[i + 1])) == i + 1
+
+
+class TestFactor:
+    """``_factor`` factors the pencil in the pair's ordering and solves in
+    vertex order."""
+
+    def test_solves_in_vertex_order(self, ico_ops):
+        ops = ico_ops(3)
+        assert not np.array_equal(ops.ordering, np.arange(len(ops.ordering)))
+        shifted = (ops.stiffness - 7.5 * ops.mass).tocsc()
+        factors = eigensolve._factor(ops, 7.5)
+        rhs = np.random.default_rng(0).standard_normal((shifted.shape[0], 3))
+        for b in (rhs[:, 0], rhs):
+            x = factors.solve(b)
+            assert x.shape == b.shape
+            np.testing.assert_allclose(shifted @ x, b, rtol=0, atol=1e-10)
+
+    def test_fill_below_superlu_default(self, ico_ops):
+        """L + U of an L4 factorization stay below SuperLU's COLAMD order."""
+        ops = ico_ops(4)
+        eps = 1e-8 * ops.stiffness.diagonal().sum() / ops.stiffness.nnz
+        ordered = eigensolve._factor(ops, -eps).lu
+        default = splu((ops.stiffness + eps * ops.mass).tocsc())
+        assert ordered.L.nnz + ordered.U.nnz < default.L.nnz + default.U.nnz
+
+
+class TestSecondStart:
+    """From one start vector ARPACK finds the later copies of a multiple
+    eigenvalue only through rounding; the one-window solve's second-start
+    block recovers a copy it missed."""
+
+    def test_a_dropped_copy_comes_back(self, ico_ops, monkeypatch):
+        ops = ico_ops(2)
+        dense = dense_eigenbasis(ops).values
+        short = ShortWindows(monkeypatch, lambda call, sigma: True)
+        basis = solve_smallest(ops, 20, seed=0)
+        assert short.sigmas == [short.sigmas[0]] and short.sigmas[0] < 0
+        np.testing.assert_allclose(basis.values, dense[:20], rtol=0, atol=1e-9)
+        assert_residual_contract(ops, basis, 1e-9)
+
+    def test_without_it_the_copy_stays_lost(self, ico_ops, monkeypatch):
+        ops = ico_ops(2)
+        dense = dense_eigenbasis(ops).values
+        ShortWindows(monkeypatch, lambda call, sigma: True)
+        monkeypatch.setattr(eigensolve, "_krylov",
+                            lambda ops, lu, vectors, start, steps: vectors[:, :0])
+        basis = solve_smallest(ops, 20, seed=0)
+        assert np.max(np.abs(basis.values - dense[:20])) > 1.0
+
+    def test_matches_the_dense_oracle_on_l3(self, ico_ops):
+        """k = 1..60 on an L3 icosphere, where ARPACK alone loses a copy at
+        k = 27 and k = 60."""
+        ops = ico_ops(3)
+        dense = dense_eigenbasis(ops, 60).values
+        for k in range(1, 61):
+            basis = solve_smallest(ops, k, seed=0)
+            np.testing.assert_allclose(basis.values, dense[:k], rtol=0, atol=1e-9,
+                                       err_msg="k=%d" % k)
 
 
 def padded(k):
@@ -500,7 +586,7 @@ class TestSlicedSolve:
             return values, vectors + 1e-6 * np.max(np.abs(vectors)) * noise
 
         def recording_splu(matrix, *args, **kwargs):
-            if not kwargs:  # an inertia count passes its options
+            if "diag_pivot_thresh" not in kwargs:  # an inertia count pivots on the diagonal
                 factored.append(len(eigsh_calls))
             return real_splu(matrix, *args, **kwargs)
 

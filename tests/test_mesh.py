@@ -1,6 +1,8 @@
 """Mesh loading, validation, operator assembly, and curvature summaries."""
 
 import math
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -13,6 +15,7 @@ from specgeom.errors import (
     MeshParseError,
     MeshValidationError,
 )
+from specgeom import mesh as mesh_module
 from specgeom.mesh import (
     angle_defects,
     assemble_operators,
@@ -22,10 +25,11 @@ from specgeom.mesh import (
     load_mesh,
     mean_curvature_field,
     mesh_from_arrays,
+    nested_dissection,
     row_norms,
     vertex_average_from_faces,
 )
-from specgeom.meshgen import icosphere, write_obj, write_off
+from specgeom.meshgen import icosphere, torus_of_revolution, write_obj, write_off
 
 # regular tetrahedron on unit-sphere vertices; edge length sqrt(8/3)
 TET_VERTS = np.array(
@@ -246,6 +250,199 @@ class TestLoaders:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_mesh(tmp_path / "nope.off")
+
+
+def line_parse(monkeypatch, path):
+    """``load_mesh``'s arrays with every block read line by line."""
+    with monkeypatch.context() as m:
+        m.setattr(mesh_module, "_table", lambda lines, width: None)
+        return load_mesh(path)
+
+
+def assert_same_arrays(a, b):
+    for x, y in ((a.vertices, b.vertices), (a.faces, b.faces)):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+def decorate_lines(text, every):
+    """``text`` with a comment line, a blank line, a blank-looking line and a
+    trailing comment after every ``every``-th line."""
+    out = []
+    for i, line in enumerate(text.splitlines()):
+        out.append(line + ("  # trailing" if i % every == 3 else ""))
+        if i % every == 0:
+            out.extend(["# a comment", "", "   \t"])
+    return "\n".join(out) + "\n"
+
+
+class TestBulkParse:
+    """Blocks of lines are converted in bulk; a block that will not convert
+    is read line by line, so both give the same arrays and errors."""
+
+    @pytest.fixture(params=[mesh_module.BLOCK_LINES, 7], ids=["default-blocks", "7-line-blocks"])
+    def blocks(self, request, monkeypatch):
+        monkeypatch.setattr(mesh_module, "BLOCK_LINES", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("level", range(5))
+    @pytest.mark.parametrize("suffix", [".off", ".obj"])
+    def test_bulk_and_line_parsers_agree(self, tmp_path, monkeypatch, blocks, level, suffix):
+        verts, faces = icosphere(level)
+        path = tmp_path / ("ico" + suffix)
+        (write_off if suffix == ".off" else write_obj)(path, verts, faces)
+        bulk = load_mesh(path)
+        assert_same_arrays(bulk, line_parse(monkeypatch, path))
+        assert bulk.vertices.tobytes() == verts.tobytes()
+        assert np.array_equal(bulk.faces, faces)
+
+    @pytest.mark.parametrize("variant", ["comments", "headerless", "slashes"])
+    def test_variants_match_the_plain_file(self, tmp_path, monkeypatch, blocks, variant):
+        verts, faces = icosphere(2)
+        plain = tmp_path / "plain.obj"
+        write_obj(plain, verts, faces)
+        path = tmp_path / ("ico.obj" if variant == "slashes" else "ico.off")
+        if variant == "slashes":
+            text = plain.read_text().replace("f ", "vn 0 0 1\nf ", 1)
+            lines = [" ".join("%s/%s/%s" % (t, t, t) if i == 1 else
+                              "%s//%s" % (t, t) if i == 2 else t
+                              for i, t in enumerate(line.split()))
+                     if line.startswith("f ") else line for line in text.splitlines()]
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            write_off(path, verts, faces)
+            text = path.read_text()
+            if variant == "headerless":
+                text = text.split("\n", 1)[1]
+            path.write_text(decorate_lines(text, 5))
+        expected = load_mesh(plain)
+        assert_same_arrays(load_mesh(path), expected)
+        assert_same_arrays(line_parse(monkeypatch, path), expected)
+
+    @pytest.mark.parametrize("suffix, row, bad, message", [
+        (".off", 400, "1 0 zero", "vertex coordinate is not a number"),
+        (".off", 401, "1 0", "vertex line must hold exactly 3 coordinates"),
+        (".off", 400 + 642, "3 0 1 x", "face index is not an integer"),
+        (".off", 400 + 642, "4 0 1 2 3", "only triangular faces are supported"),
+        (".obj", 400, "v 1 0 zero", "vertex coordinate is not a number"),
+        (".obj", 400 + 642, "f 1 2 0", "face indices must be positive"),
+        (".obj", 400 + 642, "f 1 x/2 3", "face index is not an integer"),
+        (".obj", 400 + 642, "f 1 2 /3", "face index is not an integer"),
+        # a short line and a long one hold as many tokens as two good lines
+        (".off", 400, "1 0\n0 1 0 0", "vertex line must hold exactly 3 coordinates"),
+        (".obj", 400 + 642, "f 1 2\nf 1 2 3 4", "only triangular faces are supported"),
+        # a comment inside a face token leaves two indices
+        (".obj", 400 + 642, "f 1/#2 2 3", "only triangular faces are supported"),
+    ])
+    def test_a_deep_bad_token_names_its_line(self, tmp_path, monkeypatch, blocks,
+                                             suffix, row, bad, message):
+        """The bad line sits deep in a block, after comments and blank lines."""
+        verts, faces = icosphere(3)
+        path = tmp_path / ("bad" + suffix)
+        (write_off if suffix == ".off" else write_obj)(path, verts, faces)
+        offset = 2 if suffix == ".off" else 0
+        lines = path.read_text().splitlines()
+        lines[offset + row:offset + row + bad.count("\n") + 1] = bad.split("\n")
+        lines[10:10] = ["# comment", ""]
+        path.write_text("\n".join(lines) + "\n")
+        errors = []
+        for parse in (load_mesh, lambda p: line_parse(monkeypatch, p)):
+            with pytest.raises(MeshParseError) as exc:
+                parse(path)
+            errors.append(exc.value.to_json_dict())
+        assert errors[0] == errors[1]
+        assert errors[0]["message"] == message
+        assert errors[0]["detail"]["line"] == offset + row + 3
+
+    @pytest.mark.parametrize("name, text, message, line", [
+        ("semicolon.off", "OFF\n4 4 0\n0 0 0 ;\n1 0\n", "vertex line must hold exactly 3 coordinates", 3),
+        ("semicolon.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 3 2 ;\n; 1 2 4\n",
+         "only triangular faces are supported", 5),
+        ("shifted.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 3 2 ;\n1 2 4\n",
+         "only triangular faces are supported", 5),
+    ])
+    def test_a_line_end_token_in_the_file_changes_nothing(self, tmp_path, monkeypatch, blocks,
+                                                         name, text, message, line):
+        """The bulk reader closes each line with ';'; a ';' in the file
+        cannot shift a line's tokens into the next."""
+        path = tmp_path / name
+        path.write_text(text)
+        for parse in (load_mesh, lambda p: line_parse(monkeypatch, p)):
+            with pytest.raises(MeshParseError) as exc:
+                parse(path)
+            assert (exc.value.to_json_dict()["message"], exc.value.detail["line"]) == (message, line)
+
+    def test_a_file_cut_short_names_its_last_line(self, tmp_path, blocks):
+        verts, faces = icosphere(2)
+        path = tmp_path / "cut.off"
+        write_off(path, verts, faces)
+        lines = path.read_text().splitlines()[:-5] + ["", "# gone"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshParseError) as exc:
+            load_mesh(path)
+        assert exc.value.to_json_dict()["message"] == "OFF file ends inside face block"
+        assert exc.value.detail["line"] == len(lines) - 2
+
+
+def rotated(verts, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    return verts @ q.T
+
+
+ORDER_CODE = """
+import hashlib, numpy as np
+from specgeom.meshgen import icosphere
+from specgeom.mesh import mesh_from_arrays, nested_dissection
+q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+verts, faces = icosphere(4)
+print(hashlib.sha256(nested_dissection(mesh_from_arrays(verts @ q.T, faces)).tobytes()).hexdigest())
+"""
+
+
+class TestOrdering:
+    """The nested-dissection order every factorization of a mesh uses."""
+
+    @pytest.mark.parametrize("verts, faces", [
+        (TET_VERTS, TET_FACES),
+        icosphere(0),
+        icosphere(3),
+        (rotated(icosphere(4)[0], 1), icosphere(4)[1]),
+        torus_of_revolution(1.0, 0.4, 40, 20),
+        (np.vstack([icosphere(2)[0], icosphere(2)[0] + 3.0]),
+         np.vstack([icosphere(2)[1], icosphere(2)[1] + 162])),
+    ], ids=["tet", "L0", "L3", "rotated-L4", "torus", "two-spheres"])
+    def test_is_a_permutation(self, verts, faces):
+        order = nested_dissection(mesh_from_arrays(verts, faces))
+        assert order.dtype == np.int64
+        assert np.array_equal(np.sort(order), np.arange(len(verts)))
+
+    def test_assembly_carries_it(self, ico_mesh, ico_ops):
+        assert np.array_equal(ico_ops(3).ordering, nested_dissection(ico_mesh(3)))
+
+    def test_small_parts_keep_vertex_order(self):
+        verts, faces = icosphere(1)  # 42 vertices: one part
+        assert np.array_equal(nested_dissection(mesh_from_arrays(verts, faces)), np.arange(42))
+
+    def test_identical_across_calls_and_processes(self):
+        import hashlib
+
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        verts, faces = icosphere(4)
+        mesh = mesh_from_arrays(verts @ q.T, faces)
+        first = nested_dissection(mesh)
+        assert np.array_equal(first, nested_dissection(mesh))
+        digests = {
+            subprocess.run([sys.executable, "-c", ORDER_CODE], capture_output=True,
+                           text=True, check=True, timeout=120).stdout.strip()
+            for _ in range(2)
+        }
+        assert digests == {hashlib.sha256(first.tobytes()).hexdigest()}
+
+    def test_power_of_two_scale_keeps_the_order(self):
+        verts, faces = icosphere(3)
+        order = nested_dissection(mesh_from_arrays(verts, faces))
+        for scale in (2.0**490, 2.0**-60):
+            assert np.array_equal(nested_dissection(mesh_from_arrays(verts * scale, faces)), order)
 
 
 class TestOperators:
