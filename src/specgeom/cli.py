@@ -27,8 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .eigensolve import check_tol, dense_eigenbasis, solve_smallest
-from .errors import SolverConvergenceError, SpecGeomError, UsageError
+from .errors import SolverConvergenceError, SpecGeomError, UsageError, check_tol
 from .inequalities import (
     INEQS,
     Inputs,
@@ -72,6 +71,11 @@ from .serialize import (
 )
 
 CLIFFORD_AREA = 2.0 * math.pi**2
+
+# the sparse and dense solvers, bound from eigensolve, which loads scipy, by
+# the first mesh source (see _mesh_source); model commands never read them
+solve_smallest = None
+dense_eigenbasis = None
 
 # the most eigenvalues, j-range indices or ratio-grid points one run may
 # ask for; the largest legitimate requests are in the hundreds
@@ -428,9 +432,17 @@ def _model_source(cfg) -> Source:
 def _mesh_source(cfg, path) -> Source:
     """Mesh source, loaded, validated and assembled once, here; its extrinsic
     fields are computed on the first read of a fallback that needs them."""
+    global solve_smallest, dense_eigenbasis
     operator = _resolve_operator(cfg)
     if operator != "laplace":
         raise UsageError("mesh spectra are scalar Laplace only", operator=operator)
+    # scipy is imported with the first mesh, ahead of the mesh's arrays so
+    # that its allocations do not add to their peak; a name already bound,
+    # by a patch or a tracer's wrapper, is kept
+    from . import eigensolve
+
+    solve_smallest = solve_smallest or eigensolve.solve_smallest
+    dense_eigenbasis = dense_eigenbasis or eigensolve.dense_eigenbasis
     mesh = load_mesh(path, cfg.get("mesh_format"))
     ops = assemble_operators(mesh)
 

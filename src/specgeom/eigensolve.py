@@ -44,11 +44,13 @@ import numpy as np
 from scipy import linalg as dla
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
+# errors.check_tol is read through its module: an imported function would
+# add a span to every solve traced by perfbench/tracer.py
+from . import errors
 from .errors import SolverConvergenceError, UsageError
 from .mesh import SparseOperatorPair
 from .models import IndexedSpectrum
 
-TOL_RANGE = (1e-12, 1e-2)
 MAX_RESTARTS = 500
 MAX_POLISH_STEPS = 40
 GRAM_TOL = 1e-8
@@ -179,12 +181,6 @@ def _finalize(values, vectors, ops, tol, solved=None):
         mass_gram_error=gram_error,
         zero_dim=int(np.count_nonzero(values < ZERO_REL * (scale or 1.0))),
     )
-
-
-def check_tol(tol: float) -> None:
-    """Reject a solver tolerance outside ``TOL_RANGE``."""
-    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
-        raise UsageError("tol %g outside [%g, %g]" % (tol, *TOL_RANGE), tol=tol)
 
 
 class _Factors:
@@ -415,7 +411,7 @@ def solve_smallest(
     n = ops.stiffness.shape[0]
     if k < 1 or k >= n:
         raise UsageError("k must satisfy 1 <= k < %d, got %d" % (n, k), k=k)
-    check_tol(tol)
+    errors.check_tol(tol)
 
     # shift slightly below the spectrum so the kernel maps to the largest
     # transformed eigenvalues and is found first; the factorization of the

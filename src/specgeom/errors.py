@@ -2,6 +2,8 @@
 
 Every error carries a machine-readable ``kind`` plus optional structured
 detail, so the CLI can emit them as JSON and map them to exit codes.
+The solver tolerance check lives here too, where the command line can
+read it without importing the solver.
 """
 
 from __future__ import annotations
@@ -24,6 +26,17 @@ class UsageError(SpecGeomError):
     """Invalid request: bad arguments, missing parameters, out-of-range knobs."""
 
     kind = "usage"
+
+
+# the solver tolerances accepted, checked by the sparse solver and, without
+# loading it, by the command line's --tol
+TOL_RANGE = (1e-12, 1e-2)
+
+
+def check_tol(tol: float) -> None:
+    """Reject a solver tolerance outside ``TOL_RANGE``."""
+    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
+        raise UsageError("tol %g outside [%g, %g]" % (tol, *TOL_RANGE), tol=tol)
 
 
 class InvalidModelError(SpecGeomError):

@@ -15,15 +15,20 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     ClosedSurfaceRequiredError,
     MeshParseError,
     MeshValidationError,
 )
+
+# scipy.sparse is imported by the functions that build matrices, so this
+# module, and loading and validating a mesh, go without scipy
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # |cot| beyond this means a triangle angle within ~1e-8 of 0 or pi
 COT_CLAMP = 1e8
@@ -61,7 +66,10 @@ class MeshGeometry:
         """Connected components of the face graph: the kernel dimension of
         the cotangent Laplacian, whose null space is the locally constant
         functions.  Not read off the stiffness, as a cotangent can be 0."""
-        # imported on first use, so model-only commands skip its ~1 MiB
+        # imported on first read, as scipy.sparse is wherever a matrix is
+        # built: model commands load no scipy, and mesh commands that never
+        # count components (spectrum, check with --m) skip csgraph's ~1 MiB
+        from scipy import sparse
         from scipy.sparse.csgraph import connected_components
 
         heads = np.roll(self.faces, -1, axis=1).ravel()
@@ -115,6 +123,9 @@ class ExtrinsicData:
 # ---------------------------------------------------------------------------
 # parsing
 
+
+# face indices are stored as int64
+INDEX_MAX = np.iinfo(np.int64).max
 
 # raw lines read and converted at a time: parsing holds one block's tokens,
 # and an OFF header's counts, which are only claims, size nothing
@@ -205,6 +216,9 @@ def _off_faces(rows, count, lineno, path):
             faces[i] = [int(t) for t in tokens[1:]]
         except ValueError:
             raise MeshParseError("face index is not an integer",
+                                 path=str(path), line=lineno)
+        except OverflowError:
+            raise MeshParseError("face index does not fit in 64 bits",
                                  path=str(path), line=lineno)
     return faces, lineno
 
@@ -320,6 +334,9 @@ def _obj_lines(lines, lineno, path):
                                          path=str(path), line=lineno)
                 if value < 1:
                     raise MeshParseError("face indices must be positive",
+                                         path=str(path), line=lineno)
+                if value > INDEX_MAX:
+                    raise MeshParseError("face index does not fit in 64 bits",
                                          path=str(path), line=lineno)
                 idx.append(value - 1)
             faces.append(idx)
@@ -638,6 +655,8 @@ def assemble_operators(mesh: MeshGeometry) -> SparseOperatorPair:
     number of clamped corners is recorded.  The pair carries the mesh's
     :func:`nested_dissection` order.
     """
+    from scipy import sparse
+
     # before the assembly's own arrays exist, so their peaks do not add up
     ordering = nested_dissection(mesh)
     verts, faces = mesh.vertices, mesh.faces

@@ -51,9 +51,9 @@ def three_sphere_file(tmp_path_factory):
 def solve_sizes(monkeypatch):
     """The k of every sparse solve the CLI makes."""
     import specgeom.cli as cli_mod
+    from specgeom.eigensolve import solve_smallest as real_solve
 
     sizes = []
-    real_solve = cli_mod.solve_smallest
 
     def spy(ops, k, **kwargs):
         sizes.append(k)

@@ -72,6 +72,21 @@ def test_parse_error_names_its_line(tmp_path, name, text, message, line):
     }
 
 
+@pytest.mark.parametrize("name, text, line", [
+    ("beyond-int64.off", "OFF\n4 4 0\n" + TET + "3 0 2 1\n3 0 1 99999999999999999999\n", 8),
+    ("below-int64.off", "OFF\n4 4 0\n" + TET + "3 0 2 -99999999999999999999\n", 7),
+    ("beyond-int64.obj", TET_OBJ + "f 1 3 99999999999999999999\n", 9),
+])
+def test_face_index_beyond_int64_exits_2(tmp_path, capsys, name, text, line):
+    """A parse error naming its line, not an OverflowError (exit 4)."""
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, ["spectrum", "--mesh", str(path)])
+    assert (code, out) == (2, "")
+    assert err == {"kind": "mesh-parse", "message": "face index does not fit in 64 bits",
+                   "detail": {"path": str(path), "line": line}}
+
+
 @pytest.mark.parametrize("text, message, line", [
     ("OFF\n1000000000000 4 0\n0 0 0\n", "OFF file ends inside vertex block", 3),
     ("OFF\n4 100000000000 0\n" + TET, "OFF file ends inside face block", 6),

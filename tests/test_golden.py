@@ -37,7 +37,7 @@ import pytest
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from specgeom import cli  # noqa: E402
+from specgeom import cli, eigensolve  # noqa: E402
 from specgeom.meshgen import icosphere, write_off  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
@@ -231,7 +231,7 @@ def test_mesh_check_solves_once(name, meshes, monkeypatch):
     """A mesh's kernel dimension is known before its solve, so each mesh
     check makes exactly one sparse solve."""
     sizes = []
-    real_solve = cli.solve_smallest
+    real_solve = eigensolve.solve_smallest
 
     def spy(ops, k, **kwargs):
         sizes.append(k)

@@ -1,5 +1,5 @@
-"""The numpy-only modules import without scipy, and every module uses what
-it imports."""
+"""The numpy-only modules import without scipy, commands that read no mesh
+run without it, and every module uses what it imports."""
 
 import ast
 import subprocess
@@ -11,20 +11,45 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "specgeom").glob("*.py"))
 
 
+def scipy_modules(code):
+    """The scipy modules loaded after running ``code`` in a fresh
+    interpreter on this one's path, as that interpreter prints them."""
+    code = ("import sys; sys.path[:] = %r; %s; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "file=sys.stderr)" % (sys.path, code))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    return proc.stderr.splitlines()[-1]
+
+
 @pytest.mark.parametrize("module", [
     "specgeom", "specgeom.models", "specgeom.meshgen", "specgeom.inequalities",
-    "specgeom.serialize", "specgeom.errors",
+    "specgeom.serialize", "specgeom.errors", "specgeom.mesh", "specgeom.prooflab",
+    "specgeom.cli",
 ])
 def test_imports_without_scipy(module):
-    code = (
-        "import sys; sys.path[:] = %r; import %s; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        % (sys.path, module)
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert proc.stdout == "[]\n"
+    assert scipy_modules("import %s" % module) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--ratio-grid", "0.5:2:0.5"],
+    ["spectrum", "--model", "sphere", "--dim", "3", "--operator", "dirac", "--tol", "1e-8"],
+    ["check", "--ineq", "conjecture", "--lattice", "1 0.3; 0 1.2"],
+    ["check", "--ineq", "main,reilly1", "--model", "sphere", "--j-range", "1:3"],
+], ids=["sweep", "sphere-spectrum", "conjecture", "sphere-check"])
+def test_model_commands_run_without_scipy(argv):
+    code = "from specgeom import cli; assert cli.main(%r) == 0" % (argv,)
+    assert scipy_modules(code) == "[]"
+
+
+def test_mesh_command_loads_scipy(tmp_path):
+    """The counterpart of the model commands: the solvers load scipy with
+    the first mesh, so the check above would see it if a model command did."""
+    path = str(tmp_path / "ico1.off")
+    code = ("from specgeom import cli, meshgen; meshgen.write_off(%r, *meshgen.icosphere(1)); "
+            "assert cli.main(['spectrum', '--mesh', %r, '--count', '4']) == 0" % (path, path))
+    loaded = scipy_modules(code)
+    assert "'scipy.sparse.linalg'" in loaded and "'scipy.linalg'" in loaded
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
