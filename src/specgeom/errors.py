@@ -28,8 +28,7 @@ class UsageError(SpecGeomError):
     kind = "usage"
 
 
-# the solver tolerances accepted, checked by the sparse solver and, without
-# loading it, by the command line's --tol
+# the solver tolerances accepted
 TOL_RANGE = (1e-12, 1e-2)
 
 

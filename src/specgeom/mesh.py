@@ -66,9 +66,8 @@ class MeshGeometry:
         """Connected components of the face graph: the kernel dimension of
         the cotangent Laplacian, whose null space is the locally constant
         functions.  Not read off the stiffness, as a cotangent can be 0."""
-        # imported on first read, as scipy.sparse is wherever a matrix is
-        # built: model commands load no scipy, and mesh commands that never
-        # count components (spectrum, check with --m) skip csgraph's ~1 MiB
+        # csgraph only here: mesh commands that never count components
+        # (spectrum, check with --m) skip its ~1 MiB
         from scipy import sparse
         from scipy.sparse.csgraph import connected_components
 
