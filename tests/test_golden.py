@@ -120,6 +120,8 @@ CORPUS = {
     "sweep": ["sweep", "--ratio-grid", "0.9:1.1:0.1", "--count", "32"],
     # aspect ratios 0.5 to 4, the ends of the benchmark's sweep
     "sweep-wide": ["sweep", "--ratio-grid", "0.5:4.0:0.25"],
+    # aspect ratios 0.02 to 47.52: the end lattices' dual boxes differ about 50x
+    "sweep-extreme": ["sweep", "--ratio-grid", "0.02:50:2.5"],
     "prooflab-prop31": [
         "prooflab", "--task", "prop31", *MESH, "--psi", "x", "--j", "1"],
     "prooflab-anghel": ["prooflab", "--task", "anghel", *MESH, "--j", "2"],
