@@ -368,22 +368,25 @@ def _shifted_dual_norms(lat: Lattice, shifts, count: int) -> list[np.ndarray]:
     raise InvalidModelError("dual lattice enumeration failed to converge")
 
 
-def _shells(norms: np.ndarray):
+def _shells(norms: np.ndarray, scale: float):
     """Group a sorted nonnegative value array into ascending (value,
     multiplicity) shells, yielding each once the next one starts.
 
     A value joins the current shell when it exceeds the shell's first value
-    by at most ``VALUE_GROUP_RTOL * max(|v|, 1e-30)``; a shell's first value
-    below 1e-30 is enumeration roundoff, reported as an exact 0.
+    by at most ``VALUE_GROUP_RTOL * max(|v|, floor)``; a shell's first value
+    below ``floor = 1e-30 * scale`` is enumeration roundoff, reported as an
+    exact 0.  ``scale`` is the lattice's squared dual spacing, so shells do
+    not depend on the lattice's unit of length.
     """
+    floor = 1e-30 * scale
     first, mult = None, 0
     for v in norms.tolist():
-        if mult and v - first <= VALUE_GROUP_RTOL * max(abs(v), 1e-30):
+        if mult and v - first <= VALUE_GROUP_RTOL * max(abs(v), floor):
             mult += 1
         else:
             if mult:
                 yield first, mult
-            first, mult = (0.0 if abs(v) < 1e-30 else v), 1
+            first, mult = (0.0 if abs(v) < floor else v), 1
     if mult:
         yield first, mult
 
@@ -395,7 +398,8 @@ def _torus_spectra(lat, shifts, count, mult_factor, operator_kind) -> list[Spect
     # ceil(count / mult_factor): each dual vector carries mult_factor values
     vectors = -(-count // mult_factor)
     return [Spectrum(operator_kind, _entries_from_shells(
-                ((v, m * mult_factor) for v, m in _shells(norms)), count))
+                ((v, m * mult_factor) for v, m in _shells(norms, lat.dual_spacing**2)),
+                count))
             for norms in _shifted_dual_norms(lat, shifts, vectors)]
 
 

@@ -664,6 +664,21 @@ class TestSweep:
         assert {row[1] for row in rows} == {"0,0", "0,1/2", "1/2,0", "1/2,1/2"}
         assert outs[1] == outs[0] and outs[2] == outs[0]
 
+    @pytest.mark.parametrize("area", [1e31, 1e32])
+    def test_a_huge_area_keeps_its_shells(self, capsys, area):
+        """At area 1e31 the probe's values, about 4e-30, fell below an
+        absolute floor and ran together into one shell (exit 2, "entries not
+        strictly increasing"); the floors follow the lattice's scale, so
+        every value times the area is the unit-area sweep's."""
+        rows = []
+        for a in (1.0, area):
+            assert main(["sweep", "--ratio-grid", "1:1.5:0.5", "--area", repr(a)]) == 0
+            rows.append(list(csv.reader(capsys.readouterr().out.splitlines()[1:])))
+        assert [r[:3] for r in rows[1]] == [r[:3] for r in rows[0]]
+        for big, unit in zip(rows[1], rows[0]):
+            for col in (3, 4):
+                assert float(big[col]) * area == pytest.approx(float(unit[col]), rel=1e-12)
+
     def test_rows_sorted_by_ratio_then_spin(self, tmp_path):
         out = tmp_path / "s.csv"
         main(["sweep", "--ratio-grid", "0.8:1.2:0.2", "--output", str(out)])

@@ -137,6 +137,11 @@ CORPUS = {
     "spectrum-near-square-torus": [
         "spectrum", "--model", "torus", "--lattice", "1 0; 0 1.0000000005384615",
         "--operator", "laplace", "--count", "256"],
+    # the oblique lattice scaled by 1e30: its values, about 3e-59, are shells
+    # of their own and not one kernel shell
+    "spectrum-oblique-1e30": [
+        "spectrum", "--model", "torus", "--lattice", "1e30 0.3e30; 0 1.2e30",
+        "--operator", "dirac", "--spin", "0,0", "--count", "8"],
     "spectrum-mesh": ["spectrum", *MESH, "--count", "5"],
     # errors: exit 1 or 2 with one JSON object on stderr
     "error-unknown-id": ["check", "--ineq", "main,nope", *SPHERE_L],

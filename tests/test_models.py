@@ -197,6 +197,28 @@ class TestTorusSpectra:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert spec.zero_dim == 1
 
+    @pytest.mark.parametrize("basis", [
+        [[1.0, 0.5], [0.0, 1.0]],
+        math.sqrt(2.0) * math.pi * np.eye(2),
+        [[1.0, 0.3, 0.1], [0.0, 1.2, 0.2], [0.0, 0.0, 0.9]],
+    ], ids=["oblique", "clifford", "3d"])
+    def test_a_power_of_two_scale_scales_every_entry(self, basis):
+        """A lattice scaled by 2^k gives every entry scaled by 4^-k, bit for
+        bit, for |k| <= 200: the shells do not depend on the unit of length.
+        At the scale 2^60 a shell's values once fell below an absolute floor
+        and collapsed into one kernel shell."""
+        unit = Lattice(np.array(basis))
+        spins = all_spin_structures(unit.dim)
+
+        def entries(lat):
+            return [spec.entries for spec in
+                    [torus_laplace_spectrum(lat, 16), *torus_dirac_spectra(lat, spins, 16)]]
+
+        want = entries(unit)
+        for k in range(-200, 201):
+            got = entries(Lattice(np.ldexp(unit.basis, k)))
+            assert got == [tuple((v * 4.0**-k, m) for v, m in spec) for spec in want], k
+
     def test_clifford_lattice(self):
         lat = clifford_torus_lattice()
         assert lat.covolume == pytest.approx(2.0 * math.pi**2, rel=1e-14)
@@ -380,21 +402,22 @@ def vectors_inside_first_radius(lat, shift, vectors, shifts):
     return int(np.sum(np.linalg.norm((grid + shift) @ lat.dual_basis.T, axis=1) < radius))
 
 
-def reference_group_values(norms):
-    """The original per-value grouping loop, kept verbatim as the oracle."""
+def reference_group_values(norms, scale=1.0):
+    """The original per-value grouping loop as the oracle, its floors taken
+    relative to the lattice's ``scale``."""
     shells = []
     for v in norms:
         v = float(v)
-        if shells and v - shells[-1][0] <= VALUE_GROUP_RTOL * max(abs(v), 1e-30):
+        if shells and v - shells[-1][0] <= VALUE_GROUP_RTOL * max(abs(v), 1e-30 * scale):
             shells[-1] = (shells[-1][0], shells[-1][1] + 1)
         else:
             # snap near-zero enumeration roundoff to an exact kernel value
-            shells.append((0.0 if abs(v) < 1e-30 else v, 1))
+            shells.append((0.0 if abs(v) < 1e-30 * scale else v, 1))
     return shells
 
 
-def grouped(norms):
-    return list(models._shells(np.asarray(norms, dtype=float)))
+def grouped(norms, scale=1.0):
+    return list(models._shells(np.asarray(norms, dtype=float), scale))
 
 
 @st.composite
@@ -416,20 +439,27 @@ def shell_arrays(draw):
 
 class TestShellGrouping:
     @settings(deadline=None, max_examples=300)
-    @given(shell_arrays(), st.integers(min_value=1, max_value=80))
-    def test_matches_reference_loop(self, norms, count):
+    @given(shell_arrays(), st.integers(min_value=1, max_value=80),
+           st.integers(min_value=-200, max_value=200))
+    def test_matches_reference_loop(self, norms, count, k):
         """The shells match the oracle loop, and so does their cut at any
-        count the values cover, where the lazy grouping stops early."""
+        count the values cover, where the lazy grouping stops early.  Values
+        and scale multiplied by 4^k give the same shells multiplied by 4^k."""
         assert grouped(norms) == reference_group_values(norms)
+        assert grouped(norms * 4.0**k, 4.0**k) == [
+            (v * 4.0**k, m) for v, m in reference_group_values(norms)]
         if norms.size:
             count = min(count, norms.size)
-            assert (models._entries_from_shells(models._shells(norms), count)
+            assert (models._entries_from_shells(models._shells(norms, 1.0), count)
                     == models._entries_from_shells(reference_group_values(norms), count))
 
     def test_kernel_snap_and_empty_input(self):
         assert grouped([0.0, 0.0, 5e-31, 2.0, 2.0]) == reference_group_values(
             [0.0, 0.0, 5e-31, 2.0, 2.0])
+        # the floors are relative: values that are roundoff next to a unit
+        # lattice's are shells of a lattice whose scale is 1e-40
         assert grouped([2e-40, 9e-40, 1.0]) == [(0.0, 2), (1.0, 1)]
+        assert grouped([2e-40, 9e-40, 1.0], 1e-40) == [(2e-40, 1), (9e-40, 1), (1.0, 1)]
         assert grouped([]) == []
 
     def test_near_square_chain_is_resplit(self):
@@ -438,9 +468,11 @@ class TestShellGrouping:
         neighbours splits where it drifts past that first value."""
         lat = Lattice(np.diag([1.0, 1.0000000005384615]))
         [norms] = models._shifted_dual_norms(lat, np.zeros((1, 2)), 256)
-        assert grouped(norms) == reference_group_values(norms)
+        assert grouped(norms, lat.dual_spacing**2) == reference_group_values(
+            norms, lat.dual_spacing**2)
         spec = torus_laplace_spectrum(lat, 256)
-        want = models._entries_from_shells(reference_group_values(norms), 256)
+        want = models._entries_from_shells(
+            reference_group_values(norms, lat.dual_spacing**2), 256)
         assert spec.entries == want
 
 
