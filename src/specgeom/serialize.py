@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import UsageError
 
 def format_float(x: float) -> str:
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise UsageError("cannot serialize non-finite value %r" % x)
     return "%.17g" % x
 
