@@ -596,16 +596,16 @@ def cmd_sweep(cfg) -> int:
     area = cfg["area"]
     if not (math.isfinite(area) and area > 0.0):
         raise UsageError("sweep area must be finite and positive, got %r" % area, area=area)
-    rows = []
+    lats = []
     for ratio in cfg["ratio_grid"]:
         # fixed area, aspect ratio r2/r1 = ratio
         r1 = math.sqrt(area / (4.0 * math.pi**2 * ratio))
-        lat = Lattice(np.diag([2.0 * math.pi * r1, 2.0 * math.pi * r1 * ratio]))
-        rows.extend(
-            [ratio, rep.params["spin"], rep.ineq_id, rep.lhs, rep.rhs, rep.margin,
-             rep.satisfied]
-            for rep in conjecture_probe(lat, area=area, count=cfg["count"])
-        )
+        lats.append(Lattice(np.diag([2.0 * math.pi * r1, 2.0 * math.pi * r1 * ratio])))
+    # rows are formatted as the probe yields them: no list of every report is held
+    rows = ([ratio, rep.params["spin"], rep.ineq_id, rep.lhs, rep.rhs, rep.margin, rep.satisfied]
+            for ratio, reports in zip(cfg["ratio_grid"],
+                                      conjecture_probe(lats, area=area, count=cfg["count"]))
+            for rep in reports)
     header = ("ratio", "spin", "ineq_id", "lhs", "rhs", "margin", "satisfied")
     _emit(cfg, format_csv(header, rows))
     return 0

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .models import (
     IndexedSpectrum,
-    Lattice,
     all_spin_structures,
     field_dimension,
     spinor_rank,
@@ -648,11 +647,11 @@ def _background(p, j):
 def _conjecture(p, j):
     """Exploratory: (Gbar_1 + Gbar_2)/2 >= 4 pi^2 / area on a flat 2-torus,
     see :func:`conjecture_probe`."""
-    return conjecture_probe(
-        p["lattice"],
+    return next(conjecture_probe(
+        [p["lattice"]],
         p["area"] if p.given("area") else None,
         p["count"] if p.given("count") else 64,
-    )
+    ))
 
 
 def evaluate_inputs(p, j=None):
@@ -687,54 +686,53 @@ def evaluate(ineq_id, spectrum=None, provenance=None, **values):
 # exploratory conjecture probe
 
 
-def conjecture_probe(lat: Lattice, area: float | None = None, count: int = 64) -> list:
+def conjecture_probe(lats, area: float | None = None, count: int = 64):
     """Exploratory flat-torus probe: (Gbar_1 + Gbar_2)/2 against 4 pi^2/area.
 
     Evaluated for all four spin structures of the 2-torus because the
     conjectured statement does not pin one down.  The reports are labeled
-    exploratory; they never feed pass/fail aggregation.  One dual-lattice
-    enumeration builds all four spectra up to the trivial structure's
-    Gbar_2, its kernel plus 2 values; ``count`` caps that size, so a larger
-    one changes nothing and a smaller one is a usage error.
+    exploratory; they never feed pass/fail aggregation.  The arguments are
+    checked at once; the returned iterator then yields the four reports of
+    each lattice of the sequence ``lats`` as a list, in order, enumerating
+    the dual lattices a chunk at a time.  Each spectrum is built up to the
+    trivial structure's Gbar_2, its kernel plus 2 values; ``count`` caps
+    that size, so a larger one changes nothing and a smaller one is a usage
+    error.  ``area`` defaults to each lattice's covolume.
     """
-    if lat.dim != 2:
-        raise UsageError(
-            "the probe needs a 2-dimensional lattice, got dimension %d" % lat.dim,
-            dim=lat.dim,
-        )
+    for lat in lats:
+        if lat.dim != 2:
+            raise UsageError(
+                "the probe needs a 2-dimensional lattice, got dimension %d" % lat.dim,
+                dim=lat.dim,
+            )
     # Gbar_2 is the kernel plus 2 values: the trivial structure's kernel is
     # its 2^[n/2] parallel spinors, and the other structures have none
-    kernel = spinor_rank(lat.dim)
+    kernel = spinor_rank(2)
     if count < 1:
         raise EmptyRequestError("requested %d eigenvalues" % count)
     check_count(count, kernel + 2)
-    if area is None:
-        area = lat.covolume
-    if area <= 0.0:
+    if area is not None and area <= 0.0:
         raise UsageError("area must be positive, got %g" % area, area=area)
-    rhs = 4.0 * np.pi**2 / area
-    reports = []
-    spins = all_spin_structures(lat.dim)
-    for spin, spec in zip(spins, torus_dirac_spectra(lat, spins, kernel + 2)):
-        g1, g2 = spec.gamma_bar(1), spec.gamma_bar(2)
-        lhs = 0.5 * (g1 + g2)
-        reports.append(
-            make_report(
-                "two-mean-lower",
-                LOWER,
-                lhs,
-                rhs,
-                {
-                    "spin": spin.label(),
-                    "area": area,
-                    "zero_dim": spec.zero_dim,
-                },
-                {"gamma_bar_1": g1, "gamma_bar_2": g2, "two_mean": lhs, "bound": rhs},
-                provenance={"spectrum": "torus_dirac"},
-                exploratory=True,
-            )
-        )
-    return reports
+    spins = all_spin_structures(2)
+    return ([_probe_report(spin, spec, lat.covolume if area is None else area)
+             for spin, spec in zip(spins, specs)]
+            for lat, specs in zip(lats, torus_dirac_spectra(lats, spins, kernel + 2)))
+
+
+def _probe_report(spin, spec, area):
+    """The probe's report on the spectrum of one spin structure."""
+    g1, g2 = spec.gamma_bar(1), spec.gamma_bar(2)
+    lhs, rhs = 0.5 * (g1 + g2), 4.0 * np.pi**2 / area
+    return make_report(
+        "two-mean-lower",
+        LOWER,
+        lhs,
+        rhs,
+        {"spin": spin.label(), "area": area, "zero_dim": spec.zero_dim},
+        {"gamma_bar_1": g1, "gamma_bar_2": g2, "two_mean": lhs, "bound": rhs},
+        provenance={"spectrum": "torus_dirac"},
+        exploratory=True,
+    )
 
 
 def aggregate_exit(reports) -> bool:

@@ -16,6 +16,12 @@ Conventions
   the squared Dirac eigenvalues are |gamma + delta|^2 where delta is the
   half-integer spin shift expressed in the dual basis.  Each dual vector
   contributes 2^[n/2] to the Dirac multiplicity.
+* The dual vectors come from an integer box that a lattice's spin shifts
+  share.  A sequence of lattices (the sweep's aspect ratios) is enumerated
+  a chunk of consecutive lattices at a time, in the union of their boxes,
+  and its spectra come out lattice by lattice.  Shells are grouped relative
+  to the lattice's squared dual spacing, so a lattice scaled by 2^k has
+  every value scaled by 4^-k, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,11 +47,17 @@ VALUE_GROUP_RTOL = 1e-9
 
 OPERATOR_KINDS = ("dirac_squared", "laplace")
 
-# Grid points in one dual-lattice enumeration box, which all spin shifts of
-# a request share.  The model-sweep probe (ratios 0.5 to 4) needs at most
+# Grid points in one lattice's dual enumeration box, which all spin shifts
+# of a request share.  The model-sweep probe (ratios 0.5 to 4) needs at most
 # 136; ``spectrum`` on the "1 0; 0 1e-12" lattice (trivial spin, default 16
 # values) needs 4.2e7.  A box past this limit would need many GiB: an error.
 MAX_DUAL_BOX = 10**8
+
+# Lattices times grid points that one enumeration chunk of consecutive
+# lattices may hold in their union box; a chunk takes one shift at a time,
+# (n + 1) float64s per point: 96 KiB for a 2-torus.  About 30 lattices of the
+# model-sweep probe fit; a lattice whose own box is larger runs alone.
+CHUNK_POINTS = 4096
 
 # The first dual-lattice radius is this factor times (k * dual covolume)^(1/n)
 # for k requested dual vectors, plus the length of the longest spin shift; the
@@ -265,7 +277,8 @@ class Lattice:
             )
         dual.setflags(write=False)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_dual_basis", dual)
+        # generators (as columns) of the dual lattice, pairing in 2*pi*Z
+        object.__setattr__(self, "dual_basis", dual)
         object.__setattr__(self, "covolume", abs(det))
 
     @property
@@ -277,18 +290,6 @@ class Lattice:
         """The n-th root of the dual covolume (2 pi)^n / covolume, taken as
         2 pi / covolume^(1/n) so that no power of 2 pi can overflow."""
         return 2.0 * math.pi / self.covolume ** (1.0 / self.dim)
-
-    @functools.cached_property
-    def dual_reach(self) -> np.ndarray:
-        """Row norms of the inverse dual basis, inv(G*) = B^T / 2 pi, so the
-        basis column norms over 2 pi: a dual vector no longer than R has
-        coordinates at most R times these."""
-        return np.linalg.norm(self.basis, axis=0) / (2.0 * math.pi)
-
-    @property
-    def dual_basis(self) -> np.ndarray:
-        """Generators (as columns) of the dual lattice, pairing in 2*pi*Z."""
-        return self._dual_basis
 
 
 @dataclass(frozen=True)
@@ -321,30 +322,61 @@ def all_spin_structures(n: int) -> list[SpinStructure]:
     return [SpinStructure(bits) for bits in itertools.product((0.0, 0.5), repeat=n)]
 
 
-def _shifted_dual_norms(lat: Lattice, shifts, count: int) -> list[np.ndarray]:
-    """Sorted squared norms |G*(c + shift)|^2 over c in Z^n, at least
-    ``count`` of them, for each shift of the stack ``shifts`` (one per row),
-    in order; no shifts give an empty list.
+def _shifted_dual_norms(lats, shifts, count: int):
+    """For each lattice of the sequence ``lats``, in order, yield a list of
+    sorted squared norms |G*(c + shift)|^2 over c in Z^n, at least ``count``
+    of them, one array per shift of the stack ``shifts`` (one per row).
 
-    The shifts share one enumeration radius and one integer box.  The radius
+    Each lattice's shifts share its radius and its integer box.  The radius
     grows geometrically until at least ``count`` dual vectors of every shift
     lie strictly below R^2, which guarantees every kept shell is complete
-    (no dual vector of smaller norm is missed).
+    (no dual vector of smaller norm is missed).  Consecutive lattices are
+    enumerated a chunk at a time (``CHUNK_POINTS``), in the union of their
+    boxes.
     """
-    gstar = lat.dual_basis
-    n = lat.dim
-    stack = np.asarray(shifts, dtype=float).reshape(len(shifts), n)
-    if not len(stack):
-        return []
-    longest = float(np.linalg.norm(gstar @ stack.T, axis=0).max())
-    radius = FIRST_RADIUS_FACTOR * count ** (1.0 / n) * lat.dual_spacing + longest
-    for _ in range(64):
+    stack = np.asarray(shifts, dtype=float)
+    if not (len(stack) and len(lats)):
+        yield from ([] for _ in lats)
+        return
+    stack = stack.reshape(len(stack), -1)
+    longest = np.linalg.norm(np.stack([lat.dual_basis for lat in lats]) @ stack.T, axis=1)
+    spacing = np.array([lat.dual_spacing for lat in lats])
+    radii = FIRST_RADIUS_FACTOR * count ** (1.0 / stack.shape[1]) * spacing + longest.max(axis=1)
+    # a dual vector no longer than R has coordinates at most R times the row
+    # norms of inv(G*) = B^T / 2 pi, so the basis column norms over 2 pi
+    reach = np.linalg.norm(np.stack([lat.basis for lat in lats]), axis=1) / (2.0 * math.pi)
+    yield from _grown_norms(zip(lats, radii.tolist(), reach), stack, count, 63)
+
+
+def _grown_norms(members, stack, count, grows):
+    """``_shifted_dual_norms`` of (lattice, radius, reach) ``members``: a
+    lattice short of ``count`` grows its own radius by 1.5, at most
+    ``grows`` times, and is enumerated again with the other short lattices
+    of its chunk."""
+    for chunk, union in _chunks(members, stack):
+        found = _chunk_norms(chunk, union, stack, count)
+        short = [(lat, radius * 1.5, reach)
+                 for (lat, radius, reach), norms in zip(chunk, found) if norms is None]
+        if short and not grows:
+            raise InvalidModelError("dual lattice enumeration failed to converge")
+        regrown = _grown_norms(short, stack, count, grows - 1)
+        for norms in found:
+            yield norms if norms is not None else next(regrown)
+
+
+def _chunks(members, stack):
+    """Runs of consecutive (lattice, radius, reach) ``members``, each with
+    its union box (lows, highs), whose length times the union's size stays
+    within ``CHUNK_POINTS``.  Each lattice's own box is checked against
+    ``MAX_DUAL_BOX`` before any grid is allocated."""
+    smin, smax = stack.min(axis=0).tolist(), stack.max(axis=0).tolist()
+    chunk, union = [], None
+    for lat, radius, reach in members:
         try:
-            half = (radius * lat.dual_reach).tolist()
-            lows = [math.floor(-h - s) - 1 for h, s in zip(half, stack.max(axis=0).tolist())]
-            sides = [math.ceil(h - s) + 2 - lo
-                     for h, s, lo in zip(half, stack.min(axis=0).tolist(), lows)]
-            size = math.prod(sides)
+            half = (radius * reach).tolist()
+            box = ([math.floor(-h - s) - 1 for h, s in zip(half, smax)],
+                   [math.ceil(h - s) + 2 for h, s in zip(half, smin)])
+            size = _box_size(box)
         except (OverflowError, ValueError):  # a half-width that is not finite
             size = math.inf
         if size > MAX_DUAL_BOX:
@@ -352,20 +384,47 @@ def _shifted_dual_norms(lat: Lattice, shifts, count: int) -> list[np.ndarray]:
                 "dual lattice enumeration needs more than %d grid points" % MAX_DUAL_BOX,
                 limit=MAX_DUAL_BOX,
             )
-        grid = np.indices(sides).reshape(n, -1).T + lows
-        found = []
-        for shift in stack:  # one shift at a time keeps the memory of one
-            points = (grid + shift) @ gstar.T
-            norms = np.einsum("ij,ij->i", points, points)
-            norms = np.sort(norms[norms <= radius**2])
-            below = int(np.searchsorted(norms, radius**2 * (1.0 - 1e-12)))
-            if below < count:
-                break
-            found.append(norms[:below])
-        else:
-            return found
-        radius *= 1.5
-    raise InvalidModelError("dual lattice enumeration failed to converge")
+        joined = box
+        if chunk:
+            joined = (list(map(min, union[0], box[0])), list(map(max, union[1], box[1])))
+            if (len(chunk) + 1) * _box_size(joined) > CHUNK_POINTS:
+                yield chunk, union
+                chunk, joined = [], box
+        chunk.append((lat, radius, reach))
+        union = joined
+    if chunk:
+        yield chunk, union
+
+
+def _box_size(box):
+    return math.prod(hi - lo for lo, hi in zip(*box))
+
+
+def _chunk_norms(chunk, union, stack, count):
+    """``_shifted_dual_norms`` of one chunk, None for a lattice short of
+    ``count``.  Each shift is one product over every lattice and the union
+    box; a lattice keeps its norms below its own radius, which lie in its
+    own box.  One shift at a time keeps the memory of one."""
+    lows, highs = union
+    grid = np.indices([hi - lo for lo, hi in zip(lows, highs)]).reshape(len(lows), -1).T + lows
+    gstar = np.stack([lat.dual_basis.T for lat, _, _ in chunk])
+    limits = np.array([radius**2 * (1.0 - 1e-12) for _, radius, _ in chunk])[:, None]
+    found, short = [[] for _ in chunk], np.zeros(len(chunk), dtype=bool)
+    for shift in stack:
+        points = (grid + shift) @ gstar
+        norms = np.einsum("...j,...j->...", points, points)
+        inside = norms < limits
+        below = inside.sum(axis=1)
+        short |= below < count
+        if short.all():  # the other shifts wait for the grown radii
+            break
+        # one row per lattice, its norms inside first, so one sort serves all
+        kept = np.full((len(chunk), below.max()), np.inf)
+        kept[np.arange(kept.shape[1]) < below[:, None]] = norms[inside]
+        kept.sort(axis=1)
+        for norms_of, row, k in zip(found, kept, below.tolist()):
+            norms_of.append(row[:k])
+    return [None if lacks else norms_of for norms_of, lacks in zip(found, short.tolist())]
 
 
 def _shells(norms: np.ndarray, scale: float):
@@ -391,22 +450,27 @@ def _shells(norms: np.ndarray, scale: float):
         yield first, mult
 
 
-def _torus_spectra(lat, shifts, count, mult_factor, operator_kind) -> list[Spectrum]:
-    """One spectrum per row of ``shifts``, all from one dual enumeration."""
+def _torus_spectra(lats, shifts, count, mult_factor, operator_kind):
+    """For each lattice of the sequence ``lats``, in order, yield one
+    spectrum per row of ``shifts``, as a list; the lattices' dual lattices
+    are enumerated a chunk at a time."""
     if count < 1:
         raise EmptyRequestError("requested %d eigenvalues" % count)
     # ceil(count / mult_factor): each dual vector carries mult_factor values
     vectors = -(-count // mult_factor)
-    return [Spectrum(operator_kind, _entries_from_shells(
-                ((v, m * mult_factor) for v, m in _shells(norms, lat.dual_spacing**2)),
-                count))
-            for norms in _shifted_dual_norms(lat, shifts, vectors)]
+    for lat, found in zip(lats, _shifted_dual_norms(lats, shifts, vectors)):
+        scale = lat.dual_spacing**2
+        yield [Spectrum(operator_kind, _entries_from_shells(
+                   ((v, m * mult_factor) for v, m in _shells(norms, scale)), count))
+               for norms in found]
 
 
-def torus_dirac_spectra(lat: Lattice, spins, count: int) -> list[Spectrum]:
-    """``torus_dirac_spectrum`` for each of one or more ``spins``, in order,
-    from one enumeration of the dual lattice shared by their shifts."""
-    for spin in spins:
+def torus_dirac_spectra(lats, spins, count: int):
+    """``torus_dirac_spectrum`` for each of one or more ``spins``, in order:
+    an iterator over the lattices of the sequence ``lats`` that yields each
+    one's list of spectra, from one enumeration of its dual lattice shared
+    by the shifts."""
+    for lat, spin in itertools.product(lats, spins):
         if spin.dim != lat.dim:
             raise InvalidModelError(
                 "spin structure dimension %d does not match lattice dimension %d"
@@ -415,7 +479,8 @@ def torus_dirac_spectra(lat: Lattice, spins, count: int) -> list[Spectrum]:
                 lattice_dim=lat.dim,
             )
     shifts = [spin.shift for spin in spins]
-    return _torus_spectra(lat, shifts, count, spinor_rank(lat.dim), "dirac_squared")
+    rank = spinor_rank(spins[0].dim) if spins else 1
+    return _torus_spectra(lats, shifts, count, rank, "dirac_squared")
 
 
 def torus_dirac_spectrum(lat: Lattice, spin: SpinStructure, count: int) -> Spectrum:
@@ -426,12 +491,12 @@ def torus_dirac_spectrum(lat: Lattice, spin: SpinStructure, count: int) -> Spect
     multiplicity 2^[n/2].  The trivial structure has a 2^[n/2]-dimensional
     space of parallel spinors (the kernel).
     """
-    return torus_dirac_spectra(lat, [spin], count)[0]
+    return next(torus_dirac_spectra([lat], [spin], count))[0]
 
 
 def torus_laplace_spectrum(lat: Lattice, count: int) -> Spectrum:
     """First ``count`` Laplace eigenvalues |gamma|^2 of the flat torus."""
-    return _torus_spectra(lat, np.zeros((1, lat.dim)), count, 1, "laplace")[0]
+    return next(_torus_spectra([lat], np.zeros((1, lat.dim)), count, 1, "laplace"))[0]
 
 
 def clifford_torus_lattice() -> Lattice:

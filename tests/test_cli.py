@@ -664,6 +664,36 @@ class TestSweep:
         assert {row[1] for row in rows} == {"0,0", "0,1/2", "1/2,0", "1/2,1/2"}
         assert outs[1] == outs[0] and outs[2] == outs[0]
 
+    def test_rows_are_the_probe_reports_of_each_ratio(self, capsys):
+        """The sweep enumerates its ratios a chunk at a time, in boxes that
+        differ about 50 times over this grid; each row is still the report
+        the probe gives that ratio's lattice alone."""
+        from specgeom.cli import _parse_grid
+        from specgeom.inequalities import conjecture_probe
+        from specgeom.models import Lattice
+        from specgeom.serialize import format_float
+
+        assert main(["sweep", "--ratio-grid", "0.02:50:2.5", "--area", "3"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()[1:]))
+        want = []
+        for ratio in _parse_grid("0.02:50:2.5"):
+            r1 = math.sqrt(3.0 / (4.0 * math.pi**2 * ratio))
+            lat = Lattice(np.diag([2.0 * math.pi * r1, 2.0 * math.pi * r1 * ratio]))
+            [reports] = conjecture_probe([lat], area=3.0)
+            want.extend([format_float(ratio), rep.params["spin"], rep.ineq_id,
+                         *map(format_float, (rep.lhs, rep.rhs, rep.margin)),
+                         str(rep.satisfied).lower()] for rep in reports)
+        assert len(rows) == 4 * 21 and rows == want
+
+    def test_a_last_ratio_past_the_box_limit_exits_2(self, capsys):
+        """Ratio 3e7 needs a dual box past MAX_DUAL_BOX; ratio 1 before it
+        does not.  Its own box is checked, not its chunk's: the sweep exits
+        2 with the limit and prints no rows."""
+        code, doc, err = run_json(capsys, ["sweep", "--ratio-grid", "1:30000001:30000000"])
+        assert (code, doc, err["kind"], err["detail"]) == (2, None, "invalid-model",
+                                                           {"limit": 10**8})
+        assert main(["sweep", "--ratio-grid", "1:1:1"]) == 0
+
     @pytest.mark.parametrize("area", [1e31, 1e32])
     def test_a_huge_area_keeps_its_shells(self, capsys, area):
         """At area 1e31 the probe's values, about 4e-30, fell below an
@@ -916,7 +946,7 @@ class TestExitCodes:
         lat = models_mod.Lattice(np.array([[1.0, 0.3], [0.0, 1.2]]))
         shifts = [s.shift for s in models_mod.all_spin_structures(2)]
         longest = max(shifts, key=lambda s: np.linalg.norm(lat.dual_basis @ s))
-        models_mod._shifted_dual_norms(lat, [longest], 2)
+        list(models_mod._shifted_dual_norms([lat], [longest], 2))
         assert all(0 <= a - b <= 1 for a, b in zip(shared, sides[1]))
 
         size = math.prod(shared)

@@ -357,7 +357,7 @@ class TestBackgroundBounds:
 
 class TestConjectureProbe:
     def test_clifford_probe(self):
-        reports = conjecture_probe(clifford_torus_lattice())
+        [reports] = conjecture_probe([clifford_torus_lattice()])
         assert len(reports) == 4
         assert all(r.exploratory for r in reports)
         assert all(r.rhs == pytest.approx(2.0, abs=1e-13) for r in reports)
@@ -369,15 +369,15 @@ class TestConjectureProbe:
         assert not by_spin["1/2,1/2"].satisfied
 
     def test_probe_never_blocks_aggregation(self):
-        reports = conjecture_probe(clifford_torus_lattice())
+        [reports] = conjecture_probe([clifford_torus_lattice()])
         assert aggregate_exit(reports) is True
 
     def test_probe_requires_2d(self):
         with pytest.raises(UsageError):
-            conjecture_probe(Lattice(np.eye(3) * 2.0 * math.pi))
+            conjecture_probe([Lattice(np.eye(3) * 2.0 * math.pi)])
 
     def test_probe_area_override(self):
-        reports = conjecture_probe(clifford_torus_lattice(), area=math.pi**2)
+        [reports] = conjecture_probe([clifford_torus_lattice()], area=math.pi**2)
         assert all(r.rhs == pytest.approx(4.0, abs=1e-13) for r in reports)
 
     def test_probe_builds_only_what_it_reads(self, monkeypatch):
@@ -388,14 +388,14 @@ class TestConjectureProbe:
         asked = []
         real = models._shifted_dual_norms
 
-        def spy(lat, shifts, count):
-            found = real(lat, shifts, count)
+        def spy(lats, shifts, count):
+            [found] = real(lats, shifts, count)
             asked.append((np.shape(shifts), count, [len(norms) >= count for norms in found]))
-            return found
+            return iter([found])
 
         monkeypatch.setattr(models, "_shifted_dual_norms", spy)
         for count in (4, 64, 256):
-            conjecture_probe(clifford_torus_lattice(), count=count)
+            [_] = conjecture_probe([clifford_torus_lattice()], count=count)
         assert asked == [((4, 2), 2, [True] * 4)] * 3
 
 
@@ -463,7 +463,8 @@ class TestViewAndHelpers:
     def test_aggregate_exit_mixed(self):
         sat = evaluate("main", S2_LAPLACE, j=1, **SCALAR_S2)
         unsat = evaluate("lp-spin", S2_LAPLACE, j=1, n=2, b_sq_sup=-10.0)
-        exploratory = conjecture_probe(clifford_torus_lattice())[3]
+        [reports] = conjecture_probe([clifford_torus_lattice()])
+        exploratory = reports[3]
         assert not exploratory.satisfied
         assert aggregate_exit([sat, exploratory]) is True
         assert aggregate_exit([sat, unsat]) is False

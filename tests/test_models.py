@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -209,15 +211,12 @@ class TestTorusSpectra:
         and collapsed into one kernel shell."""
         unit = Lattice(np.array(basis))
         spins = all_spin_structures(unit.dim)
-
-        def entries(lat):
-            return [spec.entries for spec in
-                    [torus_laplace_spectrum(lat, 16), *torus_dirac_spectra(lat, spins, 16)]]
-
-        want = entries(unit)
-        for k in range(-200, 201):
-            got = entries(Lattice(np.ldexp(unit.basis, k)))
-            assert got == [tuple((v * 4.0**-k, m) for v, m in spec) for spec in want], k
+        ks = range(-200, 201)
+        lats = [unit] + [Lattice(np.ldexp(unit.basis, k)) for k in ks]
+        built = [[torus_laplace_spectrum(lat, 16).entries] + [spec.entries for spec in specs]
+                 for lat, specs in zip(lats, torus_dirac_spectra(lats, spins, 16))]
+        for k, got in zip(ks, built[1:]):
+            assert got == [tuple((v * 4.0**-k, m) for v, m in spec) for spec in built[0]], k
 
     def test_clifford_lattice(self):
         lat = clifford_torus_lattice()
@@ -323,14 +322,14 @@ class TestTorusSpectra:
         spins = data.draw(st.lists(st.sampled_from(all_spin_structures(dim)), min_size=1,
                                    max_size=2**dim, unique=True), label="spins")
         count = data.draw(st.integers(min_value=1, max_value=64), label="count")
-        joint = torus_dirac_spectra(lat, spins, count)
+        [joint] = torus_dirac_spectra([lat], spins, count)
         assert [spec.entries for spec in joint] == [
             torus_dirac_spectrum(lat, spin, count).entries for spin in spins]
 
     def test_no_spins_give_no_spectra(self):
         """One spectrum per spin structure: an empty list gives an empty list."""
         lat = Lattice(np.array([[1.0, 0.3], [0.0, 1.2]]))
-        assert torus_dirac_spectra(lat, [], 4) == []
+        assert list(torus_dirac_spectra([lat], [], 4)) == [[]]
 
     @pytest.mark.parametrize("count, vectors", [(1, 1), (2, 1), (3, 2), (7, 4), (8, 4)])
     def test_enumeration_asks_for_whole_dual_vectors(self, monkeypatch, count, vectors):
@@ -339,9 +338,9 @@ class TestTorusSpectra:
         asked = []
         real = models._shifted_dual_norms
 
-        def spy(lat, shift, k):
+        def spy(lats, shifts, k):
             asked.append(k)
-            return real(lat, shift, k)
+            return real(lats, shifts, k)
 
         monkeypatch.setattr(models, "_shifted_dual_norms", spy)
         lat = Lattice(np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -368,7 +367,8 @@ class TestTorusSpectra:
         spins = all_spin_structures(lat.dim)
         builders = [  # (build, the shifts it enumerates, dual vectors it asks for)
             (lambda: [torus_laplace_spectrum(lat, count)], [spins[0].shift], count),
-            (lambda: torus_dirac_spectra(lat, spins, count), [s.shift for s in spins], vectors),
+            (lambda: next(torus_dirac_spectra([lat], spins, count)), [s.shift for s in spins],
+             vectors),
         ] + [(lambda s=s: [torus_dirac_spectrum(lat, s, count)], [s.shift], vectors)
              for s in (spins[0], spins[-1])]
         default = [[spec.entries for spec in build()] for build, _, _ in builders]
@@ -389,6 +389,67 @@ class TestTorusSpectra:
             boxes = 0
             assert [spec.entries for spec in build()] == entries
             assert (boxes > 1) == grows
+
+
+def sweep_lattice(ratio, area=4.0 * math.pi**2):
+    """The sweep's diagonal lattice of aspect ratio ``ratio`` and ``area``."""
+    r1 = math.sqrt(area / (4.0 * math.pi**2 * ratio))
+    return Lattice(np.diag([2.0 * math.pi * r1, 2.0 * math.pi * r1 * ratio]))
+
+
+@st.composite
+def lattice_stacks(draw):
+    """1 to 40 diagonal or oblique 2-D lattices with aspect ratios 1e-3 to
+    1e3 and scales 1e-2 to 1e2."""
+    lats = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        ratio = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+        shear = draw(st.just(0.0) | st.floats(min_value=-1.0, max_value=1.0))
+        scale = 10.0 ** draw(st.floats(min_value=-2.0, max_value=2.0))
+        lats.append(Lattice(scale * np.array([[1.0, shear], [0.0, ratio]])))
+    return lats
+
+
+class TestLatticeStacks:
+    @settings(deadline=None, max_examples=40)
+    @given(lattice_stacks(), st.data())
+    def test_each_lattice_of_a_stack_gets_its_own_spectra(self, lats, data):
+        """Consecutive lattices share an enumeration box, and each keeps its
+        own radius: every lattice of a stack, for any spin structures and
+        chunk budget, gets exactly the entries of its own build, also when
+        a first radius far too small makes some lattices grow theirs."""
+        spins = data.draw(st.lists(st.sampled_from(all_spin_structures(2)), max_size=4,
+                                   unique=True), label="spins")
+        count = data.draw(st.integers(min_value=1, max_value=24), label="count")
+        budget = data.draw(st.sampled_from([1, 600, models.CHUNK_POINTS, 10**6]), label="budget")
+        factor = data.draw(st.sampled_from([0.05, models.FIRST_RADIUS_FACTOR]), label="factor")
+        with mock.patch.object(models, "FIRST_RADIUS_FACTOR", factor):
+            alone = [[spec.entries for spec in next(torus_dirac_spectra([lat], spins, count))]
+                     for lat in lats]
+            with mock.patch.object(models, "CHUNK_POINTS", budget):
+                stacked = [[spec.entries for spec in specs]
+                           for specs in torus_dirac_spectra(lats, spins, count)]
+        assert stacked == alone
+
+    def test_a_long_sweep_holds_one_chunk_at_a_time(self):
+        """The spectra of a stack come out chunk by chunk: over the aspect
+        ratios 0.001 to 990.001, whose boxes differ about 100 times, the
+        enumeration peaks no higher than the largest lattice's enumeration
+        alone plus one chunk's arrays, one shift at a time."""
+        lats = [sweep_lattice(ratio) for ratio in cli._parse_grid("0.001:1000:10")]
+        spins = all_spin_structures(2)
+
+        def peak(stack):
+            tracemalloc.start()
+            try:
+                for _ in torus_dirac_spectra(stack, spins, 4):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        largest = max(peak([lat]) for lat in lats)
+        assert peak(lats) <= largest + models.CHUNK_POINTS * (2 + 1) * 8
 
 
 def vectors_inside_first_radius(lat, shift, vectors, shifts):
@@ -467,7 +528,7 @@ class TestShellGrouping:
         each other but not of their shell's first value, so a chain of close
         neighbours splits where it drifts past that first value."""
         lat = Lattice(np.diag([1.0, 1.0000000005384615]))
-        [norms] = models._shifted_dual_norms(lat, np.zeros((1, 2)), 256)
+        [[norms]] = models._shifted_dual_norms([lat], np.zeros((1, 2)), 256)
         assert grouped(norms, lat.dual_spacing**2) == reference_group_values(
             norms, lat.dual_spacing**2)
         spec = torus_laplace_spectrum(lat, 256)
