@@ -15,21 +15,22 @@ pivoting; inertia counts take diagonal pivots only and refuse a count whose
 row and column orders differ or whose smallest pivot is below
 ``PIVOT_FLOOR`` times the largest.
 
-A request padded to at most ``WINDOW`` values is one window: the shifted
-pencil L + eps M is factorized once, and ARPACK and the polish loop both
-use that LU.  No count checks it; a short Krylov block from a second start
-vector joins its Ritz step, so a copy of a multiple eigenvalue that
-ARPACK's single start vector missed is found.  A larger request is sliced into spectral windows (the
-shift-and-count strategy of Grimes, Lewis & Simon, SIAM J. Matrix Anal.
-Appl. 15, 1994).  Each window ends at an edge placed in a gap between its
-computed values, and the edge is counted by Sylvester's law of inertia
-(:func:`inertia`).  A window is kept only when it holds exactly as many
-values between its edges as the counts say; one that comes back short is
-re-solved wider a bounded number of times and then raises
-:class:`SolverConvergenceError` with the count and the number kept.  A
-sliced solve therefore returns the k smallest values of a certified set,
-never a truncated one.  Windows run in a fixed order with seeds derived
-from ``seed``, so reruns are bit-identical.
+A request padded to at most ``WINDOW`` values is one window, solved on one
+factorization of L + eps M.  No count checks it; a short Krylov block from
+a second start vector joins its Ritz step, so a copy of a multiple
+eigenvalue that ARPACK's single start vector missed is found.  Each
+window's factorization is released before the Ritz step; a polish sweep
+factors the windows' shifts again.  A larger request is sliced into
+spectral windows (the shift-and-count strategy of Grimes, Lewis & Simon,
+SIAM J. Matrix Anal. Appl. 15, 1994).  Each window ends at an edge placed
+in a gap between its computed values, and the edge is counted by
+Sylvester's law of inertia (:func:`inertia`).  A window is kept only when
+it holds exactly as many values between its edges as the counts say; one
+that comes back short is re-solved wider a bounded number of times and
+then raises :class:`SolverConvergenceError` with the count and the number
+kept.  A sliced solve therefore returns the k smallest values of a
+certified set, never a truncated one.  Windows run in a fixed order with
+seeds derived from ``seed``, so reruns are bit-identical.
 
 Dense path: a full LAPACK solve used as an independent oracle on small
 meshes.  Both return the same container and obey the same normalization
@@ -109,18 +110,12 @@ class EigenBasis(IndexedSpectrum):
         }
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make the first significantly-nonzero entry of each column positive."""
-    out = np.array(vectors, copy=True)
-    for col in range(out.shape[1]):
-        v = out[:, col]
-        peak = np.max(np.abs(v))
-        if peak == 0.0:
-            continue
-        lead = int(np.argmax(np.abs(v) > 1e-6 * peak))
-        if v[lead] < 0.0:
-            out[:, col] = -v
-    return out
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Make the first significantly-nonzero entry of each column positive,
+    in place."""
+    size = np.abs(vectors)
+    lead = np.argmax(size > 1e-6 * size.max(axis=0), axis=0)
+    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def _mass_orthonormalize(vectors, mass_diag):
@@ -154,17 +149,18 @@ def _residual_norms(ops, values, vectors):
     return residuals, np.maximum(1.0, np.linalg.norm(lv, axis=0))
 
 
-def _finalize(values, vectors, ops, tol, solved=None):
-    """Fix signs and check the contract of pairs that arrive ascending and
-    M-orthonormal (from :func:`_ritz_extract` or ``scipy.linalg.eigh``).
+def _finalize(values, vectors, ops, tol, solved=None, norms=None):
+    """Fix signs in place and check the contract of pairs that arrive
+    ascending and M-orthonormal (from :func:`_ritz_extract` or ``eigh``),
+    given their :func:`_residual_norms`, which a sign does not change, if known.
 
     ``solved`` holds every value computed, kept or not (default ``values``);
     its largest |value| is the scale of the zero-mode count.
     """
-    vectors = _fix_signs(vectors)
+    _fix_signs(vectors)
     gram = vectors.T @ (vectors * ops.mass_diag[:, None])
     gram_error = float(np.max(np.abs(gram - np.eye(len(values)))))
-    residuals, lv_scale = _residual_norms(ops, values, vectors)
+    residuals, lv_scale = norms or _residual_norms(ops, values, vectors)
     bounds = tol * lv_scale
     if gram_error > GRAM_TOL or np.any(residuals > bounds):
         raise SolverConvergenceError(
@@ -334,18 +330,19 @@ def _centre(ops, lo, below, target, spacing):
     return lo + 0.5 * (reach if best is None else best)
 
 
-def _slices(ops, lu, eps, k, tol, seed, v0):
+def _slices(ops, eps, k, tol, seed, v0):
     """The k smallest eigenpairs, solved window by window.
 
     Returns the edges between windows, each window's shift, the pairs in
     every window's ``[lo, hi)`` (exactly as many as the inertia
     counts at its edges say) and every value computed.  Window 1 is the
-    one-window solve (shift ``-eps``, factorization ``lu``, start ``v0``)
-    cut to ``WINDOW`` values.  Each later window has its own factorization
-    at a centre from :func:`_centre`, so that its values reach below the
-    previous edge.  A window that comes back short of its count is re-solved
-    wider, at most ``MAX_WIDEN`` times, with the same edge and a start
-    vector of its own.
+    one-window solve (shift ``-eps``, start ``v0``) cut to ``WINDOW``
+    values.  Each later window is centred by :func:`_centre`, so that its
+    values reach below the previous edge.  Every window factors its own
+    shift and drops the factorization once the window is kept.  A window
+    that comes back short of its count is re-solved wider on the same
+    factorization, at most ``MAX_WIDEN`` times, with the same edge and a
+    start vector of its own.
     """
     n = ops.stiffness.shape[0]
     shifts, edges, kept_values, kept_vectors, solved = [], [], [], [], []
@@ -354,8 +351,8 @@ def _slices(ops, lu, eps, k, tol, seed, v0):
         if shifts:
             size = min(WINDOW, n - 1, k - below + 2 * GUARD + 1)
             centre = _centre(ops, lo, below, size - 2 * GUARD, spacing)
-            lu = _factor(ops, centre)
             v0 = np.random.default_rng([seed, len(shifts)]).standard_normal(n)
+        lu = _factor(ops, centre)
         edge = None
         for attempt in range(MAX_WIDEN + 1):
             values, vectors = _lanczos(ops, lu, centre, size, tol, v0)
@@ -387,6 +384,7 @@ def _slices(ops, lu, eps, k, tol, seed, v0):
                 lo=float(lo),
                 hi=float(hi),
             )
+        del lu
         shifts.append(centre)
         edges.append(hi)
         kept_values.append(values[inside])
@@ -414,10 +412,8 @@ def solve_smallest(
     errors.check_tol(tol)
 
     # shift slightly below the spectrum so the kernel maps to the largest
-    # transformed eigenvalues and is found first; the factorization of the
-    # shifted pencil serves both ARPACK and the polish loop
+    # transformed eigenvalues and is found first
     eps = 1e-8 * ops.stiffness.diagonal().sum() / max(ops.stiffness.nnz, 1)
-    lu = _factor(ops, -eps)
     # pad the request so a multiplicity cluster cut at index k still lies
     # inside the converged subspace; the smallest k survive the polish.  A
     # pad clipped at n - 1 leaves no room above k for a window edge
@@ -425,6 +421,7 @@ def solve_smallest(
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     if k_solve <= WINDOW or k_solve == n - 1:
+        lu = _factor(ops, -eps)
         values, vectors = _lanczos(ops, lu, -eps, k_solve, tol, v0)
         # From one start vector, Lanczos finds the second and later copies
         # of a multiple eigenvalue only through rounding, and it can miss
@@ -432,14 +429,11 @@ def solve_smallest(
         # vectors, joins the Ritz step, so a copy it missed comes in among
         # the k smallest Ritz values and the polish loop converges it.
         block = _krylov(ops, lu, vectors, rng.standard_normal(n), min(GUARD, n - k_solve))
+        del lu
         vectors = np.hstack([vectors, block])
-        edges, lus, solved = [], [lu], []
+        edges, shifts, solved = [], [-eps], []
     else:
-        edges, shifts, values, vectors, solved = _slices(ops, lu, eps, k, tol, seed, v0)
-        # the windows' factorizations are released here, before the Ritz
-        # step's blocks are allocated, and made again only for a polish sweep
-        lus = None
-    del lu
+        edges, shifts, values, vectors, solved = _slices(ops, eps, k, tol, seed, v0)
 
     # ARPACK stops at ``tol`` relative to the shift-inverted eigenvalues,
     # which does not by itself bound the residuals in the original pencil.
@@ -449,28 +443,26 @@ def solve_smallest(
     # sweep runs; two disjoint L3 icospheres (1,284 vertices, k = 4 to 8)
     # take one or two.  Block inverse iteration (full reorthogonalization
     # plus Ritz re-extraction each sweep) polishes the pairs that miss half
-    # the bound, each with the factorization of the window it lies in.
+    # the bound, each with the factorization of the window it lies in, made
+    # again at the window's shift.  The last pass's pairs are the result.
     mass_diag = ops.mass_diag
-    converged = False
-    for _ in range(MAX_POLISH_STEPS):
+    lus = None
+    for sweep in range(MAX_POLISH_STEPS + 1):
         values, vectors = _ritz_extract(ops, vectors)
         residuals, lv_scale = _residual_norms(ops, values[:k], vectors[:, :k])
-        if np.all(residuals <= 0.5 * tol * lv_scale):
-            converged = True
+        if sweep == MAX_POLISH_STEPS or np.all(residuals <= 0.5 * tol * lv_scale):
             break
-        if lus is None:
-            lus = [_factor(ops, shift) for shift in shifts]
+        lus = lus or [_factor(ops, shift) for shift in shifts]
         parts = np.split(mass_diag[:, None] * vectors, np.searchsorted(values, edges), axis=1)
         parts = [lu_w.solve(part) for lu_w, part in zip(lus, parts)]
         vectors = parts[0] if len(parts) == 1 else np.hstack(parts)
-    if not converged:
-        values, vectors = _ritz_extract(ops, vectors)
     # release the factorizations before the final checks allocate their blocks
     del lus
     # the zero-mode scale covers the Ritz values of the solve's own pairs
     # (not the second start's) and every window's values
     solved = np.concatenate([values[:k_solve], solved])
-    return _finalize(values[:k], vectors[:, :k], ops, tol, solved=solved)
+    return _finalize(values[:k], vectors[:, :k], ops, tol, solved=solved,
+                     norms=(residuals, lv_scale))
 
 
 def dense_eigenbasis(ops: SparseOperatorPair, k: int | None = None) -> EigenBasis:

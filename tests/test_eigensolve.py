@@ -1,6 +1,7 @@
 """Sparse eigensolver against closed forms, a dense oracle, and its own contract."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -313,9 +314,10 @@ class TestFactorization:
         assert counter.solves > 0  # ARPACK's shift-invert solves use it
         assert basis.size == k
 
-    def test_polish_reuses_the_factorization(self, ico_ops, monkeypatch):
-        """Vectors returned 1e-6 off the eigenspace force polish sweeps; they
-        run on the same LU and still meet the residual bound."""
+    def test_polish_refactors_the_window_shift(self, ico_ops, monkeypatch):
+        """Vectors returned 1e-6 off the eigenspace force polish sweeps.  The
+        window's factorization is released before the Ritz step, so the
+        sweeps factor its shift again, and the pairs still meet the bound."""
         counter = CountingFactorization(monkeypatch)
         real_eigsh = eigensolve.eigsh
         solves_in_eigsh = []
@@ -330,7 +332,7 @@ class TestFactorization:
         ops = ico_ops(2)
         tol = 1e-9
         basis = solve_smallest(ops, 9, tol=tol, seed=0)
-        assert counter.factorizations == 1
+        assert counter.factorizations == 2
         assert counter.solves > solves_in_eigsh[0]
         assert counter.block_solves > 0  # polish sweeps ran
         assert_residual_contract(ops, basis, tol)
@@ -610,3 +612,60 @@ class TestSlicedSolve:
             solve_smallest(ops, eigensolve.WINDOW + 30, seed=0)
         detail = info.value.detail
         assert detail["kept"] == detail["inertia"] - 1 > 0
+
+
+class TestRitzStep:
+    """Every window's factorization is released before the first Ritz step,
+    and each Ritz pass computes its pairs' residual norms once: the last
+    pass's norms are the ones checked against the contract."""
+
+    @pytest.fixture(params=["one-window", "sliced", "polished"])
+    def case(self, request, ico_ops):
+        """(ops, k): an L3 icosphere, the 40x20 torus past one window, and
+        two disjoint L3 icospheres, which take polish sweeps."""
+        if request.param == "one-window":
+            return ico_ops(3), 8
+        if request.param == "sliced":
+            return request.getfixturevalue("sliced_torus")[0], eigensolve.WINDOW + 1
+        return assemble_operators(mesh_from_arrays(*two_disjoint_icospheres())), 8
+
+    def test_no_factorization_is_alive_at_the_ritz_step(self, case, monkeypatch):
+        """Before the Ritz step, a factorization is made only while at most
+        one other lives (the window's own, during its inertia counts); at
+        the Ritz step none is alive."""
+        ops, k = case
+        real_factor, real_ritz = eigensolve._factor, eigensolve._ritz_extract
+        made, alive, living = [], [], []
+
+        def tracked_factor(*args, **kwargs):
+            if not alive:
+                living.append(sum(ref() is not None for ref in made))
+            factors = real_factor(*args, **kwargs)
+            made.append(weakref.ref(factors))
+            return factors
+
+        def watched_ritz(*args):
+            if not alive:  # the first Ritz step
+                alive.append([ref for ref in made if ref() is not None])
+            return real_ritz(*args)
+
+        monkeypatch.setattr(eigensolve, "_factor", tracked_factor)
+        monkeypatch.setattr(eigensolve, "_ritz_extract", watched_ritz)
+        solve_smallest(ops, k, seed=0)
+        assert made and alive == [[]]
+        assert max(living) <= 1
+
+    def test_each_ritz_pass_computes_residuals_once(self, case, monkeypatch):
+        ops, k = case
+        calls = {"_ritz_extract": 0, "_residual_norms": 0}
+        for name in calls:
+            real = getattr(eigensolve, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(eigensolve, name, counted)
+        basis = solve_smallest(ops, k, seed=0)
+        assert calls["_residual_norms"] == calls["_ritz_extract"] >= 1
+        assert_residual_contract(ops, basis, 1e-9)
