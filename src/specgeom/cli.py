@@ -363,6 +363,10 @@ def _torus_lattice(cfg, user: str) -> Lattice:
 def _model_source(cfg) -> Source:
     operator = _resolve_operator(cfg)
     dirac = operator == "dirac"
+    # a sphere has one spin structure, and the Laplacian reads none
+    if cfg.get("spin") is not None and (cfg["model"] == "sphere" or not dirac):
+        raise UsageError("--spin selects a spin structure of a torus Dirac spectrum, "
+                         "not of a %s %s one" % (cfg["model"], operator), parameter="spin")
     hbar1_integral = None  # Hbar^2 + 1, constant on a model in the unit sphere
     if cfg["model"] == "sphere":
         n, radius = cfg["dim"], cfg["radius"]
@@ -388,11 +392,9 @@ def _model_source(cfg) -> Source:
     else:
         lat = _torus_lattice(cfg, "torus model")
         n = lat.dim
-        spin = None
-        if dirac and cfg.get("spin") is not None:
+        spin = SpinStructure((0.0,) * n) if dirac else None
+        if cfg.get("spin") is not None:
             spin = _parse_spin(cfg["spin"], n)
-        elif dirac:
-            spin = SpinStructure((0.0,) * n)
         radii = _diagonal_radii(lat)
         # every flat torus has S = 0; a product of circles also fixes H^2
         # and |B|^2 of its immersion

@@ -573,6 +573,9 @@ def _background(p, j):
 
     if p.given("genus"):
         genus, area = p["genus"], positive("area")
+        if not (genus >= 0 and float(genus).is_integer()):
+            raise UsageError("genus must be a nonnegative integer, got %g" % genus,
+                             parameter="genus", value=genus)
         rhs = 4.0 * np.pi * (1.0 - genus) / area
         add("genus-area-lower", LOWER, spectrum.gamma(1), rhs,
             {"genus": genus, "area": area}, {"gamma_1": spectrum.gamma(1), "bound": rhs})

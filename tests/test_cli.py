@@ -198,6 +198,29 @@ class TestSpectrum:
                            "detail": {"operator": "dirac"}}
         assert loaded_meshes == []
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "torus", "--lattice", "1 0; 0 1", "--operator", "laplace",
+         "--spin", "0,1/2", "--count", "4"],
+        ["spectrum", "--model", "sphere", "--operator", "dirac", "--spin", "1/2,1/2",
+         "--count", "4"],
+        ["check", "--ineq", "main", "--model", "sphere", "--spin", "0,0"],
+        ["check", "--ineq", "main", "--model", "clifford-torus", "--operator", "laplace",
+         "--spin", "0,0"],
+    ])
+    def test_spin_that_no_spectrum_reads_rejected(self, capsys, argv):
+        """A sphere has one spin structure and the Laplacian reads none: the
+        spectrum printed without the spin would pass for the one asked for."""
+        code, doc, err = run_json(capsys, argv)
+        assert (code, doc, err["kind"]) == (2, None, "usage")
+        assert err["detail"] == {"parameter": "spin"}
+
+    def test_spin_config_entry_on_a_laplace_torus_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"model": "torus", "lattice": "1 0; 0 1", "spin": "0,1/2"}\n')
+        code, doc, err = run_json(
+            capsys, ["check", "--ineq", "main", "--operator", "laplace", "--config", str(cfg)])
+        assert (code, doc, err["detail"]) == (2, None, {"parameter": "spin"})
+
     def test_malformed_off_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.off"
         bad.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n")
@@ -491,6 +514,8 @@ class TestCheck:
         (["--htilde-sq-integral", "1", "--volume", "0"], "volume"),
         (["--yang-k", "0"], "yang_k"),
         (["--gap-k", "0"], "gap_k"),
+        (["--genus", "-3"], "genus"),
+        (["--genus", "0.5"], "genus"),
     ])
     def test_background_input_out_of_range_named(self, capsys, flags, key):
         """Not a division by zero (exit 1), a vacuous report, or an index
@@ -500,6 +525,17 @@ class TestCheck:
                      *flags])
         assert (code, doc, err["kind"]) == (2, None, "usage")
         assert err["detail"]["parameter"] == key
+
+    @pytest.mark.parametrize("genus", ["-3", "0.5", "-1e-300"])
+    def test_genus_config_entry_must_be_a_nonnegative_integer(self, tmp_path, capsys, genus):
+        """A negative or fractional genus is a usage error naming genus, not
+        a failed genus-area bound (exit 1)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"genus": %s}\n' % genus)
+        code, doc, err = run_json(capsys, ["check", "--ineq", "background", "--model", "sphere",
+                                           "--operator", "dirac", "--config", str(cfg)])
+        assert (code, doc, err["kind"]) == (2, None, "usage")
+        assert err["detail"] == {"parameter": "genus", "value": float(genus)}
 
     @pytest.mark.parametrize("argv", [
         ["check", "--ineq", "conjecture,main", "--operator", "laplace"],

@@ -277,6 +277,12 @@ class TestBackgroundBounds:
         assert report.rhs == pytest.approx(1.0, abs=1e-15)
         assert report.equality
 
+    @pytest.mark.parametrize("genus", [-3, 0.5, math.inf, math.nan])
+    def test_genus_must_be_a_nonnegative_integer(self, genus):
+        with pytest.raises(UsageError) as exc:
+            evaluate("background", S2_DIRAC, n=2, genus=genus, area=4.0 * math.pi)
+        assert exc.value.detail["parameter"] == "genus"
+
     def test_successive_gap_equality_at_first_index(self):
         (report,) = evaluate("background", S2_LAPLACE, gap_k=1, **SCALAR_S2)
         assert report.ineq_id == "successive-gap"
