@@ -23,6 +23,7 @@ recorded.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -247,6 +248,38 @@ def test_mesh_check_solves_once(name, meshes, monkeypatch):
     monkeypatch.setattr(cli, "solve_smallest", spy)
     run(name, meshes)
     assert len(sizes) == 1
+
+
+# SHA-256 of the stdout of ``sweep --ratio-grid <grid> --count 256``: the
+# benchmark's 351-ratio grid at offset 0 and at the offsets its seeds 1 and 3
+# draw.  Byte-identical output pins every digit, which the golden comparison
+# at rel 1e-12 does not.
+BENCHMARK_GRID_SHA256 = {
+    "0.5:4.0:0.01": "3c10d365b9cc081700d93b0b49b4ba052f29f0a613cc6c548face4e8bc3d067b",
+    "0.507535:4.007535:0.01": "5dafd9b6d60e7d848a3d44fc97ab36dd81b6ce0e403387aac901401ac55c8af4",
+    "0.503912:4.003912:0.01": "cab8a0f83fc660c1519d09f48dd2eef47d6d2d589d60efa8f3ed205ec39b220b",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(BENCHMARK_GRID_SHA256))
+def test_benchmark_sweep_grid_is_byte_identical(grid):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["sweep", "--ratio-grid", grid, "--count", "256"])
+    assert (code, err.getvalue()) == (0, "")
+    assert len(out.getvalue().splitlines()) == 1 + 4 * 351
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == BENCHMARK_GRID_SHA256[grid]
+
+
+@pytest.mark.parametrize("name", ["conjecture", "conjecture-oblique", "sweep", "sweep-extreme",
+                                  "sweep-wide"])
+def test_model_probe_cases_are_byte_identical(name, meshes):
+    """The probe's cases read no mesh and no solver, so their recordings
+    hold on every machine byte for byte."""
+    code, out, err = run(name, meshes)
+    assert (code, out, err) == (json.loads(CODES.read_text())[name],
+                                (GOLDEN / (name + ".out")).read_text(),
+                                (GOLDEN / (name + ".err")).read_text())
 
 
 def test_every_ineq_id_is_covered():
