@@ -66,7 +66,7 @@ from .serialize import (
     dumps_json,
     format_csv,
     format_float,
-    report_csv_rows,
+    report_csv_columns,
     write_vector_sidecar,
 )
 
@@ -576,7 +576,7 @@ def cmd_check(cfg) -> int:
             reports.extend(out if isinstance(out, list) else [out])
 
     if cfg["csv"] or (cfg["output"] and cfg["output"].endswith(".csv")):
-        text = format_csv(REPORT_COLUMNS, report_csv_rows(reports))
+        text = format_csv(REPORT_COLUMNS, report_csv_columns(reports))
     else:
         text = dumps_json(
             {
@@ -598,18 +598,18 @@ def cmd_sweep(cfg) -> int:
     area = cfg["area"]
     if not (math.isfinite(area) and area > 0.0):
         raise UsageError("sweep area must be finite and positive, got %r" % area, area=area)
-    lats = []
-    for ratio in cfg["ratio_grid"]:
-        # fixed area, aspect ratio r2/r1 = ratio
-        r1 = math.sqrt(area / (4.0 * math.pi**2 * ratio))
-        lats.append(Lattice(np.diag([2.0 * math.pi * r1, 2.0 * math.pi * r1 * ratio])))
-    # rows are formatted as the probe yields them: no list of every report is held
-    rows = ([ratio, rep.params["spin"], rep.ineq_id, rep.lhs, rep.rhs, rep.margin, rep.satisfied]
-            for ratio, reports in zip(cfg["ratio_grid"],
-                                      conjecture_probe(lats, area=area, count=cfg["count"]))
-            for rep in reports)
+    # fixed area, aspect ratio r2/r1 = ratio: one diagonal basis per ratio
+    ratios = np.array(cfg["ratio_grid"], dtype=float)
+    r1 = np.sqrt(area / (4.0 * math.pi**2 * ratios))
+    bases = np.zeros((len(ratios), 2, 2))
+    bases[:, 0, 0] = 2.0 * math.pi * r1
+    bases[:, 1, 1] = 2.0 * math.pi * r1 * ratios
+    probe = conjecture_probe(bases, area=area, count=cfg["count"])
+    spins = len(probe.spin) // len(ratios)
     header = ("ratio", "spin", "ineq_id", "lhs", "rhs", "margin", "satisfied")
-    _emit(cfg, format_csv(header, rows))
+    _emit(cfg, format_csv(header, [np.repeat(ratios, spins), probe.spin,
+                                   np.broadcast_to(probe.ineq_id, probe.spin.shape), probe.lhs,
+                                   probe.rhs, probe.margin, probe.satisfied]))
     return 0
 
 
@@ -651,11 +651,9 @@ def cmd_prooflab(cfg) -> int:
         paths = _csv(cfg["mesh_list"])
         if len(paths) < 2:
             raise UsageError("refinement needs at least two meshes", count=len(paths))
-        rows = [
-            [level, _prooflab_report(cfg, "anghel", path).residual_rel]
-            for level, path in enumerate(paths, start=1)
-        ]
-        _emit(cfg, format_csv(("level", "residual"), rows))
+        residuals = [_prooflab_report(cfg, "anghel", path).residual_rel for path in paths]
+        _emit(cfg, format_csv(("level", "residual"),
+                              [list(range(1, len(paths) + 1)), residuals]))
         return 0
 
     if not cfg["mesh"]:

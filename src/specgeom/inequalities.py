@@ -34,8 +34,9 @@ from .models import (
     IndexedSpectrum,
     all_spin_structures,
     field_dimension,
+    lattice_stack,
     spinor_rank,
-    torus_dirac_spectra,
+    torus_dirac_lowest,
 )
 
 ABS_TOL_REL = 1e-10
@@ -81,6 +82,16 @@ class InequalityReport:
         return out
 
 
+def verdict(direction, lhs, rhs):
+    """The margin of a bound and its satisfied and equality flags, on
+    floats or elementwise on arrays: the margin is oriented by
+    ``direction``, and both flags compare it with ``max(|lhs|, |rhs|, 1)``
+    (see the module docstring)."""
+    margin = (rhs - lhs) if direction == UPPER else (lhs - rhs)
+    scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
+    return margin, margin >= -ABS_TOL_REL * scale, abs(margin) <= EQUALITY_REL * scale
+
+
 def make_report(
     ineq_id,
     direction,
@@ -94,8 +105,7 @@ def make_report(
 ) -> InequalityReport:
     lhs = float(lhs)
     rhs = float(rhs)
-    margin = (rhs - lhs) if direction == UPPER else (lhs - rhs)
-    scale = max(abs(lhs), abs(rhs), 1.0)
+    margin, satisfied, equality = verdict(direction, lhs, rhs)
     return InequalityReport(
         ineq_id=ineq_id,
         direction=direction,
@@ -103,8 +113,8 @@ def make_report(
         lhs=lhs,
         rhs=rhs,
         margin=margin,
-        satisfied=bool(margin >= -ABS_TOL_REL * scale),
-        equality=bool(abs(margin) <= EQUALITY_REL * scale),
+        satisfied=bool(satisfied),
+        equality=bool(equality),
         term_breakdown=dict(terms),
         provenance=dict(provenance or {}),
         exploratory=exploratory,
@@ -650,8 +660,8 @@ def _background(p, j):
 def _conjecture(p, j):
     """Exploratory: (Gbar_1 + Gbar_2)/2 >= 4 pi^2 / area on a flat 2-torus,
     see :func:`conjecture_probe`."""
-    return next(conjecture_probe(
-        [p["lattice"]],
+    return probe_reports(conjecture_probe(
+        p["lattice"].basis[None],
         p["area"] if p.given("area") else None,
         p["count"] if p.given("count") else 64,
     ))
@@ -689,25 +699,46 @@ def evaluate(ineq_id, spectrum=None, provenance=None, **values):
 # exploratory conjecture probe
 
 
-def conjecture_probe(lats, area: float | None = None, count: int = 64):
+class ProbeColumns(NamedTuple):
+    """The probe's reports as columns, one entry per (lattice, spin
+    structure) pair, lattice-major: the report's params (``spin``,
+    ``area``, ``zero_dim``), its terms (``gamma_bar_1``, ``gamma_bar_2``,
+    ``lhs`` = the two-mean, ``rhs`` = the bound) and its verdict."""
+
+    ineq_id = "two-mean-lower"
+
+    spin: np.ndarray
+    area: np.ndarray
+    zero_dim: np.ndarray
+    gamma_bar_1: np.ndarray
+    gamma_bar_2: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    satisfied: np.ndarray
+    equality: np.ndarray
+
+
+def conjecture_probe(bases, area: float | None = None, count: int = 64) -> ProbeColumns:
     """Exploratory flat-torus probe: (Gbar_1 + Gbar_2)/2 against 4 pi^2/area.
 
-    Evaluated for all four spin structures of the 2-torus because the
-    conjectured statement does not pin one down.  The reports are labeled
-    exploratory; they never feed pass/fail aggregation.  The arguments are
-    checked at once; the returned iterator then yields the four reports of
-    each lattice of the sequence ``lats`` as a list, in order, enumerating
-    the dual lattices a chunk at a time.  Each spectrum is built up to the
-    trivial structure's Gbar_2, its kernel plus 2 values; ``count`` caps
-    that size, so a larger one changes nothing and a smaller one is a usage
-    error.  ``area`` defaults to each lattice's covolume.
+    Evaluated on every lattice of the (N, 2, 2) stack ``bases`` (one
+    lattice's generators as the columns of each entry) for all four spin
+    structures of the 2-torus, because the conjectured statement does not
+    pin one down.  The reports are exploratory; they never feed pass/fail
+    aggregation.  Gbar_1 and Gbar_2 are read straight from the sorted dual
+    norms of each chunk of lattices (``models.torus_dirac_lowest``): a
+    dual vector carries 2 values, so both lie in the lowest nonzero shell,
+    past the trivial structure's 2-dimensional kernel.  The spectrum read
+    is the kernel plus 2 values, 4 in all; ``count`` caps it, so a larger
+    one changes nothing and a smaller one is a usage error.  ``area``
+    defaults to each lattice's covolume.
     """
-    for lat in lats:
-        if lat.dim != 2:
-            raise UsageError(
-                "the probe needs a 2-dimensional lattice, got dimension %d" % lat.dim,
-                dim=lat.dim,
-            )
+    stack = lattice_stack(bases)
+    dim = stack.bases.shape[-1]
+    if dim != 2:
+        raise UsageError(
+            "the probe needs a 2-dimensional lattice, got dimension %d" % dim, dim=dim)
     # Gbar_2 is the kernel plus 2 values: the trivial structure's kernel is
     # its 2^[n/2] parallel spinors, and the other structures have none
     kernel = spinor_rank(2)
@@ -717,25 +748,34 @@ def conjecture_probe(lats, area: float | None = None, count: int = 64):
     if area is not None and area <= 0.0:
         raise UsageError("area must be positive, got %g" % area, area=area)
     spins = all_spin_structures(2)
-    return ([_probe_report(spin, spec, lat.covolume if area is None else area)
-             for spin, spec in zip(spins, specs)]
-            for lat, specs in zip(lats, torus_dirac_spectra(lats, spins, kernel + 2)))
+    zero_dim, lowest = torus_dirac_lowest(stack, spins)
+    areas = stack.covolumes if area is None else np.full(len(stack.bases), float(area))
+    areas = np.repeat(areas, len(spins))
+    g1 = g2 = lowest.ravel()
+    lhs, rhs = 0.5 * (g1 + g2), 4.0 * np.pi**2 / areas
+    return ProbeColumns(np.tile([spin.label() for spin in spins], len(stack.bases)), areas,
+                        zero_dim.ravel(), g1, g2, lhs, rhs, *verdict(LOWER, lhs, rhs))
 
 
-def _probe_report(spin, spec, area):
-    """The probe's report on the spectrum of one spin structure."""
-    g1, g2 = spec.gamma_bar(1), spec.gamma_bar(2)
-    lhs, rhs = 0.5 * (g1 + g2), 4.0 * np.pi**2 / area
-    return make_report(
-        "two-mean-lower",
-        LOWER,
-        lhs,
-        rhs,
-        {"spin": spin.label(), "area": area, "zero_dim": spec.zero_dim},
-        {"gamma_bar_1": g1, "gamma_bar_2": g2, "two_mean": lhs, "bound": rhs},
-        provenance={"spectrum": "torus_dirac"},
-        exploratory=True,
-    )
+def probe_reports(columns: ProbeColumns) -> list:
+    """One exploratory report per entry of the probe's ``columns``."""
+    return [
+        InequalityReport(
+            ineq_id=columns.ineq_id,
+            direction=LOWER,
+            params={"spin": spin, "area": area, "zero_dim": zero_dim},
+            lhs=lhs,
+            rhs=rhs,
+            margin=margin,
+            satisfied=satisfied,
+            equality=equality,
+            term_breakdown={"gamma_bar_1": g1, "gamma_bar_2": g2, "two_mean": lhs, "bound": rhs},
+            provenance={"spectrum": "torus_dirac"},
+            exploratory=True,
+        )
+        for spin, area, zero_dim, g1, g2, lhs, rhs, margin, satisfied, equality
+        in zip(*(column.tolist() for column in columns))
+    ]
 
 
 def aggregate_exit(reports) -> bool:

@@ -17,20 +17,22 @@ Conventions
   half-integer spin shift expressed in the dual basis.  Each dual vector
   contributes 2^[n/2] to the Dirac multiplicity.
 * The dual vectors come from an integer box that a lattice's spin shifts
-  share.  A sequence of lattices (the sweep's aspect ratios) is enumerated
-  a chunk of consecutive lattices at a time, in the union of their boxes,
-  and its spectra come out lattice by lattice.  Shells are grouped relative
-  to the lattice's squared dual spacing, so a lattice scaled by 2^k has
-  every value scaled by 4^-k, bit for bit.
+  share.  A stack of lattices (``LatticeStack``, the sweep's aspect ratios
+  as arrays from one stacked determinant and inverse) is enumerated a
+  chunk of consecutive lattices at a time, in the union of their boxes.
+  Its spectra come out lattice by lattice, or its lowest values straight
+  from each chunk's sorted norms (``torus_dirac_lowest``).  Shells are
+  grouped relative to the lattice's squared dual spacing, so a lattice
+  scaled by 2^k has every value scaled by 4^-k, bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +46,10 @@ from .errors import (
 # order 1; collisions of genuinely equal values land many orders of magnitude
 # inside this tolerance.
 VALUE_GROUP_RTOL = 1e-9
+
+# A shell's first value below this times the lattice's squared dual spacing
+# is enumeration roundoff, an exact 0.
+ZERO_FLOOR_REL = 1e-30
 
 OPERATOR_KINDS = ("dirac_squared", "laplace")
 
@@ -256,9 +262,47 @@ def _sphere_out_of_range(n, radius):
 # flat tori
 
 
+class LatticeStack(NamedTuple):
+    """N full-rank lattices in R^n as arrays: ``bases`` (N, n, n) holds each
+    lattice's generators as columns, ``duals`` (N, n, n) its dual lattice's
+    generators, pairing in 2*pi*Z, ``covolumes`` (N,) and ``spacings`` (N,)
+    the n-th roots of the dual covolumes."""
+
+    bases: np.ndarray
+    duals: np.ndarray
+    covolumes: np.ndarray
+    spacings: np.ndarray
+
+
+def lattice_stack(bases) -> LatticeStack:
+    """The lattices of the (N, n, n) stack ``bases``, from one stacked
+    determinant and inverse; a singular basis, or a determinant or dual
+    basis that is not finite, is an ``InvalidModelError``."""
+    bases = np.ascontiguousarray(bases, dtype=float)
+    with np.errstate(over="ignore"):
+        dets = np.linalg.det(bases)
+        if np.any(np.abs(dets) < 1e-300):
+            raise InvalidModelError("lattice basis is singular")
+        duals = np.ascontiguousarray(2.0 * math.pi * np.linalg.inv(bases).transpose(0, 2, 1))
+    finite = np.isfinite(dets) & np.isfinite(duals).all(axis=(1, 2))
+    if not finite.all():
+        raise InvalidModelError("lattice determinant or dual basis is not finite",
+                                determinant=float(dets[np.argmin(finite)]))
+    covolumes = np.abs(dets)
+    # 2 pi / covolume^(1/n), the n-th root of the dual covolume (2 pi)^n /
+    # covolume, so that no power of 2 pi can overflow
+    root = 1.0 / bases.shape[-1]
+    spacings = np.array([2.0 * math.pi / c**root for c in covolumes.tolist()])
+    return LatticeStack(bases, duals, covolumes, spacings)
+
+
 @dataclass(frozen=True)
 class Lattice:
-    """Full-rank lattice in R^n; ``basis`` holds the generators as columns."""
+    """Full-rank lattice in R^n; ``basis`` holds the generators as columns.
+
+    A stack of one of :func:`lattice_stack`: ``dual_basis`` holds the dual
+    lattice's generators as columns, ``covolume`` and ``dual_spacing`` the
+    stack's scalars."""
 
     basis: np.ndarray
 
@@ -266,30 +310,17 @@ class Lattice:
         basis = np.asarray(self.basis, dtype=float)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise InvalidModelError("lattice basis must be square", shape=basis.shape)
-        with np.errstate(over="ignore"):
-            det = float(np.linalg.det(basis))
-            if abs(det) < 1e-300:
-                raise InvalidModelError("lattice basis is singular")
-            dual = 2.0 * math.pi * np.linalg.inv(basis).T
-        if not (math.isfinite(det) and np.all(np.isfinite(dual))):
-            raise InvalidModelError(
-                "lattice determinant or dual basis is not finite", determinant=det
-            )
+        stack = lattice_stack(basis[None])
+        dual = stack.duals[0]
         dual.setflags(write=False)
         object.__setattr__(self, "basis", basis)
-        # generators (as columns) of the dual lattice, pairing in 2*pi*Z
         object.__setattr__(self, "dual_basis", dual)
-        object.__setattr__(self, "covolume", abs(det))
+        object.__setattr__(self, "covolume", float(stack.covolumes[0]))
+        object.__setattr__(self, "dual_spacing", float(stack.spacings[0]))
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    @functools.cached_property
-    def dual_spacing(self) -> float:
-        """The n-th root of the dual covolume (2 pi)^n / covolume, taken as
-        2 pi / covolume^(1/n) so that no power of 2 pi can overflow."""
-        return 2.0 * math.pi / self.covolume ** (1.0 / self.dim)
 
 
 @dataclass(frozen=True)
@@ -322,95 +353,99 @@ def all_spin_structures(n: int) -> list[SpinStructure]:
     return [SpinStructure(bits) for bits in itertools.product((0.0, 0.5), repeat=n)]
 
 
-def _shifted_dual_norms(lats, shifts, count: int):
-    """For each lattice of the sequence ``lats``, in order, yield a list of
-    sorted squared norms |G*(c + shift)|^2 over c in Z^n, at least ``count``
-    of them, one array per shift of the stack ``shifts`` (one per row).
+def _shifted_dual_norms(stack: LatticeStack, shifts, count: int):
+    """Sorted squared norms |G*(c + shift)|^2 over c in Z^n of the lattices
+    of ``stack``, for each row of ``shifts``: at least ``count`` of them per
+    lattice and shift.
 
-    Each lattice's shifts share its radius and its integer box.  The radius
-    grows geometrically until at least ``count`` dual vectors of every shift
-    lie strictly below R^2, which guarantees every kept shell is complete
-    (no dual vector of smaller norm is missed).  Consecutive lattices are
-    enumerated a chunk at a time (``CHUNK_POINTS``), in the union of their
-    boxes.
+    Yields chunks ``(members, found)``, every lattice in exactly one:
+    ``members`` indexes the stack, and ``found`` holds one ``(rows,
+    below)`` pair per shift, where row i of ``rows`` holds the norms of
+    lattice ``members[i]``, ascending, the first ``below[i]`` of them, then
+    inf.  Each lattice's shifts share its radius and its integer box.  The
+    radius grows geometrically until at least ``count`` dual vectors of
+    every shift lie strictly below R^2, which guarantees every kept shell
+    is complete (no dual vector of smaller norm is missed).  Consecutive
+    lattices are enumerated a chunk at a time (``CHUNK_POINTS``), in the
+    union of their boxes; a lattice that has to grow its radius comes out
+    in a later chunk.
     """
-    stack = np.asarray(shifts, dtype=float)
-    if not (len(stack) and len(lats)):
-        yield from ([] for _ in lats)
+    shifts = np.asarray(shifts, dtype=float)
+    everyone = np.arange(len(stack.bases))
+    if not (len(shifts) and len(everyone)):
+        yield everyone, []
         return
-    stack = stack.reshape(len(stack), -1)
-    longest = np.linalg.norm(np.stack([lat.dual_basis for lat in lats]) @ stack.T, axis=1)
-    spacing = np.array([lat.dual_spacing for lat in lats])
-    radii = FIRST_RADIUS_FACTOR * count ** (1.0 / stack.shape[1]) * spacing + longest.max(axis=1)
-    # a dual vector no longer than R has coordinates at most R times the row
-    # norms of inv(G*) = B^T / 2 pi, so the basis column norms over 2 pi
-    reach = np.linalg.norm(np.stack([lat.basis for lat in lats]), axis=1) / (2.0 * math.pi)
-    yield from _grown_norms(zip(lats, radii.tolist(), reach), stack, count, 63)
+    shifts = shifts.reshape(len(shifts), -1)
+    with np.errstate(over="ignore"):  # a radius or reach past the floats fails the box check
+        longest = np.linalg.norm(stack.duals @ shifts.T, axis=1).max(axis=1)
+        radii = FIRST_RADIUS_FACTOR * count ** (1.0 / shifts.shape[1]) * stack.spacings + longest
+        # a dual vector no longer than R has coordinates at most R times the
+        # row norms of inv(G*) = B^T / 2 pi, so the basis column norms over 2 pi
+        reach = np.linalg.norm(stack.bases, axis=1) / (2.0 * math.pi)
+    yield from _grown_norms(everyone, radii, reach, stack.duals, shifts, count, 63)
 
 
-def _grown_norms(members, stack, count, grows):
-    """``_shifted_dual_norms`` of (lattice, radius, reach) ``members``: a
-    lattice short of ``count`` grows its own radius by 1.5, at most
+def _grown_norms(members, radii, reach, duals, shifts, count, grows):
+    """``_shifted_dual_norms`` of the lattices ``members`` with ``radii``:
+    a lattice short of ``count`` grows its own radius by 1.5, at most
     ``grows`` times, and is enumerated again with the other short lattices
     of its chunk."""
-    for chunk, union in _chunks(members, stack):
-        found = _chunk_norms(chunk, union, stack, count)
-        short = [(lat, radius * 1.5, reach)
-                 for (lat, radius, reach), norms in zip(chunk, found) if norms is None]
-        if short and not grows:
+    for chunk, union in _chunks(members, radii, reach, shifts):
+        found, short = _chunk_norms(chunk, union, radii, duals, shifts, count)
+        if not short.any():
+            yield chunk, found
+            continue
+        if not grows:
             raise InvalidModelError("dual lattice enumeration failed to converge")
-        regrown = _grown_norms(short, stack, count, grows - 1)
-        for norms in found:
-            yield norms if norms is not None else next(regrown)
+        kept = ~short
+        if kept.any():
+            yield chunk[kept], [(rows[kept], below[kept]) for rows, below in found]
+        radii = radii.copy()
+        radii[chunk[short]] *= 1.5
+        yield from _grown_norms(chunk[short], radii, reach, duals, shifts, count, grows - 1)
 
 
-def _chunks(members, stack):
-    """Runs of consecutive (lattice, radius, reach) ``members``, each with
-    its union box (lows, highs), whose length times the union's size stays
-    within ``CHUNK_POINTS``.  Each lattice's own box is checked against
-    ``MAX_DUAL_BOX`` before any grid is allocated."""
-    smin, smax = stack.min(axis=0).tolist(), stack.max(axis=0).tolist()
-    chunk, union = [], None
-    for lat, radius, reach in members:
-        try:
-            half = (radius * reach).tolist()
-            box = ([math.floor(-h - s) - 1 for h, s in zip(half, smax)],
-                   [math.ceil(h - s) + 2 for h, s in zip(half, smin)])
-            size = _box_size(box)
-        except (OverflowError, ValueError):  # a half-width that is not finite
-            size = math.inf
-        if size > MAX_DUAL_BOX:
-            raise InvalidModelError(
-                "dual lattice enumeration needs more than %d grid points" % MAX_DUAL_BOX,
-                limit=MAX_DUAL_BOX,
-            )
-        joined = box
-        if chunk:
-            joined = (list(map(min, union[0], box[0])), list(map(max, union[1], box[1])))
-            if (len(chunk) + 1) * _box_size(joined) > CHUNK_POINTS:
-                yield chunk, union
-                chunk, joined = [], box
-        chunk.append((lat, radius, reach))
-        union = joined
-    if chunk:
-        yield chunk, union
+def _chunks(members, radii, reach, shifts):
+    """Runs of consecutive lattices of the index array ``members``, each
+    with its union box (lows, highs), whose length times the union's size
+    stays within ``CHUNK_POINTS``.  Every lattice's own box is checked
+    against ``MAX_DUAL_BOX`` before any grid is allocated."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = radii[members, None] * reach[members]
+        lows = np.floor(-half - shifts.max(axis=0)) - 1
+        highs = np.ceil(half - shifts.min(axis=0)) + 2
+        sizes = np.prod(highs - lows, axis=1)
+    if not np.all(sizes <= MAX_DUAL_BOX):  # a size that is not finite fails too
+        raise InvalidModelError(
+            "dual lattice enumeration needs more than %d grid points" % MAX_DUAL_BOX,
+            limit=MAX_DUAL_BOX,
+        )
+    # a run holds at most this many lattices, each box holding sizes.min()
+    window = CHUNK_POINTS // int(sizes.min()) + 1
+    start = 0
+    while start < len(members):
+        lo = np.minimum.accumulate(lows[start:start + window])
+        hi = np.maximum.accumulate(highs[start:start + window])
+        # the run's cost with each next lattice added; the first always joins
+        over = np.arange(2, len(lo) + 1) * np.prod(hi[1:] - lo[1:], axis=1) > CHUNK_POINTS
+        end = 1 + (int(np.argmax(over)) if over.any() else len(over))
+        yield members[start:start + end], (lo[end - 1].astype(int).tolist(),
+                                           hi[end - 1].astype(int).tolist())
+        start += end
 
 
-def _box_size(box):
-    return math.prod(hi - lo for lo, hi in zip(*box))
-
-
-def _chunk_norms(chunk, union, stack, count):
-    """``_shifted_dual_norms`` of one chunk, None for a lattice short of
-    ``count``.  Each shift is one product over every lattice and the union
-    box; a lattice keeps its norms below its own radius, which lie in its
-    own box.  One shift at a time keeps the memory of one."""
+def _chunk_norms(chunk, union, radii, duals, shifts, count):
+    """``_shifted_dual_norms`` of the lattices ``chunk``: one ``(rows,
+    below)`` pair per shift, and which lattices are short of ``count``.
+    Each shift is one product over every lattice and the union box; a
+    lattice keeps its norms below its own radius, which lie in its own box.
+    One shift at a time keeps the memory of one."""
     lows, highs = union
     grid = np.indices([hi - lo for lo, hi in zip(lows, highs)]).reshape(len(lows), -1).T + lows
-    gstar = np.stack([lat.dual_basis.T for lat, _, _ in chunk])
-    limits = np.array([radius**2 * (1.0 - 1e-12) for _, radius, _ in chunk])[:, None]
-    found, short = [[] for _ in chunk], np.zeros(len(chunk), dtype=bool)
-    for shift in stack:
+    gstar = np.ascontiguousarray(duals[chunk].transpose(0, 2, 1))
+    limits = np.array([r**2 * (1.0 - 1e-12) for r in radii[chunk].tolist()])[:, None]
+    found, short = [], np.zeros(len(chunk), dtype=bool)
+    for shift in shifts:
         points = (grid + shift) @ gstar
         norms = np.einsum("...j,...j->...", points, points)
         inside = norms < limits
@@ -419,35 +454,53 @@ def _chunk_norms(chunk, union, stack, count):
         if short.all():  # the other shifts wait for the grown radii
             break
         # one row per lattice, its norms inside first, so one sort serves all
-        kept = np.full((len(chunk), below.max()), np.inf)
-        kept[np.arange(kept.shape[1]) < below[:, None]] = norms[inside]
-        kept.sort(axis=1)
-        for norms_of, row, k in zip(found, kept, below.tolist()):
-            norms_of.append(row[:k])
-    return [None if lacks else norms_of for norms_of, lacks in zip(found, short.tolist())]
+        rows = np.full((len(chunk), below.max()), np.inf)
+        rows[np.arange(rows.shape[1]) < below[:, None]] = norms[inside]
+        rows.sort(axis=1)
+        found.append((rows, below))
+    return found, short
+
+
+def _joins(v, first, floor):
+    """Whether the value ``v`` joins the shell whose first value is
+    ``first``: ``v - first <= VALUE_GROUP_RTOL * max(|v|, floor)``, on
+    floats or elementwise on arrays."""
+    gap = v - first
+    return (gap <= VALUE_GROUP_RTOL * abs(v)) | (gap <= VALUE_GROUP_RTOL * floor)
+
+
+def _snapped(v, floor):
+    """A shell's first value ``v``: below ``floor`` it is enumeration
+    roundoff, an exact 0.  On floats or elementwise on arrays."""
+    return v * (abs(v) >= floor)
 
 
 def _shells(norms: np.ndarray, scale: float):
     """Group a sorted nonnegative value array into ascending (value,
     multiplicity) shells, yielding each once the next one starts.
 
-    A value joins the current shell when it exceeds the shell's first value
-    by at most ``VALUE_GROUP_RTOL * max(|v|, floor)``; a shell's first value
-    below ``floor = 1e-30 * scale`` is enumeration roundoff, reported as an
-    exact 0.  ``scale`` is the lattice's squared dual spacing, so shells do
-    not depend on the lattice's unit of length.
+    A value joins the current shell by ``_joins``; a shell's first value
+    below ``floor = ZERO_FLOOR_REL * scale`` is enumeration roundoff,
+    reported as an exact 0 (``_snapped``).  ``scale`` is the lattice's
+    squared dual spacing, so shells do not depend on the lattice's unit of
+    length.
     """
-    floor = 1e-30 * scale
+    floor = ZERO_FLOOR_REL * scale
     first, mult = None, 0
     for v in norms.tolist():
-        if mult and v - first <= VALUE_GROUP_RTOL * max(abs(v), floor):
+        if mult and _joins(v, first, floor):
             mult += 1
         else:
             if mult:
                 yield first, mult
-            first, mult = (0.0 if abs(v) < floor else v), 1
+            first, mult = _snapped(v, floor), 1
     if mult:
         yield first, mult
+
+
+def _shell_scales(stack):
+    """Each lattice's squared dual spacing, the scale ``_shells`` takes."""
+    return [spacing**2 for spacing in stack.spacings.tolist()]
 
 
 def _torus_spectra(lats, shifts, count, mult_factor, operator_kind):
@@ -456,13 +509,30 @@ def _torus_spectra(lats, shifts, count, mult_factor, operator_kind):
     are enumerated a chunk at a time."""
     if count < 1:
         raise EmptyRequestError("requested %d eigenvalues" % count)
+    lats = list(lats)
+    if not lats:
+        return
+    stack = lattice_stack(np.stack([lat.basis for lat in lats]))
+    scales = _shell_scales(stack)
     # ceil(count / mult_factor): each dual vector carries mult_factor values
     vectors = -(-count // mult_factor)
-    for lat, found in zip(lats, _shifted_dual_norms(lats, shifts, vectors)):
-        scale = lat.dual_spacing**2
-        yield [Spectrum(operator_kind, _entries_from_shells(
-                   ((v, m * mult_factor) for v, m in _shells(norms, scale)), count))
-               for norms in found]
+    # each lattice's (found, row) until the lattices before it are out: a
+    # lattice that grows its radius comes out after the ones past it
+    pending, done = {}, 0
+    for members, found in _shifted_dual_norms(stack, shifts, vectors):
+        pending.update((i, (found, k)) for k, i in enumerate(members.tolist()))
+        while done in pending:
+            found_of, k = pending.pop(done)
+            yield [_torus_spectrum(rows[k, :below[k]], scales[done], count, mult_factor,
+                                   operator_kind) for rows, below in found_of]
+            done += 1
+
+
+def _torus_spectrum(norms, scale, count, mult_factor, operator_kind):
+    """The spectrum of ``count`` values from one lattice's sorted ``norms``,
+    each carrying ``mult_factor`` values."""
+    shells = ((v, m * mult_factor) for v, m in _shells(norms, scale))
+    return Spectrum(operator_kind, _entries_from_shells(shells, count))
 
 
 def torus_dirac_spectra(lats, spins, count: int):
@@ -470,14 +540,8 @@ def torus_dirac_spectra(lats, spins, count: int):
     an iterator over the lattices of the sequence ``lats`` that yields each
     one's list of spectra, from one enumeration of its dual lattice shared
     by the shifts."""
-    for lat, spin in itertools.product(lats, spins):
-        if spin.dim != lat.dim:
-            raise InvalidModelError(
-                "spin structure dimension %d does not match lattice dimension %d"
-                % (spin.dim, lat.dim),
-                spin_dim=spin.dim,
-                lattice_dim=lat.dim,
-            )
+    for lat in lats:
+        _check_spin_dims(lat.dim, spins)
     shifts = [spin.shift for spin in spins]
     rank = spinor_rank(spins[0].dim) if spins else 1
     return _torus_spectra(lats, shifts, count, rank, "dirac_squared")
@@ -492,6 +556,44 @@ def torus_dirac_spectrum(lat: Lattice, spin: SpinStructure, count: int) -> Spect
     space of parallel spinors (the kernel).
     """
     return next(torus_dirac_spectra([lat], [spin], count))[0]
+
+
+def torus_dirac_lowest(stack: LatticeStack, spins):
+    """The kernel dimension of D^2 and its lowest nonzero eigenvalue on the
+    flat torus of each lattice of ``stack`` and spin structure of
+    ``spins``, as two (N, len(spins)) arrays, read from the two lowest
+    norms of one enumeration of each dual lattice.
+
+    The lowest nonzero value's shell holds 2^[n/2] values per dual vector,
+    so it is Gbar_1 = ... = Gbar_{2^[n/2]} of ``torus_dirac_spectrum``,
+    whose shells follow the same rule (``_snapped``, ``_joins``).  A kernel
+    is one dual vector, the trivial structure's zero: one more would be a
+    dual vector 1e-15 spacings short, whose box is past ``MAX_DUAL_BOX``.
+    """
+    _check_spin_dims(stack.bases.shape[-1], spins)
+    lowest = np.empty((len(stack.bases), len(spins), 2))
+    for members, found in _shifted_dual_norms(stack, [spin.shift for spin in spins], 2):
+        for s, (rows, _) in enumerate(found):
+            lowest[members, s] = rows[:, :2]
+    floors = ZERO_FLOOR_REL * np.array(_shell_scales(stack))[:, None]
+    first, after = _snapped(lowest[..., 0], floors), _snapped(lowest[..., 1], floors)
+    kernel = first == 0.0
+    # past a kernel, the second norm starts the lowest nonzero shell
+    if np.any(kernel & (_joins(lowest[..., 1], first, floors) | (after == 0.0))):
+        raise InvalidModelError("flat-torus kernel of more than one dual vector")
+    rank = spinor_rank(stack.bases.shape[-1])
+    return np.where(kernel, rank, 0), np.where(kernel, after, first)
+
+
+def _check_spin_dims(dim, spins):
+    for spin in spins:
+        if spin.dim != dim:
+            raise InvalidModelError(
+                "spin structure dimension %d does not match lattice dimension %d"
+                % (spin.dim, dim),
+                spin_dim=spin.dim,
+                lattice_dim=dim,
+            )
 
 
 def torus_laplace_spectrum(lat: Lattice, count: int) -> Spectrum:

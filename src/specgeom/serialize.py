@@ -85,12 +85,56 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def format_csv(header, rows) -> str:
+# rows whose cells are made and written at a time, so that a long table
+# never holds every cell at once
+CSV_BLOCK_ROWS = 256
+
+
+def _first_non_finite(column):
+    """The row of the column's first float that is not finite, or None."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind != "f":
+            return None
+        finite = np.isfinite(column)
+        return None if finite.all() else int(np.argmin(finite))
+    return next((row for row, value in enumerate(column)
+                 if isinstance(value, (float, np.floating)) and not math.isfinite(value)), None)
+
+
+def _cells(column) -> list:
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            # format_float's digits (finiteness is checked per column) for
+            # each distinct bit pattern once, so -0.0 keeps its sign
+            bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+            distinct, index = np.unique(bits, return_inverse=True)
+            cells = list(map("%.17g".__mod__, distinct.view(np.float64).tolist()))
+            return list(map(cells.__getitem__, index.tolist()))
+        if column.dtype.kind == "b":
+            return list(map(("false", "true").__getitem__, column.tolist()))
+        if column.dtype.kind == "U":
+            return column.tolist()
+        column = column.tolist()
+    return list(map(_csv_cell, column))
+
+
+def format_csv(header, columns) -> str:
+    """CSV text of ``header`` and one row per entry of the equal-length
+    ``columns``, formatted a column at a time: a float array takes
+    ``format_float``'s 17 digits in one pass, after one finiteness check;
+    other columns go cell by cell.  A float that is not finite raises
+    ``format_float``'s error for the first one in row order."""
+    bad = [(row, index) for index, row in enumerate(map(_first_non_finite, columns))
+           if row is not None]
+    if bad:
+        row, index = min(bad)
+        format_float(columns[index][row])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK_ROWS):
+        block = [column[start:start + CSV_BLOCK_ROWS] for column in columns]
+        writer.writerows(zip(*map(_cells, block)))
     return buf.getvalue()
 
 
@@ -108,25 +152,20 @@ REPORT_COLUMNS = (
 )
 
 
-def report_csv_rows(reports) -> list:
-    """Flatten inequality reports to one CSV row each, fixed columns."""
-    rows = []
-    for rep in reports:
-        rows.append(
-            [
-                rep.ineq_id,
-                rep.params.get("j"),
-                rep.params.get("n"),
-                rep.params.get("spin"),
-                rep.lhs,
-                rep.rhs,
-                rep.margin,
-                rep.satisfied,
-                rep.equality,
-                rep.exploratory,
-            ]
-        )
-    return rows
+def report_csv_columns(reports) -> list:
+    """Inequality reports as CSV columns, in the order of ``REPORT_COLUMNS``."""
+    return [
+        [rep.ineq_id for rep in reports],
+        [rep.params.get("j") for rep in reports],
+        [rep.params.get("n") for rep in reports],
+        [rep.params.get("spin") for rep in reports],
+        [rep.lhs for rep in reports],
+        [rep.rhs for rep in reports],
+        [rep.margin for rep in reports],
+        [rep.satisfied for rep in reports],
+        [rep.equality for rep in reports],
+        [rep.exploratory for rep in reports],
+    ]
 
 
 def write_vector_sidecar(path, vectors) -> dict:

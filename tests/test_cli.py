@@ -705,7 +705,7 @@ class TestSweep:
         differ about 50 times over this grid; each row is still the report
         the probe gives that ratio's lattice alone."""
         from specgeom.cli import _parse_grid
-        from specgeom.inequalities import conjecture_probe
+        from specgeom.inequalities import conjecture_probe, probe_reports
         from specgeom.models import Lattice
         from specgeom.serialize import format_float
 
@@ -715,7 +715,7 @@ class TestSweep:
         for ratio in _parse_grid("0.02:50:2.5"):
             r1 = math.sqrt(3.0 / (4.0 * math.pi**2 * ratio))
             lat = Lattice(np.diag([2.0 * math.pi * r1, 2.0 * math.pi * r1 * ratio]))
-            [reports] = conjecture_probe([lat], area=3.0)
+            reports = probe_reports(conjecture_probe(lat.basis[None], area=3.0))
             want.extend([format_float(ratio), rep.params["spin"], rep.ineq_id,
                          *map(format_float, (rep.lhs, rep.rhs, rep.margin)),
                          str(rep.satisfied).lower()] for rep in reports)
@@ -982,7 +982,8 @@ class TestExitCodes:
         lat = models_mod.Lattice(np.array([[1.0, 0.3], [0.0, 1.2]]))
         shifts = [s.shift for s in models_mod.all_spin_structures(2)]
         longest = max(shifts, key=lambda s: np.linalg.norm(lat.dual_basis @ s))
-        list(models_mod._shifted_dual_norms([lat], [longest], 2))
+        list(models_mod._shifted_dual_norms(models_mod.lattice_stack(lat.basis[None]),
+                                            [longest], 2))
         assert all(0 <= a - b <= 1 for a, b in zip(shared, sides[1]))
 
         size = math.prod(shared)

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specgeom import models
 from specgeom.eigensolve import solve_smallest
@@ -20,9 +22,12 @@ from specgeom.errors import (
 )
 from specgeom.inequalities import (
     INEQS,
+    LOWER,
     aggregate_exit,
     conjecture_probe,
     evaluate,
+    make_report,
+    probe_reports,
     weighted_density_integral,
 )
 from specgeom.mesh import assemble_operators, extrinsic_summary
@@ -363,7 +368,7 @@ class TestBackgroundBounds:
 
 class TestConjectureProbe:
     def test_clifford_probe(self):
-        [reports] = conjecture_probe([clifford_torus_lattice()])
+        reports = probe_reports(conjecture_probe(clifford_torus_lattice().basis[None]))
         assert len(reports) == 4
         assert all(r.exploratory for r in reports)
         assert all(r.rhs == pytest.approx(2.0, abs=1e-13) for r in reports)
@@ -375,15 +380,16 @@ class TestConjectureProbe:
         assert not by_spin["1/2,1/2"].satisfied
 
     def test_probe_never_blocks_aggregation(self):
-        [reports] = conjecture_probe([clifford_torus_lattice()])
+        reports = probe_reports(conjecture_probe(clifford_torus_lattice().basis[None]))
         assert aggregate_exit(reports) is True
 
     def test_probe_requires_2d(self):
         with pytest.raises(UsageError):
-            conjecture_probe([Lattice(np.eye(3) * 2.0 * math.pi)])
+            conjecture_probe(Lattice(np.eye(3) * 2.0 * math.pi).basis[None])
 
     def test_probe_area_override(self):
-        [reports] = conjecture_probe([clifford_torus_lattice()], area=math.pi**2)
+        reports = probe_reports(conjecture_probe(clifford_torus_lattice().basis[None],
+                                                 area=math.pi**2))
         assert all(r.rhs == pytest.approx(4.0, abs=1e-13) for r in reports)
 
     def test_probe_builds_only_what_it_reads(self, monkeypatch):
@@ -394,15 +400,68 @@ class TestConjectureProbe:
         asked = []
         real = models._shifted_dual_norms
 
-        def spy(lats, shifts, count):
-            [found] = real(lats, shifts, count)
-            asked.append((np.shape(shifts), count, [len(norms) >= count for norms in found]))
-            return iter([found])
+        def spy(stack, shifts, count):
+            [(members, found)] = real(stack, shifts, count)
+            asked.append((np.shape(shifts), count,
+                          [len(rows[0, :below[0]]) >= count for rows, below in found]))
+            return iter([(members, found)])
 
         monkeypatch.setattr(models, "_shifted_dual_norms", spy)
+        basis = clifford_torus_lattice().basis[None]
         for count in (4, 64, 256):
-            [_] = conjecture_probe([clifford_torus_lattice()], count=count)
+            assert len(conjecture_probe(basis, count=count).spin) == 4
         assert asked == [((4, 2), 2, [True] * 4)] * 3
+
+
+def reference_probe(lat, area=None):
+    """The probe's reports on one lattice, built the long way: the four
+    spin structures' spectra, their gamma_bar(1) and gamma_bar(2), and
+    make_report."""
+    area = lat.covolume if area is None else area
+    reports = []
+    for spin in all_spin_structures(2):
+        spec = torus_dirac_spectrum(lat, spin, 4)
+        g1, g2 = spec.gamma_bar(1), spec.gamma_bar(2)
+        lhs, rhs = 0.5 * (g1 + g2), 4.0 * math.pi**2 / area
+        reports.append(make_report(
+            "two-mean-lower", LOWER, lhs, rhs,
+            {"spin": spin.label(), "area": area, "zero_dim": spec.zero_dim},
+            {"gamma_bar_1": g1, "gamma_bar_2": g2, "two_mean": lhs, "bound": rhs},
+            provenance={"spectrum": "torus_dirac"}, exploratory=True))
+    return reports
+
+
+def sweep_bases(ratios, area):
+    """The sweep's diagonal bases of aspect ratios ``ratios`` and ``area``."""
+    r1 = np.sqrt(area / (4.0 * math.pi**2 * np.asarray(ratios)))
+    return np.stack([np.diag([2.0 * math.pi * a, 2.0 * math.pi * a * r])
+                     for a, r in zip(r1, ratios)])
+
+
+class TestProbeColumns:
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(min_value=0.02, max_value=20.0), st.floats(min_value=1e-3, max_value=2.0),
+           st.integers(min_value=1, max_value=80), st.floats(min_value=-30.0, max_value=30.0))
+    def test_a_ratio_grid_matches_the_per_lattice_reports(self, start, step, points, exponent):
+        """Every column of a sweep's probe, over chunks of lattices whose
+        boxes differ, is the report built from each lattice's own spectra."""
+        area = 10.0**exponent
+        bases = sweep_bases([start + i * step for i in range(points)], area)
+        got = [r.to_json_dict() for r in probe_reports(conjecture_probe(bases, area=area))]
+        want = [r.to_json_dict() for basis in bases
+                for r in reference_probe(Lattice(basis), area)]
+        assert got == want
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=0.05, max_value=20.0),
+           st.floats(min_value=-15.0, max_value=15.0), st.booleans())
+    def test_an_oblique_lattice_matches_its_reports(self, shear, ratio, exponent, default_area):
+        """``check --ineq conjecture``'s batch of one, on oblique lattices,
+        at their covolume or a given area."""
+        lat = Lattice(10.0**exponent * np.array([[1.0, shear], [0.0, ratio]]))
+        area = None if default_area else 3.0
+        got = probe_reports(conjecture_probe(lat.basis[None], area=area))
+        assert got == reference_probe(lat, area)
 
 
 class TestViewAndHelpers:
@@ -469,7 +528,7 @@ class TestViewAndHelpers:
     def test_aggregate_exit_mixed(self):
         sat = evaluate("main", S2_LAPLACE, j=1, **SCALAR_S2)
         unsat = evaluate("lp-spin", S2_LAPLACE, j=1, n=2, b_sq_sup=-10.0)
-        [reports] = conjecture_probe([clifford_torus_lattice()])
+        reports = probe_reports(conjecture_probe(clifford_torus_lattice().basis[None]))
         exploratory = reports[3]
         assert not exploratory.satisfied
         assert aggregate_exit([sat, exploratory]) is True

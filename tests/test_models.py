@@ -528,7 +528,9 @@ class TestShellGrouping:
         each other but not of their shell's first value, so a chain of close
         neighbours splits where it drifts past that first value."""
         lat = Lattice(np.diag([1.0, 1.0000000005384615]))
-        [[norms]] = models._shifted_dual_norms([lat], np.zeros((1, 2)), 256)
+        [(_, [(rows, below)])] = models._shifted_dual_norms(
+            models.lattice_stack(lat.basis[None]), np.zeros((1, 2)), 256)
+        norms = rows[0, :below[0]]
         assert grouped(norms, lat.dual_spacing**2) == reference_group_values(
             norms, lat.dual_spacing**2)
         spec = torus_laplace_spectrum(lat, 256)
