@@ -87,8 +87,13 @@ class _Parser(argparse.ArgumentParser):
     config file entries can be converted and checked like flags."""
 
     def __init__(self, *args, **kwargs):
+        import re
+
         self.flags = {}
         super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so "--kappa -1e-3" would
+        # read -1e-3 as an unknown option rather than the flag's value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)

@@ -1025,6 +1025,23 @@ class TestInputBounds:
         assert err == {"kind": "usage", "detail": {},
                        "message": f"argument --{flag}: invalid float value: '{text}'"}
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E+2", "-.5e1", "-2."])
+    def test_negative_exponent_is_a_flag_value(self, capsys, value):
+        """argparse's own negative-number pattern has no exponent, so
+        "--kappa -1e-3" once exited 2 with "expected one argument"; as its
+        own argument the value reads as it does after "=" ."""
+        base = ["check", "--ineq", "main", "--model", "sphere", "--dim", "2"]
+        outs = [run_json(capsys, base + flag) for flag in (["--kappa", value],
+                                                            ["--kappa=" + value])]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert outs[0][1]["reports"][0]["terms"]["r_term"] == 4.0 * float(value)
+
+    def test_negative_exponent_area_is_out_of_range(self, capsys):
+        code, doc, err = run_json(capsys, ["sweep", "--ratio-grid", "1:1:1", "--area", "-1e-3"])
+        assert (code, doc) == (2, None)
+        assert err == {"kind": "usage", "detail": {"area": -0.001},
+                       "message": "sweep area must be finite and positive, got -0.001"}
+
     @pytest.mark.parametrize("key", ["h_sq", "radius"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_config_parameters_must_be_finite(self, tmp_path, capsys, key, value):
