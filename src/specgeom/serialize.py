@@ -104,12 +104,14 @@ def _first_non_finite(column):
 def _cells(column) -> list:
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
-            # format_float's digits (finiteness is checked per column) for
-            # each distinct bit pattern once, so -0.0 keeps its sign
-            bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
-            distinct, index = np.unique(bits, return_inverse=True)
-            cells = list(map("%.17g".__mod__, distinct.view(np.float64).tolist()))
-            return list(map(cells.__getitem__, index.tolist()))
+            # format_float's digits (finiteness is checked per column), once
+            # per run of equal bit patterns, so -0.0 keeps its sign
+            values = np.ascontiguousarray(column, dtype=np.float64)
+            bits = values.view(np.int64)
+            starts = np.ones(len(bits), dtype=bool)
+            starts[1:] = bits[1:] != bits[:-1]
+            cells = list(map("%.17g".__mod__, values[starts].tolist()))
+            return list(map(cells.__getitem__, (np.cumsum(starts) - 1).tolist()))
         if column.dtype.kind == "b":
             return list(map(("false", "true").__getitem__, column.tolist()))
         if column.dtype.kind == "U":
