@@ -66,7 +66,7 @@ from .serialize import (
     dumps_json,
     format_csv,
     format_float,
-    report_csv_columns,
+    report_csv_rows,
     write_vector_sidecar,
 )
 
@@ -581,7 +581,7 @@ def cmd_check(cfg) -> int:
             reports.extend(out if isinstance(out, list) else [out])
 
     if cfg["csv"] or (cfg["output"] and cfg["output"].endswith(".csv")):
-        text = format_csv(REPORT_COLUMNS, report_csv_columns(reports))
+        text = format_csv(REPORT_COLUMNS, list(zip(*report_csv_rows(reports))))
     else:
         text = dumps_json(
             {

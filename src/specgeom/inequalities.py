@@ -758,23 +758,17 @@ def conjecture_probe(bases, area: float | None = None, count: int = 64) -> Probe
 
 
 def probe_reports(columns: ProbeColumns) -> list:
-    """One exploratory report per entry of the probe's ``columns``."""
+    """One exploratory report per entry of the probe's ``columns``; its
+    verdict is the columns' own, by the one rule of ``verdict``."""
+    c = columns
     return [
-        InequalityReport(
-            ineq_id=columns.ineq_id,
-            direction=LOWER,
-            params={"spin": spin, "area": area, "zero_dim": zero_dim},
-            lhs=lhs,
-            rhs=rhs,
-            margin=margin,
-            satisfied=satisfied,
-            equality=equality,
-            term_breakdown={"gamma_bar_1": g1, "gamma_bar_2": g2, "two_mean": lhs, "bound": rhs},
-            provenance={"spectrum": "torus_dirac"},
-            exploratory=True,
-        )
-        for spin, area, zero_dim, g1, g2, lhs, rhs, margin, satisfied, equality
-        in zip(*(column.tolist() for column in columns))
+        make_report(c.ineq_id, LOWER, lhs, rhs,
+                    {"spin": spin, "area": area, "zero_dim": zero_dim},
+                    {"gamma_bar_1": g1, "gamma_bar_2": g2, "two_mean": lhs, "bound": rhs},
+                    provenance={"spectrum": "torus_dirac"}, exploratory=True)
+        for spin, area, zero_dim, g1, g2, lhs, rhs in zip(
+            c.spin.tolist(), c.area.tolist(), c.zero_dim.tolist(), c.gamma_bar_1.tolist(),
+            c.gamma_bar_2.tolist(), c.lhs.tolist(), c.rhs.tolist())
     ]
 
 

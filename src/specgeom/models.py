@@ -540,8 +540,14 @@ def torus_dirac_spectra(lats, spins, count: int):
     an iterator over the lattices of the sequence ``lats`` that yields each
     one's list of spectra, from one enumeration of its dual lattice shared
     by the shifts."""
-    for lat in lats:
-        _check_spin_dims(lat.dim, spins)
+    for lat, spin in itertools.product(lats, spins):
+        if spin.dim != lat.dim:
+            raise InvalidModelError(
+                "spin structure dimension %d does not match lattice dimension %d"
+                % (spin.dim, lat.dim),
+                spin_dim=spin.dim,
+                lattice_dim=lat.dim,
+            )
     shifts = [spin.shift for spin in spins]
     rank = spinor_rank(spins[0].dim) if spins else 1
     return _torus_spectra(lats, shifts, count, rank, "dirac_squared")
@@ -570,7 +576,6 @@ def torus_dirac_lowest(stack: LatticeStack, spins):
     is one dual vector, the trivial structure's zero: one more would be a
     dual vector 1e-15 spacings short, whose box is past ``MAX_DUAL_BOX``.
     """
-    _check_spin_dims(stack.bases.shape[-1], spins)
     lowest = np.empty((len(stack.bases), len(spins), 2))
     for members, found in _shifted_dual_norms(stack, [spin.shift for spin in spins], 2):
         for s, (rows, _) in enumerate(found):
@@ -583,17 +588,6 @@ def torus_dirac_lowest(stack: LatticeStack, spins):
         raise InvalidModelError("flat-torus kernel of more than one dual vector")
     rank = spinor_rank(stack.bases.shape[-1])
     return np.where(kernel, rank, 0), np.where(kernel, after, first)
-
-
-def _check_spin_dims(dim, spins):
-    for spin in spins:
-        if spin.dim != dim:
-            raise InvalidModelError(
-                "spin structure dimension %d does not match lattice dimension %d"
-                % (spin.dim, dim),
-                spin_dim=spin.dim,
-                lattice_dim=dim,
-            )
 
 
 def torus_laplace_spectrum(lat: Lattice, count: int) -> Spectrum:

@@ -90,22 +90,14 @@ def _csv_cell(value) -> str:
 CSV_BLOCK_ROWS = 256
 
 
-def _first_non_finite(column):
-    """The row of the column's first float that is not finite, or None."""
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind != "f":
-            return None
-        finite = np.isfinite(column)
-        return None if finite.all() else int(np.argmin(finite))
-    return next((row for row, value in enumerate(column)
-                 if isinstance(value, (float, np.floating)) and not math.isfinite(value)), None)
-
-
 def _cells(column) -> list:
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
-            # format_float's digits (finiteness is checked per column), once
-            # per run of equal bit patterns, so -0.0 keeps its sign
+            finite = np.isfinite(column)
+            if not finite.all():
+                format_float(column[np.argmin(finite)])  # raises its error
+            # format_float's digits once per run of equal bit patterns, so
+            # -0.0 keeps its sign
             values = np.ascontiguousarray(column, dtype=np.float64)
             bits = values.view(np.int64)
             starts = np.ones(len(bits), dtype=bool)
@@ -123,14 +115,9 @@ def _cells(column) -> list:
 def format_csv(header, columns) -> str:
     """CSV text of ``header`` and one row per entry of the equal-length
     ``columns``, formatted a column at a time: a float array takes
-    ``format_float``'s 17 digits in one pass, after one finiteness check;
-    other columns go cell by cell.  A float that is not finite raises
-    ``format_float``'s error for the first one in row order."""
-    bad = [(row, index) for index, row in enumerate(map(_first_non_finite, columns))
-           if row is not None]
-    if bad:
-        row, index = min(bad)
-        format_float(columns[index][row])
+    ``format_float``'s 17 digits after one finiteness check, which raises
+    ``format_float``'s error; other columns go cell by cell.  The ``csv``
+    module writes the rows, ``CSV_BLOCK_ROWS`` at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -154,20 +141,25 @@ REPORT_COLUMNS = (
 )
 
 
-def report_csv_columns(reports) -> list:
-    """Inequality reports as CSV columns, in the order of ``REPORT_COLUMNS``."""
-    return [
-        [rep.ineq_id for rep in reports],
-        [rep.params.get("j") for rep in reports],
-        [rep.params.get("n") for rep in reports],
-        [rep.params.get("spin") for rep in reports],
-        [rep.lhs for rep in reports],
-        [rep.rhs for rep in reports],
-        [rep.margin for rep in reports],
-        [rep.satisfied for rep in reports],
-        [rep.equality for rep in reports],
-        [rep.exploratory for rep in reports],
-    ]
+def report_csv_rows(reports) -> list:
+    """Flatten inequality reports to one CSV row each, fixed columns."""
+    rows = []
+    for rep in reports:
+        rows.append(
+            [
+                rep.ineq_id,
+                rep.params.get("j"),
+                rep.params.get("n"),
+                rep.params.get("spin"),
+                rep.lhs,
+                rep.rhs,
+                rep.margin,
+                rep.satisfied,
+                rep.equality,
+                rep.exploratory,
+            ]
+        )
+    return rows
 
 
 def write_vector_sidecar(path, vectors) -> dict:

@@ -20,7 +20,7 @@ from specgeom.serialize import (
     dumps_json,
     format_csv,
     format_float,
-    report_csv_columns,
+    report_csv_rows,
     write_vector_sidecar,
 )
 
@@ -97,9 +97,9 @@ class TestCsv:
     def test_report_rows(self):
         spec = sphere_laplace_spectrum(2, 1.0, 10)
         report = evaluate("main", spec, j=1, n=2, h_sq=1.0, kappa=0.0)
-        columns = report_csv_columns([report])
-        assert [len(column) for column in columns] == [1] * len(REPORT_COLUMNS)
-        row = dict(zip(REPORT_COLUMNS, (column[0] for column in columns)))
+        rows = report_csv_rows([report])
+        assert len(rows) == 1
+        row = dict(zip(REPORT_COLUMNS, rows[0]))
         assert row["ineq_id"] == "main"
         assert row["j"] == 1
         assert row["satisfied"] is True
