@@ -420,7 +420,7 @@ def _chunks(members, radii, reach, shifts):
             "dual lattice enumeration needs more than %d grid points" % MAX_DUAL_BOX,
             limit=MAX_DUAL_BOX,
         )
-    # a run holds at most this many lattices, each box holding sizes.min()
+    # k lattices cost at least k * sizes.min(), so no run is longer than this
     window = CHUNK_POINTS // int(sizes.min()) + 1
     start = 0
     while start < len(members):
