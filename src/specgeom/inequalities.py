@@ -88,8 +88,11 @@ def verdict(direction, lhs, rhs):
     ``direction``, and both flags compare it with ``max(|lhs|, |rhs|, 1)``
     (see the module docstring)."""
     margin = (rhs - lhs) if direction == UPPER else (lhs - rhs)
-    scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
-    return margin, margin >= -ABS_TOL_REL * scale, abs(margin) <= EQUALITY_REL * scale
+
+    def within(x, rel):  # x <= rel * max(|lhs|, |rhs|, 1), without a max
+        return (x <= rel * abs(lhs)) | (x <= rel * abs(rhs)) | (x <= rel)
+
+    return margin, within(-margin, ABS_TOL_REL), within(abs(margin), EQUALITY_REL)
 
 
 def make_report(
