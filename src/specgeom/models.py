@@ -19,11 +19,12 @@ Conventions
 * The dual vectors come from an integer box that a lattice's spin shifts
   share.  A stack of lattices (``LatticeStack``, the sweep's aspect ratios
   as arrays from one stacked determinant and inverse) is enumerated a
-  chunk of consecutive lattices at a time, in the union of their boxes.
-  Its spectra come out lattice by lattice, or its lowest values straight
-  from each chunk's sorted norms (``torus_dirac_lowest``).  Shells are
-  grouped relative to the lattice's squared dual spacing, so a lattice
-  scaled by 2^k has every value scaled by 4^-k, bit for bit.
+  chunk of consecutive lattices at a time, in the union of their boxes,
+  and its lowest values are read straight from each chunk's sorted norms
+  (``torus_dirac_lowest``); one lattice's spectrum is a stack of one,
+  enumerated for its one spin shift.  Shells are grouped relative to the
+  lattice's squared dual spacing, so a lattice scaled by 2^k has every
+  value scaled by 4^-k, bit for bit.
 """
 
 from __future__ import annotations
@@ -300,9 +301,9 @@ def lattice_stack(bases) -> LatticeStack:
 class Lattice:
     """Full-rank lattice in R^n; ``basis`` holds the generators as columns.
 
-    A stack of one of :func:`lattice_stack`: ``dual_basis`` holds the dual
-    lattice's generators as columns, ``covolume`` and ``dual_spacing`` the
-    stack's scalars."""
+    A stack of one of :func:`lattice_stack`, kept as ``stack``:
+    ``dual_basis`` holds the dual lattice's generators as columns,
+    ``covolume`` and ``dual_spacing`` the stack's scalars."""
 
     basis: np.ndarray
 
@@ -314,6 +315,7 @@ class Lattice:
         dual = stack.duals[0]
         dual.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "dual_basis", dual)
         object.__setattr__(self, "covolume", float(stack.covolumes[0]))
         object.__setattr__(self, "dual_spacing", float(stack.spacings[0]))
@@ -498,59 +500,17 @@ def _shells(norms: np.ndarray, scale: float):
         yield first, mult
 
 
-def _shell_scales(stack):
-    """Each lattice's squared dual spacing, the scale ``_shells`` takes."""
-    return [spacing**2 for spacing in stack.spacings.tolist()]
-
-
-def _torus_spectra(lats, shifts, count, mult_factor, operator_kind):
-    """For each lattice of the sequence ``lats``, in order, yield one
-    spectrum per row of ``shifts``, as a list; the lattices' dual lattices
-    are enumerated a chunk at a time."""
+def _torus_spectrum(lat, shift, count, mult_factor, operator_kind):
+    """The first ``count`` values of the flat torus R^n/lat whose squared
+    norms are |G*(c + shift)|^2, each dual vector carrying ``mult_factor``
+    values."""
     if count < 1:
         raise EmptyRequestError("requested %d eigenvalues" % count)
-    lats = list(lats)
-    if not lats:
-        return
-    stack = lattice_stack(np.stack([lat.basis for lat in lats]))
-    scales = _shell_scales(stack)
-    # ceil(count / mult_factor): each dual vector carries mult_factor values
-    vectors = -(-count // mult_factor)
-    # each lattice's (found, row) until the lattices before it are out: a
-    # lattice that grows its radius comes out after the ones past it
-    pending, done = {}, 0
-    for members, found in _shifted_dual_norms(stack, shifts, vectors):
-        pending.update((i, (found, k)) for k, i in enumerate(members.tolist()))
-        while done in pending:
-            found_of, k = pending.pop(done)
-            yield [_torus_spectrum(rows[k, :below[k]], scales[done], count, mult_factor,
-                                   operator_kind) for rows, below in found_of]
-            done += 1
-
-
-def _torus_spectrum(norms, scale, count, mult_factor, operator_kind):
-    """The spectrum of ``count`` values from one lattice's sorted ``norms``,
-    each carrying ``mult_factor`` values."""
-    shells = ((v, m * mult_factor) for v, m in _shells(norms, scale))
-    return Spectrum(operator_kind, _entries_from_shells(shells, count))
-
-
-def torus_dirac_spectra(lats, spins, count: int):
-    """``torus_dirac_spectrum`` for each of one or more ``spins``, in order:
-    an iterator over the lattices of the sequence ``lats`` that yields each
-    one's list of spectra, from one enumeration of its dual lattice shared
-    by the shifts."""
-    for lat, spin in itertools.product(lats, spins):
-        if spin.dim != lat.dim:
-            raise InvalidModelError(
-                "spin structure dimension %d does not match lattice dimension %d"
-                % (spin.dim, lat.dim),
-                spin_dim=spin.dim,
-                lattice_dim=lat.dim,
-            )
-    shifts = [spin.shift for spin in spins]
-    rank = spinor_rank(spins[0].dim) if spins else 1
-    return _torus_spectra(lats, shifts, count, rank, "dirac_squared")
+    # ceil(count / mult_factor) dual vectors; a stack of one is one chunk
+    [(_, [(rows, below)])] = _shifted_dual_norms(lat.stack, [shift], -(-count // mult_factor))
+    shells = _shells(rows[0, :below[0]], lat.dual_spacing**2)
+    return Spectrum(operator_kind,
+                    _entries_from_shells(((v, m * mult_factor) for v, m in shells), count))
 
 
 def torus_dirac_spectrum(lat: Lattice, spin: SpinStructure, count: int) -> Spectrum:
@@ -561,7 +521,14 @@ def torus_dirac_spectrum(lat: Lattice, spin: SpinStructure, count: int) -> Spect
     multiplicity 2^[n/2].  The trivial structure has a 2^[n/2]-dimensional
     space of parallel spinors (the kernel).
     """
-    return next(torus_dirac_spectra([lat], [spin], count))[0]
+    if spin.dim != lat.dim:
+        raise InvalidModelError(
+            "spin structure dimension %d does not match lattice dimension %d"
+            % (spin.dim, lat.dim),
+            spin_dim=spin.dim,
+            lattice_dim=lat.dim,
+        )
+    return _torus_spectrum(lat, spin.shift, count, spinor_rank(spin.dim), "dirac_squared")
 
 
 def torus_dirac_lowest(stack: LatticeStack, spins):
@@ -580,7 +547,8 @@ def torus_dirac_lowest(stack: LatticeStack, spins):
     for members, found in _shifted_dual_norms(stack, [spin.shift for spin in spins], 2):
         for s, (rows, _) in enumerate(found):
             lowest[members, s] = rows[:, :2]
-    floors = ZERO_FLOOR_REL * np.array(_shell_scales(stack))[:, None]
+    # squared as ``_torus_spectrum`` squares a float: numpy's x * x can differ
+    floors = ZERO_FLOOR_REL * np.array([s**2 for s in stack.spacings.tolist()])[:, None]
     first, after = _snapped(lowest[..., 0], floors), _snapped(lowest[..., 1], floors)
     kernel = first == 0.0
     # past a kernel, the second norm starts the lowest nonzero shell
@@ -592,7 +560,7 @@ def torus_dirac_lowest(stack: LatticeStack, spins):
 
 def torus_laplace_spectrum(lat: Lattice, count: int) -> Spectrum:
     """First ``count`` Laplace eigenvalues |gamma|^2 of the flat torus."""
-    return next(_torus_spectra([lat], np.zeros((1, lat.dim)), count, 1, "laplace"))[0]
+    return _torus_spectrum(lat, np.zeros(lat.dim), count, 1, "laplace")
 
 
 def clifford_torus_lattice() -> Lattice:

@@ -30,7 +30,7 @@ from specgeom.models import (
     sphere_extrinsic,
     sphere_laplace_spectrum,
     sphere_volume,
-    torus_dirac_spectra,
+    torus_dirac_lowest,
     torus_dirac_spectrum,
     torus_laplace_spectrum,
 )
@@ -166,6 +166,17 @@ def brute_force_torus_values(basis, shift, count):
         radius += 1
 
 
+def joint_entries(lat, spins, count):
+    """Each spin structure's Dirac spectrum entries from one enumeration of
+    the dual lattice that all of them share, as the sweep enumerates it."""
+    rank = models.spinor_rank(lat.dim)
+    [(_, found)] = models._shifted_dual_norms(lat.stack, [s.shift for s in spins],
+                                              -(-count // rank))
+    return [models._entries_from_shells(
+        ((v, m * rank) for v, m in models._shells(rows[0, :below[0]], lat.dual_spacing**2)),
+        count) for rows, below in found]
+
+
 class TestTorusSpectra:
     def test_square_torus_halfhalf_spin(self):
         lat = Lattice(2.0 * math.pi * np.eye(2))
@@ -213,8 +224,9 @@ class TestTorusSpectra:
         spins = all_spin_structures(unit.dim)
         ks = range(-200, 201)
         lats = [unit] + [Lattice(np.ldexp(unit.basis, k)) for k in ks]
-        built = [[torus_laplace_spectrum(lat, 16).entries] + [spec.entries for spec in specs]
-                 for lat, specs in zip(lats, torus_dirac_spectra(lats, spins, 16))]
+        built = [[torus_laplace_spectrum(lat, 16).entries]
+                 + [torus_dirac_spectrum(lat, spin, 16).entries for spin in spins]
+                 for lat in lats]
         for k, got in zip(ks, built[1:]):
             assert got == [tuple((v * 4.0**-k, m) for v, m in spec) for spec in built[0]], k
 
@@ -322,14 +334,14 @@ class TestTorusSpectra:
         spins = data.draw(st.lists(st.sampled_from(all_spin_structures(dim)), min_size=1,
                                    max_size=2**dim, unique=True), label="spins")
         count = data.draw(st.integers(min_value=1, max_value=64), label="count")
-        [joint] = torus_dirac_spectra([lat], spins, count)
-        assert [spec.entries for spec in joint] == [
+        assert joint_entries(lat, spins, count) == [
             torus_dirac_spectrum(lat, spin, count).entries for spin in spins]
 
     def test_no_spins_give_no_spectra(self):
-        """One spectrum per spin structure: an empty list gives an empty list."""
+        """One value per spin structure: an empty list gives empty columns."""
         lat = Lattice(np.array([[1.0, 0.3], [0.0, 1.2]]))
-        assert list(torus_dirac_spectra([lat], [], 4)) == [[]]
+        assert joint_entries(lat, [], 4) == []
+        assert [a.shape for a in torus_dirac_lowest(lat.stack, [])] == [(1, 0), (1, 0)]
 
     @pytest.mark.parametrize("count, vectors", [(1, 1), (2, 1), (3, 2), (7, 4), (8, 4)])
     def test_enumeration_asks_for_whole_dual_vectors(self, monkeypatch, count, vectors):
@@ -366,12 +378,11 @@ class TestTorusSpectra:
         vectors = -(-count // 2 ** (lat.dim // 2))  # each carries 2^[n/2] Dirac values
         spins = all_spin_structures(lat.dim)
         builders = [  # (build, the shifts it enumerates, dual vectors it asks for)
-            (lambda: [torus_laplace_spectrum(lat, count)], [spins[0].shift], count),
-            (lambda: next(torus_dirac_spectra([lat], spins, count)), [s.shift for s in spins],
-             vectors),
-        ] + [(lambda s=s: [torus_dirac_spectrum(lat, s, count)], [s.shift], vectors)
+            (lambda: [torus_laplace_spectrum(lat, count).entries], [spins[0].shift], count),
+            (lambda: joint_entries(lat, spins, count), [s.shift for s in spins], vectors),
+        ] + [(lambda s=s: [torus_dirac_spectrum(lat, s, count).entries], [s.shift], vectors)
              for s in (spins[0], spins[-1])]
-        default = [[spec.entries for spec in build()] for build, _, _ in builders]
+        default = [build() for build, _, _ in builders]
         assert default[1][0] == default[2][0] and default[1][-1] == default[3][0]
         monkeypatch.setattr(models, "FIRST_RADIUS_FACTOR", 0.05)
         forced = [any(vectors_inside_first_radius(lat, shift, k, shifts) < k for shift in shifts)
@@ -387,7 +398,7 @@ class TestTorusSpectra:
         monkeypatch.setattr(np, "indices", counting_indices)
         for (build, _, _), entries, grows in zip(builders, default, forced):
             boxes = 0
-            assert [spec.entries for spec in build()] == entries
+            assert build() == entries
             assert (boxes > 1) == grows
 
 
@@ -410,46 +421,49 @@ def lattice_stacks(draw):
     return lats
 
 
+def stack_of(lats):
+    """The ``LatticeStack`` of the sequence ``lats``."""
+    return models.lattice_stack(np.stack([lat.basis for lat in lats]))
+
+
 class TestLatticeStacks:
     @settings(deadline=None, max_examples=40)
     @given(lattice_stacks(), st.data())
     def test_each_lattice_of_a_stack_gets_its_own_spectra(self, lats, data):
         """Consecutive lattices share an enumeration box, and each keeps its
         own radius: every lattice of a stack, for any spin structures and
-        chunk budget, gets exactly the entries of its own build, also when
-        a first radius far too small makes some lattices grow theirs."""
+        chunk budget, gets exactly the kernel and lowest nonzero value of
+        its own stack of one, also when a first radius far too small makes
+        some lattices grow theirs and come out in a later chunk."""
         spins = data.draw(st.lists(st.sampled_from(all_spin_structures(2)), max_size=4,
                                    unique=True), label="spins")
-        count = data.draw(st.integers(min_value=1, max_value=24), label="count")
         budget = data.draw(st.sampled_from([1, 600, models.CHUNK_POINTS, 10**6]), label="budget")
         factor = data.draw(st.sampled_from([0.05, models.FIRST_RADIUS_FACTOR]), label="factor")
         with mock.patch.object(models, "FIRST_RADIUS_FACTOR", factor):
-            alone = [[spec.entries for spec in next(torus_dirac_spectra([lat], spins, count))]
-                     for lat in lats]
+            alone = [torus_dirac_lowest(lat.stack, spins) for lat in lats]
             with mock.patch.object(models, "CHUNK_POINTS", budget):
-                stacked = [[spec.entries for spec in specs]
-                           for specs in torus_dirac_spectra(lats, spins, count)]
-        assert stacked == alone
+                stacked = torus_dirac_lowest(stack_of(lats), spins)
+        for got, want in zip(stacked, zip(*alone)):
+            assert got.tolist() == np.concatenate(want).tolist()
 
     def test_a_long_sweep_holds_one_chunk_at_a_time(self):
-        """The spectra of a stack come out chunk by chunk: over the aspect
-        ratios 0.001 to 990.001, whose boxes differ about 100 times, the
-        enumeration peaks no higher than the largest lattice's enumeration
-        alone plus one chunk's arrays, one shift at a time."""
+        """The lowest values of a stack are read chunk by chunk: over the
+        aspect ratios 0.001 to 990.001, whose boxes differ about 100 times,
+        the enumeration peaks no higher than the largest lattice's
+        enumeration alone plus one chunk's arrays, one shift at a time."""
         lats = [sweep_lattice(ratio) for ratio in cli._parse_grid("0.001:1000:10")]
         spins = all_spin_structures(2)
 
         def peak(stack):
             tracemalloc.start()
             try:
-                for _ in torus_dirac_spectra(stack, spins, 4):
-                    pass
+                torus_dirac_lowest(stack, spins)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        largest = max(peak([lat]) for lat in lats)
-        assert peak(lats) <= largest + models.CHUNK_POINTS * (2 + 1) * 8
+        largest = max(peak(lat.stack) for lat in lats)
+        assert peak(stack_of(lats)) <= largest + models.CHUNK_POINTS * (2 + 1) * 8
 
 
 def vectors_inside_first_radius(lat, shift, vectors, shifts):
