@@ -5,8 +5,9 @@ The discrete pipeline follows the classical cotangent scheme: stiffness
 matrix L with edge weights (cot alpha + cot beta)/2, barycentric lumped
 mass matrix M, discrete Laplacian M^{-1} L applied to the coordinate
 functions for the mean curvature, and angle defects for the scalar
-curvature.  Only closed, edge-manifold, consistently oriented surfaces in
-R^3 are accepted; every violation is reported as a structured error.
+curvature.  Only closed, manifold, consistently oriented surfaces in R^3
+are accepted (each edge in two faces, each vertex's faces one fan); every
+violation is reported as a structured error.
 """
 
 from __future__ import annotations
@@ -431,11 +432,14 @@ def _validate(verts: np.ndarray, faces: np.ndarray) -> MeshGeometry:
     # is the lexicographically first.
     tails = faces.ravel()
     heads = np.roll(faces, -1, axis=1).ravel()
-    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
-    uniq, counts = np.unique(lo * n_verts + hi, return_counts=True)
+    undirected = np.minimum(tails, heads) * n_verts + np.maximum(tails, heads)
+    order = np.argsort(undirected)
+    keys = undirected[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    counts = np.diff(np.r_[starts, len(keys)])
     over = np.flatnonzero(counts > 2)
     if over.size:
-        e = _decode_edge(uniq[over[0]], n_verts)
+        e = _decode_edge(keys[starts[over[0]]], n_verts)
         raise MeshValidationError(
             "edge (%d, %d) is shared by %d faces" % (*e, counts[over[0]]),
             edge=e,
@@ -443,20 +447,23 @@ def _validate(verts: np.ndarray, faces: np.ndarray) -> MeshGeometry:
         )
     boundary = np.flatnonzero(counts == 1)
     if boundary.size:
-        e = _decode_edge(uniq[boundary[0]], n_verts)
+        e = _decode_edge(keys[starts[boundary[0]]], n_verts)
         raise ClosedSurfaceRequiredError(
             "edge (%d, %d) lies on a boundary" % e,
             edge=e,
         )
-    uniq_dir, dir_counts = np.unique(tails * n_verts + heads, return_counts=True)
-    repeated = np.flatnonzero(dir_counts > 1)
+    # every edge's two half-edges are adjacent in ``order``: twins unless
+    # they run in the same direction
+    first, second = order[0::2], order[1::2]
+    repeated = np.flatnonzero(tails[first] == tails[second])
     if repeated.size:
-        e = _decode_edge(uniq_dir[repeated[0]], n_verts)
+        e = _decode_edge((tails[first] * n_verts + heads[first])[repeated].min(), n_verts)
         raise MeshValidationError(
             "edge (%d, %d) is traversed twice in the same direction; "
             "orientation is inconsistent" % e,
             edge=e,
         )
+    _check_fans(tails, first, second, n_verts)
 
     vertex_area = np.zeros(n_verts)
     np.add.at(vertex_area, faces.ravel(), np.repeat(areas / 3.0, 3))
@@ -467,6 +474,35 @@ def _validate(verts: np.ndarray, faces: np.ndarray) -> MeshGeometry:
         vertex_area=vertex_area,
         total_area=total_area,
     )
+
+
+def _check_fans(tails, first, second, n_verts):
+    """Raise for the first vertex whose corners form more than one fan.
+
+    Corner h (face h // 3, position h % 3) sits at vertex ``tails[h]``, the
+    tail of half-edge h, whose twin is its partner in the pairs ``first``,
+    ``second``.  The next corner around that vertex is the one after the
+    twin in the twin's face, so each vertex's corners fall into cycles, one
+    per fan.  Pointer doubling takes each cycle's smallest corner as its
+    root, in ``bit_length`` of the most corners of one vertex rounds; a
+    closed manifold has one root per vertex.
+    """
+    step = np.empty_like(tails)
+    step[first] = second - second % 3 + (second + 1) % 3
+    step[second] = first - first % 3 + (first + 1) % 3
+    root = np.arange(len(tails))
+    for _ in range(int(np.bincount(tails).max()).bit_length()):
+        np.minimum(root, root[step], out=root)
+        step = step[step]
+    fans = np.bincount(tails[root == np.arange(len(tails))], minlength=n_verts)
+    split = np.flatnonzero(fans > 1)
+    if split.size:
+        v = int(split[0])
+        raise MeshValidationError(
+            "vertex %d is non-manifold: its faces form %d fans" % (v, fans[v]),
+            vertex=v,
+            fan_count=int(fans[v]),
+        )
 
 
 def mesh_from_arrays(verts: np.ndarray, faces: np.ndarray) -> MeshGeometry:

@@ -61,9 +61,9 @@ OPERATOR_KINDS = ("dirac_squared", "laplace")
 MAX_DUAL_BOX = 10**8
 
 # Lattices times grid points that one enumeration chunk of consecutive
-# lattices may hold in their union box; a chunk takes one shift at a time,
-# (n + 1) float64s per point: 96 KiB for a 2-torus.  About 30 lattices of the
-# model-sweep probe fit; a lattice whose own box is larger runs alone.
+# lattices may hold in their union box, for all shifts at once: (n + 1)
+# float64s per point and shift, 384 KiB for a 2-torus.  About 30 lattices of
+# the model-sweep probe fit; a lattice whose own box is larger runs alone.
 CHUNK_POINTS = 4096
 
 # The first dual-lattice radius is this factor times (k * dual covolume)^(1/n)
@@ -439,27 +439,27 @@ def _chunks(members, radii, reach, shifts):
 def _chunk_norms(chunk, union, radii, duals, shifts, count):
     """``_shifted_dual_norms`` of the lattices ``chunk``: one ``(rows,
     below)`` pair per shift, and which lattices are short of ``count``.
-    Each shift is one product over every lattice and the union box; a
-    lattice keeps its norms below its own radius, which lie in its own box.
-    One shift at a time keeps the memory of one."""
+    One product takes every shift, or one shift for a lone lattice past
+    ``CHUNK_POINTS``; a lattice keeps its norms below its own radius."""
     lows, highs = union
     grid = np.indices([hi - lo for lo, hi in zip(lows, highs)]).reshape(len(lows), -1).T + lows
     gstar = np.ascontiguousarray(duals[chunk].transpose(0, 2, 1))
     limits = np.array([r**2 * (1.0 - 1e-12) for r in radii[chunk].tolist()])[:, None]
+    batch = len(shifts) if len(chunk) * len(grid) <= CHUNK_POINTS else 1
     found, short = [], np.zeros(len(chunk), dtype=bool)
-    for shift in shifts:
-        points = (grid + shift) @ gstar
+    for start in range(0, len(shifts), batch):
+        points = (grid + shifts[start:start + batch, None, None]) @ gstar
         norms = np.einsum("...j,...j->...", points, points)
         inside = norms < limits
-        below = inside.sum(axis=1)
-        short |= below < count
+        below = inside.sum(axis=2)
+        short |= (below < count).any(axis=0)
         if short.all():  # the other shifts wait for the grown radii
             break
-        # one row per lattice, its norms inside first, so one sort serves all
-        rows = np.full((len(chunk), below.max()), np.inf)
-        rows[np.arange(rows.shape[1]) < below[:, None]] = norms[inside]
-        rows.sort(axis=1)
-        found.append((rows, below))
+        # one row per shift and lattice, its norms inside first, so one sort serves all
+        rows = np.full(below.shape + (below.max(),), np.inf)
+        rows[np.arange(rows.shape[2]) < below[..., None]] = norms[inside]
+        rows.sort(axis=2)
+        found.extend(zip(rows, below))
     return found, short
 
 

@@ -7,14 +7,18 @@ order of the dictionaries, which the producers construct deterministically.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 
 import numpy as np
 
 from .errors import UsageError
+
+
+# every character a JSON string escapes, each escaped once: the quote, the
+# backslash and the control characters, newline and tab by their short forms
+JSON_ESCAPES = {**{c: "\\u%04x" % c for c in range(32)},
+                ord("\n"): "\\n", ord("\t"): "\\t", ord("\\"): "\\\\", ord('"'): '\\"'}
 
 
 def format_float(x: float) -> str:
@@ -32,12 +36,7 @@ def _write_json(obj, out: list) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        escaped = "".join(
-            c if c >= " " else "\\u%04x" % ord(c) for c in escaped
-        )
-        escaped = escaped.replace("\\u000a", "\\n").replace("\\u0009", "\\t")
-        out.append('"%s"' % escaped)
+        out.append('"%s"' % obj.translate(JSON_ESCAPES))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -85,40 +84,43 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-# rows whose cells are made and written at a time, so that a long table
-# never holds every cell at once: the 9,828 cells of a 351-ratio sweep are
-# about 0.5 MiB of strings
-CSV_BLOCK_ROWS = 256
+CSV_SPECIAL = frozenset(',"\n\r')  # "\r" too, as Python 3.13's csv module
 
 
-def _cells(column) -> list:
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            finite = np.isfinite(column)
-            if not finite.all():
-                format_float(column[np.argmin(finite)])  # raises its error
-            return list(map("%.17g".__mod__, column.tolist()))
-        if column.dtype.kind == "b":
-            return list(map(("false", "true").__getitem__, column.tolist()))
-        if column.dtype.kind == "U":
-            return column.tolist()
-        column = column.tolist()
-    return list(map(_csv_cell, column))
+def _quoted(cell: str, alone: bool) -> str:
+    """``cell`` as the csv module's minimal quoting writes it: quoted, each
+    quote doubled, when it holds a ``CSV_SPECIAL`` character or is empty
+    and ``alone`` in its row."""
+    if CSV_SPECIAL.isdisjoint(cell) and (cell or not alone):
+        return cell
+    return '"%s"' % cell.replace('"', '""')
 
 
 def format_csv(header, columns) -> str:
     """CSV text of ``header`` and one row per entry of the equal-length
-    ``columns``, formatted a column at a time: a float array takes
-    ``format_float``'s 17 digits after one finiteness check, which raises
-    ``format_float``'s error; other columns go cell by cell.  The ``csv``
-    module writes the rows, ``CSV_BLOCK_ROWS`` at a time."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK_ROWS):
-        block = [column[start:start + CSV_BLOCK_ROWS] for column in columns]
-        writer.writerows(zip(*map(_cells, block)))
-    return buf.getvalue()
+    ``columns``, each row by one ``%`` template.  A float array is a
+    ``%.17g`` slot after one finiteness check, which raises
+    ``format_float``'s error; a bool array gives false/true, a str array its
+    strings, any other column ``_csv_cell``'s cells, and each distinct cell
+    is quoted once, as the csv module quotes it."""
+    slots, cells = [], []
+    for column in columns:
+        kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+        if kind == "f":
+            finite = np.isfinite(column)
+            if not finite.all():
+                format_float(column[np.argmin(finite)])  # raises its error
+            cells.append(column.tolist())
+        else:
+            text = column.tolist() if kind == "U" else list(map(
+                ("false", "true").__getitem__ if kind == "b" else _csv_cell,
+                column.tolist() if kind else column))
+            quoted = {cell: _quoted(cell, len(columns) == 1) for cell in set(text)}
+            cells.append(list(map(quoted.__getitem__, text)))
+        slots.append("%.17g" if kind == "f" else "%s")
+    template = ",".join(slots) + "\n"
+    first = ",".join(_quoted(name, len(header) == 1) for name in header) + "\n"
+    return first + "".join(map(template.__mod__, zip(*cells)))
 
 
 REPORT_COLUMNS = (

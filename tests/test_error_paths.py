@@ -101,6 +101,30 @@ def test_off_counts_past_the_file_exit_2(tmp_path, capsys, text, message, line):
                    "detail": {"path": str(path), "line": line}}
 
 
+def test_non_manifold_vertex_exits_2(tmp_path, capsys):
+    """Two tetrahedra that share vertex 0 used to load as one surface and
+    report one zero value."""
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                      [-1, 0, 0], [0, -1, 0], [0, 0, -1]], dtype=float)
+    faces = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3],
+                      [0, 4, 5], [0, 6, 4], [0, 5, 6], [4, 6, 5]])
+    path = tmp_path / "bowtie.off"
+    write_off(path, verts, faces)
+    code, out, err = run(capsys, ["spectrum", "--mesh", str(path), "--count", "3"])
+    assert (code, out) == (2, "")
+    assert err == {"kind": "mesh-validation",
+                   "message": "vertex 0 is non-manifold: its faces form 2 fans",
+                   "detail": {"vertex": 0, "fan_count": 2}}
+
+
+def test_an_escape_sequence_in_a_path_is_printed_as_given(capsys):
+    """A path holding the text \\u0009 is named as it is, not with a tab."""
+    path = "no-such-dir\\u0009x.off"
+    code, out, err = run(capsys, ["spectrum", "--mesh", path])
+    assert (code, out, err["kind"]) == (2, "", "io")
+    assert repr(path) in err["message"]
+
+
 @pytest.mark.parametrize("text", [
     "OFF 4 4 0\n" + TET + TET_OFF_FACES,
     "4 4 0\n" + TET + TET_OFF_FACES,

@@ -271,8 +271,8 @@ def test_benchmark_sweep_grid_is_byte_identical(grid):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == BENCHMARK_GRID_SHA256[grid]
 
 
-@pytest.mark.parametrize("name", ["conjecture", "conjecture-oblique", "sweep", "sweep-extreme",
-                                  "sweep-wide"])
+@pytest.mark.parametrize("name", ["conjecture", "conjecture-oblique", "multi-csv", "sweep",
+                                  "sweep-extreme", "sweep-wide"])
 def test_model_probe_cases_are_byte_identical(name, meshes):
     """The probe's cases read no mesh and no solver, so their recordings
     hold on every machine byte for byte."""

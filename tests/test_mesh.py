@@ -1,5 +1,6 @@
 """Mesh loading, validation, operator assembly, and curvature summaries."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -164,6 +165,85 @@ class TestValidation:
         assert (type(exc.value), exc.value.detail["edge"]) == expected
 
 
+def bowtie(copies=2):
+    """``copies`` tetrahedra that share vertex 0, each after the first
+    mirrored through it and rotated about it."""
+    verts, faces = [TET_VERTS], [TET_FACES]
+    for k in range(1, copies):
+        turn = np.array([[math.cos(k), -math.sin(k), 0.0], [math.sin(k), math.cos(k), 0.0],
+                         [0.0, 0.0, 1.0]])
+        verts.append((2.0 * TET_VERTS[0] - TET_VERTS[1:] - TET_VERTS[0]) @ turn.T
+                     + TET_VERTS[0])
+        faces.append(np.where(TET_FACES == 0, 0, TET_FACES + 3 * k)[:, ::-1])
+    return np.vstack(verts), np.vstack(faces)
+
+
+def reference_fans(faces):
+    """The fans of each vertex, by a plain Python walk: two faces at a
+    vertex lie in one fan when they share an edge through it."""
+    at = {}
+    for f, face in enumerate(faces.tolist()):
+        for v in face:
+            at.setdefault(v, []).append(f)
+    fans = {}
+    for v, incident in at.items():
+        parent = {f: f for f in incident}
+
+        def find(f):
+            while parent[f] != f:
+                f = parent[f]
+            return f
+
+        for f, g in itertools.combinations(incident, 2):
+            if len(set(faces[f].tolist()) & set(faces[g].tolist())) == 2:
+                parent[find(f)] = find(g)
+        fans[v] = len({find(f) for f in incident})
+    return fans
+
+
+class TestFans:
+    """A vertex whose faces form more than one fan is rejected."""
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_tetrahedra_sharing_a_vertex_rejected(self, copies):
+        with pytest.raises(MeshValidationError, match="non-manifold") as exc:
+            mesh_from_arrays(*bowtie(copies))
+        assert exc.value.kind == "mesh-validation"
+        assert exc.value.detail == {"vertex": 0, "fan_count": copies}
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.lists(st.tuples(st.integers(0, 41), st.integers(0, 41)),
+                    max_size=4, unique_by=(lambda p: p[0], lambda p: p[1])))
+    def test_first_pinched_vertex_matches_reference(self, glue):
+        """Two L1 icospheres with the vertex pairs of ``glue`` merged report
+        the first vertex that the reference walk finds in more than one
+        fan, and load when it finds none."""
+        verts, faces = icosphere(1)
+        n = len(verts)
+        label = np.arange(2 * n)
+        for a, b in glue:
+            label[n + b] = a
+        kept = np.unique(label)
+        all_faces = np.searchsorted(kept, label)[np.vstack([faces, faces + n])]
+        # the second sphere turned, shrunk and moved off the axes, so that no
+        # face through a merged vertex is degenerate
+        c, s = math.cos(0.7), math.sin(0.7)
+        turn = np.array([[c, -s, 0.0], [s * c, c * c, -s], [s * s, c * s, c]])
+        other = 0.8 * verts @ turn.T + [3.0, 0.2, 0.1]
+        all_verts = np.vstack([verts, other])[kept]
+        fans = reference_fans(all_faces)
+        pinched = [v for v in sorted(fans) if fans[v] > 1]
+        try:
+            mesh_from_arrays(all_verts, all_faces)
+        except MeshValidationError as exc:
+            # two merged pairs joined by an edge in both spheres put that
+            # edge in four faces, which is reported first
+            if "edge" not in exc.detail:
+                assert exc.detail == {"vertex": pinched[0], "fan_count": fans[pinched[0]]}
+        else:
+            assert not pinched
+
+
 class TestComponents:
     """``n_components`` counts the components of the face graph."""
 
@@ -178,15 +258,6 @@ class TestComponents:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_disjoint_spheres(self, k):
         assert self.spheres(k).n_components == k
-
-    def test_bowtie_is_one_component(self):
-        """Two tetrahedra that share vertex 0: a function constant on each
-        must agree there, so the kernel is one-dimensional."""
-        verts = np.vstack([TET_VERTS, 2.0 * TET_VERTS[0] - TET_VERTS[1:]])
-        mirrored = np.where(TET_FACES == 0, 0, TET_FACES + 3)[:, ::-1]
-        mesh = mesh_from_arrays(verts, np.vstack([TET_FACES, mirrored]))
-        assert mesh.n_vertices == 7
-        assert mesh.n_components == 1
 
 
 def reference_edge_error(faces):

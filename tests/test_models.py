@@ -449,8 +449,9 @@ class TestLatticeStacks:
     def test_a_long_sweep_holds_one_chunk_at_a_time(self):
         """The lowest values of a stack are read chunk by chunk: over the
         aspect ratios 0.001 to 990.001, whose boxes differ about 100 times,
-        the enumeration peaks no higher than the largest lattice's
-        enumeration alone plus one chunk's arrays, one shift at a time."""
+        the enumeration, which holds all shifts of a chunk at once, peaks
+        no higher than the largest lattice's enumeration alone plus one
+        shift's share of a chunk's arrays."""
         lats = [sweep_lattice(ratio) for ratio in cli._parse_grid("0.001:1000:10")]
         spins = all_spin_structures(2)
 
@@ -464,6 +465,26 @@ class TestLatticeStacks:
 
         largest = max(peak(lat.stack) for lat in lats)
         assert peak(stack_of(lats)) <= largest + models.CHUNK_POINTS * (2 + 1) * 8
+
+    def test_a_lattice_past_the_chunk_budget_takes_one_shift_at_a_time(self):
+        """A lattice whose own box passes ``CHUNK_POINTS`` runs alone, and
+        its four spin shifts are enumerated one at a time: they peak less
+        than twice as high as its longest shift alone, where one product of
+        all four would hold every shift's points at once (about 2.9 times)."""
+        stack = sweep_lattice(0.001).stack
+        spins = all_spin_structures(2)
+
+        def peak(spins):
+            tracemalloc.start()
+            try:
+                torus_dirac_lowest(stack, spins)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        longest = peak([SpinStructure((0.5, 0.5))])
+        assert longest > 3 * models.CHUNK_POINTS * (2 + 1) * 8
+        assert peak(spins) < 2 * longest
 
 
 def vectors_inside_first_radius(lat, shift, vectors, shifts):

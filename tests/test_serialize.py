@@ -1,5 +1,7 @@
 """Deterministic serialization: float round-trips, JSON shape, CSV rows."""
 
+import csv
+import io
 import json
 import math
 
@@ -64,6 +66,20 @@ class TestJson:
         parsed = json.loads(dumps_json({"s": 'a"b\\c\n\t'}))
         assert parsed["s"] == 'a"b\\c\n\t'
 
+    @given(st.text(st.sampled_from(['"', "\\", "\n", "\t", "\r", "\x00", "\x1f", " ", "u",
+                                    "0", "9", "a", "\u00e9", "\u2028"])))
+    def test_any_string_round_trips(self, s):
+        """Each character is escaped once, so a string holding the text of
+        an escape, such as \\u000a or \\u0009, reads back as written."""
+        assert json.loads(dumps_json({"s": s})) == {"s": s}
+
+    @pytest.mark.parametrize("s", ["a\\u000ab", "dir\\u0009x.off", "\\\\n"])
+    def test_escape_text_round_trips(self, s):
+        assert json.loads(dumps_json({"s": s}))["s"] == s
+
+    def test_escapes_are_short_where_json_has_them(self):
+        assert dumps_json(['a"b\\c\n\t\r\x01\u00e9']) == '["a\\"b\\\\c\\n\\t\\u000d\\u0001\u00e9"]\n'
+
     def test_non_string_keys_rejected(self):
         with pytest.raises(UsageError):
             dumps_json({1: "x"})
@@ -81,7 +97,79 @@ class TestJson:
         assert path.read_text() == dumps_json(doc)
 
 
+# cells the csv module quotes and cells it leaves: letters, separators,
+# quotes, newlines, spaces and slashes
+CSV_TEXT = st.text(st.sampled_from(["a", "B", ",", '"', "\n", " ", "/"]), max_size=4)
+CSV_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300])
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and equal-length columns of every kind ``format_csv``
+    takes: float, bool and str arrays, and lists of ints, floats, None and
+    str; one-column tables included."""
+    rows, width = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+
+    def cells(strategy):
+        return draw(st.lists(strategy, min_size=rows, max_size=rows))
+
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "bool", "str", "list"]),
+                              min_size=width, max_size=width)):
+        if kind == "float":
+            columns.append(np.array(cells(CSV_FLOATS), dtype=float))
+        elif kind == "bool":
+            columns.append(np.array(cells(st.booleans()), dtype=bool))
+        elif kind == "str":
+            columns.append(np.array(cells(CSV_TEXT), dtype=str))
+        else:
+            columns.append(cells(st.integers() | st.none() | CSV_TEXT | CSV_FLOATS))
+    return draw(st.lists(CSV_TEXT, min_size=width, max_size=width)), columns
+
+
+def csv_module_text(header, columns):
+    """The table as the csv module writes it, from cells formatted here:
+    floats by ``format_float``, bools as true/false, the rest as given."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format_float(value) if isinstance(value, float) else value
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*[[cell(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+                           for c in columns]))
+    return buf.getvalue()
+
+
 class TestCsv:
+    @given(csv_tables())
+    def test_matches_the_csv_module(self, table):
+        assert format_csv(*table) == csv_module_text(*table)
+
+    def test_a_lone_empty_cell_is_quoted(self):
+        assert format_csv(("",), [[None, "", "a"]]) == '""\n""\n""\na\n'
+        assert format_csv(("", ""), [[None], [""]]) == ",\n,\n"
+
+    def test_a_carriage_return_is_always_quoted(self):
+        """Python 3.13's csv module quotes a cell holding \\r, and earlier
+        versions with a \\n line terminator do not; the text is the same
+        on every version."""
+        assert format_csv(("a\rb", "c"), [np.array(["x\ry"]), ['"\r']]) == (
+            '"a\rb",c\n"x\ry","""\r"\n')
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("as_array", [True, False])
+    def test_a_non_finite_float_raises_format_floats_error(self, bad, as_array):
+        column = [1.0, bad, 2.0]
+        with pytest.raises(UsageError) as want:
+            format_float(bad)
+        with pytest.raises(UsageError) as got:
+            format_csv(("x", "y"), [np.array(column) if as_array else column, [1, 2, 3]])
+        assert str(got.value) == str(want.value)
+
     def test_booleans_lowercase(self):
         text = format_csv(("a", "ok"), [[1.5, 2.0], [True, False]])
         lines = text.splitlines()
