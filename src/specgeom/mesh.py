@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import re
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -127,9 +129,28 @@ class ExtrinsicData:
 # face indices are stored as int64
 INDEX_MAX = np.iinfo(np.int64).max
 
-# raw lines read and converted at a time: parsing holds one block's tokens,
-# and an OFF header's counts, which are only claims, size nothing
-BLOCK_LINES = 1024
+# the rest of each OBJ line whose first token is ``v``, and of each line
+# whose first token is ``f`` up to its comment
+OBJ_VERTEX = r"^[^\S\n]*v(?![^\s#])(.*)"
+OBJ_FACE = r"^[^\S\n]*f(?![^\s#])([^#\n]*)"
+
+
+def _loadtxt(data, rows, width, dtype=float, **kwargs):
+    """The next ``rows`` data rows of ``data`` (a file or a list of lines)
+    as a (rows, width) array, or None where numpy's reader declines them.
+    The line parsers stay the reference: they name a bad line, and they
+    read what Python's ``float`` and ``int`` take and numpy does not
+    (``1_0``, non-ASCII digits)."""
+    with warnings.catch_warnings():
+        # numpy notes a block with no data and blank lines that max_rows
+        # does not count; numpy < 2 reads an integer through a float
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            table = np.loadtxt(data, dtype, max_rows=rows, ndmin=2, **kwargs)
+        except (ValueError, DeprecationWarning):
+            return None
+    return table if table.shape == (rows, width) else None
 
 
 def _rows(lines, lineno):
@@ -141,45 +162,9 @@ def _rows(lines, lineno):
             yield lineno, line.split()
 
 
-def _table(lines, width):
-    """The tokens of ``lines`` as a (len(lines), width) object array, or
-    None when a comment or the token count rules that shape out.
-
-    One split reads the whole block, with a ';' token closing each line,
-    and the table drops the column where those land.  Callers turn every
-    entry into a number or a known key, which ';' is not.  When that
-    succeeds, every ';' sat in the dropped column, which has one slot per
-    line, so each line held exactly ``width`` tokens.
-    """
-    text = " ; ".join(lines) + " ;"
-    if "#" in text:
-        return None
-    tokens = text.split()
-    if len(tokens) != (width + 1) * len(lines):
-        return None
-    return np.array(tokens, dtype=object).reshape(len(lines), width + 1)[:, :width]
-
-
-def _off_vertices_bulk(lines):
-    table = _table(lines, 3)
-    try:
-        return None if table is None else table.astype(float)
-    except ValueError:
-        return None
-
-
-def _off_faces_bulk(lines):
-    table = _table(lines, 4)
-    try:
-        faces = None if table is None else table.astype(np.int64)
-    except (ValueError, OverflowError):
-        return None
-    return None if faces is None or np.any(faces[:, 0] != 3) else faces[:, 1:]
-
-
 def _off_vertices(rows, count, lineno, path):
-    verts = np.empty((count, 3))
-    for i in range(count):
+    verts = []
+    for _ in range(count):
         try:
             lineno, tokens = next(rows)
         except StopIteration:
@@ -189,16 +174,16 @@ def _off_vertices(rows, count, lineno, path):
             raise MeshParseError("vertex line must hold exactly 3 coordinates",
                                  path=str(path), line=lineno)
         try:
-            verts[i] = [float(t) for t in tokens]
+            verts.append([float(t) for t in tokens])
         except ValueError:
             raise MeshParseError("vertex coordinate is not a number",
                                  path=str(path), line=lineno)
-    return verts, lineno
+    return np.array(verts, dtype=float).reshape(-1, 3), lineno
 
 
 def _off_faces(rows, count, lineno, path):
-    faces = np.empty((count, 3), dtype=np.int64)
-    for i in range(count):
+    faces = []
+    for _ in range(count):
         try:
             lineno, tokens = next(rows)
         except StopIteration:
@@ -213,36 +198,15 @@ def _off_faces(rows, count, lineno, path):
             raise MeshParseError("only triangular faces are supported",
                                  path=str(path), line=lineno)
         try:
-            faces[i] = [int(t) for t in tokens[1:]]
+            idx = [int(t) for t in tokens[1:]]
         except ValueError:
             raise MeshParseError("face index is not an integer",
                                  path=str(path), line=lineno)
-        except OverflowError:
+        if min(idx) < -INDEX_MAX - 1 or max(idx) > INDEX_MAX:
             raise MeshParseError("face index does not fit in 64 bits",
                                  path=str(path), line=lineno)
-    return faces, lineno
-
-
-def _off_block(fh, path, count, lineno, bulk, by_line):
-    """The ``count`` data lines of an OFF block that starts after line
-    ``lineno``, as an array, and the number of the last line read.
-
-    Each run of raw lines is converted in bulk.  A run that does not
-    convert (comments, blank lines, bad tokens, the end of the file) is
-    read again line by line, on past the run as far as blank lines
-    require, and a bad line raises the error that names it."""
-    parts = []
-    for lo in range(0, count, BLOCK_LINES):
-        want = min(BLOCK_LINES, count - lo)
-        lines = list(itertools.islice(fh, want))
-        part = bulk(lines) if len(lines) == want else None
-        if part is None:
-            rows = _rows(itertools.chain(lines, fh), lineno + 1)
-            part, lineno = by_line(rows, want, lineno, path)
-        else:
-            lineno += want
-        parts.append(part)
-    return parts, lineno
+        faces.append(idx)
+    return np.array(faces, dtype=np.int64).reshape(-1, 3), lineno
 
 
 def _parse_off(path):
@@ -274,42 +238,29 @@ def _parse_off(path):
             raise MeshParseError("OFF counts are not integers", path=str(path), line=lineno)
         if n_verts < 0 or n_faces < 0:
             raise MeshParseError("negative OFF counts", path=str(path), line=lineno)
-        # the header read up to its count line, so line ``lineno`` is the
-        # last one taken from ``fh``
-        verts, lineno = _off_block(fh, path, n_verts, lineno, _off_vertices_bulk, _off_vertices)
-        faces, _ = _off_block(fh, path, n_faces, lineno, _off_faces_bulk, _off_faces)
-    return (np.concatenate([np.empty((0, 3))] + verts),
-            np.concatenate([np.empty((0, 3), dtype=np.int64)] + faces))
+        # numpy allocates max_rows rows up front, and the counts are only
+        # claims: a file of b bytes holds at most b // 2 + 1 rows
+        if n_verts + n_faces <= os.fstat(fh.fileno()).st_size // 2 + 1:
+            verts = _loadtxt(fh, n_verts, 3)
+            # an int32 table, freed once its index columns are copied, keeps
+            # the peak low; an index past int32 goes to the line parsers
+            faces = None if verts is None else _loadtxt(fh, n_faces, 4, np.int32)
+            if faces is not None and np.all(faces[:, 0] == 3):
+                return verts, faces[:, 1:].astype(np.int64)
+        # line ``lineno`` ended the header
+        fh.seek(0)
+        rows = _rows(itertools.islice(fh, lineno, None), lineno + 1)
+        verts, lineno = _off_vertices(rows, n_verts, lineno, path)
+        faces, _ = _off_faces(rows, n_faces, lineno, path)
+    return verts, faces
 
 
-def _obj_bulk(lines):
-    """Vertices and faces of ``lines`` when each is a ``v`` line of 3
-    coordinates or an ``f`` line of 3 indices, else None."""
-    table = _table(lines, 4)
-    if table is None:
-        return None
-    is_v, is_f = table[:, 0] == "v", table[:, 0] == "f"
-    if not np.all(is_v | is_f):
-        return None
-    indices = " ".join(table[is_f, 1:].ravel())
-    if "/" in indices:
-        indices = re.sub(r"/\S*", "", indices)
-    try:
-        verts = table[is_v, 1:].astype(float)
-        faces = np.array(indices.split(), dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    if len(faces) != 3 * np.count_nonzero(is_f) or np.any(faces < 1):
-        return None
-    return verts, faces.reshape(-1, 3) - 1
-
-
-def _obj_lines(lines, lineno, path):
+def _obj_lines(lines, path):
     verts = []
     faces = []
     # normals, texture coordinates, groups and materials play no part in
     # the Laplacian and are skipped
-    for lineno, tokens in _rows(lines, lineno):
+    for lineno, tokens in _rows(lines, 1):
         key = tokens[0]
         if key == "v":
             if len(tokens) < 4:
@@ -345,21 +296,23 @@ def _obj_lines(lines, lineno, path):
 
 
 def _parse_obj(path):
-    """Blocks of lines converted in bulk, or line by line where they are
-    not plain ``v``/``f`` lines (see :func:`_off_block`)."""
-    verts = [np.empty((0, 3))]
-    faces = [np.empty((0, 3), dtype=np.int64)]
-    lineno = 1
+    """The ``v`` and ``f`` lines, each kind read by numpy in one call, or
+    the whole file line by line where numpy declines either."""
     with open(path, "r", errors="replace") as fh:
-        while lines := list(itertools.islice(fh, BLOCK_LINES)):
-            block = _obj_bulk(lines) or _obj_lines(lines, lineno, path)
-            verts.append(block[0])
-            faces.append(block[1])
-            lineno += len(lines)
-    verts = np.concatenate(verts)
+        text = fh.read()
+    # a vertex's w and colours, and a face token's /vt/vn suffix, are cut
+    v_lines = re.findall(OBJ_VERTEX, text, re.M)
+    verts = _loadtxt(v_lines, len(v_lines), 3, usecols=(0, 1, 2))
+    f_lines = re.findall(OBJ_FACE, text, re.M)
+    indices = re.sub(r"/\S*", "", "\n".join(f_lines)).split("\n")
+    faces = _loadtxt(indices, len(f_lines), 3, np.int64)
+    if verts is None or faces is None or np.any(faces < 1):
+        verts, faces = _obj_lines(text.split("\n"), path)
+    else:
+        faces -= 1
     if not len(verts):
         raise MeshParseError("OBJ file holds no vertices", path=str(path), line=0)
-    return verts, np.concatenate(faces)
+    return verts, faces
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -194,7 +195,10 @@ def _entries_from_shells(shells, count):
 
 
 def spinor_rank(n: int) -> int:
-    """Rank 2^[n/2] of the spinor bundle of an n-manifold."""
+    """Rank 2^[n/2] of the spinor bundle of an n-manifold, an
+    ``InvalidModelError`` where it is not a finite float (n >= 2048)."""
+    if n // 2 >= sys.float_info.max_exp:
+        raise InvalidModelError("spinor rank 2^[n/2] is not a finite float", n=n)
     return 2 ** (n // 2)
 
 

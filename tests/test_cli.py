@@ -272,6 +272,21 @@ class TestSpectrum:
         assert (code, doc, err["kind"], err["detail"]) == (2, None, "invalid-model", detail)
 
     @pytest.mark.parametrize("argv", [
+        ["spectrum", "--dim", "30000", "--operator", "dirac", "--count", "1"],
+        ["check", "--ineq", "background", "--dim", "3000", "--operator", "dirac",
+         "--b-sq-sup", "1"],
+        ["check", "--ineq", "background", "--dim", "3000", "--operator", "laplace",
+         "--b-sq-sup", "1"],
+    ])
+    def test_spinor_rank_outside_float_range_exits_2(self, capsys, argv):
+        """A spinor rank 2^[n/2] past the largest float is an invalid model,
+        not an internal error (exit 4): a multiplicity past JSON's digit
+        limit, or a rank factor that does not convert to a float."""
+        code, doc, err = run_json(capsys, [argv[0], "--model", "sphere", *argv[1:]])
+        assert (code, doc, err["kind"], err["detail"]) == (
+            2, None, "invalid-model", {"n": int(argv[argv.index("--dim") + 1])})
+
+    @pytest.mark.parametrize("argv", [
         ["check", "--ineq", "main", "--dim", "1000", "--operator", "dirac"],
         ["check", "--ineq", "main", "--dim", "400"],
         ["spectrum", "--dim", "300", "--radius", "0.01"],

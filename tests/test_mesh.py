@@ -318,16 +318,39 @@ class TestLoaders:
             load_mesh(path)
         assert exc.value.detail.get("line") == 4
 
+    @pytest.mark.parametrize("suffix", [".off", ".obj"])
+    def test_both_readers_return_contiguous_float64_and_int64(self, tmp_path, suffix):
+        """numpy's reader and the line parsers hand validation C-contiguous
+        float64 vertices and int64 faces."""
+        path = tmp_path / ("ico" + suffix)
+        (write_off if suffix == ".off" else write_obj)(path, *icosphere(1))
+        parse = mesh_module._parse_off if suffix == ".off" else mesh_module._parse_obj
+        for verts, faces in (bulk_parse(path, parse), line_parse(path, parse)):
+            assert (verts.dtype, faces.dtype) == (np.float64, np.int64)
+            assert verts.flags.c_contiguous and faces.flags.c_contiguous
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_mesh(tmp_path / "nope.off")
 
 
-def line_parse(monkeypatch, path):
-    """``load_mesh``'s arrays with every block read line by line."""
-    with monkeypatch.context() as m:
-        m.setattr(mesh_module, "_table", lambda lines, width: None)
-        return load_mesh(path)
+def line_parse(path, parse=load_mesh):
+    """``parse``'s result with numpy's reader declining every block, so the
+    whole file is read line by line."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mesh_module, "_loadtxt", lambda *args, **kwargs: None)
+        return parse(path)
+
+
+def bulk_parse(path, parse=load_mesh):
+    """``parse``'s result where no line parser may run."""
+    def line_parser(*args):
+        raise AssertionError("numpy's reader declined a block")
+
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("_off_vertices", "_off_faces", "_obj_lines"):
+            m.setattr(mesh_module, name, line_parser)
+        return parse(path)
 
 
 def assert_same_arrays(a, b):
@@ -347,28 +370,132 @@ def decorate_lines(text, every):
     return "\n".join(out) + "\n"
 
 
-class TestBulkParse:
-    """Blocks of lines are converted in bulk; a block that will not convert
-    is read line by line, so both give the same arrays and errors."""
+class Layout:
+    """A mesh file's lines as written (``every`` = 0), or in blocks of
+    ``every`` lines with a comment line and a blank line after each."""
 
-    @pytest.fixture(params=[mesh_module.BLOCK_LINES, 7], ids=["default-blocks", "7-line-blocks"])
-    def blocks(self, request, monkeypatch):
-        monkeypatch.setattr(mesh_module, "BLOCK_LINES", request.param)
-        return request.param
+    def __init__(self, every):
+        self.every = every
+
+    def write(self, path, text):
+        lines = text.splitlines()
+        if self.every:
+            lines = [out for i, line in enumerate(lines, 1)
+                     for out in ([line, "# block", ""] if i % self.every == 0 else [line])]
+        path.write_text("\n".join(lines) + "\n")
+
+    def line(self, lineno):
+        """The number that line ``lineno`` of the text has in the file."""
+        return lineno + 2 * ((lineno - 1) // self.every) if self.every else lineno
+
+
+# numbers both readers take, written in several formats
+GOOD_FLOATS = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map(lambda x: "%.17g" % x),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.3E" % x),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["+inf", "-Infinity", "nan", "-nan", "1e500", "-1e-400", ".5", "5.", "+0"]),
+)
+# tokens Python's float or int reads and numpy does not, tokens past int32
+# or int64, and tokens neither reads or that are no index
+ODD_TOKENS = st.sampled_from([
+    "1_0", "\u0661", "x", "", "/3", "1/#2", "1.0", "0", "-1", "03", "2147483648",
+    "-2147483649", "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+])
+FILLER = st.sampled_from(["", "# a comment", " \t ", "\x0c", "#v 1 2 3", "#f 1 2 3"])
+SPACES = st.sampled_from([" ", "\t", " \t ", "\x0c", "  "])
+OBJ_EXTRAS = st.sampled_from(["vn 0 0 1", "vt 0.5 0.5", "usemtl steel", "s 1", "o part", "g group"])
+OBJ_BARE_KEYS = st.sampled_from(["v", "f", "v # 1 2 3", "f#1 2 3", "v 1 2 # 3"])
+
+
+@st.composite
+def mesh_texts(draw):
+    """An OFF or OBJ text, and whether it is clean.  Any text carries
+    comments, blank lines, tabs, form feeds, CRLF and OBJ's other keys; one
+    that is not clean has one fault: an odd token, a line of the wrong
+    width, a wrong header count (as far as 10^12 past the file's end), an
+    OFF face that is no triangle or a ``v`` or ``f`` line with too few
+    numbers."""
+    suffix = draw(st.sampled_from([".off", ".obj"]))
+    obj = suffix == ".obj"
+    n_verts, n_faces = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    fault = draw(st.sampled_from([None, "token", "width"] + (["bare key"] if obj else ["count", "arity"])))
+
+    def index():
+        if not obj:
+            return str(draw(st.integers(-2, n_verts)))
+        return "%d%s" % (draw(st.integers(1, n_verts)), draw(st.sampled_from(["", "/2", "/2/3", "//3"])))
+
+    lines = []
+    for _ in range(n_verts):
+        coords = [draw(GOOD_FLOATS) for _ in range(3)]
+        if obj:
+            # a w and colours may follow
+            coords = ["v"] + coords + [draw(GOOD_FLOATS) for _ in range(draw(st.integers(0, 3)))]
+        lines.append(coords)
+    lines += [["f" if obj else "3"] + [index() for _ in range(3)] for _ in range(n_faces)]
+    line = draw(st.sampled_from(lines[n_verts:] if fault == "arity" else lines))
+    if fault == "arity":
+        line[0] = draw(st.sampled_from(["4", "2", "0", "-1"]))
+    elif fault == "token":
+        line[draw(st.integers(int(obj), len(line) - 1))] = draw(ODD_TOKENS)
+    elif fault == "width" and draw(st.booleans()):
+        line.append("0")
+    elif fault == "width":
+        line.pop()
+    counts = [n_verts, n_faces]
+    if fault == "count":
+        counts[draw(st.integers(0, 1))] += draw(st.sampled_from([-1, 1, 10**12]))
+    if not obj:
+        header = draw(st.sampled_from(["OFF\n%d %d 0", "OFF %d %d 0", "%d %d 0"])) % tuple(counts)
+        lines = [row.split(" ") for row in header.split("\n")] + lines
+    else:
+        lines = draw(st.permutations(lines))
+        extras = [draw(OBJ_EXTRAS) for _ in range(draw(st.integers(0, 3)))]
+        extras += [draw(OBJ_BARE_KEYS)] if fault == "bare key" else []
+        for extra in extras:
+            lines.insert(draw(st.integers(0, len(lines))), extra.split(" "))
+    text = [draw(SPACES).join(tokens) + draw(st.sampled_from(["", "  # trailing"]))
+            for tokens in lines]
+    for _ in range(draw(st.integers(0, 4))):
+        text.insert(draw(st.integers(1, len(text))), draw(FILLER))
+    return suffix, fault is None, draw(st.sampled_from(["\n", "\r\n"])).join(text) + "\n"
+
+
+def parse_result(path, reader):
+    """A parser's arrays, as bytes with their dtype and shape, or its error."""
+    try:
+        verts, faces = reader(path)
+    except MeshParseError as exc:
+        return exc.to_json_dict()
+    return [(a.dtype, a.shape, a.tobytes()) for a in (verts, faces)]
+
+
+class TestBulkParse:
+    """numpy's reader takes each block in one call; a block it declines is
+    read line by line, so both give the same arrays and errors.  Each file
+    is also written in 7-line blocks, so numpy's rows and the file's lines
+    part ways every few lines."""
+
+    @pytest.fixture(params=[0, 7], ids=["default-blocks", "7-line-blocks"])
+    def blocks(self, request):
+        return Layout(request.param)
 
     @pytest.mark.parametrize("level", range(5))
     @pytest.mark.parametrize("suffix", [".off", ".obj"])
-    def test_bulk_and_line_parsers_agree(self, tmp_path, monkeypatch, blocks, level, suffix):
+    def test_bulk_and_line_parsers_agree(self, tmp_path, blocks, level, suffix):
         verts, faces = icosphere(level)
         path = tmp_path / ("ico" + suffix)
         (write_off if suffix == ".off" else write_obj)(path, verts, faces)
-        bulk = load_mesh(path)
-        assert_same_arrays(bulk, line_parse(monkeypatch, path))
+        blocks.write(path, path.read_text())
+        bulk = bulk_parse(path)
+        assert_same_arrays(bulk, line_parse(path))
         assert bulk.vertices.tobytes() == verts.tobytes()
         assert np.array_equal(bulk.faces, faces)
 
     @pytest.mark.parametrize("variant", ["comments", "headerless", "slashes"])
-    def test_variants_match_the_plain_file(self, tmp_path, monkeypatch, blocks, variant):
+    def test_variants_match_the_plain_file(self, tmp_path, blocks, variant):
         verts, faces = icosphere(2)
         plain = tmp_path / "plain.obj"
         write_obj(plain, verts, faces)
@@ -379,16 +506,17 @@ class TestBulkParse:
                               "%s//%s" % (t, t) if i == 2 else t
                               for i, t in enumerate(line.split()))
                      if line.startswith("f ") else line for line in text.splitlines()]
-            path.write_text("\n".join(lines) + "\n")
+            text = "\n".join(lines)
         else:
             write_off(path, verts, faces)
             text = path.read_text()
             if variant == "headerless":
                 text = text.split("\n", 1)[1]
-            path.write_text(decorate_lines(text, 5))
+            text = decorate_lines(text, 5)
+        blocks.write(path, text)
         expected = load_mesh(plain)
-        assert_same_arrays(load_mesh(path), expected)
-        assert_same_arrays(line_parse(monkeypatch, path), expected)
+        assert_same_arrays(bulk_parse(path), expected)
+        assert_same_arrays(line_parse(path), expected)
 
     @pytest.mark.parametrize("suffix, row, bad, message", [
         (".off", 400, "1 0 zero", "vertex coordinate is not a number"),
@@ -405,7 +533,7 @@ class TestBulkParse:
         # a comment inside a face token leaves two indices
         (".obj", 400 + 642, "f 1/#2 2 3", "only triangular faces are supported"),
     ])
-    def test_a_deep_bad_token_names_its_line(self, tmp_path, monkeypatch, blocks,
+    def test_a_deep_bad_token_names_its_line(self, tmp_path, blocks,
                                              suffix, row, bad, message):
         """The bad line sits deep in a block, after comments and blank lines."""
         verts, faces = icosphere(3)
@@ -415,15 +543,15 @@ class TestBulkParse:
         lines = path.read_text().splitlines()
         lines[offset + row:offset + row + bad.count("\n") + 1] = bad.split("\n")
         lines[10:10] = ["# comment", ""]
-        path.write_text("\n".join(lines) + "\n")
+        blocks.write(path, "\n".join(lines))
         errors = []
-        for parse in (load_mesh, lambda p: line_parse(monkeypatch, p)):
+        for parse in (load_mesh, line_parse):
             with pytest.raises(MeshParseError) as exc:
                 parse(path)
             errors.append(exc.value.to_json_dict())
         assert errors[0] == errors[1]
         assert errors[0]["message"] == message
-        assert errors[0]["detail"]["line"] == offset + row + 3
+        assert errors[0]["detail"]["line"] == blocks.line(offset + row + 3)
 
     @pytest.mark.parametrize("name, text, message, line", [
         ("semicolon.off", "OFF\n4 4 0\n0 0 0 ;\n1 0\n", "vertex line must hold exactly 3 coordinates", 3),
@@ -432,27 +560,40 @@ class TestBulkParse:
         ("shifted.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 3 2 ;\n1 2 4\n",
          "only triangular faces are supported", 5),
     ])
-    def test_a_line_end_token_in_the_file_changes_nothing(self, tmp_path, monkeypatch, blocks,
+    def test_a_line_end_token_in_the_file_changes_nothing(self, tmp_path, blocks,
                                                          name, text, message, line):
-        """The bulk reader closes each line with ';'; a ';' in the file
-        cannot shift a line's tokens into the next."""
+        """A stray token at the end of a line is an error on that line; it
+        cannot make up for a token missing from the next."""
         path = tmp_path / name
-        path.write_text(text)
-        for parse in (load_mesh, lambda p: line_parse(monkeypatch, p)):
+        blocks.write(path, text)
+        for parse in (load_mesh, line_parse):
             with pytest.raises(MeshParseError) as exc:
                 parse(path)
-            assert (exc.value.to_json_dict()["message"], exc.value.detail["line"]) == (message, line)
+            assert (exc.value.to_json_dict()["message"], exc.value.detail["line"]) == \
+                (message, blocks.line(line))
+
+    @settings(deadline=None, max_examples=300)
+    @given(mesh_texts())
+    def test_numpy_and_line_readers_agree_on_any_text(self, tmp_path_factory, case):
+        """Both readers give bit-identical arrays, or the same error on the
+        same line; numpy's reader takes a clean text whole."""
+        suffix, clean, text = case
+        path = tmp_path_factory.mktemp("text") / ("mesh" + suffix)
+        path.write_bytes(text.encode())
+        reader = mesh_module._parse_off if suffix == ".off" else mesh_module._parse_obj
+        fast = parse_result(path, lambda p: bulk_parse(p, reader) if clean else reader(p))
+        assert fast == parse_result(path, lambda p: line_parse(p, reader))
 
     def test_a_file_cut_short_names_its_last_line(self, tmp_path, blocks):
         verts, faces = icosphere(2)
         path = tmp_path / "cut.off"
         write_off(path, verts, faces)
         lines = path.read_text().splitlines()[:-5] + ["", "# gone"]
-        path.write_text("\n".join(lines) + "\n")
+        blocks.write(path, "\n".join(lines))
         with pytest.raises(MeshParseError) as exc:
             load_mesh(path)
         assert exc.value.to_json_dict()["message"] == "OFF file ends inside face block"
-        assert exc.value.detail["line"] == len(lines) - 2
+        assert exc.value.detail["line"] == blocks.line(len(lines) - 2)
 
 
 def rotated(verts, seed):
