@@ -239,17 +239,18 @@ def _parse_off(path):
         if n_verts < 0 or n_faces < 0:
             raise MeshParseError("negative OFF counts", path=str(path), line=lineno)
         # numpy allocates max_rows rows up front, and the counts are only
-        # claims: a file of b bytes holds at most b // 2 + 1 rows
-        if n_verts + n_faces <= os.fstat(fh.fileno()).st_size // 2 + 1:
+        # claims: a file of b bytes holds at most b // 2 + 1 rows.  A pipe,
+        # which cannot seek back, goes on to the line parsers
+        if fh.seekable() and n_verts + n_faces <= os.fstat(fh.fileno()).st_size // 2 + 1:
             verts = _loadtxt(fh, n_verts, 3)
             # an int32 table, freed once its index columns are copied, keeps
             # the peak low; an index past int32 goes to the line parsers
             faces = None if verts is None else _loadtxt(fh, n_faces, 4, np.int32)
             if faces is not None and np.all(faces[:, 0] == 3):
                 return verts, faces[:, 1:].astype(np.int64)
-        # line ``lineno`` ended the header
-        fh.seek(0)
-        rows = _rows(itertools.islice(fh, lineno, None), lineno + 1)
+            # line ``lineno`` ended the header
+            fh.seek(0)
+            rows = _rows(itertools.islice(fh, lineno, None), lineno + 1)
         verts, lineno = _off_vertices(rows, n_verts, lineno, path)
         faces, _ = _off_faces(rows, n_faces, lineno, path)
     return verts, faces

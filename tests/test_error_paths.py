@@ -139,15 +139,18 @@ def test_off_header_variants_load(tmp_path, text):
 
 
 def test_off_from_a_pipe(ico2):
-    """A stream has no size to allocate from; its lines are all there is."""
-    with open(ico2, "rb") as fh:
-        proc = subprocess.run(
-            [sys.executable, "-m", "specgeom.cli", "spectrum", "--mesh", "/dev/stdin",
-             "--mesh-format", "off", "--count", "3"],
-            stdin=fh, capture_output=True, text=True, timeout=120,
-        )
+    """A pipe has no size to allocate from and cannot seek back; its lines
+    are all there is, and they give what the file gives."""
+    with open(ico2) as fh:
+        text = fh.read()
+    argv = [sys.executable, "-m", "specgeom.cli", "spectrum", "--mesh-format", "off",
+            "--count", "3", "--mesh"]
+    proc = subprocess.run(argv + ["/dev/stdin"], input=text, capture_output=True,
+                          text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["size"] == 3
+    from_file = subprocess.run(argv + [ico2], capture_output=True, text=True, timeout=120)
+    assert proc.stdout == from_file.stdout
 
 
 @pytest.mark.parametrize("argv, message, detail", [
