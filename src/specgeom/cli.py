@@ -453,17 +453,20 @@ def _mesh_source(cfg, path) -> Source:
     mesh = load_mesh(path, cfg.get("mesh_format"))
     ops = assemble_operators(mesh)
 
+    seed = cfg["seed"] or 0
+    tol = 1e-9 if cfg["tol"] is None else cfg["tol"]
+
     def build(count):
         if count >= mesh.n_vertices:
             raise UsageError(
                 "count %d must be below the vertex count %d" % (count, mesh.n_vertices),
                 count=count, vertices=mesh.n_vertices,
             )
-        return solve_smallest(ops, count, tol=cfg["tol"], seed=cfg["seed"])
+        return solve_smallest(ops, count, tol=tol, seed=seed)
 
     def provenance(count):
         return {"spectrum": "mesh:%s laplace count=%d seed=%d"
-                % (os.path.basename(path), count, cfg["seed"]),
+                % (os.path.basename(path), count, seed),
                 "extrinsic": "mesh-fields"}
 
     @functools.cache
@@ -622,13 +625,29 @@ def cmd_sweep(cfg) -> int:
 # prooflab command
 
 
+# the prooflab flags that some task reads and others do not, and the ones
+# each task reads
+LAB_FLAGS = ("mesh", "mesh_list", "j", "count", "psi", "trunc", "seed", "tol")
+LAB_READS = {
+    "prop31": ("mesh", "j", "count", "psi", "trunc", "seed", "tol"),
+    "anghel": ("mesh", "j", "count", "seed", "tol"),
+    "identities": ("mesh",),
+    "refinement": ("mesh_list", "j", "count", "seed", "tol"),
+}
+
+
 def _prooflab_report(cfg, task, path):
     """The report of one prooflab task on the mesh at ``path``.
 
     Explicit --count forces a sparse basis of that size.  Otherwise the
-    anghel task, which reads a single low eigenpair, gets a small sparse
-    solve on a large mesh; the full dense basis serves the rest.
+    anghel task, which reads the one eigenpair j, solves j pairs (the
+    solver pads the request) on a mesh of more than 4 (j + 8) vertices or
+    of more than the dense oracle's ``DENSE_MAX``; the full dense basis
+    serves the rest, and prop31 above ``DENSE_MAX`` needs --count.  The
+    identities task solves nothing, so it never orders the mesh.
     """
+    from .eigensolve import DENSE_MAX
+
     src = _source(cfg, path)
     mesh, ops = src.mesh, src.ops
     if task == "identities":
@@ -636,12 +655,18 @@ def _prooflab_report(cfg, task, path):
     anghel = task == "anghel"
     j = cfg["j"] if cfg["j"] is not None else (2 if anghel else 1)
     count = cfg["count"]
-    if count is None and anghel and mesh.n_vertices > 4 * (j + 8):
-        count = j + 8
+    if count is None and anghel and mesh.n_vertices > min(4 * (j + 8), DENSE_MAX):
+        count = j
+    if count is None and mesh.n_vertices > DENSE_MAX:
+        raise UsageError(
+            "prop31 on %d vertices needs --count: the dense basis is capped at %d vertices"
+            % (mesh.n_vertices, DENSE_MAX),
+            parameter="count", vertices=mesh.n_vertices, cap=DENSE_MAX,
+        )
     basis = dense_eigenbasis(ops) if count is None else src.build(count)
     if anghel:
         return verify_anghel_lemma(mesh, ops, basis, j)
-    return verify_prop31(ops, basis, cfg["psi"](mesh), j, cfg["trunc"])
+    return verify_prop31(ops, basis, (cfg["psi"] or _psi("x"))(mesh), j, cfg["trunc"])
 
 
 def cmd_prooflab(cfg) -> int:
@@ -650,6 +675,12 @@ def cmd_prooflab(cfg) -> int:
         raise UsageError(
             "task must be prop31, anghel, identities, or refinement", task=task
         )
+    # a flag the task never reads would print a report that passes for the
+    # one asked for
+    for flag in LAB_FLAGS:
+        if cfg[flag] is not None and flag not in LAB_READS[task]:
+            raise UsageError("prooflab --task %s reads no --%s"
+                             % (task, flag.replace("_", "-")), parameter=flag, task=task)
     if task == "refinement":
         if not cfg["mesh_list"]:
             raise UsageError("refinement needs --mesh-list", parameter="mesh_list")
@@ -689,9 +720,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_mesh(p):
         p.add_argument("--mesh", type=str, help="OFF or OBJ mesh path")
         p.add_argument("--mesh-format", choices=("off", "obj"))
-        p.add_argument("--seed", type=_seed, default=0, help="solver start-vector seed")
-        p.add_argument("--tol", type=_typed(float, check_tol), default=1e-9,
-                       help="solver tolerance")
+        p.add_argument("--seed", type=_seed, help="solver start-vector seed (default 0)")
+        p.add_argument("--tol", type=_typed(float, check_tol),
+                       help="solver tolerance (default 1e-9)")
 
     def add_model(p):
         p.add_argument("--model", choices=("sphere", "torus", "clifford-torus"))
@@ -741,8 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--task", choices=("prop31", "anghel", "identities", "refinement"))
     p_lab.add_argument("--mesh-list", type=str, help="comma-separated paths")
     p_lab.add_argument("--j", type=_index)
-    p_lab.add_argument("--psi", type=_psi, default="x",
-                       help="test field: const, x, y, z, or seed:<int>")
+    p_lab.add_argument("--psi", type=_psi,
+                       help="prop31's test field: const, x, y, z, or seed:<int> (default x)")
     p_lab.add_argument("--trunc", type=_trunc, help="expansion truncation, at least 1")
     parser.commands = sub.choices
     return parser

@@ -8,9 +8,10 @@ Rayleigh-Ritz re-extraction follows, and every kept pair must then meet
 
 Every factorization goes through :func:`_factor`.  It factors the pencil
 in the mesh's nested-dissection order (``SparseOperatorPair.ordering``,
-computed once per mesh by :func:`specgeom.mesh.nested_dissection`), which
-SuperLU keeps (``NATURAL``, symmetric mode).  That order is a function of
-the mesh alone, so reruns factor the same matrix.  Shift-invert factorizations keep SuperLU's threshold
+computed by :func:`specgeom.mesh.nested_dissection` before the mesh's
+first factorization and kept with the mesh), which SuperLU keeps
+(``NATURAL``, symmetric mode).  That order is a function of the mesh
+alone, so reruns factor the same matrix.  Shift-invert factorizations keep SuperLU's threshold
 pivoting; inertia counts take diagonal pivots only and refuse a count whose
 row and column orders differ or whose smallest pivot is below
 ``PIVOT_FLOOR`` times the largest.
@@ -73,6 +74,8 @@ GUARD = 8
 MAX_WIDEN = 2
 EDGE_TRIES = 4
 PIVOT_FLOOR = 1e-12
+# the most vertices the dense oracle solves
+DENSE_MAX = 3000
 
 
 @dataclass(frozen=True)
@@ -468,7 +471,7 @@ def solve_smallest(
 def dense_eigenbasis(ops: SparseOperatorPair, k: int | None = None) -> EigenBasis:
     """Full dense generalized eigensolve, the oracle path for small meshes."""
     n = ops.stiffness.shape[0]
-    if n > 3000:
+    if n > DENSE_MAX:
         raise UsageError("dense path refused for %d vertices" % n, n=n)
     if k is None:
         k = n

@@ -84,6 +84,12 @@ class MeshGeometry:
         """Unit normal of each face, oriented by its vertex order."""
         return _face_cross(self.vertices, self.faces) / (2.0 * self.face_area)[:, None]
 
+    @functools.cached_property
+    def ordering(self) -> np.ndarray:
+        """The :func:`nested_dissection` order, computed on the first read,
+        which is the first factorization of the mesh's operators."""
+        return nested_dissection(self)
+
 
 @dataclass(frozen=True)
 class SparseOperatorPair:
@@ -91,19 +97,25 @@ class SparseOperatorPair:
 
     ``clamp_count`` records how many cotangents hit the clamp threshold
     during assembly (near-degenerate corners).  ``ordering`` is the vertex
-    order every factorization of the pencil uses (see
-    :func:`nested_dissection`); a pair built from bare matrices passes
-    ``np.arange(n)``.
+    order every factorization of the pencil uses: the ``mesh``'s
+    :attr:`MeshGeometry.ordering` for an assembled pair, and vertex order
+    for a pair built from bare matrices.
     """
 
     stiffness: sparse.csr_matrix
     mass: sparse.csr_matrix
     clamp_count: int
-    ordering: np.ndarray
+    mesh: MeshGeometry | None = None
 
     @property
     def mass_diag(self) -> np.ndarray:
         return self.mass.diagonal()
+
+    @property
+    def ordering(self) -> np.ndarray:
+        if self.mesh is None:
+            return np.arange(self.stiffness.shape[0])
+        return self.mesh.ordering
 
 
 @dataclass(frozen=True)
@@ -641,13 +653,12 @@ def assemble_operators(mesh: MeshGeometry) -> SparseOperatorPair:
 
     L is symmetric positive semidefinite with zero row sums; M is the
     diagonal of vertex areas.  Cotangents are clamped to +-1e8 and the
-    number of clamped corners is recorded.  The pair carries the mesh's
-    :func:`nested_dissection` order.
+    number of clamped corners is recorded.  The pair holds the mesh, whose
+    :func:`nested_dissection` order its first factorization computes; a
+    pair that is never factored never computes it.
     """
     from scipy import sparse
 
-    # before the assembly's own arrays exist, so their peaks do not add up
-    ordering = nested_dissection(mesh)
     verts, faces = mesh.vertices, mesh.faces
     rows, cols, vals = [], [], []
     clamp_count = 0
@@ -671,7 +682,7 @@ def assemble_operators(mesh: MeshGeometry) -> SparseOperatorPair:
     )
     mass = sparse.csr_matrix(sparse.diags(mesh.vertex_area))
     return SparseOperatorPair(stiffness=stiffness, mass=mass, clamp_count=clamp_count,
-                              ordering=ordering)
+                              mesh=mesh)
 
 
 def coordinate_laplacians(mesh: MeshGeometry, ops: SparseOperatorPair) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Triangle-mesh generators used by the tests and the CLI examples.
 
 Icosphere by repeated 1-to-4 subdivision of the icosahedron with projection
-to the sphere after every level, ellipsoids by axis scaling, and a regular
-grid torus of revolution.  Writers for OFF and OBJ round-trip through the
+to the sphere after every level, ellipsoids by axis scaling, a regular
+grid torus of revolution, and seeded random irregular spheres.  Writers for OFF and OBJ round-trip through the
 loader in :mod:`specgeom.mesh`.
 """
 
@@ -92,6 +92,25 @@ def torus_of_revolution(
     f1 = np.stack([idx, right, diag], axis=-1).reshape(-1, 3)
     f2 = np.stack([idx, diag, down], axis=-1).reshape(-1, 3)
     return verts, np.concatenate([f1, f2]).astype(np.int64)
+
+
+def random_sphere(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The convex hull of ``n`` random points on the unit sphere, drawn
+    uniformly with ``seed``: an irregular closed mesh of ``n`` vertices.
+
+    Each face is oriented outward, by the sign of its normal against its
+    centroid.
+    """
+    # scipy only here: importing this module stays scipy-free
+    from scipy.spatial import ConvexHull
+
+    points = np.random.default_rng(seed).standard_normal((n, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    faces = ConvexHull(points).simplices.astype(np.int64)
+    a, b, c = (points[faces[:, i]] for i in range(3))
+    inward = np.einsum("ij,ij->i", np.cross(b - a, c - a), a + b + c) < 0.0
+    faces[inward] = faces[inward][:, ::-1]
+    return points, faces
 
 
 def write_off(path, verts: np.ndarray, faces: np.ndarray) -> None:

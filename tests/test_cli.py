@@ -102,6 +102,30 @@ def source_builds(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def orderings(monkeypatch):
+    """The mesh of every nested-dissection order computed."""
+    import specgeom.mesh as mesh_mod
+
+    meshes = []
+    real_order = mesh_mod.nested_dissection
+
+    def spy(mesh):
+        meshes.append(mesh)
+        return real_order(mesh)
+
+    monkeypatch.setattr(mesh_mod, "nested_dissection", spy)
+    return meshes
+
+
+@pytest.fixture(scope="module")
+def ico5_file(tmp_path_factory):
+    """A 10,242-vertex icosphere, above the dense oracle's cap."""
+    path = tmp_path_factory.mktemp("ico5") / "ico5.off"
+    write_off(path, *icosphere(5))
+    return str(path)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -814,6 +838,121 @@ class TestProoflab:
             ["prooflab", "--task", "refinement", "--mesh-list", ico_files[2]],
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize("flags, parameter", [
+        (["--task", "refinement", "--mesh-list", "{ico2},{ico3}", "--mesh", "{ico3}"],
+         "mesh"),
+        (["--task", "refinement", "--mesh-list", "{ico2},{ico3}", "--psi", "x"], "psi"),
+        (["--task", "identities", "--mesh", "{ico2}", "--j", "3", "--psi", "z"], "j"),
+        (["--task", "identities", "--mesh", "{ico2}", "--psi", "z"], "psi"),
+        (["--task", "identities", "--mesh", "{ico2}", "--count", "4"], "count"),
+        (["--task", "identities", "--mesh", "{ico2}", "--seed", "5", "--tol", "1e-3"], "seed"),
+        (["--task", "identities", "--mesh", "{ico2}", "--tol", "1e-3"], "tol"),
+        (["--task", "anghel", "--mesh", "{ico2}", "--psi", "y"], "psi"),
+        (["--task", "anghel", "--mesh", "{ico2}", "--trunc", "5"], "trunc"),
+        (["--task", "prop31", "--mesh", "{ico2}", "--mesh-list", "a,b"], "mesh_list"),
+        (["--task", "anghel", "--mesh", "{ico2}", "--config", "{config}"], "psi"),
+        (["--task", "identities", "--mesh", "{ico2}", "--config", "{config}"], "seed"),
+    ])
+    def test_flag_the_task_never_reads_rejected(
+        self, ico_files, tmp_path, capsys, loaded_meshes, flags, parameter
+    ):
+        """Each of these printed a report that ignored the flag, and exit 0;
+        a refinement given --mesh dropped that mesh."""
+        config = tmp_path / "cfg.json"
+        config.write_text('{"psi": "x"}' if "anghel" in flags else '{"seed": 0}')
+        argv = ["prooflab", *(f.format(ico2=ico_files[2], ico3=ico_files[3], config=config)
+                              for f in flags)]
+        code, doc, err = run_json(capsys, argv)
+        task = argv[2]
+        assert (code, doc, loaded_meshes) == (2, None, [])
+        assert err == {"kind": "usage",
+                       "message": "prooflab --task %s reads no --%s"
+                       % (task, parameter.replace("_", "-")),
+                       "detail": {"parameter": parameter, "task": task}}
+
+    @pytest.mark.parametrize("task", ["prop31", "anghel", "refinement"])
+    def test_seed_and_tol_accepted_where_a_solve_reads_them(self, ico_files, capsys, task):
+        mesh = ["--mesh-list", "%s,%s" % (ico_files[2], ico_files[3])] \
+            if task == "refinement" else ["--mesh", ico_files[2]]
+        assert main(["prooflab", "--task", task, *mesh, "--seed", "5", "--tol", "1e-8"]) == 0
+
+    @pytest.mark.parametrize("flags, sizes", [
+        (["--task", "anghel", "--mesh", "{ico3}", "--j", "3"], [3]),
+        (["--task", "anghel", "--mesh", "{ico3}"], [2]),
+        (["--task", "refinement", "--mesh-list", "{ico2},{ico3}", "--j", "4"], [4, 4]),
+        (["--task", "anghel", "--mesh", "{ico3}", "--j", "3", "--count", "9"], [9]),
+        (["--task", "refinement", "--mesh-list", "{ico2},{ico3}", "--count", "6"], [6, 6]),
+    ])
+    def test_anghel_solves_j_pairs_unless_count_is_given(
+        self, ico_files, capsys, solve_sizes, flags, sizes
+    ):
+        """The identity reads the one pair j; the solver pads the request."""
+        argv = ["prooflab", *(f.format(ico2=ico_files[2], ico3=ico_files[3]) for f in flags)]
+        assert main(argv) == 0
+        assert solve_sizes == sizes
+
+    def test_anghel_above_the_dense_cap_solves_j_pairs(self, ico5_file, capsys, monkeypatch):
+        """10,242 vertices are below 4 (j + 8) at j = 2,600, which chose the
+        dense oracle, and it refuses more than 3,000: exit 2."""
+        import specgeom.cli as cli_mod
+
+        sizes, dense = [], []
+
+        class Asked(Exception):
+            pass
+
+        def spy(ops, k, **kwargs):
+            sizes.append(k)
+            raise Asked  # the spy stops before the 2,600-pair solve
+
+        monkeypatch.setattr(cli_mod, "solve_smallest", spy)
+        monkeypatch.setattr(cli_mod, "dense_eigenbasis", dense.append)
+        code, _, err = run_json(
+            capsys, ["prooflab", "--task", "anghel", "--mesh", ico5_file, "--j", "2600"])
+        assert (code, err["detail"], sizes, dense) == (4, {"exception": "Asked"}, [2600], [])
+
+    def test_prop31_above_the_dense_cap_names_count(self, ico5_file, capsys, orderings):
+        code, doc, err = run_json(capsys, ["prooflab", "--task", "prop31", "--mesh", ico5_file])
+        assert (code, doc, orderings) == (2, None, [])
+        assert err == {
+            "kind": "usage",
+            "message": "prop31 on 10242 vertices needs --count: "
+                       "the dense basis is capped at 3000 vertices",
+            "detail": {"parameter": "count", "vertices": 10242, "cap": 3000},
+        }
+
+    @pytest.mark.parametrize("flags, solved", [
+        (["prooflab", "--task", "prop31", "--mesh", "{ico3}"], 0),
+        (["prooflab", "--task", "identities", "--mesh", "{ico3}"], 0),
+        (["prooflab", "--task", "anghel", "--mesh", "{ico3}"], 1),
+        (["prooflab", "--task", "refinement", "--mesh-list", "{ico2},{ico3}"], 2),
+        (["prooflab", "--task", "prop31", "--mesh", "{ico3}", "--count", "6"], 1),
+        (["spectrum", "--mesh", "{ico3}", "--count", "4"], 1),
+        # a sliced solve: several windows, each checked by inertia counts
+        (["spectrum", "--mesh", "{ico3}", "--count", "150"], 1),
+    ])
+    def test_mesh_ordered_only_before_its_first_factorization(
+        self, ico_files, capsys, loaded_meshes, orderings, monkeypatch, flags, solved
+    ):
+        """prop31's dense oracle and the identities factor nothing; a solve
+        orders its mesh once, however many factorizations it makes."""
+        from specgeom import eigensolve
+
+        counts = []
+        real_inertia = eigensolve.inertia
+
+        def inertia(ops, sigma):
+            counts.append(sigma)
+            return real_inertia(ops, sigma)
+
+        monkeypatch.setattr(eigensolve, "inertia", inertia)
+        argv = [f.format(ico2=ico_files[2], ico3=ico_files[3]) for f in flags]
+        assert main(argv) == 0
+        assert len(loaded_meshes) == max(solved, 1)
+        assert [id(m) for m in orderings] == [id(m) for m in loaded_meshes[:solved]]
+        assert bool(counts) == ("150" in flags)
 
 
 class TestConfigFile:

@@ -27,7 +27,6 @@ def pair(stiffness, mass):
         stiffness=sp.csr_matrix(stiffness),
         mass=sp.csr_matrix(mass),
         clamp_count=0,
-        ordering=np.arange(stiffness.shape[0]),
     )
 
 

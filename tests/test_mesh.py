@@ -18,6 +18,7 @@ from specgeom.errors import (
 )
 from specgeom import mesh as mesh_module
 from specgeom.mesh import (
+    SparseOperatorPair,
     angle_defects,
     assemble_operators,
     extrinsic_summary,
@@ -30,7 +31,7 @@ from specgeom.mesh import (
     row_norms,
     vertex_average_from_faces,
 )
-from specgeom.meshgen import icosphere, torus_of_revolution, write_obj, write_off
+from specgeom.meshgen import icosphere, random_sphere, torus_of_revolution, write_obj, write_off
 
 # regular tetrahedron on unit-sphere vertices; edge length sqrt(8/3)
 TET_VERTS = np.array(
@@ -631,6 +632,24 @@ class TestOrdering:
     def test_assembly_carries_it(self, ico_mesh, ico_ops):
         assert np.array_equal(ico_ops(3).ordering, nested_dissection(ico_mesh(3)))
 
+    def test_computed_on_first_read_once(self, monkeypatch):
+        """Assembly orders nothing, so a pair that is never factored never
+        pays for the order; the first read computes it, once."""
+        calls = []
+        real_order = mesh_module.nested_dissection
+        monkeypatch.setattr(mesh_module, "nested_dissection",
+                            lambda mesh: calls.append(mesh) or real_order(mesh))
+        mesh = mesh_from_arrays(*icosphere(3))
+        ops = assemble_operators(mesh)
+        assert calls == []
+        assert ops.ordering is ops.ordering is mesh.ordering
+        assert calls == [mesh]
+
+    def test_bare_pair_keeps_vertex_order(self, ico_ops):
+        ops = ico_ops(2)
+        bare = SparseOperatorPair(ops.stiffness, ops.mass, 0)
+        assert np.array_equal(bare.ordering, np.arange(ops.stiffness.shape[0]))
+
     def test_small_parts_keep_vertex_order(self):
         verts, faces = icosphere(1)  # 42 vertices: one part
         assert np.array_equal(nested_dissection(mesh_from_arrays(verts, faces)), np.arange(42))
@@ -655,6 +674,19 @@ class TestOrdering:
         order = nested_dissection(mesh_from_arrays(verts, faces))
         for scale in (2.0**490, 2.0**-60):
             assert np.array_equal(nested_dissection(mesh_from_arrays(verts * scale, faces)), order)
+
+
+class TestRandomSphere:
+    def test_closed_outward_and_seeded(self):
+        verts, faces = random_sphere(300, 7)
+        mesh = mesh_from_arrays(verts, faces)  # validates: closed and oriented
+        assert (mesh.n_vertices, mesh.n_faces, mesh.n_components) == (300, 596, 1)
+        np.testing.assert_allclose(row_norms(verts), 1.0, rtol=1e-15)
+        centroids = verts[faces].mean(axis=1)
+        assert np.all(np.einsum("ij,ij->i", mesh.face_normals, centroids) > 0.0)
+        again = random_sphere(300, 7)
+        assert np.array_equal(again[0], verts) and np.array_equal(again[1], faces)
+        assert not np.array_equal(random_sphere(300, 8)[0], verts)
 
 
 class TestOperators:

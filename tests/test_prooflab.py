@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specgeom.eigensolve import dense_eigenbasis, solve_smallest
 from specgeom.errors import IndexRangeError
+from specgeom.mesh import assemble_operators, mesh_from_arrays
+from specgeom.meshgen import random_sphere
 from specgeom.prooflab import (
     coordinate_identities,
     expansion_coefficients,
@@ -155,6 +159,22 @@ class TestAnghelLemma:
         mesh, ops, basis = ico2_setup
         doc = verify_anghel_lemma(mesh, ops, basis, 2).to_json_dict()
         assert doc["check_id"] == "coordinate-gradient-identity"
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(150, 450), st.integers(0, 2**32 - 1))
+    def test_j_pair_solve_matches_dense_on_random_spheres(self, n, seed):
+        """On irregular meshes, the sparse solve's values and the Anghel
+        residual read from a j-pair solve match the dense oracle's."""
+        mesh = mesh_from_arrays(*random_sphere(n, seed))
+        ops = assemble_operators(mesh)
+        dense = dense_eigenbasis(ops)
+        values = solve_smallest(ops, 10, seed=seed).values
+        np.testing.assert_allclose(values, dense.values[:10], rtol=1e-10,
+                                   atol=1e-10 * dense.values[9])
+        for j in (2, 3, 4, 6):
+            got = verify_anghel_lemma(mesh, ops, solve_smallest(ops, j, seed=seed), j)
+            want = verify_anghel_lemma(mesh, ops, dense, j)
+            assert got.residual_rel == pytest.approx(want.residual_rel, rel=1e-9)
 
 
 class TestCoordinateIdentities:

@@ -203,7 +203,6 @@ class TestEigenbasisFiles:
             stiffness=sp.csr_matrix(a @ a.T),
             mass=sp.identity(12, format="csr"),
             clamp_count=0,
-            ordering=np.arange(12),
         )
         basis = dense_eigenbasis(ops, 4)
         path = tmp_path / "basis.json"
