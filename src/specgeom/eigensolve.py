@@ -11,10 +11,10 @@ in the mesh's nested-dissection order (``SparseOperatorPair.ordering``,
 computed by :func:`specgeom.mesh.nested_dissection` before the mesh's
 first factorization and kept with the mesh), which SuperLU keeps
 (``NATURAL``, symmetric mode).  That order is a function of the mesh
-alone, so reruns factor the same matrix.  Shift-invert factorizations keep SuperLU's threshold
-pivoting; inertia counts take diagonal pivots only and refuse a count whose
-row and column orders differ or whose smallest pivot is below
-``PIVOT_FLOOR`` times the largest.
+alone, so reruns factor the same matrix.  Shift-invert factorizations
+keep SuperLU's threshold pivoting; inertia counts take diagonal pivots
+only and refuse a count whose row and column orders differ or whose
+smallest pivot is below ``PIVOT_FLOOR`` times the largest.
 
 A request padded to at most ``WINDOW`` values is one window, solved on one
 factorization of L + eps M.  No count checks it; a short Krylov block from

@@ -2,8 +2,8 @@
 
 Icosphere by repeated 1-to-4 subdivision of the icosahedron with projection
 to the sphere after every level, ellipsoids by axis scaling, a regular
-grid torus of revolution, and seeded random irregular spheres.  Writers for OFF and OBJ round-trip through the
-loader in :mod:`specgeom.mesh`.
+grid torus of revolution, and seeded random irregular spheres.  Writers
+for OFF and OBJ round-trip through the loader in :mod:`specgeom.mesh`.
 """
 
 from __future__ import annotations

@@ -852,17 +852,19 @@ class TestProoflab:
         (["--task", "anghel", "--mesh", "{ico2}", "--psi", "y"], "psi"),
         (["--task", "anghel", "--mesh", "{ico2}", "--trunc", "5"], "trunc"),
         (["--task", "prop31", "--mesh", "{ico2}", "--mesh-list", "a,b"], "mesh_list"),
-        (["--task", "anghel", "--mesh", "{ico2}", "--config", "{config}"], "psi"),
-        (["--task", "identities", "--mesh", "{ico2}", "--config", "{config}"], "seed"),
+        (["--task", "anghel", "--mesh", "{ico2}", "--config", "{psi_entry}"], "psi"),
+        (["--task", "identities", "--mesh", "{ico2}", "--config", "{seed_entry}"], "seed"),
     ])
     def test_flag_the_task_never_reads_rejected(
         self, ico_files, tmp_path, capsys, loaded_meshes, flags, parameter
     ):
         """Each of these printed a report that ignored the flag, and exit 0;
         a refinement given --mesh dropped that mesh."""
-        config = tmp_path / "cfg.json"
-        config.write_text('{"psi": "x"}' if "anghel" in flags else '{"seed": 0}')
-        argv = ["prooflab", *(f.format(ico2=ico_files[2], ico3=ico_files[3], config=config)
+        entries = {}
+        for key, text in (("psi_entry", '{"psi": "x"}'), ("seed_entry", '{"seed": 0}')):
+            entries[key] = tmp_path / (key + ".json")
+            entries[key].write_text(text)
+        argv = ["prooflab", *(f.format(ico2=ico_files[2], ico3=ico_files[3], **entries)
                               for f in flags)]
         code, doc, err = run_json(capsys, argv)
         task = argv[2]
