@@ -60,7 +60,12 @@ from .models import (
     torus_dirac_spectrum,
     torus_laplace_spectrum,
 )
-from .prooflab import coordinate_identities, verify_anghel_lemma, verify_prop31
+from .prooflab import (
+    DEFAULT_TRUNCATION,
+    coordinate_identities,
+    verify_anghel_lemma,
+    verify_prop31,
+)
 from .serialize import (
     REPORT_COLUMNS,
     dumps_json,
@@ -643,8 +648,11 @@ def _prooflab_report(cfg, task, path):
     anghel task, which reads the one eigenpair j, solves j pairs (the
     solver pads the request) on a mesh of more than 4 (j + 8) vertices or
     of more than the dense oracle's ``DENSE_MAX``; the full dense basis
-    serves the rest, and prop31 above ``DENSE_MAX`` needs --count.  The
-    identities task solves nothing, so it never orders the mesh.
+    serves the rest, as its size is the report's ``truncation_K``.  prop31's
+    dense basis holds the pairs it reads, pair j and the first --trunc
+    (default ``DEFAULT_TRUNCATION``), and above ``DENSE_MAX`` it needs
+    --count.  The identities task solves nothing, so it never orders the
+    mesh.
     """
     from .eigensolve import DENSE_MAX
 
@@ -663,7 +671,8 @@ def _prooflab_report(cfg, task, path):
             % (mesh.n_vertices, DENSE_MAX),
             parameter="count", vertices=mesh.n_vertices, cap=DENSE_MAX,
         )
-    basis = dense_eigenbasis(ops) if count is None else src.build(count)
+    size = None if anghel else min(mesh.n_vertices, max(cfg["trunc"] or DEFAULT_TRUNCATION, j))
+    basis = dense_eigenbasis(ops, size) if count is None else src.build(count)
     if anghel:
         return verify_anghel_lemma(mesh, ops, basis, j)
     return verify_prop31(ops, basis, (cfg["psi"] or _psi("x"))(mesh), j, cfg["trunc"])

@@ -107,9 +107,13 @@ class SparseOperatorPair:
     clamp_count: int
     mesh: MeshGeometry | None = None
 
-    @property
+    @functools.cached_property
     def mass_diag(self) -> np.ndarray:
-        return self.mass.diagonal()
+        """The lumped masses, computed on the first read and read-only, as
+        every caller shares the one array."""
+        diag = self.mass.diagonal()
+        diag.flags.writeable = False
+        return diag
 
     @property
     def ordering(self) -> np.ndarray:

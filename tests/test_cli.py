@@ -915,6 +915,39 @@ class TestProoflab:
             capsys, ["prooflab", "--task", "anghel", "--mesh", ico5_file, "--j", "2600"])
         assert (code, err["detail"], sizes, dense) == (4, {"exception": "Asked"}, [2600], [])
 
+    @pytest.mark.parametrize("flags, size", [
+        ([], 200),
+        (["--trunc", "5"], 5),
+        (["--trunc", "642"], 642),
+        (["--j", "300"], 300),
+        (["--trunc", "700"], 642),
+        (["--j", "700"], 642),
+    ])
+    def test_prop31_dense_basis_holds_the_pairs_it_reads(
+        self, ico_files, capsys, monkeypatch, flags, size
+    ):
+        """prop31 asks the dense oracle for pair j and the first --trunc
+        pairs (default 200), at most the 642 vertices of an L3 icosphere,
+        and prints what the full basis prints, the range errors included."""
+        import specgeom.cli as cli_mod
+        from specgeom import eigensolve
+
+        asked = []
+
+        def sized(ops, k=None):
+            asked.append(k)
+            return eigensolve.dense_eigenbasis(ops, k)
+
+        argv = ["prooflab", "--task", "prop31", "--mesh", ico_files[3]] + flags
+        monkeypatch.setattr(cli_mod, "dense_eigenbasis", sized)
+        code = main(argv)
+        printed = capsys.readouterr()
+        monkeypatch.setattr(cli_mod, "dense_eigenbasis",
+                            lambda ops, k=None: eigensolve.dense_eigenbasis(ops))
+        assert main(argv) == code
+        assert capsys.readouterr() == printed
+        assert asked == [size]
+
     def test_prop31_above_the_dense_cap_names_count(self, ico5_file, capsys, orderings):
         code, doc, err = run_json(capsys, ["prooflab", "--task", "prop31", "--mesh", ico5_file])
         assert (code, doc, orderings) == (2, None, [])

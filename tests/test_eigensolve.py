@@ -1,10 +1,12 @@
 """Sparse eigensolver against closed forms, a dense oracle, and its own contract."""
 
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as dla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 from hypothesis import given, settings
@@ -668,3 +670,109 @@ class TestRitzStep:
         basis = solve_smallest(ops, k, seed=0)
         assert calls["_residual_norms"] == calls["_ritz_extract"] >= 1
         assert_residual_contract(ops, basis, 1e-9)
+
+
+class TestBlockedSteps:
+    """The steps after the solve walk the basis in blocks of ``BLOCK``
+    bytes: apart from the basis, none holds more than one basis-sized array,
+    and each computes what the whole-basis formulas compute."""
+
+    @pytest.fixture(params=["sliced", "one-window"])
+    def case(self, request, ico_ops):
+        """(ops, k): the 40x20 torus at two windows of values, and an L4
+        icosphere (2,562 vertices) at the most values one window takes."""
+        if request.param == "sliced":
+            return request.getfixturevalue("sliced_torus")[0], 2 * eigensolve.WINDOW
+        return ico_ops(4), ONE_WINDOW_K
+
+    def test_each_step_holds_at_most_one_basis(self, case, monkeypatch):
+        """Each step's traced peak above its entry is at most 1.1 times its
+        n x K basis.  ``BLOCK`` is set to a quarter of the basis, as the
+        2 MiB constant is to the 7.4 MiB basis of 192 pairs on the 100x50
+        torus; these bases are smaller than one block of that size."""
+        ops, k = case
+        monkeypatch.setattr(eigensolve, "BLOCK", ops.stiffness.shape[0] * k * 8 // 4,
+                            raising=False)
+        peaks = {}
+        for name, arg in (("_ritz_extract", 1), ("_residual_norms", 2), ("_finalize", 1)):
+            real = getattr(eigensolve, name)
+
+            def traced(*args, real=real, name=name, arg=arg, **kwargs):
+                entry = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = real(*args, **kwargs)
+                peak = tracemalloc.get_traced_memory()[1] - entry
+                peaks.setdefault(name, []).append(peak / (8 * args[arg].size))
+                return out
+
+            monkeypatch.setattr(eigensolve, name, traced)
+        tracemalloc.start()
+        try:
+            solve_smallest(ops, k, seed=0)
+        finally:
+            tracemalloc.stop()
+        assert sorted(peaks) == ["_finalize", "_residual_norms", "_ritz_extract"]
+        assert max(max(ratios) for ratios in peaks.values()) <= 1.1, peaks
+
+    @pytest.fixture
+    def basis(self, sliced_torus, monkeypatch):
+        """(ops, the pre-Ritz basis of a 2-window solve, the solve's
+        result), with blocks of 5 or 6 columns and of about 16 rows of the
+        800 x K basis, so that every step takes many blocks."""
+        ops, _ = sliced_torus
+        n = ops.stiffness.shape[0]
+        monkeypatch.setattr(eigensolve, "BLOCK", 8 * 5 * n)
+        seen = []
+        real = eigensolve._ritz_extract
+
+        def first(ops, vectors):
+            seen.append(vectors.copy())
+            return real(ops, vectors)
+
+        monkeypatch.setattr(eigensolve, "_ritz_extract", first)
+        basis = solve_smallest(ops, 2 * eigensolve.WINDOW, seed=0)
+        monkeypatch.setattr(eigensolve, "_ritz_extract", real)
+        width = seen[0].shape[1]
+        assert {s.stop - s.start for s in eigensolve._blocks(width, n)} == {5, 6}
+        assert len(eigensolve._blocks(n, width)) > 2
+        return ops, seen[0], basis
+
+    def test_blocked_steps_match_the_whole_basis_formulas(self, basis):
+        ops, raw, result = basis
+        mass = ops.mass_diag
+        # Ritz step
+        gram = raw.T @ (raw * mass[:, None])
+        ortho = dla.solve_triangular(np.linalg.cholesky(gram), raw.T, lower=True).T
+        projected = ortho.T @ (ops.stiffness @ ortho)
+        values, _ = dla.eigh(0.5 * (projected + projected.T))
+        got, vectors = eigensolve._ritz_extract(ops, raw.copy())
+        np.testing.assert_allclose(got, values, rtol=0, atol=1e-13 * np.max(np.abs(values)))
+        # the gram of the Ritz vectors, and of the returned pairs
+        k = result.size
+        gram = vectors.T @ (vectors * mass[:, None])
+        np.testing.assert_allclose(eigensolve._gram(vectors, mass), gram, rtol=0, atol=1e-13)
+        direct_error = np.max(np.abs(result.vectors.T @ (result.vectors * mass[:, None]) - np.eye(k)))
+        assert abs(result.mass_gram_error - direct_error) <= 1e-13
+        # the residual norms keep the summation order: bit for bit, also of
+        # an F-ordered basis
+        for block in (vectors[:, :k], np.asfortranarray(vectors[:, :k])):
+            lv = ops.stiffness @ block
+            direct = (np.linalg.norm(lv - block * (mass[:, None] * got[None, :k]), axis=0),
+                      np.maximum(1.0, np.linalg.norm(lv, axis=0)))
+            norms = eigensolve._residual_norms(ops, got[:k], block)
+            assert all(np.array_equal(a, b) for a, b in zip(norms, direct))
+        # the sign fix compares and negates: bit for bit
+        flipped = vectors * np.where(np.arange(vectors.shape[1]) % 3, 1.0, -1.0)
+        size = np.abs(flipped)
+        lead = np.argmax(size > 1e-6 * size.max(axis=0), axis=0)
+        direct = flipped * np.where(flipped[lead, np.arange(flipped.shape[1])] < 0.0, -1.0, 1.0)
+        eigensolve._fix_signs(flipped)
+        assert np.array_equal(flipped, direct)
+
+    def test_the_triangular_solve_overwrites_a_c_ordered_basis(self, basis):
+        """The sliced basis arrives C-ordered, so M-orthonormalizing it in
+        place needs no copy."""
+        ops, raw, _ = basis
+        assert raw.flags.c_contiguous
+        ortho = eigensolve._mass_orthonormalize(raw, ops.mass_diag)
+        assert np.shares_memory(ortho, raw)

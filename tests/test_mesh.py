@@ -729,6 +729,24 @@ class TestOperators:
         np.testing.assert_allclose(ops.mass_diag, mesh.vertex_area, rtol=1e-15)
         assert ops.mass_diag.sum() == pytest.approx(mesh.total_area, rel=1e-13)
 
+    def test_mass_diag_is_computed_once(self, ico_mesh, monkeypatch):
+        """The first read takes the diagonal; later reads return that array,
+        read-only, since every caller shares it."""
+        ops = assemble_operators(ico_mesh(2))
+        calls = []
+        real = type(ops.mass).diagonal
+
+        def counted(matrix, *args):
+            calls.append(matrix)
+            return real(matrix, *args)
+
+        monkeypatch.setattr(type(ops.mass), "diagonal", counted)
+        first = ops.mass_diag
+        assert ops.mass_diag is first and len(calls) == 1
+        assert np.array_equal(first, real(ops.mass))
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
     @pytest.mark.parametrize("scale", [1e78, 1e100, 1e150])
     def test_huge_coordinates_assemble_like_the_unit_sphere(self, ico_mesh, ico_ops, scale):
         """Areas up to ~1e300 are representable, so the cross-product norms
