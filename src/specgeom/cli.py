@@ -574,6 +574,8 @@ def cmd_check(cfg) -> int:
         raise UsageError("check needs --ineq", parameter="ineq")
     for iq in cfg["ineq"]:
         lookup(iq)
+    if cfg["j"] is not None and cfg["j_range"]:
+        raise UsageError("pass either --j or --j-range, not both", parameter="j_range")
     jlist = cfg["j_range"] or [cfg["j"] or 1]
     # checks that need no model or mesh (the conjecture probe) report first
     ineqs = sorted(cfg["ineq"], key=lambda iq: INEQS[iq].reads is not None)

@@ -34,12 +34,12 @@ certified set, never a truncated one.  Windows run in a fixed order with
 seeds derived from ``seed``, so reruns are bit-identical.
 
 After the last window, the Ritz step, the residual check and the final
-checks hold the basis and at most one more basis-sized array.  The
-M-orthonormalization overwrites the basis (assembled C-ordered, so that
-LAPACK solves its F-ordered transpose in place), the Ritz rotation is
-applied in place a block of rows at a time, and the products that are only
-reduced (the gram and projected matrices, the residual norms, the sign
-fix) are formed a block of columns at a time (``BLOCK``).
+checks hold the basis and at most one more basis-sized array.  The Ritz
+step solves the projected pencil (V^T L V, V^T M V) with one generalized
+LAPACK call and rotates the basis in place a block of rows at a time; the
+products that are only reduced (the projected and gram matrices, the
+residual norms, the sign fix) are formed a block of columns at a time
+(``BLOCK``).
 
 Dense path: a full LAPACK solve used as an independent oracle on small
 meshes.  Both return the same container and obey the same normalization
@@ -160,38 +160,32 @@ def _gram(vectors, mass_diag):
     return gram
 
 
-def _mass_orthonormalize(vectors, mass_diag):
-    """The M-orthonormalized basis, solved over ``vectors``: in place when
-    they are C-ordered, as the transpose that LAPACK solves is then F-ordered."""
-    gram = _gram(vectors, mass_diag)
+def _ritz_extract(ops, vectors):
+    """Rayleigh-Ritz on the pencil projected onto ``vectors``: ascending
+    values, and the M-orthonormal Ritz vectors rotated over ``vectors``.
+
+    Raw Krylov vectors inside a degenerate cluster carry arbitrary mixing,
+    and a polish sweep returns them unnormalized; one generalized
+    eigensolve of the projected stiffness and gram matrices resolves both.
+    To hold at most one more basis-sized array, both are formed by column
+    blocks, the stiffness first; LAPACK's ``gv`` driver solves them in place
+    as F-ordered views (reading the upper triangle of the projected
+    stiffness); and the gram is gone before the rotation, by row blocks.
+    """
+    width = vectors.shape[1]
+    projected = np.empty((width, width))
+    for cols in _blocks(width, len(vectors)):
+        projected[:, cols] = vectors.T @ (ops.stiffness @ vectors[:, cols])
     try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
+        values, rotation = dla.eigh(projected.T, _gram(vectors, ops.mass_diag).T,
+                                    overwrite_a=True, overwrite_b=True, driver="gv")
+    except dla.LinAlgError:
+        gram = _gram(vectors, ops.mass_diag)
         raise SolverConvergenceError(
             "returned basis is numerically mass-degenerate",
-            gram_error=float(np.max(np.abs(gram - np.eye(vectors.shape[1])))),
+            gram_error=float(np.max(np.abs(gram - np.eye(width)))),
         )
-    return dla.solve_triangular(chol, vectors.T, lower=True, overwrite_b=True).T
-
-
-def _ritz_extract(ops, vectors):
-    """M-orthonormalize the block and rediagonalize the projected operator,
-    over ``vectors``.
-
-    Raw Krylov vectors inside a degenerate cluster carry arbitrary mixing;
-    the Rayleigh-Ritz rotation resolves it and returns ascending values.
-    The projection is formed a block of columns at a time and the rotation
-    applied in place a block of rows at a time.
-    """
-    vectors = _mass_orthonormalize(vectors, ops.mass_diag)
-    projected = np.empty((vectors.shape[1],) * 2)
-    for cols in _blocks(vectors.shape[1], len(vectors)):
-        projected[:, cols] = vectors.T @ (ops.stiffness @ vectors[:, cols])
-    # 0.5 (P + P^T), formed and diagonalized in place
-    projected += projected.T
-    projected *= 0.5
-    values, rotation = dla.eigh(projected, overwrite_a=True)
-    for rows in _blocks(len(vectors), vectors.shape[1]):
+    for rows in _blocks(len(vectors), width):
         vectors[rows] = vectors[rows] @ rotation
     return values, vectors
 
@@ -223,10 +217,12 @@ def _finalize(values, vectors, ops, tol, solved=None, norms=None):
     residuals, lv_scale = norms or _residual_norms(ops, values, vectors)
     bounds = tol * lv_scale
     if gram_error > GRAM_TOL or np.any(residuals > bounds):
+        worst = int(np.argmax(residuals / bounds))
         raise SolverConvergenceError(
             "eigenpairs failed the residual or orthonormality check",
-            worst_residual=float(residuals.max()),
-            bound=float(bounds.min()),
+            worst_residual=float(residuals[worst]),
+            bound=float(bounds[worst]),
+            index=worst + 1,
             gram_error=gram_error,
         )
     scale = float(np.max(np.abs(values if solved is None else solved), initial=0.0))
@@ -454,8 +450,7 @@ def _slices(ops, eps, k, tol, seed, v0):
         lo, below = hi, count
     del vectors  # the last window's solve: its kept pairs are copied
     values = np.concatenate(kept_values)
-    # assembled C-ordered, which _mass_orthonormalize solves in place
-    vectors = np.concatenate(kept_vectors, axis=1, out=np.empty((n, len(values))))
+    vectors = np.concatenate(kept_vectors, axis=1)
     return edges[:-1], shifts, values, vectors, np.concatenate(solved)
 
 

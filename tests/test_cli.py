@@ -1262,6 +1262,29 @@ class TestInputBounds:
         assert (code, doc, err["kind"], err["detail"]) == (2, None, kind, detail)
         assert (loaded_meshes, solve_sizes) == ([], [])
 
+    @pytest.mark.parametrize("flags, entries", [
+        (["--j", "5", "--j-range", "1:2"], None),
+        (["--j-range", "1:2"], '{"j": 5}'),
+        (["--j", "5"], '{"j_range": "1:2"}'),
+        ([], '{"j": 5, "j_range": "1:2"}'),
+    ], ids=["flags", "j-entry", "j-range-entry", "entries"])
+    @pytest.mark.parametrize("source", [["--model", "sphere"], ["--mesh", "{mesh}"]],
+                             ids=["model", "mesh"])
+    def test_j_and_j_range_together_rejected(
+        self, ico_files, tmp_path, capsys, loaded_meshes, solve_sizes, source, flags, entries
+    ):
+        """--j 5 --j-range 1:2 printed the reports of j = 1 and 2 alone."""
+        argv = ["check", "--ineq", "main", *(f.format(mesh=ico_files[2]) for f in source),
+                *flags]
+        if entries is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(entries)
+            argv += ["--config", str(cfg)]
+        code, doc, err = run_json(capsys, argv)
+        assert (code, doc, loaded_meshes, solve_sizes) == (2, None, [], [])
+        assert err == {"kind": "usage", "message": "pass either --j or --j-range, not both",
+                       "detail": {"parameter": "j_range"}}
+
     @pytest.mark.parametrize("flags, detail", [
         (["--psi", "bogus"], {}),
         (["--psi", "seed:-1"], {"seed": -1}),

@@ -20,7 +20,7 @@ from specgeom.eigensolve import (
 from specgeom.cli import main
 from specgeom.errors import IndexRangeError, SolverConvergenceError, UsageError
 from specgeom.mesh import SparseOperatorPair, assemble_operators, mesh_from_arrays
-from specgeom.meshgen import icosphere, torus_of_revolution, write_off
+from specgeom.meshgen import icosphere, random_sphere, torus_of_revolution, write_off
 from specgeom.models import sphere_laplace_spectrum
 
 
@@ -241,8 +241,8 @@ class TestReadInterface:
 
 
 class TestFinalizeChecks:
-    """_finalize no longer re-orthonormalizes; its checks still catch pairs
-    that are not M-orthonormal or not eigenpairs."""
+    """_finalize checks pairs as they arrive: it catches pairs that are not
+    M-orthonormal or not eigenpairs."""
 
     def test_gram_check(self, ico_ops):
         ops = ico_ops(1)
@@ -264,6 +264,23 @@ class TestFinalizeChecks:
             eigensolve._finalize(values[:5], vectors[:, :5], ops, tol=1e-8)
         assert exc.value.detail["gram_error"] <= eigensolve.GRAM_TOL
         assert exc.value.detail["worst_residual"] > exc.value.detail["bound"]
+
+    def test_residual_error_names_the_worst_pair_and_its_own_bound(self, ico_ops):
+        """Pair 40 of an L2 icosphere misses its bound, 1e-9 ||L v|| = 9.19e-9;
+        the detail gave the worst residual beside the smallest bound, 1e-9."""
+        ops = ico_ops(2)
+        values, vectors = eigensolve.dla.eigh(
+            ops.stiffness.toarray(), ops.mass.toarray()
+        )
+        values = values[:40]
+        values[39] *= 1.0 + 2e-9
+        with pytest.raises(SolverConvergenceError) as exc:
+            eigensolve._finalize(values, vectors[:, :40], ops, tol=1e-9)
+        detail = exc.value.detail
+        lv_norm = np.linalg.norm(ops.stiffness @ vectors[:, 39])
+        assert detail["index"] == 40
+        assert detail["bound"] == pytest.approx(1e-9 * lv_norm, rel=1e-12)
+        assert detail["bound"] < detail["worst_residual"] < 3 * detail["bound"]
 
 
 class CountingFactorization:
@@ -769,10 +786,52 @@ class TestBlockedSteps:
         eigensolve._fix_signs(flipped)
         assert np.array_equal(flipped, direct)
 
-    def test_the_triangular_solve_overwrites_a_c_ordered_basis(self, basis):
-        """The sliced basis arrives C-ordered, so M-orthonormalizing it in
-        place needs no copy."""
-        ops, raw, _ = basis
-        assert raw.flags.c_contiguous
-        ortho = eigensolve._mass_orthonormalize(raw, ops.mass_diag)
-        assert np.shares_memory(ortho, raw)
+
+class TestRitzExtract:
+    """One generalized eigensolve of the projected pencil, rotated over the
+    basis in place."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rotates_its_own_input_in_place(self, ico_ops, order):
+        """A mixed, non-orthonormal basis of the 8 lowest eigenvectors gives
+        back the oracle's values, in the array it was given, in either
+        order."""
+        ops = ico_ops(2)
+        oracle = dense_eigenbasis(ops, 8)
+        mix = np.random.default_rng(0).standard_normal((8, 8))
+        raw = np.array(oracle.vectors @ mix, order=order)
+        values, vectors = eigensolve._ritz_extract(ops, raw)
+        assert vectors is raw
+        np.testing.assert_allclose(values, oracle.values, rtol=0,
+                                   atol=1e-12 * oracle.values[-1])
+        gram = vectors.T @ (vectors * ops.mass_diag[:, None])
+        assert np.max(np.abs(gram - np.eye(8))) <= eigensolve.GRAM_TOL
+
+    def test_a_zero_column_is_mass_degenerate(self, ico_ops):
+        ops = ico_ops(2)
+        vectors = dense_eigenbasis(ops, 8).vectors.copy()
+        vectors[:, 3] = 0.0
+        with pytest.raises(SolverConvergenceError,
+                           match="returned basis is numerically mass-degenerate") as exc:
+            eigensolve._ritz_extract(ops, vectors)
+        assert exc.value.detail == {"gram_error": 1.0}
+
+
+class TestRelabelling:
+    """The values do not depend on how the mesh is written down."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(150, 450), st.integers(2, 30), st.integers(0, 2**32 - 1))
+    def test_relabelled_random_sphere_has_the_same_values(self, n, k, seed):
+        """Relabel the vertices, shuffle the faces and rotate each face's
+        corners.  k = 1 is left out: its only value is kernel noise."""
+        verts, faces = random_sphere(n, seed)
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(n)
+        relabelled = np.argsort(perm)[faces][rng.permutation(len(faces))]
+        turns = (np.arange(3) + rng.integers(0, 3, (len(faces), 1))) % 3
+        relabelled = np.take_along_axis(relabelled, turns, axis=1)
+        values = solve_smallest(assemble_operators(mesh_from_arrays(verts, faces)), k).values
+        again = solve_smallest(
+            assemble_operators(mesh_from_arrays(verts[perm], relabelled)), k).values
+        np.testing.assert_allclose(again, values, rtol=0, atol=1e-12 * np.max(np.abs(values)))
