@@ -326,21 +326,16 @@ def _emit(cfg, text: str) -> None:
 class Source:
     """A model or a mesh, read the same way by every handler: ``build(count)``
     returns its first ``count`` eigenvalues and ``provenance(count)`` names
-    them, ``fallbacks`` is the table of its own facts that checks read, and
-    ``zero_dim``, the kernel dimension, is ``kernel()``: fixed for a model,
-    and a mesh's connected components, counted on first read.  A mesh
-    source also carries the loaded ``mesh`` and its assembled ``ops``."""
+    them, and ``fallbacks`` is the table of its own facts that checks read,
+    among them the kernel dimension ``m``: fixed for a model, and a mesh's
+    connected components, counted on first read.  A mesh source also
+    carries the loaded ``mesh`` and its assembled ``ops``."""
 
     build: Callable
     provenance: Callable
     fallbacks: dict
-    kernel: Callable
     mesh: MeshGeometry | None = None
     ops: SparseOperatorPair | None = None
-
-    @property
-    def zero_dim(self) -> int:
-        return self.kernel()
 
 
 def _diagonal_radii(lat: Lattice):
@@ -396,7 +391,7 @@ def _model_source(cfg) -> Source:
             return 1.0 / radius**2
 
         build = functools.partial(spectrum, n, radius)
-        zero_dim = 0 if dirac else 1
+        m = 0 if dirac else 1
         label = "sphere-%s n=%d r=%s" % (operator, n, format_float(radius))
         extrinsic = "model:sphere"
     else:
@@ -425,20 +420,20 @@ def _model_source(cfg) -> Source:
 
         if dirac:
             build = functools.partial(torus_dirac_spectrum, lat, spin)
-            zero_dim = spinor_rank(n) if spin.is_trivial else 0
+            m = spinor_rank(n) if spin.is_trivial else 0
         else:
-            build, zero_dim = functools.partial(torus_laplace_spectrum, lat), 1
+            build, m = functools.partial(torus_laplace_spectrum, lat), 1
         basis_text = "; ".join(" ".join(map(format_float, col)) for col in lat.basis.T)
         label = "torus-%s lattice=[%s]%s" % (
             operator, basis_text, " spin=%s" % spin.label() if spin else "")
         extrinsic = "model:product-torus" if radii is not None else "explicit"
     # the spinor curvature term of the Lichnerowicz formula is S/4;
     # functions carry none
-    fallbacks = {"n": n, **consts, "kappa": consts["s_inf"] / 4.0 if dirac else 0.0}
+    fallbacks = {"n": n, "m": m, **consts, "kappa": consts["s_inf"] / 4.0 if dirac else 0.0}
     if hbar1_integral is not None:
         fallbacks["hbar1_integral"] = hbar1_integral
     provenance = {"spectrum": label, "extrinsic": extrinsic}
-    return Source(build, lambda count: provenance, fallbacks, lambda: zero_dim)
+    return Source(build, lambda count: provenance, fallbacks)
 
 
 def _mesh_source(cfg, path) -> Source:
@@ -481,14 +476,15 @@ def _mesh_source(cfg, path) -> Source:
     # a surface, and the scalar Laplacian has no bundle curvature term;
     # main reads H^2 weighted by the squared j-th eigenvector, h_sq_at(j)
     fallbacks = {
-        "n": 2, "kappa": 0.0, "volume": lambda p: float(mesh.total_area),
+        "n": 2, "m": lambda p: mesh.n_components, "kappa": 0.0,
+        "volume": lambda p: float(mesh.total_area),
         "h_sq": lambda p: float(np.max(extr().H_sq)),
         "h_sq_at": lambda p: lambda j: weighted_density_integral(
             extr().H_sq, p.spectrum.vectors[:, j - 1], ops.mass_diag),
         "s_inf": lambda p: float(np.min(extr().S)),
         "h_sq_integral": lambda p: extr().willmore,
     }
-    return Source(build, provenance, fallbacks, lambda: mesh.n_components, mesh, ops)
+    return Source(build, provenance, fallbacks, mesh, ops)
 
 
 def _source(cfg, path=None):
@@ -536,22 +532,19 @@ FALLBACKS = {
     "area": lambda p: p["volume"],
     "h_sq_integral": lambda p: p["h_sq"] * p["volume"],
     "htilde_sq_integral": 0.0,
-    "m": lambda p: p.spectrum.zero_dim,
     "lattice": lambda p: _torus_lattice(p.values, "the conjecture probe"),
 }
 
 
 def _check_spectrum(cfg, ineqs, jlist):
     """The source's spectrum, resolved up to the highest index the ids
-    read, with the kernel dimension from --m or from the source, then its
-    provenance and the fallback tables a check reads."""
+    read, then its provenance and the fallback tables a check reads."""
     ineqs = [iq for iq in ineqs if INEQS[iq].reads is not None]
     src = _source(cfg)
     if src is None:
         raise UsageError("check needs --model, --mesh, or a probe lattice")
-    m = src.zero_dim if cfg["m"] is None else cfg["m"]
     tables = (src.fallbacks, FALLBACKS)
-    need = max([1] + [INEQS[iq].reads(Inputs(iq, cfg, fallbacks=tables), max(jlist), m)
+    need = max([1] + [INEQS[iq].reads(Inputs(iq, cfg, fallbacks=tables), max(jlist))
                       for iq in ineqs])
     # the indices (--j, --gap-k, --m, --dim, ...) are capped through the
     # size they make the spectrum resolve

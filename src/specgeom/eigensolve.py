@@ -532,7 +532,6 @@ def dense_eigenbasis(ops: SparseOperatorPair, k: int | None = None) -> EigenBasi
         k = n
     elif k < 1 or k > n:
         raise UsageError("k must satisfy 1 <= k <= %d, got %d" % (n, k), k=k)
-    lmat = ops.stiffness.toarray()
-    lmat = 0.5 * (lmat + lmat.T)
-    solved, vectors = dla.eigh(lmat, ops.mass.toarray())
+    # L is exactly symmetric: L[i, j] and L[j, i] sum the same two weights
+    solved, vectors = dla.eigh(ops.stiffness.toarray(), ops.mass.toarray())
     return _finalize(solved[:k], vectors[:, :k], ops, tol=1e-8, solved=solved)

@@ -346,9 +346,9 @@ class Ineq(NamedTuple):
 
     ``body(p, j)`` evaluates it from its parameters ``p`` (an
     :class:`Inputs`); ``j`` is None unless ``per_j``, when it runs once per
-    requested j.  Its family fixes the other fields: ``reads(p, j_max, m)``
-    is the highest spectrum index it reads, given the largest requested j
-    and the kernel dimension m, or None for an id that reads no spectrum.
+    requested j.  Its family fixes the other fields: ``reads(p, j_max)``
+    is the highest spectrum index it reads, given the largest requested j,
+    or None for an id that reads no spectrum.
     """
 
     body: Callable
@@ -384,8 +384,8 @@ def _family(reads, per_j=False):
 
 # sum bounds and gap forms read up to G_{j+n}; kernel means read the n
 # values after the m zero modes
-_sum_bound = _gap_form = _family(lambda p, j_max, m: j_max + p.n, per_j=True)
-_kernel_mean = _family(lambda p, j_max, m: m + p.n)
+_sum_bound = _gap_form = _family(lambda p, j_max: j_max + p.n, per_j=True)
+_kernel_mean = _family(lambda p, j_max: p["m"] + p.n)
 
 
 @_sum_bound("main")
@@ -545,9 +545,9 @@ BACKGROUND_SWITCHES = ("s0", "genus", "gap_k", "b_sq_sup", "h_sq_integral",
                        "htilde_sq_integral", "yang_k", "chen_h_sq", "lp_j")
 
 
-def _background_reads(p, j_max, m):
+def _background_reads(p, j_max):
     """Gbar_1, G_1 and G_2, and what the index-taking sub-bounds read."""
-    need = [m + 1, 2]
+    need = [p["m"] + 1, 2]
     for key, extra in (("gap_k", 1), ("yang_k", 1), ("lp_j", p.n)):
         if p.given(key):
             need.append(p[key] + extra)

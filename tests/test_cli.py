@@ -10,10 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from specgeom.cli import MAX_COUNT, main
+from specgeom.cli import MAX_COUNT, _source, build_parser, main
 from specgeom.errors import SolverConvergenceError
 from specgeom.mesh import assemble_operators, extrinsic_summary, load_mesh
 from specgeom.meshgen import icosphere, write_obj, write_off
+from specgeom.models import all_spin_structures
 
 
 @pytest.fixture(scope="module")
@@ -337,13 +338,21 @@ class TestSpectrum:
         assert doc["detail"]["area"] == "inf"
 
     def test_mesh_with_huge_coordinates_checked(self, tmp_path, capsys):
-        """Face areas near 1e200 are representable and pass validation."""
+        """Face areas near 1e200 are representable and pass validation.  The
+        solve at that scale finds no zero mode, so reilly1, which reads the
+        mesh's one component as its kernel, refuses the spectrum."""
         verts, faces = icosphere(2)
         path = tmp_path / "huge.off"
         write_off(path, verts * 1e100, faces)
+        areas = load_mesh(str(path)).face_area
+        assert 1e198 < areas.min() and areas.max() < 1e201
         code, doc, err = run_json(capsys, ["check", "--ineq", "main,reilly1", "--mesh", str(path)])
-        assert (code, err) == (0, None)
-        assert [r["ineq_id"] for r in doc["reports"]] == ["main", "reilly-mean-curvature"]
+        assert (code, doc) == (2, None)
+        assert err == {
+            "kind": "inconsistent-kernel",
+            "message": "claimed kernel dimension 1 but the spectrum has 0 zero modes",
+            "detail": {"claimed": 1, "zero_dim": 0},
+        }
 
     def test_solver_failure_maps_to_3(self, ico_files, capsys, monkeypatch):
         import specgeom.cli as cli_mod
@@ -363,6 +372,10 @@ OBLIQUE = ["--model", "torus", "--lattice", "1 0; 0.5 1"]
 # three circles of radius 1/sqrt3: a minimal torus in the unit 5-sphere
 EDGE = 2.0 * math.pi / math.sqrt(3.0)
 CUBIC = ["--model", "torus", "--lattice", "%r 0 0; 0 %r 0; 0 0 %r" % ((EDGE,) * 3)]
+# flat tori and their dimensions: rectangular, oblique, cubic and Clifford
+TORI = [(["--model", "torus", "--lattice", "1 0; 0 1.3"], 2),
+        (["--model", "torus", "--lattice", "1 0.3; 0 1"], 2), (CUBIC, 3),
+        (["--model", "clifford-torus"], 2)]
 
 
 class TestCheck:
@@ -511,6 +524,7 @@ class TestCheck:
         ["spectrum", "--count", "4"],
         ["prooflab", "--task", "identities"],
         ["check", "--ineq", "reilly1", "--m", "1"],
+        ["check", "--ineq", "main"],
     ])
     def test_components_counted_only_for_check_without_m(
         self, ico_files, capsys, loaded_meshes, argv
@@ -528,6 +542,21 @@ class TestCheck:
         )
         assert code == 0
         assert doc["reports"][0]["params"]["zero_dim"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "sphere", "--operator", operator, "--dim", str(n), "--radius", radius]
+        for operator, dims in (("laplace", (1, 2, 3, 5)), ("dirac", (2, 3, 4, 5)))
+        for n in dims for radius in ("0.5", "1")
+    ] + [[*torus, "--operator", "laplace"] for torus, _ in TORI] + [
+        [*torus, "--operator", "dirac", "--spin", spin.label()]
+        for torus, dim in TORI for spin in all_spin_structures(dim)
+    ])
+    def test_model_kernel_is_its_spectrum_zero_count(self, argv):
+        """A model states its kernel m in closed form; that m sizes a
+        check's solve and is what the kernel means check, so it must be the
+        zero count of the spectrum the model builds."""
+        src = _source(vars(build_parser().parse_args(["check", *argv])))
+        assert src.fallbacks["m"] == src.build(8).zero_dim
 
     def test_connected_mesh_solved_once(self, ico_files, capsys, solve_sizes):
         code, _, _ = run_json(capsys, ["check", "--ineq", "reilly1", "--mesh", ico_files[2]])

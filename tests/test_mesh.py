@@ -31,7 +31,14 @@ from specgeom.mesh import (
     row_norms,
     vertex_average_from_faces,
 )
-from specgeom.meshgen import icosphere, random_sphere, torus_of_revolution, write_obj, write_off
+from specgeom.meshgen import (
+    ellipsoid,
+    icosphere,
+    random_sphere,
+    torus_of_revolution,
+    write_obj,
+    write_off,
+)
 
 # regular tetrahedron on unit-sphere vertices; edge length sqrt(8/3)
 TET_VERTS = np.array(
@@ -782,6 +789,19 @@ class TestOperators:
         diff = abs(ops1.stiffness - ops2.stiffness).max()
         assert diff < 1e-12
         np.testing.assert_allclose(ops1.mass_diag, ops2.mass_diag, rtol=1e-12)
+
+    @pytest.mark.parametrize("verts, faces", [
+        icosphere(3),
+        torus_of_revolution(1.0, 0.4, 40, 20),
+        random_sphere(400, 3),
+        ellipsoid(1.0, 1.0, 2.0, 3),
+    ], ids=["L3", "torus", "random-sphere", "ellipsoid"])
+    def test_stiffness_is_exactly_symmetric(self, verts, faces):
+        """Each off-diagonal entry is the sum of the same two cotangent
+        weights either way round, so the dense oracle needs no
+        symmetrization."""
+        stiffness = assemble_operators(mesh_from_arrays(verts, faces)).stiffness
+        assert (stiffness != stiffness.T).nnz == 0
 
 
 class TestGradients:
