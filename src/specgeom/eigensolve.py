@@ -212,8 +212,8 @@ def _finalize(values, vectors, ops, tol, solved=None, norms=None):
     its largest |value| is the scale of the zero-mode count.
     """
     _fix_signs(vectors)
-    gram = _gram(vectors, ops.mass_diag)
-    gram_error = float(np.max(np.abs(gram - np.eye(len(values)))))
+    # the k x k gram is gone before the pairs are copied
+    gram_error = float(np.max(np.abs(_gram(vectors, ops.mass_diag) - np.eye(len(values)))))
     residuals, lv_scale = norms or _residual_norms(ops, values, vectors)
     bounds = tol * lv_scale
     if gram_error > GRAM_TOL or np.any(residuals > bounds):
@@ -226,6 +226,10 @@ def _finalize(values, vectors, ops, tol, solved=None, norms=None):
             gram_error=gram_error,
         )
     scale = float(np.max(np.abs(values if solved is None else solved), initial=0.0))
+    if vectors.base is not None and vectors.base.size > vectors.size:
+        # own exactly these pairs, not the padded basis they are cut from;
+        # "K" keeps the layout, which later products read
+        vectors = vectors.copy(order="K")
     return EigenBasis(
         values=values,
         vectors=vectors,
@@ -256,12 +260,20 @@ def _factor(ops, shift, count=False):
     diagonal pivots.  A count (``count=True``) takes only diagonal pivots,
     so its factors are the LDL^T that :func:`inertia` reads.  A
     shift-invert factorization keeps SuperLU's threshold pivoting, as the
-    pencil is indefinite at a shift inside the spectrum.
+    pencil is indefinite at a shift inside the spectrum; one that SuperLU
+    finds exactly singular is a :class:`SolverConvergenceError` naming the
+    shift, and a singular count stays SuperLU's ``RuntimeError``.
     """
     order = ops.ordering
     matrix = (ops.stiffness - shift * ops.mass)[order][:, order].tocsc()
     pivoting = dict(diag_pivot_thresh=0.0) if count else {}
-    lu = splu(matrix, permc_spec="NATURAL", options=dict(SymmetricMode=True), **pivoting)
+    try:
+        lu = splu(matrix, permc_spec="NATURAL", options=dict(SymmetricMode=True), **pivoting)
+    except RuntimeError as exc:
+        if count:
+            raise
+        raise SolverConvergenceError("shift-invert factorization at shift %g failed: %s"
+                                     % (shift, exc), shift=float(shift))
     return _Factors(lu, order)
 
 

@@ -16,15 +16,16 @@ Conventions
   the squared Dirac eigenvalues are |gamma + delta|^2 where delta is the
   half-integer spin shift expressed in the dual basis.  Each dual vector
   contributes 2^[n/2] to the Dirac multiplicity.
-* The dual vectors come from an integer box that a lattice's spin shifts
-  share.  A stack of lattices (``LatticeStack``, the sweep's aspect ratios
-  as arrays from one stacked determinant and inverse) is enumerated a
-  chunk of consecutive lattices at a time, in the union of their boxes,
-  and its lowest values are read straight from each chunk's sorted norms
-  (``torus_dirac_lowest``); one lattice's spectrum is a stack of one,
-  enumerated for its one spin shift.  Shells are grouped relative to the
-  lattice's squared dual spacing, so a lattice scaled by 2^k has every
-  value scaled by 4^-k, bit for bit.
+* The dual vectors come from an integer box around a ball that a
+  lattice's spin shifts share.  The probe (``torus_dirac_lowest``) reads
+  the two lowest norms of every shift on a stack of lattices
+  (``LatticeStack``, the sweep's aspect ratios as arrays from one stacked
+  determinant and inverse), a chunk of consecutive lattices at a time, in
+  the union of their boxes; its first radius always holds them.  One
+  lattice's spectrum enumerates its one spin shift and grows its own
+  radius until it holds the dual vectors asked for.  Shells are grouped
+  relative to the lattice's squared dual spacing, so a lattice scaled by
+  2^k has every value scaled by 4^-k, bit for bit.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ MAX_DUAL_BOX = 10**8
 CHUNK_POINTS = 4096
 
 # The first dual-lattice radius is this factor times (k * dual covolume)^(1/n)
-# for k requested dual vectors, plus the length of the longest spin shift; the
-# enumeration grows it by 1.5 until k dual vectors of every shift lie inside.
+# for k requested dual vectors, plus the length of the longest spin shift.  One
+# lattice's spectrum grows it by 1.5 until k dual vectors lie inside; the
+# probe's 2 dual vectors always do.
 FIRST_RADIUS_FACTOR = 1.5
 
 
@@ -359,65 +361,26 @@ def all_spin_structures(n: int) -> list[SpinStructure]:
     return [SpinStructure(bits) for bits in itertools.product((0.0, 0.5), repeat=n)]
 
 
-def _shifted_dual_norms(stack: LatticeStack, shifts, count: int):
-    """Sorted squared norms |G*(c + shift)|^2 over c in Z^n of the lattices
-    of ``stack``, for each row of ``shifts``: at least ``count`` of them per
-    lattice and shift.
-
-    Yields chunks ``(members, found)``, every lattice in exactly one:
-    ``members`` indexes the stack, and ``found`` holds one ``(rows,
-    below)`` pair per shift, where row i of ``rows`` holds the norms of
-    lattice ``members[i]``, ascending, the first ``below[i]`` of them, then
-    inf.  Each lattice's shifts share its radius and its integer box.  The
-    radius grows geometrically until at least ``count`` dual vectors of
-    every shift lie strictly below R^2, which guarantees every kept shell
-    is complete (no dual vector of smaller norm is missed).  Consecutive
-    lattices are enumerated a chunk at a time (``CHUNK_POINTS``), in the
-    union of their boxes; a lattice that has to grow its radius comes out
-    in a later chunk.
-    """
-    shifts = np.asarray(shifts, dtype=float)
-    everyone = np.arange(len(stack.bases))
-    if not (len(shifts) and len(everyone)):
-        yield everyone, []
-        return
-    shifts = shifts.reshape(len(shifts), -1)
+def _first_radii(stack: LatticeStack, shifts: np.ndarray, count: int):
+    """The first enumeration radius of each lattice of ``stack`` for
+    ``count`` dual vectors of every row of ``shifts``, and each lattice's
+    reach: a dual vector no longer than R has coordinates at most R times
+    the row norms of inv(G*) = B^T / 2 pi, so the basis column norms over
+    2 pi."""
     with np.errstate(over="ignore"):  # a radius or reach past the floats fails the box check
         longest = np.linalg.norm(stack.duals @ shifts.T, axis=1).max(axis=1)
         radii = FIRST_RADIUS_FACTOR * count ** (1.0 / shifts.shape[1]) * stack.spacings + longest
-        # a dual vector no longer than R has coordinates at most R times the
-        # row norms of inv(G*) = B^T / 2 pi, so the basis column norms over 2 pi
         reach = np.linalg.norm(stack.bases, axis=1) / (2.0 * math.pi)
-    yield from _grown_norms(everyone, radii, reach, stack.duals, shifts, count, 63)
+    return radii, reach
 
 
-def _grown_norms(members, radii, reach, duals, shifts, count, grows):
-    """``_shifted_dual_norms`` of the lattices ``members`` with ``radii``:
-    a lattice short of ``count`` grows its own radius by 1.5, at most
-    ``grows`` times, and is enumerated again with the other short lattices
-    of its chunk."""
-    for chunk, union in _chunks(members, radii, reach, shifts):
-        found, short = _chunk_norms(chunk, union, radii, duals, shifts, count)
-        if not short.any():
-            yield chunk, found
-            continue
-        if not grows:
-            raise InvalidModelError("dual lattice enumeration failed to converge")
-        kept = ~short
-        if kept.any():
-            yield chunk[kept], [(rows[kept], below[kept]) for rows, below in found]
-        radii = radii.copy()
-        radii[chunk[short]] *= 1.5
-        yield from _grown_norms(chunk[short], radii, reach, duals, shifts, count, grows - 1)
-
-
-def _chunks(members, radii, reach, shifts):
-    """Runs of consecutive lattices of the index array ``members``, each
-    with its union box (lows, highs), whose length times the union's size
-    stays within ``CHUNK_POINTS``.  Every lattice's own box is checked
-    against ``MAX_DUAL_BOX`` before any grid is allocated."""
+def _chunks(radii, reach, shifts):
+    """Runs of consecutive lattices, as slices of the stack, each with its
+    union box (lows, highs), whose length times the union's size stays
+    within ``CHUNK_POINTS``.  Every lattice's own box is checked against
+    ``MAX_DUAL_BOX`` before any grid is allocated."""
     with np.errstate(over="ignore", invalid="ignore"):
-        half = radii[members, None] * reach[members]
+        half = radii[:, None] * reach
         lows = np.floor(-half - shifts.max(axis=0)) - 1
         highs = np.ceil(half - shifts.min(axis=0)) + 2
         sizes = np.prod(highs - lows, axis=1)
@@ -429,42 +392,62 @@ def _chunks(members, radii, reach, shifts):
     # k lattices cost at least k * sizes.min(), so no run is longer than this
     window = CHUNK_POINTS // int(sizes.min()) + 1
     start = 0
-    while start < len(members):
+    while start < len(radii):
         lo = np.minimum.accumulate(lows[start:start + window])
         hi = np.maximum.accumulate(highs[start:start + window])
         # the run's cost with each next lattice added; the first always joins
         over = np.arange(2, len(lo) + 1) * np.prod(hi[1:] - lo[1:], axis=1) > CHUNK_POINTS
         end = 1 + (int(np.argmax(over)) if over.any() else len(over))
-        yield members[start:start + end], (lo[end - 1].astype(int).tolist(),
-                                           hi[end - 1].astype(int).tolist())
+        yield slice(start, start + end), (lo[end - 1].astype(int).tolist(),
+                                          hi[end - 1].astype(int).tolist())
         start += end
 
 
 def _chunk_norms(chunk, union, radii, duals, shifts, count):
-    """``_shifted_dual_norms`` of the lattices ``chunk``: one ``(rows,
-    below)`` pair per shift, and which lattices are short of ``count``.
-    One product takes every shift, or one shift for a lone lattice past
-    ``CHUNK_POINTS``; a lattice keeps its norms below its own radius."""
+    """Sorted squared norms |G*(c + shift)|^2, c in the ``union`` box, of
+    the lattices ``chunk``: one ``(rows, below)`` pair per row of
+    ``shifts``, where row i of ``rows`` holds the first ``below[i]`` norms
+    of the chunk's i-th lattice, those strictly below its own radius,
+    ascending, then inf.  None when a lattice has fewer than ``count`` of
+    them for some shift.  One product takes every shift, or one shift for a
+    lone lattice past ``CHUNK_POINTS``."""
     lows, highs = union
     grid = np.indices([hi - lo for lo, hi in zip(lows, highs)]).reshape(len(lows), -1).T + lows
     gstar = np.ascontiguousarray(duals[chunk].transpose(0, 2, 1))
     limits = np.array([r**2 * (1.0 - 1e-12) for r in radii[chunk].tolist()])[:, None]
-    batch = len(shifts) if len(chunk) * len(grid) <= CHUNK_POINTS else 1
-    found, short = [], np.zeros(len(chunk), dtype=bool)
+    batch = len(shifts) if len(gstar) * len(grid) <= CHUNK_POINTS else 1
+    found = []
     for start in range(0, len(shifts), batch):
         points = (grid + shifts[start:start + batch, None, None]) @ gstar
         norms = np.einsum("...j,...j->...", points, points)
         inside = norms < limits
         below = inside.sum(axis=2)
-        short |= (below < count).any(axis=0)
-        if short.all():  # the other shifts wait for the grown radii
-            break
+        if np.any(below < count):
+            return None
         # one row per shift and lattice, its norms inside first, so one sort serves all
         rows = np.full(below.shape + (below.max(),), np.inf)
         rows[np.arange(rows.shape[2]) < below[..., None]] = norms[inside]
         rows.sort(axis=2)
         found.extend(zip(rows, below))
-    return found, short
+    return found
+
+
+def _lattice_norms(lat: Lattice, shift, count: int) -> np.ndarray:
+    """Ascending squared norms |G*(c + shift)|^2 over c in Z^n of the dual
+    lattice of ``lat``, at least ``count`` of them: all those strictly
+    below R^2.  The radius R grows by 1.5, at most 63 times, until
+    ``count`` dual vectors lie inside, which keeps every shell below it
+    complete (no dual vector of smaller norm is missed)."""
+    shifts = np.asarray([shift], dtype=float)
+    radii, reach = _first_radii(lat.stack, shifts, count)
+    for _ in range(64):
+        [(chunk, union)] = _chunks(radii, reach, shifts)
+        found = _chunk_norms(chunk, union, radii, lat.stack.duals, shifts, count)
+        if found is not None:
+            [(rows, below)] = found
+            return rows[0, :below[0]]
+        radii = radii * 1.5
+    raise InvalidModelError("dual lattice enumeration failed to converge")
 
 
 def _joins(v, first, floor):
@@ -510,9 +493,8 @@ def _torus_spectrum(lat, shift, count, mult_factor, operator_kind):
     values."""
     if count < 1:
         raise EmptyRequestError("requested %d eigenvalues" % count)
-    # ceil(count / mult_factor) dual vectors; a stack of one is one chunk
-    [(_, [(rows, below)])] = _shifted_dual_norms(lat.stack, [shift], -(-count // mult_factor))
-    shells = _shells(rows[0, :below[0]], lat.dual_spacing**2)
+    # ceil(count / mult_factor) dual vectors
+    shells = _shells(_lattice_norms(lat, shift, -(-count // mult_factor)), lat.dual_spacing**2)
     return Spectrum(operator_kind,
                     _entries_from_shells(((v, m * mult_factor) for v, m in shells), count))
 
@@ -539,7 +521,8 @@ def torus_dirac_lowest(stack: LatticeStack, spins):
     """The kernel dimension of D^2 and its lowest nonzero eigenvalue on the
     flat torus of each lattice of ``stack`` and spin structure of
     ``spins``, as two (N, len(spins)) arrays, read from the two lowest
-    norms of one enumeration of each dual lattice.
+    norms of one enumeration of each dual lattice, a chunk of consecutive
+    lattices at a time.
 
     The lowest nonzero value's shell holds 2^[n/2] values per dual vector,
     so it is Gbar_1 = ... = Gbar_{2^[n/2]} of ``torus_dirac_spectrum``,
@@ -547,10 +530,22 @@ def torus_dirac_lowest(stack: LatticeStack, spins):
     is one dual vector, the trivial structure's zero: one more would be a
     dual vector 1e-15 spacings short, whose box is past ``MAX_DUAL_BOX``.
     """
+    shifts = np.array([spin.shift for spin in spins], dtype=float)
+    shifts = shifts.reshape(len(spins), stack.bases.shape[-1])
     lowest = np.empty((len(stack.bases), len(spins), 2))
-    for members, found in _shifted_dual_norms(stack, [spin.shift for spin in spins], 2):
-        for s, (rows, _) in enumerate(found):
-            lowest[members, s] = rows[:, :2]
+    if lowest.size:  # no spin structure or no lattice leaves nothing to enumerate
+        radii, reach = _first_radii(stack, shifts, 2)
+        for chunk, union in _chunks(radii, reach, shifts):
+            found = _chunk_norms(chunk, union, radii, stack.duals, shifts, 2)
+            # In 2-D, c = 0 lies at |G* delta| <= ``longest``, and c plus the
+            # shortest dual vector at most (4/3)^(1/4) ~ 1.075 dual spacings
+            # further out; the first radius leaves 1.5 sqrt(2) ~ 2.12 spacings
+            # of slack, so a short chunk is a broken invariant, never regrown.
+            if found is None:
+                raise InvalidModelError("the first dual radius holds fewer than 2 dual "
+                                        "vectors of a spin shift")
+            for s, (rows, _) in enumerate(found):
+                lowest[chunk, s] = rows[:, :2]
     # squared as ``_torus_spectrum`` squares a float: numpy's x * x can differ
     floors = ZERO_FLOOR_REL * np.array([s**2 for s in stack.spacings.tolist()])[:, None]
     first, after = _snapped(lowest[..., 0], floors), _snapped(lowest[..., 1], floors)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as dla
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,6 +173,17 @@ class TestMeshSpectra:
             v = basis.vectors[:, i]
             resid = np.linalg.norm(stiffness @ v - basis.values[i] * (mass @ v))
             assert resid <= 1e-9 * max(1.0, np.linalg.norm(stiffness @ v))
+
+    def test_a_basis_owns_exactly_its_pairs(self, ico_ops, sliced_torus):
+        """The returned vectors are k columns of their own, on the
+        one-window, sliced and dense paths, not a view that keeps the padded
+        basis or the whole dense matrix alive."""
+        k = eigensolve.WINDOW + 30
+        for basis, size in [(solve_smallest(ico_ops(2), 12, seed=0), 12),
+                            (solve_smallest(sliced_torus[0], k, seed=0), k),
+                            (dense_eigenbasis(ico_ops(2), 10), 10)]:
+            assert basis.vectors.base is None
+            assert basis.vectors.shape[1] == size
 
     @pytest.mark.parametrize("k", [0, 163])
     def test_dense_k_is_checked_before_the_dense_solve(self, ico_ops, monkeypatch, k):
@@ -395,6 +406,52 @@ class TestExhaustedPolish:
         doc = json.loads(err)
         assert doc["kind"] == "solver-convergence"
         assert doc["detail"]["worst_residual"] > doc["detail"]["bound"] == 1e-9
+
+
+class TestSolverExits:
+    """A solve that cannot meet its contract exits 3 with one
+    solver-convergence object on stderr and prints nothing."""
+
+    @staticmethod
+    def exits_3(capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        doc = json.loads(err)
+        assert doc["kind"] == "solver-convergence"
+        return doc
+
+    def test_a_singular_shift_invert_factor(self, tmp_path, capsys):
+        """Scaled by 2^-11, this random sphere's L + eps M is exactly
+        singular to SuperLU at the kernel shift -eps: its RuntimeError
+        exited 4 as an internal error."""
+        verts, faces = random_sphere(447, 924743817)
+        path = tmp_path / "shrunk.off"
+        write_off(path, verts * 2.0**-11, faces)
+        doc = self.exits_3(capsys, ["spectrum", "--mesh", str(path), "--count", "15"])
+        assert doc["message"].startswith("shift-invert factorization at shift -")
+        assert list(doc["detail"]) == ["shift"] and doc["detail"]["shift"] < 0.0
+
+    def test_lanczos_without_convergence(self, tmp_path, capsys, monkeypatch):
+        """ARPACK's no-convergence error names what it did converge."""
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("stalled", np.zeros(1), np.zeros((162, 1)))
+
+        path = tmp_path / "ico2.off"
+        write_off(path, *icosphere(2))
+        monkeypatch.setattr(eigensolve, "eigsh", stalled)
+        doc = self.exits_3(capsys, ["spectrum", "--mesh", str(path), "--count", "4"])
+        assert doc["detail"] == {"converged": 1, "requested": 12}
+
+    def test_no_gap_with_a_clean_inertia_count(self, tmp_path, capsys, monkeypatch):
+        """A sliced solve whose every inertia count is refused finds no
+        window edge, after its wider re-solves too."""
+        path = tmp_path / "ico3.off"
+        write_off(path, *icosphere(3))
+        monkeypatch.setattr(eigensolve, "inertia", lambda ops, sigma: None)
+        doc = self.exits_3(capsys, ["spectrum", "--mesh", str(path), "--count", "150"])
+        assert doc["message"] == "no eigenvalue gap above -inf gave a clean inertia count"
+        assert doc["detail"]["lo"] == "-inf"
 
 
 def rotated_icosphere(level, seed=3):

@@ -188,11 +188,26 @@ def test_off_from_a_pipe(ico2):
      {"parameter": "lattice"}),
     (["check", "--ineq", "conjecture", "--model", "clifford-torus", "--lattice", LATTICE],
      "--model clifford-torus fixes its lattice; drop --lattice", {"parameter": "lattice"}),
+    (["prooflab", "--task", "prop31", "--mesh", "{mesh}", "--psi", "seed:abc"],
+     "bad psi seed 'seed:abc'", {}),
+    (["check", "--ineq", "background", "--model", "sphere", "--dim", "1", "--s0", "1"],
+     "the scalar-curvature lower bound needs n >= 2", {"n": 1}),
 ])
 def test_usage_error(ico2, capsys, argv, message, detail):
     code, out, err = run(capsys, [a.format(mesh=ico2) for a in argv])
     assert (code, out) == (2, "")
     assert err == {"kind": "usage", "message": message, "detail": detail}
+
+
+def test_count_at_the_vertex_count_exits_2(tmp_path, capsys):
+    """A mesh of n vertices has n eigenvalues, and the sparse solve finds
+    fewer: on the 12-vertex icosahedron, count 12 is a usage error."""
+    path = tmp_path / "ico0.off"
+    write_off(path, *icosphere(0))
+    code, out, err = run(capsys, ["spectrum", "--mesh", str(path), "--count", "12"])
+    assert (code, out) == (2, "")
+    assert err == {"kind": "usage", "message": "count 12 must be below the vertex count 12",
+                   "detail": {"count": 12, "vertices": 12}}
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -222,7 +237,7 @@ def test_probe_count_below_what_it_reads(capsys, monkeypatch, argv):
     count is the usage error of check's other ids, raised before any dual
     lattice is enumerated."""
     enumerated = []
-    monkeypatch.setattr(models, "_shifted_dual_norms", lambda *args: enumerated.append(args))
+    monkeypatch.setattr(models, "_chunk_norms", lambda *args: enumerated.append(args))
     code, out, err = run(capsys, argv)
     assert (code, out, enumerated) == (2, "", [])
     assert err == {"kind": "usage",

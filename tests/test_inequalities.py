@@ -398,15 +398,14 @@ class TestConjectureProbe:
         dual vectors of all four shifts, whatever the count allows, and
         returns one sorted norm array per shift."""
         asked = []
-        real = models._shifted_dual_norms
+        real = models._chunk_norms
 
-        def spy(stack, shifts, count):
-            [(members, found)] = real(stack, shifts, count)
-            asked.append((np.shape(shifts), count,
-                          [len(rows[0, :below[0]]) >= count for rows, below in found]))
-            return iter([(members, found)])
+        def spy(chunk, union, radii, duals, shifts, count):
+            found = real(chunk, union, radii, duals, shifts, count)
+            asked.append((np.shape(shifts), count, [int(below[0]) >= count for _, below in found]))
+            return found
 
-        monkeypatch.setattr(models, "_shifted_dual_norms", spy)
+        monkeypatch.setattr(models, "_chunk_norms", spy)
         basis = clifford_torus_lattice().basis[None]
         for count in (4, 64, 256):
             assert len(conjecture_probe(basis, count=count).spin) == 4

@@ -166,17 +166,6 @@ def brute_force_torus_values(basis, shift, count):
         radius += 1
 
 
-def joint_entries(lat, spins, count):
-    """Each spin structure's Dirac spectrum entries from one enumeration of
-    the dual lattice that all of them share, as the sweep enumerates it."""
-    rank = models.spinor_rank(lat.dim)
-    [(_, found)] = models._shifted_dual_norms(lat.stack, [s.shift for s in spins],
-                                              -(-count // rank))
-    return [models._entries_from_shells(
-        ((v, m * rank) for v, m in models._shells(rows[0, :below[0]], lat.dual_spacing**2)),
-        count) for rows, below in found]
-
-
 class TestTorusSpectra:
     def test_square_torus_halfhalf_spin(self):
         lat = Lattice(2.0 * math.pi * np.eye(2))
@@ -320,27 +309,26 @@ class TestTorusSpectra:
     @settings(deadline=None, max_examples=60)
     @given(st.data())
     def test_one_enumeration_for_all_spins_matches_one_per_spin(self, data):
-        """The shared radius and box keep every shift's kept shells whole,
-        so each spectrum of a joint build, for any spin structures in any
-        order, is exactly its own build."""
-        dim = data.draw(st.sampled_from([2, 3]), label="dim")
+        """The probe's shared radius and box keep every shift's lowest shell
+        whole, so for any spin structures in any order its kernel and lowest
+        nonzero value are exactly those of each structure's own spectrum."""
         coord = st.floats(min_value=-1.0, max_value=1.0)
-        basis = np.array(data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
-                                            min_size=dim, max_size=dim), label="off"))
+        basis = np.array(data.draw(st.lists(st.lists(coord, min_size=2, max_size=2),
+                                            min_size=2, max_size=2), label="off"))
         basis += np.diag(data.draw(st.lists(st.floats(min_value=0.3, max_value=3.0),
-                                            min_size=dim, max_size=dim), label="diag"))
+                                            min_size=2, max_size=2), label="diag"))
         assume(np.linalg.cond(basis) < 30.0)
         lat = Lattice(basis)
-        spins = data.draw(st.lists(st.sampled_from(all_spin_structures(dim)), min_size=1,
-                                   max_size=2**dim, unique=True), label="spins")
-        count = data.draw(st.integers(min_value=1, max_value=64), label="count")
-        assert joint_entries(lat, spins, count) == [
-            torus_dirac_spectrum(lat, spin, count).entries for spin in spins]
+        spins = data.draw(st.lists(st.sampled_from(all_spin_structures(2)), min_size=1,
+                                   max_size=4, unique=True), label="spins")
+        specs = [torus_dirac_spectrum(lat, spin, 4) for spin in spins]
+        zero_dim, lowest = torus_dirac_lowest(lat.stack, spins)
+        assert zero_dim.tolist() == [[spec.zero_dim for spec in specs]]
+        assert lowest.tolist() == [[spec.gamma_bar(1) for spec in specs]]
 
     def test_no_spins_give_no_spectra(self):
         """One value per spin structure: an empty list gives empty columns."""
         lat = Lattice(np.array([[1.0, 0.3], [0.0, 1.2]]))
-        assert joint_entries(lat, [], 4) == []
         assert [a.shape for a in torus_dirac_lowest(lat.stack, [])] == [(1, 0), (1, 0)]
 
     @pytest.mark.parametrize("count, vectors", [(1, 1), (2, 1), (3, 2), (7, 4), (8, 4)])
@@ -348,13 +336,13 @@ class TestTorusSpectra:
         """A dual vector of the 2-torus carries 2 Dirac values, so count
         values need ceil(count / 2) of them; the Laplacian needs count."""
         asked = []
-        real = models._shifted_dual_norms
+        real = models._lattice_norms
 
-        def spy(lats, shifts, k):
+        def spy(lat, shift, k):
             asked.append(k)
-            return real(lats, shifts, k)
+            return real(lat, shift, k)
 
-        monkeypatch.setattr(models, "_shifted_dual_norms", spy)
+        monkeypatch.setattr(models, "_lattice_norms", spy)
         lat = Lattice(np.array([[1.0, 0.5], [0.0, 1.0]]))
         torus_dirac_spectrum(lat, SpinStructure((0.0, 0.5)), count)
         torus_laplace_spectrum(lat, count)
@@ -367,26 +355,21 @@ class TestTorusSpectra:
     ], ids=["clifford", "oblique", "3d"])
     @pytest.mark.parametrize("count", [1, 7, 64])
     def test_growing_the_dual_radius_keeps_the_spectrum(self, monkeypatch, basis, count):
-        """A first radius far too small makes the enumeration grow it; the
-        shells come out as they do from the default first radius.  The
-        radius grows exactly when, for some shift enumerated, fewer than the
-        requested dual vectors, ceil(count / values per vector), lie inside
-        it: the half-integer shift can put 2^n of them at |G* delta|, inside
-        the first radius.  All spin structures share one radius, which adds
-        the longest shift."""
+        """A first radius far too small makes one lattice's spectrum grow
+        it; the shells come out as they do from the default first radius.
+        The radius grows exactly when fewer than the requested dual vectors,
+        ceil(count / values per vector), lie inside it: the half-integer
+        shift can put 2^n of them at |G* delta|, inside the first radius."""
         lat = Lattice(np.array(basis))
         vectors = -(-count // 2 ** (lat.dim // 2))  # each carries 2^[n/2] Dirac values
         spins = all_spin_structures(lat.dim)
-        builders = [  # (build, the shifts it enumerates, dual vectors it asks for)
-            (lambda: [torus_laplace_spectrum(lat, count).entries], [spins[0].shift], count),
-            (lambda: joint_entries(lat, spins, count), [s.shift for s in spins], vectors),
-        ] + [(lambda s=s: [torus_dirac_spectrum(lat, s, count).entries], [s.shift], vectors)
+        builders = [  # (build, the shift it enumerates, dual vectors it asks for)
+            (lambda: torus_laplace_spectrum(lat, count).entries, spins[0].shift, count),
+        ] + [(lambda s=s: torus_dirac_spectrum(lat, s, count).entries, s.shift, vectors)
              for s in (spins[0], spins[-1])]
         default = [build() for build, _, _ in builders]
-        assert default[1][0] == default[2][0] and default[1][-1] == default[3][0]
         monkeypatch.setattr(models, "FIRST_RADIUS_FACTOR", 0.05)
-        forced = [any(vectors_inside_first_radius(lat, shift, k, shifts) < k for shift in shifts)
-                  for _, shifts, k in builders]
+        forced = [vectors_inside_first_radius(lat, shift, k) < k for _, shift, k in builders]
         boxes = 0
         real_indices = np.indices
 
@@ -431,20 +414,30 @@ class TestLatticeStacks:
     @given(lattice_stacks(), st.data())
     def test_each_lattice_of_a_stack_gets_its_own_spectra(self, lats, data):
         """Consecutive lattices share an enumeration box, and each keeps its
-        own radius: every lattice of a stack, for any spin structures and
-        chunk budget, gets exactly the kernel and lowest nonzero value of
-        its own stack of one, also when a first radius far too small makes
-        some lattices grow theirs and come out in a later chunk."""
+        own radius: at the shipped first radius no chunk is short (the probe
+        raises if one is), and every lattice of a stack, for any spin
+        structures and chunk budget, gets exactly the kernel and lowest
+        nonzero value of its own stack of one."""
         spins = data.draw(st.lists(st.sampled_from(all_spin_structures(2)), max_size=4,
                                    unique=True), label="spins")
         budget = data.draw(st.sampled_from([1, 600, models.CHUNK_POINTS, 10**6]), label="budget")
-        factor = data.draw(st.sampled_from([0.05, models.FIRST_RADIUS_FACTOR]), label="factor")
-        with mock.patch.object(models, "FIRST_RADIUS_FACTOR", factor):
-            alone = [torus_dirac_lowest(lat.stack, spins) for lat in lats]
-            with mock.patch.object(models, "CHUNK_POINTS", budget):
-                stacked = torus_dirac_lowest(stack_of(lats), spins)
+        alone = [torus_dirac_lowest(lat.stack, spins) for lat in lats]
+        with mock.patch.object(models, "CHUNK_POINTS", budget):
+            stacked = torus_dirac_lowest(stack_of(lats), spins)
         for got, want in zip(stacked, zip(*alone)):
             assert got.tolist() == np.concatenate(want).tolist()
+
+    def test_a_short_first_radius_is_a_broken_invariant(self, monkeypatch):
+        """The probe's first radius always holds 2 dual vectors of each
+        2-D spin shift, so a stack never grows it: patched far too small, it
+        raises the named error, where one lattice's spectrum grows its own
+        radius to the same entries."""
+        lat, spins = clifford_torus_lattice(), all_spin_structures(2)
+        want = [torus_dirac_spectrum(lat, spin, 4).entries for spin in spins]
+        monkeypatch.setattr(models, "FIRST_RADIUS_FACTOR", 0.05)
+        with pytest.raises(InvalidModelError, match="fewer than 2 dual vectors"):
+            torus_dirac_lowest(stack_of([sweep_lattice(2.0), lat]), spins)
+        assert [torus_dirac_spectrum(lat, spin, 4).entries for spin in spins] == want
 
     def test_a_long_sweep_holds_one_chunk_at_a_time(self):
         """The lowest values of a stack are read chunk by chunk: over the
@@ -487,13 +480,12 @@ class TestLatticeStacks:
         assert peak(spins) < 2 * longest
 
 
-def vectors_inside_first_radius(lat, shift, vectors, shifts):
+def vectors_inside_first_radius(lat, shift, vectors):
     """Dual vectors shifted by ``shift`` strictly inside the first radius of
-    an enumeration of ``shifts`` that asks for ``vectors``, counted over a
-    box that holds them all."""
-    longest = max(np.linalg.norm(lat.dual_basis @ np.asarray(s)) for s in shifts)
+    one lattice's enumeration that asks for ``vectors``, counted over a box
+    that holds them all."""
     radius = (models.FIRST_RADIUS_FACTOR * vectors ** (1.0 / lat.dim) * lat.dual_spacing
-              + longest)
+              + np.linalg.norm(lat.dual_basis @ np.asarray(shift)))
     grid = np.stack(np.meshgrid(*[np.arange(-8, 9)] * lat.dim), axis=-1).reshape(-1, lat.dim)
     return int(np.sum(np.linalg.norm((grid + shift) @ lat.dual_basis.T, axis=1) < radius))
 
@@ -563,9 +555,7 @@ class TestShellGrouping:
         each other but not of their shell's first value, so a chain of close
         neighbours splits where it drifts past that first value."""
         lat = Lattice(np.diag([1.0, 1.0000000005384615]))
-        [(_, [(rows, below)])] = models._shifted_dual_norms(
-            models.lattice_stack(lat.basis[None]), np.zeros((1, 2)), 256)
-        norms = rows[0, :below[0]]
+        norms = models._lattice_norms(lat, np.zeros(2), 256)
         assert grouped(norms, lat.dual_spacing**2) == reference_group_values(
             norms, lat.dual_spacing**2)
         spec = torus_laplace_spectrum(lat, 256)
